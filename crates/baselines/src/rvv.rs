@@ -19,7 +19,7 @@
 //! which is exactly the dynamic-instruction blow-up Figures 10/11 quantify.
 
 use mve_core::dtype::DType;
-use mve_core::engine::{Engine, Reg};
+use mve_core::engine::{Engine, Reg, Row};
 use mve_core::isa::Opcode;
 use mve_core::trace::Event;
 use mve_insram::AluOp;
@@ -82,76 +82,59 @@ impl<'e> Rvv<'e> {
         &mut *self.e
     }
 
-    fn cb_mask_for_lanes(&self, lo: usize, hi: usize) -> u64 {
-        let per_cb = self.e.geometry().bitlines_per_cb();
-        let mut m = 0u64;
-        for lane in (lo..hi).step_by(per_cb.max(1)) {
-            m |= 1 << (lane / per_cb);
-        }
-        if hi > lo {
-            m |= 1 << ((hi - 1) / per_cb);
-        }
-        m
+    /// Emits a Memory event built from a row primitive's `(lines, cb_mask)`.
+    fn memory_event(
+        &mut self,
+        opcode: Opcode,
+        dtype: DType,
+        active_lanes: usize,
+        (lines, cb_mask): (Vec<u64>, u64),
+        write: bool,
+    ) {
+        self.e.push_raw_event(Event::Memory {
+            opcode,
+            dtype,
+            active_lanes: active_lanes as u32,
+            cb_mask,
+            lines,
+            write,
+        });
     }
 
-    fn lines_for(addrs: impl Iterator<Item = u64>, bytes: u64) -> Vec<u64> {
-        let mut lines: Vec<u64> = addrs
-            .flat_map(|a| {
-                let first = a / mve_memsim::LINE_BYTES;
-                let last = (a + bytes - 1) / mve_memsim::LINE_BYTES;
-                first..=last
-            })
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
+    /// Emits the per-segment pack/unpack move (`vslideup`-style).
+    fn move_event(&mut self, dtype: DType, active_lanes: usize, cb_mask: u64) {
+        self.e.push_raw_event(Event::Compute {
+            opcode: Opcode::Copy,
+            alu: AluOp::Copy,
+            dtype,
+            active_lanes: active_lanes as u32,
+            cb_mask,
+        });
+    }
+
+    /// Scalar address arithmetic plus the segment-window mask config that
+    /// opens every per-segment sequence.
+    fn segment_prologue(&mut self, scalars: u64) {
+        self.e.scalar(scalars);
+        self.e.push_raw_event(Event::Config {
+            opcode: Opcode::SetMask,
+        });
     }
 
     /// Unit-stride / strided 1-D load of `vl` elements (`vle`/`vlse`).
     pub fn load_1d(&mut self, dtype: DType, base: u64, stride_elems: i64) -> Reg {
         let dst = self.e.alloc(dtype);
-        let bytes = dtype.bytes();
-        let mut addrs = Vec::with_capacity(self.vl);
-        for i in 0..self.vl {
-            let a = (base as i64 + i as i64 * stride_elems * bytes as i64) as u64;
-            let v = self.e.mem().read_raw(a, bytes);
-            self.e.set_lane_raw(dst, i, v);
-            addrs.push(a);
-        }
-        let cb_mask = self.cb_mask_for_lanes(0, self.vl);
-        let lines = Self::lines_for(addrs.into_iter(), bytes);
-        self.e.push_raw_event(Event::Memory {
-            opcode: Opcode::StridedLoad,
-            dtype,
-            active_lanes: self.vl as u32,
-            cb_mask,
-            lines,
-            write: false,
-        });
+        let row = Row::new(0, self.vl, base, stride_elems);
+        let access = self.e.load_rows(dst, [row]);
+        self.memory_event(Opcode::StridedLoad, dtype, self.vl, access, false);
         dst
     }
 
     /// Unit-stride / strided 1-D store.
     pub fn store_1d(&mut self, src: Reg, base: u64, stride_elems: i64) {
-        let dtype = src.dtype();
-        let bytes = dtype.bytes();
-        let values: Vec<u64> = self.e.reg_lanes(src)[..self.vl].to_vec();
-        let mut addrs = Vec::with_capacity(self.vl);
-        for (i, &v) in values.iter().enumerate() {
-            let a = (base as i64 + i as i64 * stride_elems * bytes as i64) as u64;
-            self.e.mem_mut().write_raw(a, bytes, v);
-            addrs.push(a);
-        }
-        let cb_mask = self.cb_mask_for_lanes(0, self.vl);
-        let lines = Self::lines_for(addrs.into_iter(), bytes);
-        self.e.push_raw_event(Event::Memory {
-            opcode: Opcode::StridedStore,
-            dtype,
-            active_lanes: self.vl as u32,
-            cb_mask,
-            lines,
-            write: true,
-        });
+        let row = Row::new(0, self.vl, base, stride_elems);
+        let access = self.e.store_rows(src, [row]);
+        self.memory_event(Opcode::StridedStore, src.dtype(), self.vl, access, true);
     }
 
     /// Emulates a 2-D load (`rows` segments of `cols` elements, row base
@@ -186,42 +169,19 @@ impl<'e> Rvv<'e> {
     ) -> Reg {
         assert!(cols * rows <= self.vl, "segments exceed vector length");
         let dst = self.e.alloc(dtype);
-        let bytes = dtype.bytes();
         for r in 0..rows {
-            // Scalar address arithmetic + mask value computation.
-            self.e.scalar(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
-            // Mask config (set the segment window).
-            self.e.push_raw_event(Event::Config {
-                opcode: Opcode::SetMask,
-            });
+            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
             // Partial masked 1-D load: only `cols` lanes active.
-            let seg_base = (base as i64 + r as i64 * row_stride_elems * bytes as i64) as u64;
-            let mut addrs = Vec::with_capacity(cols);
-            for c in 0..cols {
-                let a = (seg_base as i64 + c as i64 * col_stride_elems * bytes as i64) as u64;
-                let v = self.e.mem().read_raw(a, bytes);
-                self.e.set_lane_raw(dst, r * cols + c, v);
-                addrs.push(a);
-            }
-            let lo = r * cols;
-            let cb_mask = self.cb_mask_for_lanes(lo, lo + cols);
-            let lines = Self::lines_for(addrs.into_iter(), bytes);
-            self.e.push_raw_event(Event::Memory {
-                opcode: Opcode::StridedLoad,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-                lines,
-                write: false,
-            });
-            // Pack move into the long register (vslideup-style).
-            self.e.push_raw_event(Event::Compute {
-                opcode: Opcode::Copy,
-                alu: AluOp::Copy,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-            });
+            let row = Row::new(
+                r * cols,
+                cols,
+                element_addr(base, r as i64 * row_stride_elems, dtype),
+                col_stride_elems,
+            );
+            let access = self.e.load_rows(dst, [row]);
+            let cb_mask = access.1;
+            self.memory_event(Opcode::StridedLoad, dtype, cols, access, false);
+            self.move_event(dtype, cols, cb_mask);
         }
         dst
     }
@@ -237,39 +197,18 @@ impl<'e> Rvv<'e> {
     ) {
         assert!(cols * rows <= self.vl, "segments exceed vector length");
         let dtype = src.dtype();
-        let bytes = dtype.bytes();
-        let values: Vec<u64> = self.e.reg_lanes(src)[..cols * rows].to_vec();
         for r in 0..rows {
-            self.e.scalar(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
-            self.e.push_raw_event(Event::Config {
-                opcode: Opcode::SetMask,
-            });
+            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
+            let row = Row::new(
+                r * cols,
+                cols,
+                element_addr(base, r as i64 * row_stride_elems, dtype),
+                1,
+            );
+            let access = self.e.store_rows(src, [row]);
             // Unpack move (slide the segment down before the partial store).
-            let lo = r * cols;
-            let cb_mask = self.cb_mask_for_lanes(lo, lo + cols);
-            self.e.push_raw_event(Event::Compute {
-                opcode: Opcode::Copy,
-                alu: AluOp::Copy,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-            });
-            let seg_base = (base as i64 + r as i64 * row_stride_elems * bytes as i64) as u64;
-            let mut addrs = Vec::with_capacity(cols);
-            for c in 0..cols {
-                let a = seg_base + c as u64 * bytes;
-                self.e.mem_mut().write_raw(a, bytes, values[r * cols + c]);
-                addrs.push(a);
-            }
-            let lines = Self::lines_for(addrs.into_iter(), bytes);
-            self.e.push_raw_event(Event::Memory {
-                opcode: Opcode::StridedStore,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-                lines,
-                write: true,
-            });
+            self.move_event(dtype, cols, access.1);
+            self.memory_event(Opcode::StridedStore, dtype, cols, access, true);
         }
     }
 
@@ -282,42 +221,21 @@ impl<'e> Rvv<'e> {
     pub fn replicated_load(&mut self, dtype: DType, base: u64, unique: usize, rep: usize) -> Reg {
         let total = unique * rep;
         assert!(total <= self.vl, "replication exceeds vector length");
-        let bytes = dtype.bytes();
         // Scalar index computation + index-vector store/load round trip.
         self.e.scalar(4 * total as u64 / 8 + SCALARS_PER_SEGMENT);
-        let idx_lines = (total as u64 * 4).div_ceil(mve_memsim::LINE_BYTES);
-        let cb_mask = self.cb_mask_for_lanes(0, total);
-        self.e.push_raw_event(Event::Memory {
-            opcode: Opcode::StridedLoad,
-            dtype: DType::U32,
-            active_lanes: total as u32,
-            cb_mask,
-            // The index vector occupies fresh lines near the data.
-            lines: (0..idx_lines)
-                .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
-                .collect(),
-            write: false,
-        });
-        // The gather itself.
+        // The gather itself: one broadcast row per unique element.
         let dst = self.e.alloc(dtype);
-        let mut addrs = Vec::with_capacity(total);
-        for u in 0..unique {
-            let a = base + u as u64 * bytes;
-            let v = self.e.mem().read_raw(a, bytes);
-            for r in 0..rep {
-                self.e.set_lane_raw(dst, u * rep + r, v);
-            }
-            addrs.push(a);
-        }
-        let lines = Self::lines_for(addrs.into_iter(), bytes);
-        self.e.push_raw_event(Event::Memory {
-            opcode: Opcode::RandomLoad,
-            dtype,
-            active_lanes: total as u32,
-            cb_mask,
-            lines,
-            write: false,
-        });
+        let rows =
+            (0..unique).map(|u| Row::new(u * rep, rep, element_addr(base, u as i64, dtype), 0));
+        let access = self.e.load_rows(dst, rows);
+        let idx_lines = (total as u64 * 4).div_ceil(mve_memsim::LINE_BYTES);
+        // The index vector occupies fresh lines near the data.
+        let index_lines = (0..idx_lines)
+            .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
+            .collect();
+        let index_access = (index_lines, access.1);
+        self.memory_event(Opcode::StridedLoad, DType::U32, total, index_access, false);
+        self.memory_event(Opcode::RandomLoad, dtype, total, access, false);
         dst
     }
 
@@ -332,42 +250,22 @@ impl<'e> Rvv<'e> {
     ) -> Reg {
         assert!(rows * cols <= self.vl, "rows exceed vector length");
         let dst = self.e.alloc(dtype);
-        let bytes = dtype.bytes();
         for r in 0..rows {
             // Scalar pointer chase + mask computation.
-            self.e.scalar(SCALARS_PER_SEGMENT + SCALARS_PER_MASK + 2);
-            self.e.push_raw_event(Event::Config {
-                opcode: Opcode::SetMask,
-            });
-            let row_base = self.e.mem().read::<u64>(ptr_base, r);
-            let mut addrs = Vec::with_capacity(cols);
-            for c in 0..cols {
-                let a = row_base + c as u64 * bytes;
-                let v = self.e.mem().read_raw(a, bytes);
-                self.e.set_lane_raw(dst, r * cols + c, v);
-                addrs.push(a);
-            }
-            let lo = r * cols;
-            let cb_mask = self.cb_mask_for_lanes(lo, lo + cols);
-            let lines = Self::lines_for(addrs.into_iter(), bytes);
-            self.e.push_raw_event(Event::Memory {
-                opcode: Opcode::StridedLoad,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-                lines,
-                write: false,
-            });
-            self.e.push_raw_event(Event::Compute {
-                opcode: Opcode::Copy,
-                alu: AluOp::Copy,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-            });
+            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK + 2);
+            let row = Row::new(r * cols, cols, self.e.mem().read::<u64>(ptr_base, r), 1);
+            let access = self.e.load_rows(dst, [row]);
+            let cb_mask = access.1;
+            self.memory_event(Opcode::StridedLoad, dtype, cols, access, false);
+            self.move_event(dtype, cols, cb_mask);
         }
         dst
     }
+}
+
+/// Byte address of element `index` of a `dtype` array at `base`.
+fn element_addr(base: u64, index: i64, dtype: DType) -> u64 {
+    (base as i64 + index * dtype.bytes() as i64) as u64
 }
 
 #[cfg(test)]

@@ -84,7 +84,9 @@ const LANES: usize = 8192;
 /// control adds ahead of every chargeable op — plus the ISSUE-9
 /// `log_gate_disabled_add_8192` workload, `binop_add_8192` with structured
 /// logging forced off, proving the per-event log gate (one relaxed atomic
-/// load) costs nothing when logging is disabled.
+/// load) costs nothing when logging is disabled — plus the replicated
+/// (`[Zero, Cr]`, `[One, Zero]`) and CR-strided loads, the stride patterns
+/// the engine's row-based memory path serves without a per-lane walk.
 pub fn engine_hot_benches() -> Vec<HotBench> {
     let mut out = Vec::new();
 
@@ -101,6 +103,60 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
             elems: LANES as u64,
             run: Box::new(move || {
                 let v = e.vsld_dw(a, &[StrideMode::One, StrideMode::Cr]);
+                e.free(v);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // The paper's signature replication patterns (Section III-C mode 0) on
+    // the same 128 × 64 shape: column replication `[Zero, Cr]` (one
+    // element broadcast per row, the GEMM operand pattern) and row
+    // replication `[One, Zero]` (one 128-element row repeated 64 times).
+    for (name, modes, stride) in [
+        (
+            "replicated_load_8192",
+            [StrideMode::Zero, StrideMode::Cr],
+            1,
+        ),
+        (
+            "replicated_row_load_8192",
+            [StrideMode::One, StrideMode::Zero],
+            0,
+        ),
+    ] {
+        let mut e = Engine::default_mobile();
+        e.vsetdimc(2);
+        e.vsetdiml(0, 128);
+        e.vsetdiml(1, 64);
+        e.vsetldstr(1, stride);
+        let a = e.mem_alloc_typed::<i32>(128);
+        out.push(HotBench {
+            name,
+            elems: LANES as u64,
+            run: Box::new(move || {
+                let v = e.vsld_dw(a, &modes);
+                e.free(v);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // CR-strided gather (mode 3 on both dimensions): every other element
+    // of 64 rows 512 elements apart — no dimension is contiguous.
+    {
+        let mut e = Engine::default_mobile();
+        e.vsetdimc(2);
+        e.vsetdiml(0, 128);
+        e.vsetdiml(1, 64);
+        e.vsetldstr(0, 2);
+        e.vsetldstr(1, 512);
+        let a = e.mem_alloc_typed::<i32>(512 * 64);
+        out.push(HotBench {
+            name: "cr_strided_load_8192",
+            elems: LANES as u64,
+            run: Box::new(move || {
+                let v = e.vsld_dw(a, &[StrideMode::Cr, StrideMode::Cr]);
                 e.free(v);
                 e.clear_trace();
             }),

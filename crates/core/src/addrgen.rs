@@ -10,6 +10,13 @@
 //! * mode 2 → `Sᵢ = Sᵢ₋₁ × Dimᵢ₋₁.Length` (sequential continuation;
 //!   `S₋₁ = 1` so mode 2 on dimension 0 is plain sequential),
 //! * mode 3 → the dimension's stride CR.
+//!
+//! The engine executes every resolved access through one path: a
+//! [`RowPlan`] splits it into rows of the innermost dimension (block copy,
+//! broadcast or strided gather/scatter per row), and the outer dimensions
+//! only move each row's address. [`strided_addresses`] and
+//! [`random_addresses`] give the same addresses lane by lane; they are the
+//! reference the row path is tested against.
 
 use crate::config::{ControlRegs, MAX_DIMS};
 use crate::layout::LogicalShape;
@@ -60,10 +67,86 @@ pub fn resolve_strides(
     strides
 }
 
-/// Algorithm 1: the per-lane byte address of a strided access.
+/// An access split into rows of its innermost dimension — the unit the
+/// engine's single memory-access path copies.
 ///
-/// `addr(lane) = base + Σ_d coord_d · stride_d · elem_bytes`, over active
-/// lanes only; masked/inactive lanes yield `None`.
+/// Length-1 dimensions carry no address term and are dropped; adjacent
+/// dimensions merge when `strideᵈ⁺¹ = strideᵈ · lenᵈ` (one longer row, or
+/// one longer outer walk). Lanes stay in logical order, so row `r` covers
+/// lanes `[r·row_len, (r+1)·row_len)` and lane `k` of a row sits at
+/// element offset `k · stride` from the row's address. The outer merged
+/// dimensions — or, for Equation 1, the row pointer of the highest
+/// dimension — only move that address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowPlan {
+    /// Merged dimensions `(length, element stride)`, innermost first:
+    /// `dims[0]` is the row (`(1, 0)` when every dimension has length 1).
+    dims: [(usize, i64); MAX_DIMS],
+    count: usize,
+    /// Rows sharing one base pointer.
+    rows_per_base: usize,
+}
+
+impl RowPlan {
+    /// Plans an access of `shape` under `strides`: Algorithm 1 from one
+    /// base, or, when `random`, Equation 1 — the highest dimension's
+    /// coordinate selects the base pointer and lower dimensions stride.
+    pub fn new(shape: &LogicalShape, strides: &[i64; MAX_DIMS], random: bool) -> Self {
+        let highest = shape.highest_dim();
+        let (upto, lanes_per_base) = if random {
+            (highest, shape.total() / shape.dim(highest))
+        } else {
+            (MAX_DIMS, shape.total())
+        };
+        let mut p = Self {
+            dims: [(1, 0); MAX_DIMS],
+            count: 0,
+            rows_per_base: 0,
+        };
+        for d in (0..upto).filter(|&d| shape.dim(d) > 1) {
+            let (len, stride) = (shape.dim(d), strides[d]);
+            match p.count.checked_sub(1) {
+                Some(i) if p.dims[i].1.checked_mul(p.dims[i].0 as i64) == Some(stride) => {
+                    p.dims[i].0 *= len;
+                }
+                _ => {
+                    p.dims[p.count] = (len, stride);
+                    p.count += 1;
+                }
+            }
+        }
+        p.rows_per_base = lanes_per_base / p.row_len();
+        p
+    }
+
+    /// Lanes per row.
+    pub fn row_len(&self) -> usize {
+        self.dims[0].0
+    }
+
+    /// Element stride along a row: 1 is a block copy, 0 a broadcast, any
+    /// other value a strided gather/scatter.
+    pub fn stride(&self) -> i64 {
+        self.dims[0].1
+    }
+
+    /// Byte address of the first lane of row `row`: `bases` holds the one
+    /// base of a strided plan, or one row pointer per highest-dimension
+    /// element.
+    pub fn row_addr(&self, row: usize, bases: &[u64], elem_bytes: u64) -> u64 {
+        let mut rest = row % self.rows_per_base;
+        let mut offset = 0i64;
+        for &(len, stride) in &self.dims[1..self.count.max(1)] {
+            offset = offset.wrapping_add(((rest % len) as i64).wrapping_mul(stride));
+            rest /= len;
+        }
+        bases[row / self.rows_per_base].wrapping_add(offset.wrapping_mul(elem_bytes as i64) as u64)
+    }
+}
+
+/// Algorithm 1, lane by lane: the byte address of every lane of a strided
+/// access, `base + Σ_d coord_d · stride_d · elem_bytes`; masked lanes yield
+/// `None`. The per-lane oracle the row path is checked against.
 pub fn strided_addresses(
     base: u64,
     elem_bytes: u64,
@@ -72,55 +155,14 @@ pub fn strided_addresses(
     crs: &ControlRegs,
     max_lanes: usize,
 ) -> Vec<Option<u64>> {
-    let mut out = Vec::new();
-    strided_addresses_into(&mut out, base, elem_bytes, strides, shape, crs, max_lanes);
-    out
+    lane_addresses(shape, crs, max_lanes, |coords| {
+        let offset: i64 = (0..MAX_DIMS).map(|d| coords[d] as i64 * strides[d]).sum();
+        (base as i64 + offset * elem_bytes as i64) as u64
+    })
 }
 
-/// Σ_{d < upto} coordᵈ · strideᵈ — the Algorithm-1 offset term, shared by
-/// the buffer-filling generators below and the engine's fused load/store
-/// address closures (which pair it with [`LogicalShape::iter_lanes`]
-/// directly, never materialising an address buffer).
-#[inline]
-pub fn lane_offset(coords: &[usize; MAX_DIMS], strides: &[i64; MAX_DIMS], upto: usize) -> i64 {
-    let mut offset = 0i64;
-    for d in 0..upto {
-        offset += coords[d] as i64 * strides[d];
-    }
-    offset
-}
-
-/// [`strided_addresses`] into a caller-owned buffer (cleared first), walking
-/// the division-free [`LogicalShape::iter_lanes`] odometer instead of
-/// per-lane `coords()` div/mods. The engine's hot path fuses the same
-/// odometer + [`lane_offset`] math into its load/store loops without an
-/// address buffer; this materialised form serves callers that need the
-/// whole address set at once (and the equivalence property suite).
-pub fn strided_addresses_into(
-    out: &mut Vec<Option<u64>>,
-    base: u64,
-    elem_bytes: u64,
-    strides: &[i64; MAX_DIMS],
-    shape: &LogicalShape,
-    crs: &ControlRegs,
-    max_lanes: usize,
-) {
-    let total = shape.total().min(max_lanes);
-    out.clear();
-    out.resize(total, None);
-    let eb = elem_bytes as i64;
-    for (lane, coords, active) in shape.iter_lanes(crs, max_lanes) {
-        if !active {
-            continue;
-        }
-        let offset = lane_offset(&coords, strides, MAX_DIMS);
-        out[lane] = Some((base as i64 + offset * eb) as u64);
-    }
-}
-
-/// Equation 1: the per-lane byte address of a random-base access. The
-/// highest dimension's coordinate selects `bases[w]`; lower dimensions apply
-/// their resolved strides.
+/// Equation 1, lane by lane: the highest dimension's coordinate selects
+/// `bases[w]`; lower dimensions apply their resolved strides.
 ///
 /// # Panics
 ///
@@ -133,28 +175,6 @@ pub fn random_addresses(
     crs: &ControlRegs,
     max_lanes: usize,
 ) -> Vec<Option<u64>> {
-    let mut out = Vec::new();
-    random_addresses_into(&mut out, bases, elem_bytes, strides, shape, crs, max_lanes);
-    out
-}
-
-/// [`random_addresses`] into a caller-owned buffer (cleared first), using
-/// the division-free odometer — same role and caveats as
-/// [`strided_addresses_into`] (the engine's fused hot path does not
-/// materialise this buffer).
-///
-/// # Panics
-///
-/// Panics if fewer bases are supplied than the highest dimension's length.
-pub fn random_addresses_into(
-    out: &mut Vec<Option<u64>>,
-    bases: &[u64],
-    elem_bytes: u64,
-    strides: &[i64; MAX_DIMS],
-    shape: &LogicalShape,
-    crs: &ControlRegs,
-    max_lanes: usize,
-) {
     let highest = shape.highest_dim();
     assert!(
         bases.len() >= shape.dim(highest),
@@ -162,42 +182,40 @@ pub fn random_addresses_into(
         shape.dim(highest),
         bases.len()
     );
-    let total = shape.total().min(max_lanes);
-    out.clear();
-    out.resize(total, None);
-    let eb = elem_bytes as i64;
-    for (lane, coords, active) in shape.iter_lanes(crs, max_lanes) {
-        if !active {
-            continue;
-        }
-        let offset = lane_offset(&coords, strides, highest);
-        out[lane] = Some((bases[coords[highest]] as i64 + offset * eb) as u64);
-    }
+    lane_addresses(shape, crs, max_lanes, |coords| {
+        let offset: i64 = (0..highest).map(|d| coords[d] as i64 * strides[d]).sum();
+        (bases[coords[highest]] as i64 + offset * elem_bytes as i64) as u64
+    })
+}
+
+/// Walks the lane odometer, addressing active lanes with `addr_of`.
+fn lane_addresses(
+    shape: &LogicalShape,
+    crs: &ControlRegs,
+    max_lanes: usize,
+    addr_of: impl Fn(&[usize; MAX_DIMS]) -> u64,
+) -> Vec<Option<u64>> {
+    shape
+        .iter_lanes(crs, max_lanes)
+        .map(|(_, coords, active)| active.then(|| addr_of(&coords)))
+        .collect()
 }
 
 /// Deduplicated cache lines touched by an address set (for the trace).
 pub fn touched_lines(addrs: &[Option<u64>], elem_bytes: u64) -> Vec<u64> {
     let mut lines = Vec::new();
-    accumulate_lines(&mut lines, addrs.iter().flatten().copied(), elem_bytes);
+    let mut prev = u64::MAX;
+    for &a in addrs.iter().flatten() {
+        push_line_range(&mut lines, &mut prev, a, elem_bytes);
+    }
     finish_lines(&mut lines);
     lines
 }
 
-/// Appends the cache-line range of each address to `lines` (unsorted, may
-/// contain duplicates) — the engine's reusable-scratch accumulation step.
-/// Runs of consecutive equal lines are collapsed as they arrive (typical
-/// strided accesses visit each line `LINE_BYTES / elem_bytes` lanes in a
-/// row), which shrinks the [`finish_lines`] sort by that factor. Call
-/// [`finish_lines`] once all address sets are in.
-pub fn accumulate_lines(lines: &mut Vec<u64>, addrs: impl Iterator<Item = u64>, elem_bytes: u64) {
-    let mut prev = u64::MAX;
-    for a in addrs {
-        push_line_range(lines, &mut prev, a, elem_bytes);
-    }
-}
-
 /// Appends the line range of one address, collapsing a run of consecutive
-/// equal lines via the caller-held `prev` (initialise it to `u64::MAX`).
+/// equal lines via the caller-held `prev` (initialise it to `u64::MAX`):
+/// strided rows visit each line `LINE_BYTES / elem_bytes` lanes in a row,
+/// which shrinks the [`finish_lines`] sort by that factor.
 #[inline]
 pub fn push_line_range(lines: &mut Vec<u64>, prev: &mut u64, addr: u64, elem_bytes: u64) {
     let first = addr / mve_memsim::LINE_BYTES;

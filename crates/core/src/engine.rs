@@ -13,8 +13,8 @@
 
 use std::any::Any;
 
-use crate::addrgen::{self, StrideBank};
-use crate::config::{ControlRegs, MAX_DIMS};
+use crate::addrgen::{self, RowPlan, StrideBank};
+use crate::config::ControlRegs;
 use crate::dtype::{BinOp, BinopKernel, CmpOp, DType};
 use crate::isa::{Opcode, StrideMode};
 use crate::layout::LogicalShape;
@@ -310,6 +310,161 @@ fn cb_mask_of(words: &[u64], per_cb: usize) -> u64 {
         }
     }
     cb_mask
+}
+
+/// Control Blocks covering lanes `[lo, hi)` (`hi > lo`).
+fn cb_range(lo: usize, hi: usize, per_cb: usize) -> u64 {
+    let (first, last) = (lo / per_cb, (hi - 1) / per_cb);
+    (u64::MAX >> (63 - last)) & (u64::MAX << first)
+}
+
+/// One row of a memory access as an ISA layer describes it to
+/// [`Engine::load_rows`] / [`Engine::store_rows`]: `len` lanes from `lane`
+/// on, lane `lane + k` at byte address `addr + k·stride·element_bytes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// First lane.
+    pub lane: usize,
+    /// Lanes in the row.
+    pub len: usize,
+    /// Byte address of the first lane's element.
+    pub addr: u64,
+    /// Element stride along the row (may be zero or negative).
+    pub stride: i64,
+}
+
+impl Row {
+    /// A row of `len` lanes from `lane` on, at `addr` with element `stride`.
+    pub fn new(lane: usize, len: usize, addr: u64, stride: i64) -> Self {
+        Self {
+            lane,
+            len,
+            addr,
+            stride,
+        }
+    }
+}
+
+/// Walks the row segments of an access: calls `f(lo, hi, addr)` for every
+/// maximal run `[lo, hi)` of enabled lanes (the mask's spans and, when
+/// `pred`, the Tag latch's) inside one row of `plan`, in ascending lane
+/// order, with `addr` the byte address of lane `lo`.
+fn for_each_row_segment(
+    mask: &LaneMask,
+    tag: &[u64],
+    pred: bool,
+    plan: &RowPlan,
+    bases: &[u64],
+    elem_bytes: u64,
+    mut f: impl FnMut(usize, usize, u64),
+) {
+    let (row_len, step) = (
+        plan.row_len(),
+        plan.stride().wrapping_mul(elem_bytes as i64),
+    );
+    let mut row_start = (usize::MAX, 0u64);
+    let mut split = |mut lo: usize, hi: usize| {
+        while lo < hi {
+            let row = lo / row_len;
+            if row_start.0 != row {
+                row_start = (row, plan.row_addr(row, bases, elem_bytes));
+            }
+            let end = hi.min((row + 1) * row_len);
+            let k = (lo - row * row_len) as i64;
+            f(
+                lo,
+                end,
+                row_start.1.wrapping_add(k.wrapping_mul(step) as u64),
+            );
+            lo = end;
+        }
+    };
+    if !pred && mask.active as usize == mask.total {
+        // A fully active shape is one run; skip the word scan.
+        return split(0, mask.total);
+    }
+    let mut run: Option<(usize, usize)> = None;
+    for_each_enabled_span(&mask.words, tag, pred, mask.total, |sp| {
+        let (s, e) = match sp {
+            Span::Run(s, e) => (s, e),
+            Span::Lane(l) => (l, l + 1),
+        };
+        match &mut run {
+            Some((_, hi)) if *hi == s => *hi = e,
+            _ => {
+                if let Some((lo, hi)) = run.replace((s, e)) {
+                    split(lo, hi);
+                }
+            }
+        }
+    });
+    if let Some((lo, hi)) = run {
+        split(lo, hi);
+    }
+}
+
+/// Appends the cache lines of the byte span `[addr, addr + len)`, `len > 0`.
+fn push_span_lines(lines: &mut Vec<u64>, addr: u64, len: u64) {
+    lines.extend(addr / mve_memsim::LINE_BYTES..=(addr + len - 1) / mve_memsim::LINE_BYTES);
+}
+
+/// The lanes a row segment moves: loaded into, or stored from.
+enum Lanes<'a> {
+    Load(&'a mut [u64]),
+    Store(&'a [u64]),
+}
+
+/// Copies one non-empty row segment between memory and lanes and appends
+/// its touched lines: stride 1 is a block copy, stride 0 a broadcast (a
+/// store keeps the last lane, as every lane writes the same element), any
+/// other stride a lane-by-lane gather or scatter. A block that would fault
+/// takes the lane-by-lane walk instead, so the fault names the same
+/// address.
+fn copy_row(
+    mem: &mut Memory,
+    tp: ThreadPolicy,
+    dtype: DType,
+    lanes: Lanes,
+    addr: u64,
+    stride: i64,
+    lines: &mut Vec<u64>,
+) {
+    let eb = dtype.bytes();
+    let n = match &lanes {
+        Lanes::Load(out) => out.len(),
+        Lanes::Store(vals) => vals.len(),
+    };
+    let len = n as u64 * eb;
+    match (stride, lanes) {
+        (1, Lanes::Load(out)) if mem.fits(addr, len) => {
+            load_blocks(tp, dtype, mem.slice(addr, len), out);
+            push_span_lines(lines, addr, len);
+        }
+        (1, Lanes::Store(vals)) if mem.fits(addr, len) => {
+            store_blocks(tp, dtype, vals, mem.slice_mut(addr, len));
+            push_span_lines(lines, addr, len);
+        }
+        (0, Lanes::Load(out)) => {
+            out.fill(dtype.truncate(mem.read_raw(addr, eb)));
+            push_span_lines(lines, addr, eb);
+        }
+        (0, Lanes::Store(vals)) => {
+            mem.write_raw(addr, eb, vals[n - 1]);
+            push_span_lines(lines, addr, eb);
+        }
+        (_, mut lanes) => {
+            let step = stride.wrapping_mul(eb as i64) as u64;
+            let (mut a, mut prev) = (addr, u64::MAX);
+            for k in 0..n {
+                match &mut lanes {
+                    Lanes::Load(out) => out[k] = dtype.truncate(mem.read_raw(a, eb)),
+                    Lanes::Store(vals) => mem.write_raw(a, eb, vals[k]),
+                }
+                addrgen::push_line_range(lines, &mut prev, a, eb);
+                a = a.wrapping_add(step);
+            }
+        }
+    }
 }
 
 /// The functional engine.
@@ -892,48 +1047,9 @@ impl Engine {
     /// Multi-dimensional strided load (Algorithm 1). `base` is a byte
     /// address; `modes` gives one stride mode per configured dimension.
     pub fn load(&mut self, dtype: DType, base: u64, modes: &[StrideMode]) -> Reg {
-        let shape = self.shape();
-        self.assert_shape_fits(&shape);
-        let strides = addrgen::resolve_strides(modes, &shape, &self.crs, StrideBank::Load);
-        self.refresh_mask(&shape);
-        if shape.is_contiguous(&strides) && self.mask.active as usize == self.mask.total {
-            return self.block_load(dtype, Opcode::StridedLoad, base);
-        }
-        let eb = dtype.bytes() as i64;
-        self.fused_load(dtype, Opcode::StridedLoad, &shape, None, |_, coords| {
-            (base as i64 + addrgen::lane_offset(coords, &strides, MAX_DIMS) * eb) as u64
-        })
-    }
-
-    /// Contiguous full-mask load fast path: the access is one maximal byte
-    /// span, widened block-at-a-time by the monomorphized width kernel, and
-    /// its touched-line set is the arithmetic line range of the span —
-    /// byte-identical to what the odometer walk accumulates for ascending
-    /// contiguous addresses.
-    fn block_load(&mut self, dtype: DType, opcode: Opcode, base: u64) -> Reg {
-        let total = self.mask.total;
+        let plan = self.plan_access(modes, StrideBank::Load, base, false);
         let dst = self.alloc_dst(dtype, false);
-        let mut out = self.take_lanes(dst);
-        let len = total as u64 * dtype.bytes();
-        {
-            let src = self.mem.slice(base, len);
-            load_blocks(self.threads, dtype, src, &mut out[..total]);
-        }
-        self.put_back(dst, out);
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        lines.extend(base / mve_memsim::LINE_BYTES..=(base + len - 1) / mve_memsim::LINE_BYTES);
-        let event = self.emit(Event::Memory {
-            opcode,
-            dtype,
-            active_lanes: total as u32,
-            cb_mask: self.mask.cb_mask,
-            lines,
-            write: false,
-        });
-        if let Event::Memory { lines, .. } = event {
-            self.line_scratch = lines;
-        }
+        self.access(dst, Opcode::StridedLoad, &plan, false, None);
         dst
     }
 
@@ -941,223 +1057,162 @@ impl Engine {
     /// 64-bit row pointers, one per highest-dimension element; `modes`
     /// configures the inner-dimension strides.
     pub fn rload(&mut self, dtype: DType, ptr_base: u64, modes: &[StrideMode]) -> Reg {
-        let shape = self.shape();
-        self.assert_shape_fits(&shape);
-        let highest = shape.highest_dim();
-        let nbases = shape.dim(highest);
-        let mut bases = std::mem::take(&mut self.base_scratch);
-        bases.clear();
-        bases.extend((0..nbases).map(|w| self.mem.read::<u64>(ptr_base, w)));
-        let strides = addrgen::resolve_strides(modes, &shape, &self.crs, StrideBank::Load);
-        let eb = dtype.bytes() as i64;
-        let dst = self.fused_load(
-            dtype,
-            Opcode::RandomLoad,
-            &shape,
-            Some((ptr_base, nbases)),
-            |_, coords| {
-                (bases[coords[highest]] as i64
-                    + addrgen::lane_offset(coords, &strides, highest) * eb) as u64
-            },
-        );
-        self.base_scratch = bases;
-        dst
-    }
-
-    /// Shared load body: walks the shape odometer once, fusing address
-    /// generation, the functional read, CB accounting and touched-line
-    /// accumulation into a single pass with no per-instruction allocation
-    /// (the only steady-state copy is the line set stored in the trace
-    /// event).
-    fn fused_load(
-        &mut self,
-        dtype: DType,
-        opcode: Opcode,
-        shape: &LogicalShape,
-        ptr_span: Option<(u64, usize)>,
-        addr_of: impl Fn(usize, &[usize; MAX_DIMS]) -> u64,
-    ) -> Reg {
-        // Loads ignore predication; refresh the cached mask so the
-        // destination alloc can skip its zero-fill on fully active shapes.
-        self.refresh_mask(shape);
+        let plan = self.plan_access(modes, StrideBank::Load, ptr_base, true);
         let dst = self.alloc_dst(dtype, false);
-        let mut out = self.take_lanes(dst);
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        let eb = dtype.bytes();
-        let per_cb = self.geom.bitlines_per_cb();
-        let mut active = 0u32;
-        let mut cb_mask = 0u64;
-        let (mut cur_cb, mut cb_boundary) = (0usize, per_cb);
-        let mut prev_line = u64::MAX;
-        for (lane, coords, on) in shape.iter_lanes(&self.crs, self.lanes()) {
-            if !on {
-                continue;
-            }
-            let a = addr_of(lane, &coords);
-            out[lane] = dtype.truncate(self.mem.read_raw(a, eb));
-            active += 1;
-            while lane >= cb_boundary {
-                cur_cb += 1;
-                cb_boundary += per_cb;
-            }
-            cb_mask |= 1 << cur_cb;
-            addrgen::push_line_range(&mut lines, &mut prev_line, a, eb);
-        }
-        self.put_back(dst, out);
-        if let Some((ptr_base, count)) = ptr_span {
-            // The row-pointer array fetch of a random access (Equation 1)
-            // also touches memory.
-            let first = ptr_base / mve_memsim::LINE_BYTES;
-            let last = (ptr_base + count as u64 * 8 - 1) / mve_memsim::LINE_BYTES;
-            lines.extend(first..=last);
-        }
-        addrgen::finish_lines(&mut lines);
-        // The line set is moved into the event (streaming sinks see it
-        // without any copy) and reclaimed afterwards as the next
-        // instruction's scratch buffer.
-        let event = self.emit(Event::Memory {
-            opcode,
-            dtype,
-            active_lanes: active,
-            cb_mask,
-            lines,
-            write: false,
-        });
-        if let Event::Memory { lines, .. } = event {
-            self.line_scratch = lines;
-        }
+        self.access(dst, Opcode::RandomLoad, &plan, false, Some(ptr_base));
         dst
     }
 
     /// Multi-dimensional strided store.
     pub fn store(&mut self, src: Reg, base: u64, modes: &[StrideMode]) {
-        let shape = self.shape();
-        self.assert_shape_fits(&shape);
-        let strides = addrgen::resolve_strides(modes, &shape, &self.crs, StrideBank::Store);
-        self.refresh_mask(&shape);
-        if shape.is_contiguous(&strides)
-            && self.mask.active as usize == self.mask.total
-            && !self.pred
-        {
-            return self.block_store(src, Opcode::StridedStore, base);
-        }
-        let eb = src.dtype.bytes() as i64;
-        self.fused_store(src, Opcode::StridedStore, &shape, |_, coords| {
-            (base as i64 + addrgen::lane_offset(coords, &strides, MAX_DIMS) * eb) as u64
-        });
-    }
-
-    /// Contiguous full-mask unpredicated store fast path — the mirror of
-    /// [`Engine::block_load`].
-    fn block_store(&mut self, src: Reg, opcode: Opcode, base: u64) {
-        let dtype = src.dtype;
-        let total = self.mask.total;
-        let len = total as u64 * dtype.bytes();
-        let tp = self.threads;
-        {
-            let Engine { mem, slots, .. } = self;
-            let slot = &slots[src.idx];
-            assert!(slot.live, "use of freed register {src:?}");
-            let dst = mem.slice_mut(base, len);
-            store_blocks(tp, dtype, &slot.lanes[..total], dst);
-        }
-        let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        lines.extend(base / mve_memsim::LINE_BYTES..=(base + len - 1) / mve_memsim::LINE_BYTES);
-        let event = self.emit(Event::Memory {
-            opcode,
-            dtype,
-            active_lanes: total as u32,
-            cb_mask: self.mask.cb_mask,
-            lines,
-            write: true,
-        });
-        if let Event::Memory { lines, .. } = event {
-            self.line_scratch = lines;
-        }
+        let plan = self.plan_access(modes, StrideBank::Store, base, false);
+        self.access(src, Opcode::StridedStore, &plan, true, None);
     }
 
     /// Random-base store.
     pub fn rstore(&mut self, src: Reg, ptr_base: u64, modes: &[StrideMode]) {
-        let shape = self.shape();
-        self.assert_shape_fits(&shape);
-        let highest = shape.highest_dim();
-        let nbases = shape.dim(highest);
-        let mut bases = std::mem::take(&mut self.base_scratch);
-        bases.clear();
-        bases.extend((0..nbases).map(|w| self.mem.read::<u64>(ptr_base, w)));
-        let strides = addrgen::resolve_strides(modes, &shape, &self.crs, StrideBank::Store);
-        let eb = src.dtype.bytes() as i64;
-        self.fused_store(src, Opcode::RandomStore, &shape, |_, coords| {
-            (bases[coords[highest]] as i64 + addrgen::lane_offset(coords, &strides, highest) * eb)
-                as u64
-        });
-        self.base_scratch = bases;
+        let plan = self.plan_access(modes, StrideBank::Store, ptr_base, true);
+        self.access(src, Opcode::RandomStore, &plan, true, None);
     }
 
-    /// Shared store body — the fused single-pass mirror of
-    /// [`Engine::fused_load`], writing through a split borrow of the slot
-    /// arena (no operand clone).
-    fn fused_store(
+    /// Splits an access into rows ([`RowPlan`]) and refreshes the lane
+    /// mask. Its base pointers are left in `base_scratch`: the one `base`
+    /// of a strided access, or the row pointers a `random` access reads
+    /// from the array at `base`.
+    fn plan_access(
         &mut self,
-        src: Reg,
+        modes: &[StrideMode],
+        bank: StrideBank,
+        base: u64,
+        random: bool,
+    ) -> RowPlan {
+        let shape = self.shape();
+        self.assert_shape_fits(&shape);
+        let mut bases = std::mem::take(&mut self.base_scratch);
+        bases.clear();
+        if random {
+            let n = shape.dim(shape.highest_dim());
+            bases.extend((0..n).map(|w| self.mem.read::<u64>(base, w)));
+        } else {
+            bases.push(base);
+        }
+        self.base_scratch = bases;
+        let strides = addrgen::resolve_strides(modes, &shape, &self.crs, bank);
+        self.refresh_mask(&shape);
+        RowPlan::new(&shape, &strides, random)
+    }
+
+    /// The row path behind every vector load and store: moves each enabled
+    /// row segment of `plan` between memory and `reg`, then emits one
+    /// Memory event. Loads ignore Tag predication. Stores write in
+    /// ascending lane order, so overlapping addresses keep the last active
+    /// lane's value, and their disabled lanes write nothing and touch no
+    /// cache lines (see the predicated-store regression test). A random
+    /// load also fetches its row-pointer array at `ptr_base` (Equation 1).
+    fn access(
+        &mut self,
+        reg: Reg,
         opcode: Opcode,
-        shape: &LogicalShape,
-        addr_of: impl Fn(usize, &[usize; MAX_DIMS]) -> u64,
+        plan: &RowPlan,
+        write: bool,
+        ptr_base: Option<u64>,
     ) {
-        let dtype = src.dtype;
+        assert!(self.slots[reg.idx].live, "use of freed register {reg:?}");
+        let stats = self.active_stats(write);
+        let (dtype, eb) = (reg.dtype, reg.dtype.bytes());
+        let mut lanes = self.take_lanes(reg);
         let mut lines = std::mem::take(&mut self.line_scratch);
         lines.clear();
-        let eb = dtype.bytes();
-        let per_cb = self.geom.bitlines_per_cb();
-        let lanes_cap = self.lanes();
-        let pred = self.pred;
-        let mut active = 0u32;
-        let mut cb_mask = 0u64;
-        {
-            let Engine {
-                crs,
-                mem,
-                slots,
-                tag,
-                ..
-            } = self;
-            let slot = &slots[src.idx];
-            assert!(slot.live, "use of freed register {src:?}");
-            let values = &slot.lanes;
-            let (mut cur_cb, mut cb_boundary) = (0usize, per_cb);
-            let mut prev_line = u64::MAX;
-            for (lane, coords, on) in shape.iter_lanes(crs, lanes_cap) {
-                if !on || (pred && !bit(tag, lane)) {
-                    // Masked lanes have no address; predicated-off lanes
-                    // write nothing — and touch no cache lines (see the
-                    // predicated-store regression test).
-                    continue;
-                }
-                let a = addr_of(lane, &coords);
-                mem.write_raw(a, eb, values[lane]);
-                active += 1;
-                while lane >= cb_boundary {
-                    cur_cb += 1;
-                    cb_boundary += per_cb;
-                }
-                cb_mask |= 1 << cur_cb;
-                addrgen::push_line_range(&mut lines, &mut prev_line, a, eb);
-            }
+        let Engine {
+            mem,
+            mask,
+            tag,
+            pred,
+            threads,
+            base_scratch: bases,
+            ..
+        } = self;
+        let pred = write && *pred;
+        let mut segments = 0usize;
+        for_each_row_segment(mask, tag, pred, plan, bases, eb, |lo, hi, addr| {
+            segments += 1;
+            let seg = if write {
+                Lanes::Store(&lanes[lo..hi])
+            } else {
+                Lanes::Load(&mut lanes[lo..hi])
+            };
+            copy_row(mem, *threads, dtype, seg, addr, plan.stride(), &mut lines);
+        });
+        if let Some(ptr_base) = ptr_base {
+            push_span_lines(&mut lines, ptr_base, bases.len() as u64 * 8);
         }
-        addrgen::finish_lines(&mut lines);
+        self.put_back(reg, lanes);
+        // One ascending segment already yields a sorted, duplicate-free set.
+        if segments > 1 || plan.stride() < 0 || ptr_base.is_some() {
+            addrgen::finish_lines(&mut lines);
+        }
+        // The line set is moved into the event (streaming sinks see it
+        // without any copy) and reclaimed as the next instruction's scratch.
         let event = self.emit(Event::Memory {
             opcode,
             dtype,
-            active_lanes: active,
-            cb_mask,
+            active_lanes: stats.0,
+            cb_mask: stats.1,
             lines,
-            write: true,
+            write,
         });
         if let Event::Memory { lines, .. } = event {
             self.line_scratch = lines;
         }
+    }
+
+    /// The row primitive for ISA layers that emit their own trace events
+    /// (the RVV baseline in `mve-baselines`): copies each row into `dst`
+    /// with the same block, broadcast and gather kinds as [`Engine::load`].
+    /// Returns the touched cache lines (sorted, deduplicated) and the
+    /// Control Blocks covering the rows' lanes; emits nothing. Lanes outside
+    /// the rows keep their value.
+    pub fn load_rows(&mut self, dst: Reg, rows: impl IntoIterator<Item = Row>) -> (Vec<u64>, u64) {
+        self.copy_rows(dst, rows, false)
+    }
+
+    /// The store counterpart of [`Engine::load_rows`]: writes each row of
+    /// `src` in order, so a later row overwrites an earlier one.
+    pub fn store_rows(&mut self, src: Reg, rows: impl IntoIterator<Item = Row>) -> (Vec<u64>, u64) {
+        self.copy_rows(src, rows, true)
+    }
+
+    fn copy_rows(
+        &mut self,
+        reg: Reg,
+        rows: impl IntoIterator<Item = Row>,
+        write: bool,
+    ) -> (Vec<u64>, u64) {
+        assert!(self.slots[reg.idx].live, "use of freed register {reg:?}");
+        let per_cb = self.geom.bitlines_per_cb();
+        let mut lanes = self.take_lanes(reg);
+        let (mut lines, mut cb_mask) = (Vec::new(), 0u64);
+        for r in rows.into_iter().filter(|r| r.len > 0) {
+            let span = r.lane..r.lane + r.len;
+            let seg = if write {
+                Lanes::Store(&lanes[span])
+            } else {
+                Lanes::Load(&mut lanes[span])
+            };
+            copy_row(
+                &mut self.mem,
+                self.threads,
+                reg.dtype,
+                seg,
+                r.addr,
+                r.stride,
+                &mut lines,
+            );
+            cb_mask |= cb_range(r.lane, r.lane + r.len, per_cb);
+        }
+        self.put_back(reg, lanes);
+        addrgen::finish_lines(&mut lines);
+        (lines, cb_mask)
     }
 
     // ------------------------------------------------------------------

@@ -113,30 +113,10 @@ impl LogicalShape {
         (0..self.total().min(max_lanes)).filter(move |&l| crs.mask_bit_for(self.mask_coord(l), len))
     }
 
-    /// Whether resolved element strides make lane addresses row-major
-    /// contiguous — `addr(lane) = base + lane · element_bytes` for every
-    /// lane — i.e. each dimension of length > 1 strides by the product of
-    /// the dimension lengths below it. Length-1 dimensions contribute no
-    /// address term, so their stride is irrelevant.
-    ///
-    /// This is the gate for the engine's block load/store fast path: a
-    /// contiguous access touches one maximal byte span, and its touched-line
-    /// set is the arithmetic line range of that span.
-    pub fn is_contiguous(&self, strides: &[i64; MAX_DIMS]) -> bool {
-        let mut expect = 1i64;
-        for d in 0..MAX_DIMS {
-            if self.dims[d] > 1 && strides[d] != expect {
-                return false;
-            }
-            expect = expect.saturating_mul(self.dims[d] as i64);
-        }
-        true
-    }
-
     /// Division-free odometer over the first `max_lanes` lanes of the shape,
     /// yielding `(lane, coords, active)` per lane.
     ///
-    /// This is the engine/addrgen hot-path replacement for calling
+    /// The per-lane address oracles in `addrgen` walk this instead of calling
     /// [`LogicalShape::coords`] (4 div/mods) and [`LogicalShape::lane_active`]
     /// (4 more) per lane: coordinates advance by carry propagation, and the
     /// mask bit is re-evaluated only when the highest-dimension coordinate

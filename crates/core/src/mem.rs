@@ -133,8 +133,18 @@ impl Memory {
         dst.copy_from_slice(&value.to_le_bytes()[..dst.len()]);
     }
 
-    /// Borrows `len` raw bytes at `addr` — the block-kernel view used by the
-    /// engine's contiguous load fast path.
+    /// Whether `len` bytes at `addr` lie outside the reserved zero page and
+    /// inside memory — i.e. whether [`Memory::slice`] would succeed.
+    #[inline]
+    pub fn fits(&self, addr: u64, len: u64) -> bool {
+        addr >= 64
+            && addr
+                .checked_add(len)
+                .is_some_and(|end| end <= self.data.len() as u64)
+    }
+
+    /// Borrows `len` raw bytes at `addr` — the block-kernel view the
+    /// engine copies contiguous rows through.
     ///
     /// # Panics
     ///
@@ -151,7 +161,7 @@ impl Memory {
     }
 
     /// Mutably borrows `len` raw bytes at `addr` — the block-kernel view
-    /// used by the engine's contiguous store fast path.
+    /// the engine stores contiguous rows through.
     ///
     /// # Panics
     ///

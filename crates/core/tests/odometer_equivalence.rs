@@ -1,13 +1,13 @@
 //! Property suite pinning the division-free odometer fast path (ISSUE 2)
 //! against the original per-lane reference semantics.
 //!
-//! The engine and addrgen hot paths now walk [`LogicalShape::iter_lanes`]
+//! The per-lane address generators in `addrgen` — the reference the
+//! engine's row path is tested against — walk [`LogicalShape::iter_lanes`]
 //! (carry-propagating coordinates, mask re-evaluated only on highest-dim
 //! carries) instead of calling `coords()` + `lane_active()` per lane. These
 //! tests prove the two formulations equivalent over arbitrary 1–4-D shapes,
 //! dimension-level masks, stride modes (including negative CR strides), and
-//! lane caps — so the fast path is *proven* equivalent, not just
-//! benchmarked.
+//! lane caps.
 
 use mve_core::addrgen::{self, StrideBank};
 use mve_core::config::{ControlRegs, MAX_DIMS};

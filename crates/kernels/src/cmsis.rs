@@ -59,16 +59,18 @@ impl Fir {
     }
 
     /// Scalar reference in the variant's exact wrap-around semantics:
-    /// `y[i] = Σ_t h[t]·x[i+t]` (mod 2^width).
+    /// `y[i] = Σ_t h[t]·x[i+t]` (mod 2^width). A native u32 wrapping dot
+    /// product is exact for every variant: the lanes are at most 32 bits
+    /// wide, and the low bits of a wrapping sum of products depend only on
+    /// the low bits of the operands.
     pub fn scalar_ref(&self, x: &[u64], h: &[u64]) -> Vec<u64> {
-        let dt = self.dtype();
-        let n_out = x.len() - h.len() + 1;
-        (0..n_out)
-            .map(|i| {
-                h.iter().enumerate().fold(0u64, |acc, (t, &c)| {
-                    let p = dt.binop(BinOp::Mul, c, x[i + t]);
-                    dt.binop(BinOp::Add, acc, p)
-                })
+        let mask = self.dtype().lane_mask();
+        x.windows(h.len())
+            .map(|w| {
+                let dot = w.iter().zip(h).fold(0u32, |acc, (&xv, &c)| {
+                    acc.wrapping_add((c as u32).wrapping_mul(xv as u32))
+                });
+                u64::from(dot) & mask
             })
             .collect()
     }
@@ -272,5 +274,48 @@ mod tests {
         let h = vec![DType::I8.from_i64(3)];
         let y = f.scalar_ref(&x, &h);
         assert_eq!(DType::I8.to_i64(y[0]), i64::from(100i8.wrapping_mul(3)));
+    }
+
+    /// The generic `DType::binop` fold the native dot product replaced.
+    fn binop_fold_ref(dt: DType, x: &[u64], h: &[u64]) -> Vec<u64> {
+        (0..=x.len() - h.len())
+            .map(|i| {
+                h.iter().enumerate().fold(0u64, |acc, (t, &c)| {
+                    let p = dt.binop(BinOp::Mul, c, x[i + t]);
+                    dt.binop(BinOp::Add, acc, p)
+                })
+            })
+            .collect()
+    }
+
+    /// Deterministic full-range canonical lanes (xorshift).
+    fn raw_lanes(dt: DType, seed: u64, n: usize) -> Vec<u64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                dt.truncate(s)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The native reference equals the `DType::binop` fold for every
+        /// variant on generated full-range samples and tap counts.
+        #[test]
+        fn native_scalar_ref_matches_binop_fold(
+            variant in 0usize..3,
+            taps in 1usize..=160,
+            extra in 0usize..96,
+            seed: u64,
+        ) {
+            let f = [Fir::V, Fir::S, Fir::L][variant];
+            let dt = f.dtype();
+            let x = raw_lanes(dt, seed, taps + extra);
+            let h = raw_lanes(dt, seed.rotate_left(17) ^ 0x9E37, taps);
+            proptest::prop_assert_eq!(f.scalar_ref(&x, &h), binop_fold_ref(dt, &x, &h));
+        }
     }
 }
