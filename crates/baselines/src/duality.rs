@@ -19,7 +19,7 @@
 //! caches but loses on latency-sensitive mobile kernels.
 
 use mve_core::sim::SimReport;
-use mve_core::trace::Trace;
+use mve_core::trace::{InstrMix, Trace};
 use mve_insram::{AluOp, LatencyModel};
 
 /// Duality-Cache model parameters.
@@ -73,7 +73,12 @@ impl DualityReport {
 /// adds in-SRAM overhead ops (counted from the trace's memory accesses and
 /// loop structure) and inflates data access by the spill factor.
 pub fn duality_from_mve(trace: &Trace, mve: &SimReport, cfg: &DualityConfig) -> DualityReport {
-    let mix = trace.instr_mix();
+    duality_from_mix(&trace.instr_mix(), mve, cfg)
+}
+
+/// [`duality_from_mve`] from the run's instruction mix alone, which is all
+/// of the trace the model reads.
+pub fn duality_from_mix(mix: &InstrMix, mve: &SimReport, cfg: &DualityConfig) -> DualityReport {
     let lat = LatencyModel::BitSerial;
     let add32 = lat.op_latency(AluOp::Add, 32);
     let cmp32 = lat.op_latency(AluOp::Cmp, 32);

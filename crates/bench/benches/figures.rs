@@ -6,30 +6,29 @@ use mve_bench::{ablations, figures, tables};
 use mve_kernels::Scale;
 use std::time::Duration;
 
+/// One cold test-scale run of `figure` per iteration: without clearing the
+/// results memo, every iteration after the first would only look it up.
+fn cold<T>(figure: impl Fn(Scale) -> T) -> impl FnMut() -> T {
+    move || {
+        figures::clear_memo();
+        figure(Scale::Test)
+    }
+}
+
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(8));
-    g.bench_function("fig7_mve_vs_neon", |b| {
-        b.iter(|| figures::fig7(Scale::Test))
-    });
-    g.bench_function("fig8_mve_vs_gpu", |b| b.iter(|| figures::fig8(Scale::Test)));
+    g.bench_function("fig7_mve_vs_neon", |b| b.iter(cold(figures::fig7)));
+    g.bench_function("fig8_mve_vs_gpu", |b| b.iter(cold(figures::fig8)));
     g.bench_function("fig9_gemm_sweep", |b| b.iter(figures::fig9_gemm));
     g.bench_function("fig9_spmm_sweep", |b| b.iter(figures::fig9_spmm));
-    g.bench_function("fig10_11_mve_vs_rvv", |b| {
-        b.iter(|| figures::fig10_11(Scale::Test))
-    });
-    g.bench_function("fig12a_duality_cache", |b| {
-        b.iter(|| figures::fig12a(Scale::Test))
-    });
-    g.bench_function("fig12b_scalability", |b| {
-        b.iter(|| figures::fig12b(Scale::Test))
-    });
-    g.bench_function("fig12c_precision", |b| {
-        b.iter(|| figures::fig12c(Scale::Test))
-    });
-    g.bench_function("fig13_schemes", |b| b.iter(|| figures::fig13(Scale::Test)));
+    g.bench_function("fig10_11_mve_vs_rvv", |b| b.iter(cold(figures::fig10_11)));
+    g.bench_function("fig12a_duality_cache", |b| b.iter(cold(figures::fig12a)));
+    g.bench_function("fig12b_scalability", |b| b.iter(cold(figures::fig12b)));
+    g.bench_function("fig12c_precision", |b| b.iter(cold(figures::fig12c)));
+    g.bench_function("fig13_schemes", |b| b.iter(cold(figures::fig13)));
     g.finish();
 }
 

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use mve_bench::{artefacts, dslcorpus, perf};
+use mve_bench::{artefacts, dslcorpus, figures, perf};
 use mve_kernels::common::EngineArraysGuard;
 use mve_kernels::registry::kernel_by_name;
 use mve_kernels::Scale;
@@ -78,11 +78,13 @@ fn walk_us(reps: usize, arrays: usize) -> f64 {
 /// Measures every coefficient. `reps` is the per-probe sample count.
 fn calibrate(reps: usize) -> CostModel {
     // Artefact: median per-render cost across the full registry at test
-    // scale — the same distribution the daemon serves.
+    // scale — the same distribution the daemon serves. Each sample renders
+    // cold: the daemon charges a cache miss, not a results-memo hit.
     let mut renders: Vec<f64> = artefacts::NAMES
         .iter()
         .map(|name| {
             median_us(reps, || {
+                figures::clear_memo();
                 let text = artefacts::render(name, Scale::Test).expect("registered");
                 assert!(!text.is_empty());
             })

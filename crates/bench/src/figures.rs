@@ -1,17 +1,26 @@
 //! The per-figure experiment functions.
+//!
+//! Figures 7, 8, 10-13 and the PUMICE study evaluate the same kernel set,
+//! so every kernel run they need goes through one process-wide results
+//! memo ([`evaluate`]): each kernel executes once per process and each of
+//! its traces is timed once per configuration.
+
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::platform;
-use mve_baselines::duality::{duality_from_mve, DualityConfig, DualityReport};
+use mve_baselines::duality::{duality_from_mix, DualityConfig, DualityReport};
 use mve_baselines::gpu::GpuConfig;
-use mve_core::sim::{simulate, simulate_sweep, SimReport};
+use mve_core::sim::{simulate, simulate_sweep, SimConfig, SimReport};
 use mve_core::trace::InstrMix;
 use mve_coresim::neon::{NeonModel, NeonOpClass, NeonProfile, NeonResult};
 use mve_energy::{mve_energy, neon_energy, EnergyBreakdown, EnergyParams};
 use mve_insram::Scheme;
+use mve_kernels::common::engine_arrays;
 use mve_kernels::precision::{self, Precision};
 use mve_kernels::registry::{all_kernels, selected_kernels, Kernel, Library};
 use mve_kernels::xnnpack::{Gemm, GemmSize, Spmm, SpmmSize};
-use mve_kernels::{KernelRun, Scale};
+use mve_kernels::{Checked, KernelRun, Scale};
 use mve_memsim::Hierarchy;
 
 /// Core clock in GHz (Table IV) for cycle → µs conversion.
@@ -21,19 +30,132 @@ fn cycles_to_us(cycles: u64) -> f64 {
     cycles as f64 / (FREQ_GHZ * 1e3) / 1e3 * 1e3 / 1e3 * 1e3 // = cycles / (GHz*1e3)
 }
 
-/// Runs a kernel's MVE implementation and times it with the default config.
-/// Panics if the functional check fails — a figure must never be produced
-/// from a wrong result.
-pub fn timed_mve(kernel: &dyn Kernel, scale: Scale) -> (KernelRun, SimReport) {
-    let run = kernel.run_mve(scale);
+/// Which implementation of a kernel an [`Evaluation`] ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Isa {
+    /// The multi-dimensional MVE implementation.
+    Mve,
+    /// The 1-D RVV-style implementation (selected kernels only).
+    Rvv,
+}
+
+/// What the figures consume of one kernel run: its functional check, its
+/// instruction mix, and one timing report per requested configuration.
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// Functional comparison against the scalar reference.
+    pub checked: Checked,
+    /// Dynamic instruction mix of the trace.
+    pub mix: InstrMix,
+    /// One report per requested configuration, in request order.
+    pub reports: Vec<SimReport>,
+}
+
+/// A memo entry. Traces are never stored: at paper scale they total about
+/// 100 MB, several times the process's peak RSS.
+struct Memoized {
+    checked: Checked,
+    mix: InstrMix,
+    reports: HashMap<SimConfig, SimReport>,
+}
+
+/// Kernel name (unique in the registry), implementation, scale and the
+/// thread's engine array count: everything a kernel run depends on.
+type MemoKey = (&'static str, Isa, Scale, usize);
+
+/// The memo, recovered if poisoned: every update leaves it valid (an entry
+/// lacking a report only misses on it).
+fn memo() -> MutexGuard<'static, HashMap<MemoKey, Memoized>> {
+    static MEMO: OnceLock<Mutex<HashMap<MemoKey, Memoized>>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `kernel`'s `isa` implementation at `scale` and times it under each
+/// of `cfgs`, through the process-wide results memo.
+///
+/// A hit returns the stored results. On a miss, or when some of `cfgs`
+/// have not been timed yet, the kernel runs again and only the missing
+/// configurations are timed, in one fanned-out walk of its trace. The lock
+/// is not held while the kernel runs, so concurrent misses on one key may
+/// both compute; the results are deterministic, so either may be kept.
+///
+/// The check is returned, not asserted: each caller asserts
+/// `checked.ok()` itself.
+///
+/// # Panics
+///
+/// Panics if `isa` is [`Isa::Rvv`] and the kernel has no RVV
+/// implementation.
+pub fn evaluate(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfgs: &[SimConfig]) -> Evaluation {
+    let name = kernel.info().name;
+    let key = (name, isa, scale, engine_arrays());
+    let missing: Vec<SimConfig> = {
+        let memo = memo();
+        let entry = memo.get(&key);
+        let missing: Vec<SimConfig> = cfgs
+            .iter()
+            .filter(|c| !entry.is_some_and(|e| e.reports.contains_key(c)))
+            .cloned()
+            .collect();
+        match entry {
+            Some(e) if missing.is_empty() => {
+                return Evaluation {
+                    checked: e.checked,
+                    mix: e.mix,
+                    reports: cfgs.iter().map(|c| e.reports[c].clone()).collect(),
+                }
+            }
+            _ => missing,
+        }
+    };
+    let run = match isa {
+        Isa::Mve => kernel.run_mve(scale),
+        Isa::Rvv => kernel
+            .run_rvv(scale)
+            .unwrap_or_else(|| panic!("{name} has no RVV implementation")),
+    };
+    let fresh = simulate_sweep(&run.trace, &missing);
+    let (checked, mix) = (run.checked, run.trace.instr_mix());
+    drop(run);
+    let mut memo = memo();
+    let entry = memo.entry(key).or_insert_with(|| Memoized {
+        checked,
+        mix,
+        reports: HashMap::new(),
+    });
+    entry.reports.extend(missing.into_iter().zip(fresh));
+    Evaluation {
+        checked,
+        mix,
+        reports: cfgs.iter().map(|c| entry.reports[c].clone()).collect(),
+    }
+}
+
+/// Empties the results memo, so the next evaluation of every kernel runs
+/// it again (cost calibration times cold renders).
+pub fn clear_memo() {
+    memo().clear();
+}
+
+/// [`evaluate`], asserting the functional check: a figure must never be
+/// produced from a wrong result.
+fn evaluate_ok(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfgs: &[SimConfig]) -> Evaluation {
+    let ev = evaluate(kernel, isa, scale, cfgs);
     assert!(
-        run.checked.ok(),
-        "{}: MVE output mismatch {:?}",
+        ev.checked.ok(),
+        "{}: {isa:?} output mismatch {:?}",
         kernel.info().name,
-        run.checked
+        ev.checked
     );
-    let report = simulate(&run.trace, &platform::mve_config());
-    (run, report)
+    ev
+}
+
+/// [`evaluate_ok`] under one configuration.
+fn timed(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfg: SimConfig) -> (InstrMix, SimReport) {
+    let mut ev = evaluate_ok(kernel, isa, scale, &[cfg]);
+    (ev.mix, ev.reports.remove(0))
 }
 
 fn timed_neon(kernel: &dyn Kernel, scale: Scale) -> (NeonProfile, NeonResult) {
@@ -76,9 +198,8 @@ pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
         let mut es = (0.0, 0.0, 0.0);
         let mut count = 0.0;
         for k in kernels.iter().filter(|k| k.info().library == lib) {
-            let (run, report) = timed_mve(k.as_ref(), scale);
+            let (_, report) = timed(k.as_ref(), Isa::Mve, scale, platform::mve_config());
             let (profile, neon) = timed_neon(k.as_ref(), scale);
-            let _ = run;
             time_fracs.push(report.total_cycles as f64 / neon.cycles as f64);
             let me: EnergyBreakdown = mve_energy(&report, &params);
             let ne = neon_energy(&profile, &neon, &params);
@@ -138,7 +259,7 @@ pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
     selected_kernels()
         .iter()
         .map(|k| {
-            let (_, report) = timed_mve(k.as_ref(), scale);
+            let (_, report) = timed(k.as_ref(), Isa::Mve, scale, platform::mve_config());
             let cost = k.gpu_cost(scale).expect("selected kernels have GPU costs");
             let g = gpu.execute(&cost);
             let mve_us = cycles_to_us(report.total_cycles);
@@ -310,21 +431,14 @@ pub fn fig10_11(scale: Scale) -> Vec<Fig10Row> {
         .iter()
         .filter(|k| names.contains(&k.info().name))
         .map(|k| {
-            let (mve_run, mve) = timed_mve(k.as_ref(), scale);
-            let rvv_run = k.run_rvv(scale).expect("selected kernels have RVV");
-            assert!(
-                rvv_run.checked.ok(),
-                "{}: RVV output mismatch {:?}",
-                k.info().name,
-                rvv_run.checked
-            );
-            let rvv = simulate(&rvv_run.trace, &platform::mve_config());
+            let (mve_mix, mve) = timed(k.as_ref(), Isa::Mve, scale, platform::mve_config());
+            let (rvv_mix, rvv) = timed(k.as_ref(), Isa::Rvv, scale, platform::mve_config());
             Fig10Row {
                 name: k.info().name,
-                mve_mix: mve_run.trace.instr_mix(),
-                rvv_mix: rvv_run.trace.instr_mix(),
                 mve,
                 rvv,
+                mve_mix,
+                rvv_mix,
             }
         })
         .collect()
@@ -348,8 +462,8 @@ pub fn fig12a(scale: Scale) -> Vec<Fig12aRow> {
         .iter()
         .filter(|k| names.contains(&k.info().name))
         .map(|k| {
-            let (run, mve) = timed_mve(k.as_ref(), scale);
-            let dc = duality_from_mve(&run.trace, &mve, &DualityConfig::default());
+            let (mix, mve) = timed(k.as_ref(), Isa::Mve, scale, platform::mve_config());
+            let dc = duality_from_mix(&mix, &mve, &DualityConfig::default());
             Fig12aRow {
                 name: k.info().name,
                 mve,
@@ -382,9 +496,7 @@ pub fn fig12b(scale: Scale) -> Vec<Fig12bRow> {
             .iter()
             .filter(|k| names.contains(&k.info().name))
         {
-            let run = k.run_mve(scale);
-            assert!(run.checked.ok(), "{} @ {arrays} arrays", k.info().name);
-            let report = simulate(&run.trace, &platform::arrays_config(arrays));
+            let (_, report) = timed(k.as_ref(), Isa::Mve, scale, platform::arrays_config(arrays));
             rows.push(Fig12bRow {
                 name: k.info().name,
                 arrays,
@@ -520,16 +632,11 @@ pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
     }
     let mut acc: Vec<SchemeAcc> = (0..cfgs.len()).map(|_| SchemeAcc::default()).collect();
 
-    // Each kernel executes once and each of its traces is walked once: the
-    // fanout broadcasts the event stream into all four scheme sims (with a
-    // single shared cache-warming pass), instead of re-simulating the same
-    // trace once per scheme.
+    // The schemes the memo lacks are timed in one fanned-out walk of each
+    // trace (with a single shared cache-warming pass).
     for k in &kernels {
-        let m = k.run_mve(scale);
-        let r = k.run_rvv(scale).expect("rvv");
-        assert!(m.checked.ok() && r.checked.ok(), "{}", k.info().name);
-        let mreps = simulate_sweep(&m.trace, &cfgs);
-        let rreps = simulate_sweep(&r.trace, &cfgs);
+        let mreps = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs).reports;
+        let rreps = evaluate_ok(k.as_ref(), Isa::Rvv, scale, &cfgs).reports;
         for (a, (mrep, rrep)) in acc.iter_mut().zip(mreps.iter().zip(&rreps)) {
             a.speedups
                 .push(rrep.total_cycles as f64 / mrep.total_cycles as f64);
@@ -581,9 +688,7 @@ pub fn ext_pumice_report(scale: Scale, kernels: &[Box<dyn Kernel>]) -> String {
     ];
     let mut gains = Vec::new();
     for k in kernels {
-        let run = k.run_mve(scale);
-        assert!(run.checked.ok(), "{}", k.info().name);
-        let reports = simulate_sweep(&run.trace, &cfgs);
+        let reports = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs).reports;
         let (base, pumice) = (&reports[0], &reports[1]);
         let gain = base.total_cycles as f64 / pumice.total_cycles as f64;
         gains.push(gain);

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 /// Problem-size selector: small shapes for unit tests, Table III shapes for
 /// the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Reduced datasets so the functional engine runs fast in debug tests.
     Test,

@@ -176,6 +176,18 @@ impl SetAssocCache {
     /// Accesses `line_addr` (a line address, not a byte address), allocating
     /// on miss. `write` marks the line dirty.
     pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
+        self.lookup(line_addr, write, false)
+    }
+
+    /// [`SetAssocCache::access`] for a requester that bypasses the level
+    /// above (the MVE vector path): a hit also clears the presence bit, and
+    /// the outcome's `was_present_above` tells the caller to invalidate the
+    /// copy above, all in one tag lookup.
+    pub fn access_bypassing_above(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
+        self.lookup(line_addr, write, true)
+    }
+
+    fn lookup(&mut self, line_addr: u64, write: bool, take_presence: bool) -> AccessOutcome {
         self.clock += 1;
         let set_idx = self.set_index(line_addr);
         let active_ways = self.active_ways;
@@ -185,12 +197,14 @@ impl SetAssocCache {
         if let Some(entry) = set.iter_mut().find(|e| e.tag == line_addr) {
             entry.lru = clock;
             entry.dirty |= write;
+            let was_present_above = entry.present_above;
+            entry.present_above &= !take_presence;
             self.hits += 1;
             return AccessOutcome {
                 hit: true,
                 writeback: None,
                 victim: None,
-                was_present_above: entry.present_above,
+                was_present_above,
             };
         }
 
@@ -317,6 +331,10 @@ mod tests {
         assert!(c.set_presence(7, true));
         assert_eq!(c.presence(7), Some(true));
         assert!(c.access(7, false).was_present_above);
+        assert_eq!(c.presence(7), Some(true), "a plain access keeps the bit");
+        assert!(c.access_bypassing_above(7, false).was_present_above);
+        assert_eq!(c.presence(7), Some(false), "a bypassing hit takes it");
+        assert!(!c.access_bypassing_above(7, false).was_present_above);
         assert!(!c.set_presence(8, true)); // not resident
         assert_eq!(c.presence(8), None);
     }

@@ -57,7 +57,7 @@ pub struct MemStats {
 }
 
 /// Result of a batched vector access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchResult {
     /// Cycle at which the last line is available in the TMU / written back.
     pub done_at: u64,
@@ -204,15 +204,15 @@ impl Hierarchy {
             if (idx as u64).is_multiple_of(TAG_BANKS) {
                 t += 1; // banked tag-port throughput
             }
-            // Coherence check against L1 (Section V-C).
+            let out = self.l2.access_bypassing_above(line, write);
+            // Coherence against L1 (Section V-C): a hit on a line whose
+            // presence bit was set evicts the L1 copy, at an L1 access.
             let mut penalty = 0;
-            if self.l2.presence(line) == Some(true) {
+            if out.was_present_above {
                 self.l1d.invalidate(line);
-                self.l2.set_presence(line, false);
                 self.stats.coherence_evictions += 1;
                 penalty = self.cfg.l1d.latency;
             }
-            let out = self.l2.access(line, write);
             if let Some(victim) = out.victim {
                 self.l1d.invalidate(victim);
                 if out.writeback == Some(victim) {
@@ -416,6 +416,150 @@ mod more_tests {
         half.vector_access(&set_lines, false, 20_000);
         half.vector_access(&set_lines, false, 30_000);
         assert!(half.stats().l2_hits >= before + 4 + 6);
+    }
+
+    /// The vector path as it was before it folded the coherence check into
+    /// its L2 access: `presence`, then `set_presence`, then `access`.
+    fn two_lookup_vector_access(
+        h: &mut Hierarchy,
+        lines: &[u64],
+        write: bool,
+        now: u64,
+    ) -> BatchResult {
+        let mshrs = h.cfg.l2.mshrs;
+        let mut outstanding: Vec<u64> = Vec::new();
+        let (mut t, mut done_at, mut l2_hits, mut dram_lines) = (now, now, 0, 0);
+        for (idx, &line) in lines.iter().enumerate() {
+            if (idx as u64).is_multiple_of(4) {
+                t += 1;
+            }
+            let mut penalty = 0;
+            if h.l2.presence(line) == Some(true) {
+                h.l1d.invalidate(line);
+                h.l2.set_presence(line, false);
+                h.stats.coherence_evictions += 1;
+                penalty = h.cfg.l1d.latency;
+            }
+            let out = h.l2.access(line, write);
+            if let Some(victim) = out.victim {
+                h.l1d.invalidate(victim);
+                if out.writeback == Some(victim) {
+                    h.stats.dram_accesses += 1;
+                }
+            }
+            let completion = if out.hit {
+                h.stats.l2_hits += 1;
+                l2_hits += 1;
+                t + h.cfg.l2.latency + penalty
+            } else if write {
+                h.stats.l2_misses += 1;
+                t + h.cfg.l2.latency + penalty
+            } else {
+                h.stats.l2_misses += 1;
+                if outstanding.len() >= mshrs {
+                    t = t.max(*outstanding.iter().min().expect("nonempty"));
+                    outstanding.retain(|&c| c > t);
+                }
+                let llc_out = h.llc.access(line, write);
+                if let Some(victim) = llc_out.victim {
+                    h.l1d.invalidate(victim);
+                    if h.l2.invalidate(victim) || llc_out.writeback == Some(victim) {
+                        h.stats.dram_accesses += 1;
+                    }
+                }
+                let completion = if llc_out.hit {
+                    h.stats.llc_hits += 1;
+                    t + h.cfg.l2.latency + h.cfg.llc.latency + penalty
+                } else {
+                    h.stats.llc_misses += 1;
+                    h.stats.dram_accesses += 1;
+                    dram_lines += 1;
+                    h.dram
+                        .access(line, t + h.cfg.l2.latency + h.cfg.llc.latency)
+                        + penalty
+                };
+                outstanding.push(completion);
+                completion
+            };
+            done_at = done_at.max(completion);
+        }
+        if write {
+            h.stats.vector_lines_written += lines.len() as u64;
+        } else {
+            h.stats.vector_lines_read += lines.len() as u64;
+        }
+        BatchResult {
+            done_at,
+            lines: lines.len() as u64,
+            l2_hits,
+            dram_lines,
+        }
+    }
+
+    /// SplitMix64: a deterministic stream for the generated-access test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn one_lookup_vector_path_matches_the_two_lookup_order() {
+        for seed in 0..6u64 {
+            let mut rng = seed;
+            let mut new = Hierarchy::default();
+            if seed % 2 == 1 {
+                new.enable_compute_mode();
+            }
+            let mut old = new.clone();
+            // Mostly a hot region smaller than L1 (presence bits set by the
+            // core, then taken by the vector path), sometimes a region
+            // larger than the L2 (victims, writebacks, DRAM fills).
+            let line = |rng: &mut u64| {
+                let span = if next(rng).is_multiple_of(8) {
+                    20_000
+                } else {
+                    1_024
+                };
+                next(rng) % span
+            };
+            let mut now = 0;
+            for _ in 0..3_000 {
+                now += next(&mut rng) % 64;
+                let write = next(&mut rng).is_multiple_of(3);
+                if next(&mut rng).is_multiple_of(2) {
+                    let addr = line(&mut rng) * 64 + next(&mut rng) % 64;
+                    assert_eq!(
+                        new.core_access(addr, write, now),
+                        old.core_access(addr, write, now)
+                    );
+                } else {
+                    let n = 1 + next(&mut rng) % 96;
+                    let mut lines: Vec<u64> = (0..n).map(|_| line(&mut rng)).collect();
+                    lines.sort_unstable();
+                    lines.dedup();
+                    assert_eq!(
+                        new.vector_access(&lines, write, now),
+                        two_lookup_vector_access(&mut old, &lines, write, now)
+                    );
+                }
+                assert_eq!(new.stats(), old.stats());
+            }
+            let stats = new.stats();
+            assert!(stats.coherence_evictions > 0, "seed {seed}: {stats:?}");
+            assert!(stats.dram_accesses > 0, "seed {seed}: {stats:?}");
+            // Later accesses see the same cache state on both sides.
+            for l in 0..2_048u64 {
+                now += 8;
+                assert_eq!(
+                    new.core_access(l * 64, false, now),
+                    old.core_access(l * 64, false, now)
+                );
+            }
+            assert_eq!(new.stats(), old.stats());
+        }
     }
 
     #[test]

@@ -621,6 +621,15 @@ mod tests {
         assert_eq!(shed.reason, ShedReason::Oversize);
     }
 
+    /// Spins until `cond` holds; panics after ten seconds.
+    fn wait_until(mut cond: impl FnMut() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < give_up, "condition never held");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn queued_requests_admit_in_fifo_order_when_capacity_frees() {
         let ctrl = AdmissionController::new(opts(100, 8, 5_000, 1.0));
@@ -630,15 +639,17 @@ mod tests {
             for ticket in 0..3u64 {
                 let (ctrl, order) = (&ctrl, &order);
                 s.spawn(move || {
-                    // Stagger arrivals so FIFO order is deterministic.
-                    std::thread::sleep(Duration::from_millis(10 * (ticket + 1)));
-                    let permit = ctrl.admit(10 + ticket, 30).expect("eventually admitted");
+                    // Above half the budget: the freed capacity admits one
+                    // ticket at a time, and each holds its permit while it
+                    // records its turn.
+                    let permit = ctrl.admit(10 + ticket, 60).expect("eventually admitted");
                     order.lock().unwrap().push(ticket);
                     drop(permit);
                 });
+                // The next arrival waits until this one is queued, so the
+                // queue order is the ticket order.
+                wait_until(|| ctrl.snapshot().queue_depth == ticket + 1);
             }
-            std::thread::sleep(Duration::from_millis(60));
-            assert_eq!(ctrl.snapshot().queue_depth, 3);
             drop(first);
         });
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "strict FIFO");
