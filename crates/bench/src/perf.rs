@@ -86,7 +86,10 @@ const LANES: usize = 8192;
 /// logging forced off, proving the per-event log gate (one relaxed atomic
 /// load) costs nothing when logging is disabled — plus the replicated
 /// (`[Zero, Cr]`, `[One, Zero]`) and CR-strided loads, the stride patterns
-/// the engine's row-based memory path serves without a per-lane walk.
+/// the engine's row-based memory path serves without a per-lane walk —
+/// plus an f16 add (`binop_f16_8192`, the binary16 conversion cost) and a
+/// 256-lane add on the full engine (`narrow_binop_256_of_8192`, the
+/// dirty-bound register zeroing).
 pub fn engine_hot_benches() -> Vec<HotBench> {
     let mut out = Vec::new();
 
@@ -193,6 +196,46 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         out.push(HotBench {
             name: "binop_add_8192",
             elems: LANES as u64,
+            run: Box::new(move || {
+                let r = e.binop(Opcode::Add, BinOp::Add, x, y);
+                e.free(r);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // Element-wise f16 add over all 8192 lanes: the binary16 conversions
+    // around every lane op.
+    {
+        let mut e = Engine::default_mobile();
+        e.vsetwidth(16);
+        e.vsetdimc(1);
+        e.vsetdiml(0, LANES);
+        let x = e.vsetdup_hf(1.5);
+        let y = e.vsetdup_hf(0.25);
+        out.push(HotBench {
+            name: "binop_f16_8192",
+            elems: LANES as u64,
+            run: Box::new(move || {
+                let r = e.binop(Opcode::Add, BinOp::Add, x, y);
+                e.free(r);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // A 256-lane i32 add on the 8192-lane engine (the libpng paeth shape):
+    // the destination's reused buffer is zeroed only below its dirty
+    // bound, not across all 8192 lanes.
+    {
+        let mut e = Engine::default_mobile();
+        e.vsetdimc(1);
+        e.vsetdiml(0, 256);
+        let x = e.vsetdup_dw(3);
+        let y = e.vsetdup_dw(4);
+        out.push(HotBench {
+            name: "narrow_binop_256_of_8192",
+            elems: 256,
             run: Box::new(move || {
                 let r = e.binop(Opcode::Add, BinOp::Add, x, y);
                 e.free(r);

@@ -613,78 +613,133 @@ impl std::fmt::Display for DType {
     }
 }
 
-/// Converts an IEEE binary16 bit pattern to `f32`.
+/// All ones when `b`, else zero: the select of the branch-free binary16
+/// conversions.
+#[inline(always)]
+fn mask(b: bool) -> u32 {
+    0u32.wrapping_sub(u32::from(b))
+}
+
+/// Converts an IEEE binary16 bit pattern to `f32`. Exact for every
+/// pattern; a NaN keeps its sign and payload.
+///
+/// Branch-free: the magnitude bits shifted into `f32` position read as a
+/// value 2^-112 times too small (subnormal halves land on `f32`
+/// subnormals), so one exact multiply by 2^112 rebiases the exponent and
+/// normalises subnormals; an inf/NaN half then gets the all-ones exponent.
 #[inline(always)]
 pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = u32::from(h >> 15) << 31;
-    let exp = u32::from((h >> 10) & 0x1F);
-    let frac = u32::from(h & 0x3FF);
-    let bits = if exp == 0 {
-        if frac == 0 {
-            sign // signed zero
-        } else {
-            // Subnormal: normalise.
-            let mut e = 127 - 15 + 1;
-            let mut f = frac;
-            while f & 0x400 == 0 {
-                f <<= 1;
-                e -= 1;
-            }
-            sign | ((e as u32) << 23) | ((f & 0x3FF) << 13)
-        }
-    } else if exp == 0x1F {
-        sign | 0x7F80_0000 | (frac << 13) // inf / NaN
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (frac << 13)
-    };
-    f32::from_bits(bits)
+    let h = u32::from(h);
+    let scaled = f32::from_bits((h & 0x7FFF) << 13) * f32::from_bits((127 + 112) << 23);
+    let infnan = mask(h & 0x7C00 == 0x7C00) & 0x7F80_0000;
+    f32::from_bits(scaled.to_bits() | infnan | (h & 0x8000) << 16)
 }
 
 /// Converts an `f32` to an IEEE binary16 bit pattern with
-/// round-to-nearest-even.
+/// round-to-nearest-even: overflow gives inf, underflow a signed zero, and
+/// every NaN the quiet NaN `0x7E00` with the input's sign.
+///
+/// Branch-free: all three candidate results are computed and the
+/// magnitude selects one with masks.
 #[inline(always)]
 pub fn f32_to_f16(f: f32) -> u16 {
+    const MIN_NORMAL: u32 = 113 << 23; // 2^-14, the smallest normal half
+    const OVERFLOW: u32 = 143 << 23; // 2^16, rounds to inf from here up
     let bits = f.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let frac = bits & 0x7F_FFFF;
-
-    if exp == 0xFF {
-        // Inf or NaN.
-        return sign | 0x7C00 | if frac != 0 { 0x200 } else { 0 };
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7C00; // overflow → inf
-    }
-    if unbiased >= -14 {
-        // Normal range: round the 23-bit fraction to 10 bits.
-        let mut h = ((unbiased + 15) as u32) << 10 | (frac >> 13);
-        let round_bits = frac & 0x1FFF;
-        if round_bits > 0x1000 || (round_bits == 0x1000 && (h & 1) == 1) {
-            h += 1; // may carry into the exponent — that is correct rounding
-        }
-        return sign | h as u16;
-    }
-    if unbiased >= -25 {
-        // Subnormal half.
-        let shift = (-14 - unbiased) as u32;
-        let mant = (frac | 0x80_0000) >> (13 + shift);
-        let rem = (frac | 0x80_0000) & ((1 << (13 + shift)) - 1);
-        let half = 1u32 << (12 + shift);
-        let mut h = mant;
-        if rem > half || (rem == half && (h & 1) == 1) {
-            h += 1;
-        }
-        return sign | h as u16;
-    }
-    sign // underflow → signed zero
+    let abs = bits & 0x7FFF_FFFF;
+    // Normal half: rebias the exponent and round the 13 dropped fraction
+    // bits to nearest even; a carry into the exponent is correct rounding.
+    // (Below the normal range the subtraction wraps; that candidate is
+    // then not selected.)
+    let normal = abs
+        .wrapping_sub((112 << 23) - 0xFFF)
+        .wrapping_add((abs >> 13) & 1)
+        >> 13;
+    // Subnormal half: adding 0.5 makes the f32 ulp 2^-24, the half's
+    // subnormal step, so the FPU's own round-to-nearest-even does the
+    // rounding and the fraction bits are the result.
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits() - 0x3F00_0000;
+    let special = 0x7C00 | u32::from(abs > 0x7F80_0000) << 9;
+    let is_sub = mask(abs < MIN_NORMAL);
+    let is_special = mask(abs >= OVERFLOW);
+    let finite = (subnormal & is_sub) | (normal & !is_sub);
+    let h = (special & is_special) | (finite & !is_special);
+    (h | (bits >> 16) & 0x8000) as u16
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    // The branchy conversions the branch-free ones replaced, kept verbatim
+    // as oracles.
+
+    /// Converts an IEEE binary16 bit pattern to `f32`.
+    fn f16_to_f32_oracle(h: u16) -> f32 {
+        let sign = u32::from(h >> 15) << 31;
+        let exp = u32::from((h >> 10) & 0x1F);
+        let frac = u32::from(h & 0x3FF);
+        let bits = if exp == 0 {
+            if frac == 0 {
+                sign // signed zero
+            } else {
+                // Subnormal: normalise.
+                let mut e = 127 - 15 + 1;
+                let mut f = frac;
+                while f & 0x400 == 0 {
+                    f <<= 1;
+                    e -= 1;
+                }
+                sign | ((e as u32) << 23) | ((f & 0x3FF) << 13)
+            }
+        } else if exp == 0x1F {
+            sign | 0x7F80_0000 | (frac << 13) // inf / NaN
+        } else {
+            sign | ((exp + 127 - 15) << 23) | (frac << 13)
+        };
+        f32::from_bits(bits)
+    }
+
+    /// Converts an `f32` to an IEEE binary16 bit pattern with
+    /// round-to-nearest-even.
+    fn f32_to_f16_oracle(f: f32) -> u16 {
+        let bits = f.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let frac = bits & 0x7F_FFFF;
+
+        if exp == 0xFF {
+            // Inf or NaN.
+            return sign | 0x7C00 | if frac != 0 { 0x200 } else { 0 };
+        }
+        let unbiased = exp - 127;
+        if unbiased > 15 {
+            return sign | 0x7C00; // overflow → inf
+        }
+        if unbiased >= -14 {
+            // Normal range: round the 23-bit fraction to 10 bits.
+            let mut h = ((unbiased + 15) as u32) << 10 | (frac >> 13);
+            let round_bits = frac & 0x1FFF;
+            if round_bits > 0x1000 || (round_bits == 0x1000 && (h & 1) == 1) {
+                h += 1; // may carry into the exponent — that is correct rounding
+            }
+            return sign | h as u16;
+        }
+        if unbiased >= -25 {
+            // Subnormal half.
+            let shift = (-14 - unbiased) as u32;
+            let mant = (frac | 0x80_0000) >> (13 + shift);
+            let rem = (frac | 0x80_0000) & ((1 << (13 + shift)) - 1);
+            let half = 1u32 << (12 + shift);
+            let mut h = mant;
+            if rem > half || (rem == half && (h & 1) == 1) {
+                h += 1;
+            }
+            return sign | h as u16;
+        }
+        sign // underflow → signed zero
+    }
 
     #[test]
     fn widths_and_suffixes() {
@@ -778,6 +833,70 @@ mod tests {
         assert_eq!(f32_to_f16(65504.0), 0x7BFF); // max finite half
         assert_eq!(f32_to_f16(1e6), 0x7C00); // overflow → inf
         assert_eq!(f32_to_f16(6e-8), 0x0001); // smallest subnormal
+    }
+
+    #[test]
+    fn f16_to_f32_matches_oracle_on_every_pattern() {
+        for h in 0..=u16::MAX {
+            let (got, want) = (f16_to_f32(h), f16_to_f32_oracle(h));
+            assert_eq!(got.to_bits(), want.to_bits(), "f16 {h:#06x}");
+            // Every half, NaN payloads included, repacks to the oracle's
+            // pattern.
+            assert_eq!(f32_to_f16(got), f32_to_f16_oracle(want), "f16 {h:#06x}");
+        }
+    }
+
+    /// `f32` patterns where binary16 rounding can go wrong: every exponent
+    /// boundary ±2 ulp in both signs, every half's exact value and the
+    /// midpoints to its neighbour ±1 ulp (the rounding ties, subnormal and
+    /// overflow ones included), NaN payloads, and a strided sweep of the
+    /// whole space.
+    fn f32_boundary_sample() -> Vec<u32> {
+        let mut out = Vec::new();
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0u32..=255 {
+                let b = sign | exp << 23;
+                out.extend((0..=2).map(|d| b.wrapping_add(d)));
+                out.extend((1..=2).map(|d| b.wrapping_sub(d)));
+            }
+            for h in 0u32..0x7C00 {
+                let lo = f16_to_f32_oracle(h as u16).to_bits();
+                let mid = (lo + f16_to_f32_oracle(h as u16 + 1).to_bits()) / 2;
+                for v in [lo, mid - 1, mid, mid + 1] {
+                    out.push(sign | v);
+                }
+            }
+            for payload in [1u32, 2, 0x1FFF, 0x2000, 0x40_0000, 0x7F_FFFF] {
+                out.push(sign | 0x7F80_0000 | payload);
+            }
+            out.extend((1u32..0x80_0000).step_by(4093).map(|v| sign | v));
+        }
+        out.extend((0..=u32::MAX).step_by(65_521));
+        out
+    }
+
+    #[test]
+    fn f32_to_f16_matches_oracle_on_boundary_sample() {
+        let sample = f32_boundary_sample();
+        assert!(sample.len() > 300_000);
+        for bits in sample {
+            let f = f32::from_bits(bits);
+            assert_eq!(f32_to_f16(f), f32_to_f16_oracle(f), "f32 {bits:#010x}");
+        }
+    }
+
+    /// All 2^32 `f32` patterns (about half a minute in release:
+    /// `cargo test --release -p mve-core -- --ignored`).
+    #[test]
+    #[ignore]
+    fn f32_to_f16_matches_oracle_on_every_pattern() {
+        let mismatches = (0..=u32::MAX)
+            .filter(|&bits| {
+                let f = f32::from_bits(bits);
+                f32_to_f16(f) != f32_to_f16_oracle(f)
+            })
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -46,6 +46,10 @@ struct Slot {
     dtype: DType,
     lanes: Vec<u64>,
     live: bool,
+    /// Dirty bound: every lane at or above it is zero, so a zeroing alloc
+    /// that reuses the buffer clears only `lanes[..dirty]`. Each writer
+    /// raises it past the highest lane it can touch.
+    dirty: usize,
 }
 
 /// Cached packed lane-activity bitset, derived from the CRs' shape and
@@ -863,10 +867,10 @@ impl Engine {
             slot.dtype = dtype;
             slot.live = true;
             if zero {
-                slot.lanes.clear();
-                slot.lanes.resize(lanes, 0);
+                slot.lanes[..slot.dirty].fill(0);
+                slot.dirty = 0;
             } else {
-                slot.lanes.resize(lanes, 0);
+                slot.dirty = lanes;
             }
             Reg { idx, dtype }
         } else {
@@ -874,6 +878,7 @@ impl Engine {
                 dtype,
                 lanes: vec![0; lanes],
                 live: true,
+                dirty: if zero { 0 } else { lanes },
             });
             Reg {
                 idx: self.slots.len() - 1,
@@ -925,6 +930,7 @@ impl Engine {
         let slot = &mut self.slots[reg.idx];
         assert!(slot.live, "use of freed register {reg:?}");
         slot.lanes[lane] = dtype.truncate(raw);
+        slot.dirty = slot.dirty.max(lane + 1);
     }
 
     /// Appends a raw trace event — simulator-internal API for baseline ISA
@@ -1191,7 +1197,7 @@ impl Engine {
         assert!(self.slots[reg.idx].live, "use of freed register {reg:?}");
         let per_cb = self.geom.bitlines_per_cb();
         let mut lanes = self.take_lanes(reg);
-        let (mut lines, mut cb_mask) = (Vec::new(), 0u64);
+        let (mut lines, mut cb_mask, mut end) = (Vec::new(), 0u64, 0usize);
         for r in rows.into_iter().filter(|r| r.len > 0) {
             let span = r.lane..r.lane + r.len;
             let seg = if write {
@@ -1209,8 +1215,9 @@ impl Engine {
                 &mut lines,
             );
             cb_mask |= cb_range(r.lane, r.lane + r.len, per_cb);
+            end = end.max(r.lane + r.len);
         }
-        self.put_back(reg, lanes);
+        self.put_back_upto(reg, lanes, end);
         addrgen::finish_lines(&mut lines);
         (lines, cb_mask)
     }
@@ -1249,8 +1256,18 @@ impl Engine {
         std::mem::take(&mut self.slots[reg.idx].lanes)
     }
 
+    /// Returns a buffer taken by [`Engine::take_lanes`] after a write
+    /// through the lane mask, which touches no lane past `mask.total`.
     fn put_back(&mut self, reg: Reg, lanes: Vec<u64>) {
-        self.slots[reg.idx].lanes = lanes;
+        self.put_back_upto(reg, lanes, self.mask.total);
+    }
+
+    /// [`Engine::put_back`] after a write that touched no lane at or above
+    /// `end`.
+    fn put_back_upto(&mut self, reg: Reg, lanes: Vec<u64>, end: usize) {
+        let slot = &mut self.slots[reg.idx];
+        slot.lanes = lanes;
+        slot.dirty = slot.dirty.max(end);
     }
 
     /// Element-wise binary operation into a fresh register.
@@ -1880,10 +1897,18 @@ mod issue2_tests {
         e.free(x);
     }
 
+    /// Asserts every lane of `r` from `from` on reads zero.
+    fn assert_zero_from(e: &Engine, r: Reg, from: usize) {
+        if let Some(i) = e.reg_lanes(r)[from..].iter().position(|&v| v != 0) {
+            panic!("stale value leaked at lane {}", from + i);
+        }
+    }
+
     #[test]
     fn freed_register_buffers_are_reused_without_leaking_values() {
-        // A freed slot's buffer is recycled by the next alloc; a fresh
-        // register must still read all-zeroes on masked-off lanes.
+        // A freed slot's buffer is recycled by the next alloc, which zeroes
+        // only the lanes below the slot's dirty bound; a fresh register
+        // must still read all-zeroes on every lane no write reached.
         let mut e = engine_1d(8);
         let a = e.mem_alloc_typed::<i32>(8);
         e.mem_fill(a, &[7i32; 8]);
@@ -1894,8 +1919,57 @@ mod issue2_tests {
         for lane in 0..4 {
             assert_eq!(e.lane_value(w, lane), 1);
         }
-        for lane in 4..8 {
-            assert_eq!(e.lane_value(w, lane), 0, "stale value leaked");
-        }
+        assert_zero_from(&e, w, 4);
+        e.free(w);
+
+        // Wide write, narrow reuse, wide reuse: the narrow alloc clears the
+        // wide write's lanes, not only its own.
+        let mut e = engine_1d(1024);
+        let a = e.mem_alloc_typed::<i32>(1024);
+        e.mem_fill(a, &[7i32; 1024]);
+        let v = e.vsld_dw(a, &[StrideMode::One]);
+        e.free(v);
+        e.vsetdiml(0, 64);
+        let w = e.vsetdup_dw(1);
+        e.free(w);
+        e.vsetdiml(0, 1024);
+        let x = e.alloc(DType::I32);
+        assert_zero_from(&e, x, 0);
+        e.free(x);
+
+        // A row load writes lanes past the shape's `mask.total`.
+        let mut e = engine_1d(4);
+        let a = e.mem_alloc_typed::<i32>(8);
+        e.mem_fill(a, &[7i32; 8]);
+        let r = e.alloc(DType::I32);
+        e.load_rows(r, [Row::new(100, 8, a, 1)]);
+        assert_eq!(e.lane_value(r, 107), 7);
+        e.free(r);
+        let r = e.alloc(DType::I32);
+        assert_zero_from(&e, r, 0);
+        e.free(r);
+
+        // A raw lane write far above the shape.
+        let high = e.lanes() - 5;
+        let r = e.alloc(DType::I32);
+        e.set_lane_raw(r, high, 9);
+        e.free(r);
+        let r = e.alloc(DType::I32);
+        assert_zero_from(&e, r, 0);
+        e.free(r);
+
+        // The full-coverage alloc skips the zero-fill; a narrow reuse
+        // after it still reads zero past its shape.
+        let mut e = engine_1d(8);
+        let lanes = e.lanes();
+        e.vsetdiml(0, lanes);
+        let a = e.mem_alloc_typed::<i32>(lanes);
+        e.mem_fill(a, &vec![7i32; lanes]);
+        let v = e.vsld_dw(a, &[StrideMode::One]);
+        e.free(v);
+        e.vsetdiml(0, 16);
+        let w = e.vsetdup_dw(1);
+        assert_eq!(e.lane_value(w, 15), 1);
+        assert_zero_from(&e, w, 16);
     }
 }

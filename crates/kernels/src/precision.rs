@@ -5,9 +5,15 @@
 //! four variants are the paper's probe into the precision/performance
 //! trade-off. Each variant computes functionally and is checked against a
 //! same-precision scalar reference.
+//!
+//! The references run on native lane types (`Native`): one generic loop
+//! per kernel keeps every output's accumulation order and walks the output
+//! dimension innermost, so it vectorizes. The XNNPACK fp16 RVV variants
+//! check against the same references.
 
 use crate::common::{engine, gen_f32, Checked, KernelRun, Scale};
-use mve_core::dtype::DType;
+use crate::xnnpack::SpmmData;
+use mve_core::dtype::{f16_to_f32, f32_to_f16, DType};
 use mve_core::engine::{Engine, Reg};
 use mve_core::isa::StrideMode;
 
@@ -68,12 +74,221 @@ impl Precision {
             Precision::I16 => DType::I16.from_i64((v * 127.0) as i64),
         }
     }
+}
 
-    /// Scalar multiply-accumulate in this precision's exact semantics.
-    fn mac(&self, acc: u64, a: u64, b: u64) -> u64 {
-        let dt = self.dtype();
-        let p = dt.binop(mve_core::dtype::BinOp::Mul, a, b);
-        dt.binop(mve_core::dtype::BinOp::Add, acc, p)
+/// One precision's lane arithmetic on native values, bit-identical to the
+/// engine's [`DType::binop`] on canonical lanes.
+trait Native: Copy {
+    const ZERO: Self;
+    fn from_lane(raw: u64) -> Self;
+    fn to_lane(self) -> u64;
+    fn add(self, b: Self) -> Self;
+    fn mul(self, b: Self) -> Self;
+}
+
+impl Native for f32 {
+    const ZERO: Self = 0.0;
+    fn from_lane(raw: u64) -> Self {
+        f32::from_bits(raw as u32)
+    }
+    fn to_lane(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+    fn add(self, b: Self) -> Self {
+        self + b
+    }
+    fn mul(self, b: Self) -> Self {
+        self * b
+    }
+}
+
+impl Native for i32 {
+    const ZERO: Self = 0;
+    fn from_lane(raw: u64) -> Self {
+        raw as i32
+    }
+    fn to_lane(self) -> u64 {
+        u64::from(self as u32)
+    }
+    fn add(self, b: Self) -> Self {
+        self.wrapping_add(b)
+    }
+    fn mul(self, b: Self) -> Self {
+        self.wrapping_mul(b)
+    }
+}
+
+impl Native for i16 {
+    const ZERO: Self = 0;
+    fn from_lane(raw: u64) -> Self {
+        raw as i16
+    }
+    fn to_lane(self) -> u64 {
+        u64::from(self as u16)
+    }
+    fn add(self, b: Self) -> Self {
+        self.wrapping_add(b)
+    }
+    fn mul(self, b: Self) -> Self {
+        self.wrapping_mul(b)
+    }
+}
+
+/// A binary16 value held exactly in an `f32`: each op computes in `f32`
+/// and rounds back to binary16, as the engine's `F16` lanes do.
+#[derive(Clone, Copy)]
+struct F16(f32);
+
+impl F16 {
+    fn round(v: f32) -> Self {
+        F16(f16_to_f32(f32_to_f16(v)))
+    }
+}
+
+impl Native for F16 {
+    const ZERO: Self = F16(0.0);
+    fn from_lane(raw: u64) -> Self {
+        F16(f16_to_f32(raw as u16))
+    }
+    fn to_lane(self) -> u64 {
+        u64::from(f32_to_f16(self.0))
+    }
+    fn add(self, b: Self) -> Self {
+        F16::round(self.0 + b.0)
+    }
+    fn mul(self, b: Self) -> Self {
+        F16::round(self.0 * b.0)
+    }
+}
+
+/// Calls `$f::<T>($args)` with `T` the [`Native`] type of `$prec`.
+macro_rules! native {
+    ($prec:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $prec {
+            Precision::F32 => $f::<f32>($($arg),*),
+            Precision::I32 => $f::<i32>($($arg),*),
+            Precision::F16 => $f::<F16>($($arg),*),
+            Precision::I16 => $f::<i16>($($arg),*),
+        }
+    };
+}
+
+fn natives<T: Native>(lanes: &[u64]) -> Vec<T> {
+    lanes.iter().map(|&v| T::from_lane(v)).collect()
+}
+
+fn to_lanes<T: Native>(vals: &[T]) -> impl Iterator<Item = u64> + '_ {
+    vals.iter().map(|v| v.to_lane())
+}
+
+/// `acc[i] += a · b[i]` over a row, in the order every output of the
+/// references accumulates: `acc + a·b`.
+fn mac_row<T: Native>(acc: &mut [T], a: T, b: &[T]) {
+    for (o, &w) in acc.iter_mut().zip(b) {
+        *o = o.add(a.mul(w));
+    }
+}
+
+/// Row-major `n×k · k×m` GEMM reference: output `(r, c)` sums `j = 0..k`
+/// in order.
+pub(crate) fn gemm_ref(
+    prec: Precision,
+    input: &[u64],
+    weight: &[u64],
+    n: usize,
+    k: usize,
+    m: usize,
+) -> Vec<u64> {
+    fn go<T: Native>(input: &[u64], weight: &[u64], n: usize, k: usize, m: usize) -> Vec<u64> {
+        let (input, weight) = (natives::<T>(input), natives::<T>(weight));
+        let mut out = Vec::with_capacity(n * m);
+        let mut acc = vec![T::ZERO; m];
+        for r in 0..n {
+            acc.fill(T::ZERO);
+            for j in 0..k {
+                mac_row(&mut acc, input[r * k + j], &weight[j * m..(j + 1) * m]);
+            }
+            out.extend(to_lanes(&acc));
+        }
+        out
+    }
+    native!(prec, go(input, weight, n, k, m))
+}
+
+/// FIR reference: `y[i] = Σ_t h[t]·x[i+t]`, summed over `t` in order.
+fn fir_ref(prec: Precision, x: &[u64], h: &[u64]) -> Vec<u64> {
+    fn go<T: Native>(x: &[u64], h: &[u64]) -> Vec<u64> {
+        let (x, h) = (natives::<T>(x), natives::<T>(h));
+        let n_out = x.len() - h.len() + 1;
+        let mut acc = vec![T::ZERO; n_out];
+        for (t, &c) in h.iter().enumerate() {
+            mac_row(&mut acc, c, &x[t..t + n_out]);
+        }
+        to_lanes(&acc).collect()
+    }
+    native!(prec, go(x, h))
+}
+
+/// SpMM operands as canonical lanes: a CSR sparse `n×k` matrix and a
+/// dense row-major `k×m` weight.
+pub(crate) struct SpmmLanes<'a> {
+    row_ptr: &'a [usize],
+    col_idx: &'a [usize],
+    /// Nonzero values.
+    pub(crate) values: Vec<u64>,
+    /// Dense weight.
+    pub(crate) weight: Vec<u64>,
+    m: usize,
+}
+
+impl<'a> SpmmLanes<'a> {
+    /// `d`'s samples packed into `prec`'s lanes.
+    pub(crate) fn pack(prec: Precision, d: &'a SpmmData, m: usize) -> Self {
+        let pack = |v: &[f32]| v.iter().map(|&x| prec.pack(x)).collect();
+        Self {
+            row_ptr: &d.row_ptr,
+            col_idx: &d.col_idx,
+            values: pack(&d.values),
+            weight: pack(&d.weight),
+            m,
+        }
+    }
+
+    /// The reference of the batched kernel: the `i`-th nonzero of a row
+    /// accumulates into partial-sum row `i mod batch`, and the `batch`
+    /// partial rows then fold pairwise (`tree_halve` order).
+    fn batched_ref(&self, prec: Precision, batch: usize) -> Vec<u64> {
+        fn go<T: Native>(s: &SpmmLanes, batch: usize) -> Vec<u64> {
+            let (values, weight) = (natives::<T>(&s.values), natives::<T>(&s.weight));
+            let m = s.m;
+            let mut out = Vec::with_capacity((s.row_ptr.len() - 1) * m);
+            let mut acc = vec![T::ZERO; batch * m];
+            for w in s.row_ptr.windows(2) {
+                acc.fill(T::ZERO);
+                for (i, j) in (w[0]..w[1]).enumerate() {
+                    let b = i % batch;
+                    let row = &weight[s.col_idx[j] * m..(s.col_idx[j] + 1) * m];
+                    mac_row(&mut acc[b * m..(b + 1) * m], values[j], row);
+                }
+                let mut len = batch;
+                while len > 1 {
+                    let (lo, hi) = acc[..len * m].split_at_mut(len / 2 * m);
+                    for (o, &v) in lo.iter_mut().zip(&*hi) {
+                        *o = o.add(v);
+                    }
+                    len /= 2;
+                }
+                out.extend(to_lanes(&acc[..m]));
+            }
+            out
+        }
+        native!(prec, go(self, batch))
+    }
+
+    /// The reference of the one-nonzero-at-a-time kernel: output `(r, c)`
+    /// sums row `r`'s nonzeros in order, a batch of one.
+    pub(crate) fn sequential_ref(&self, prec: Precision) -> Vec<u64> {
+        self.batched_ref(prec, 1)
     }
 }
 
@@ -131,22 +346,17 @@ pub fn run_gemm(prec: Precision, scale: Scale) -> KernelRun {
     run_gemm_dims(prec, n, k, m)
 }
 
+/// The GEMM input (`n×k`) and weight (`k×m`) as `prec` lanes.
+pub(crate) fn gemm_operands(prec: Precision, n: usize, k: usize, m: usize) -> (Vec<u64>, Vec<u64>) {
+    let pack = |seed, len| gen_f32(seed, len).iter().map(|&v| prec.pack(v)).collect();
+    (pack(0xE1, n * k), pack(0xE2, k * m))
+}
+
 /// GEMM at an arbitrary precision and explicit dimensions (shared by the
 /// XNNPACK fp16 kernel).
 pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun {
-    let input: Vec<u64> = gen_f32(0xE1, n * k).iter().map(|&v| prec.pack(v)).collect();
-    let weight: Vec<u64> = gen_f32(0xE2, k * m).iter().map(|&v| prec.pack(v)).collect();
-    // Same-order scalar reference in exact lane semantics.
-    let mut want = vec![prec.pack(0.0); n * m];
-    for r in 0..n {
-        for c in 0..m {
-            let mut acc = prec.pack(0.0);
-            for j in 0..k {
-                acc = prec.mac(acc, input[r * k + j], weight[j * m + c]);
-            }
-            want[r * m + c] = acc;
-        }
-    }
+    let (input, weight) = gemm_operands(prec, n, k, m);
+    let want = gemm_ref(prec, &input, &weight, n, k, m);
 
     let mut e = engine();
     e.vsetwidth(32);
@@ -212,14 +422,7 @@ pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
     let x: Vec<u64> = gen_f32(0xE3, n).iter().map(|&v| prec.pack(v)).collect();
     let h: Vec<u64> = gen_f32(0xE4, taps).iter().map(|&v| prec.pack(v)).collect();
     let n_out = n - taps + 1;
-    let mut want = vec![prec.pack(0.0); n_out];
-    for (i, w) in want.iter_mut().enumerate() {
-        let mut acc = prec.pack(0.0);
-        for t in 0..taps {
-            acc = prec.mac(acc, h[t], x[i + t]);
-        }
-        *w = acc;
-    }
+    let want = fir_ref(prec, &x, &h);
 
     let mut e = engine();
     e.vsetwidth(32);
@@ -273,8 +476,8 @@ pub fn run_spmm(prec: Precision, scale: Scale) -> KernelRun {
 pub fn run_spmm_sized(prec: Precision, s: crate::xnnpack::SpmmSize) -> KernelRun {
     use crate::xnnpack::Spmm;
     let d = Spmm::gen_data(s, 0xE5);
-    let values: Vec<u64> = d.values.iter().map(|&v| prec.pack(v)).collect();
-    let weight: Vec<u64> = d.weight.iter().map(|&v| prec.pack(v)).collect();
+    let ops = SpmmLanes::pack(prec, &d, s.m);
+    let (values, weight) = (&ops.values, &ops.weight);
 
     let mut e = engine();
     e.vsetwidth(32);
@@ -283,13 +486,13 @@ pub fn run_spmm_sized(prec: Precision, s: crate::xnnpack::SpmmSize) -> KernelRun
     let wa = e.mem_alloc((s.k * s.m) as u64 * eb);
     let oa = e.mem_alloc((s.n * s.m) as u64 * eb);
     let zero_val = e.mem_alloc(eb);
-    store_packed(&mut e, va, prec, &values);
-    store_packed(&mut e, wa, prec, &weight);
+    store_packed(&mut e, va, prec, values);
+    store_packed(&mut e, wa, prec, weight);
     e.mem_mut().write_raw(zero_val, eb, prec.pack(0.0));
 
     // The kernel accumulates [M x batch] partial products across batches
-    // and folds the batch dimension once per row; the reference follows the
-    // same order exactly.
+    // and folds the batch dimension once per row; the reference
+    // (`SpmmLanes::batched_ref`) follows the same order exactly.
     let lanes = e.lanes();
     let max_nnz = (0..s.n)
         .map(|n| d.row_ptr[n + 1] - d.row_ptr[n])
@@ -300,42 +503,7 @@ pub fn run_spmm_sized(prec: Precision, s: crate::xnnpack::SpmmSize) -> KernelRun
         .clamp(2, 256)
         .min(max_nnz.next_power_of_two());
     let dt = prec.dtype();
-    let mut want = vec![prec.pack(0.0); s.n * s.m];
-    for n in 0..s.n {
-        let (lo, hi) = (d.row_ptr[n], d.row_ptr[n + 1]);
-        // acc2d[b][m] accumulates products across batch passes.
-        let mut acc2d = vec![vec![prec.pack(0.0); s.m]; batch];
-        let mut j = lo;
-        while j < hi {
-            let take = batch.min(hi - j);
-            for b in 0..take {
-                for m in 0..s.m {
-                    let p = dt.binop(
-                        mve_core::dtype::BinOp::Mul,
-                        values[j + b],
-                        weight[d.col_idx[j + b] * s.m + m],
-                    );
-                    acc2d[b][m] = dt.binop(mve_core::dtype::BinOp::Add, acc2d[b][m], p);
-                }
-            }
-            j += take;
-        }
-        // Pairwise fold of the batch dimension (tree_halve order).
-        let mut len = batch;
-        while len > 1 {
-            for b in 0..len / 2 {
-                for m in 0..s.m {
-                    acc2d[b][m] = dt.binop(
-                        mve_core::dtype::BinOp::Add,
-                        acc2d[b][m],
-                        acc2d[b + len / 2][m],
-                    );
-                }
-            }
-            len /= 2;
-        }
-        want[n * s.m..(n + 1) * s.m].copy_from_slice(&acc2d[0]);
-    }
+    let want = ops.batched_ref(prec, batch);
 
     let vptr = e.mem_alloc_typed::<u64>(batch);
     let wptr = e.mem_alloc_typed::<u64>(batch);
@@ -393,6 +561,7 @@ pub fn run_spmm_sized(prec: Precision, s: crate::xnnpack::SpmmSize) -> KernelRun
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mve_core::dtype::BinOp;
 
     #[test]
     fn gemm_all_precisions_match() {
@@ -415,6 +584,223 @@ mod tests {
         for prec in Precision::ALL {
             let run = run_spmm(prec, Scale::Test);
             assert!(run.checked.ok(), "{}: {:?}", prec.label(), run.checked);
+        }
+    }
+
+    // The generic `DType::binop` folds the native references replaced,
+    // kept as oracles.
+
+    /// Scalar multiply-accumulate in this precision's exact semantics.
+    fn mac(prec: Precision, acc: u64, a: u64, b: u64) -> u64 {
+        let dt = prec.dtype();
+        let p = dt.binop(BinOp::Mul, a, b);
+        dt.binop(BinOp::Add, acc, p)
+    }
+
+    fn gemm_fold(
+        prec: Precision,
+        input: &[u64],
+        weight: &[u64],
+        n: usize,
+        k: usize,
+        m: usize,
+    ) -> Vec<u64> {
+        let mut want = vec![prec.pack(0.0); n * m];
+        for r in 0..n {
+            for c in 0..m {
+                let mut acc = prec.pack(0.0);
+                for j in 0..k {
+                    acc = mac(prec, acc, input[r * k + j], weight[j * m + c]);
+                }
+                want[r * m + c] = acc;
+            }
+        }
+        want
+    }
+
+    fn fir_fold(prec: Precision, x: &[u64], h: &[u64]) -> Vec<u64> {
+        let mut want = vec![prec.pack(0.0); x.len() - h.len() + 1];
+        for (i, w) in want.iter_mut().enumerate() {
+            let mut acc = prec.pack(0.0);
+            for t in 0..h.len() {
+                acc = mac(prec, acc, h[t], x[i + t]);
+            }
+            *w = acc;
+        }
+        want
+    }
+
+    fn spmm_batched_fold(prec: Precision, s: &SpmmLanes, batch: usize) -> Vec<u64> {
+        let dt = prec.dtype();
+        let (values, weight) = (&s.values, &s.weight);
+        let n_rows = s.row_ptr.len() - 1;
+        let mut want = vec![prec.pack(0.0); n_rows * s.m];
+        for n in 0..n_rows {
+            let (lo, hi) = (s.row_ptr[n], s.row_ptr[n + 1]);
+            // acc2d[b][m] accumulates products across batch passes.
+            let mut acc2d = vec![vec![prec.pack(0.0); s.m]; batch];
+            let mut j = lo;
+            while j < hi {
+                let take = batch.min(hi - j);
+                for b in 0..take {
+                    for m in 0..s.m {
+                        let p = dt.binop(
+                            BinOp::Mul,
+                            values[j + b],
+                            weight[s.col_idx[j + b] * s.m + m],
+                        );
+                        acc2d[b][m] = dt.binop(BinOp::Add, acc2d[b][m], p);
+                    }
+                }
+                j += take;
+            }
+            // Pairwise fold of the batch dimension (tree_halve order).
+            let mut len = batch;
+            while len > 1 {
+                for b in 0..len / 2 {
+                    for m in 0..s.m {
+                        acc2d[b][m] = dt.binop(BinOp::Add, acc2d[b][m], acc2d[b + len / 2][m]);
+                    }
+                }
+                len /= 2;
+            }
+            want[n * s.m..(n + 1) * s.m].copy_from_slice(&acc2d[0]);
+        }
+        want
+    }
+
+    fn spmm_sequential_fold(prec: Precision, s: &SpmmLanes) -> Vec<u64> {
+        let n_rows = s.row_ptr.len() - 1;
+        let mut want = vec![prec.pack(0.0); n_rows * s.m];
+        for n in 0..n_rows {
+            for m in 0..s.m {
+                let mut acc = prec.pack(0.0);
+                for j in s.row_ptr[n]..s.row_ptr[n + 1] {
+                    acc = mac(prec, acc, s.values[j], s.weight[s.col_idx[j] * s.m + m]);
+                }
+                want[n * s.m + m] = acc;
+            }
+        }
+        want
+    }
+
+    /// Deterministic full-range lanes (xorshift): the kernels' modest
+    /// samples, raw bit patterns and, with `specials`, rare edge values.
+    /// Integer lanes cover the whole wrapping range and its extremes. Float
+    /// raw patterns keep every mantissa and the subnormals but stay below
+    /// 2.0, and the edges (NaNs with payloads, infinities, extreme
+    /// subnormals, the largest finite value) are rare, since one NaN or
+    /// overflow absorbs a whole dot product.
+    fn raw_lanes(prec: Precision, seed: u64, n: usize, specials: bool) -> Vec<u64> {
+        let (edges, keep): (&[u64], u64) = match prec {
+            Precision::F32 => (
+                &[
+                    0x7F80_0000,
+                    0xFF80_0000,
+                    0x7FC0_0001,
+                    0xFFBF_FFFF,
+                    0x0000_0001,
+                    0x8000_0000,
+                    0x7F7F_FFFF,
+                ],
+                0xBFFF_FFFF,
+            ),
+            Precision::F16 => (
+                &[
+                    0x7C00, 0xFC00, 0x7C01, 0xFE00, 0x0001, 0x83FF, 0x8000, 0x7BFF,
+                ],
+                0xBFFF,
+            ),
+            Precision::I32 => (&[0x8000_0000, 0x7FFF_FFFF, 0xFFFF_FFFF, 1], u64::MAX),
+            Precision::I16 => (&[0x8000, 0x7FFF, 0xFFFF, 1], u64::MAX),
+        };
+        let dt = prec.dtype();
+        let int = !dt.is_float();
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let r = s >> 16;
+                match s % 64 {
+                    0 if specials => edges[r as usize % edges.len()],
+                    1..=7 if int => edges[r as usize % edges.len()],
+                    0..=15 => dt.truncate(r) & keep,
+                    16..=31 if int => dt.truncate(r),
+                    _ => prec.pack(((s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32),
+                }
+            })
+            .collect()
+    }
+
+    /// Lane equality, except that all NaNs of a float precision are one
+    /// value: IEEE 754 leaves a NaN result's sign and payload open, and
+    /// the compiler may commute float operands.
+    fn same_lanes(prec: Precision, got: &[u64], want: &[u64]) -> bool {
+        let nan = |v: u64| prec.dtype().is_float() && prec.dtype().to_f64(v).is_nan();
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(&g, &w)| g == w || (nan(g) && nan(w)))
+    }
+
+    proptest::proptest! {
+        /// For all four precisions, the native references equal the
+        /// generic folds on generated shapes and full-range lanes.
+        #[test]
+        fn native_references_match_generic_folds(
+            taps in 1usize..=160,
+            extra in 0usize..64,
+            n in 1usize..6,
+            k in 1usize..24,
+            m in 1usize..40,
+            batch_log in 0u32..5,
+            density_pct in 0u64..100,
+            seed: u64,
+        ) {
+            // A CSR pattern over an n × k sparse matrix.
+            let (mut row_ptr, mut col_idx) = (vec![0usize], Vec::new());
+            let mut bits = seed.rotate_left(29) | 1;
+            for _ in 0..n {
+                for c in 0..k {
+                    bits ^= bits << 13;
+                    bits ^= bits >> 7;
+                    bits ^= bits << 17;
+                    if bits % 100 < density_pct {
+                        col_idx.push(c);
+                    }
+                }
+                row_ptr.push(col_idx.len());
+            }
+            for (i, prec) in Precision::ALL.into_iter().enumerate() {
+                let seed = seed ^ (i as u64) << 60;
+                let specials = seed & 1 == 1;
+                let x = raw_lanes(prec, seed, taps + extra, specials);
+                let h = raw_lanes(prec, seed.rotate_left(17) ^ 0x9E37, taps, specials);
+                let (got, want) = (fir_ref(prec, &x, &h), fir_fold(prec, &x, &h));
+                proptest::prop_assert!(same_lanes(prec, &got, &want), "fir {}", prec.label());
+
+                let input = raw_lanes(prec, seed ^ 0xA1, n * k, specials);
+                let weight = raw_lanes(prec, seed ^ 0xA2, k * m, specials);
+                let got = gemm_ref(prec, &input, &weight, n, k, m);
+                let want = gemm_fold(prec, &input, &weight, n, k, m);
+                proptest::prop_assert!(same_lanes(prec, &got, &want), "gemm {}", prec.label());
+
+                let ops = SpmmLanes {
+                    row_ptr: &row_ptr,
+                    col_idx: &col_idx,
+                    values: raw_lanes(prec, seed ^ 0xA3, col_idx.len(), specials),
+                    weight,
+                    m,
+                };
+                let batch = 1 << batch_log;
+                let (got, want) = (ops.batched_ref(prec, batch), spmm_batched_fold(prec, &ops, batch));
+                proptest::prop_assert!(same_lanes(prec, &got, &want), "batched spmm {}", prec.label());
+                let (got, want) = (ops.sequential_ref(prec), spmm_sequential_fold(prec, &ops));
+                proptest::prop_assert!(same_lanes(prec, &got, &want), "sequential spmm {}", prec.label());
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 //! OpenCL libraries, exactly as the paper does.
 
 use crate::common::{check_f32, engine, gen_f32, tree_halve, KernelRun, Scale};
+use crate::precision::{self, Precision, SpmmLanes};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
 use mve_baselines::rvv::Rvv;
@@ -48,16 +49,15 @@ impl Gemm {
         }
     }
 
-    /// Scalar reference.
+    /// Scalar reference: output `(n, m)` sums `k` in order, with `k` outer
+    /// and `m` innermost so the loop vectorizes.
     pub fn scalar_ref(s: GemmSize, input: &[f32], weight: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; s.n * s.m];
-        for n in 0..s.n {
-            for m in 0..s.m {
-                let mut acc = 0.0f32;
-                for k in 0..s.k {
-                    acc += input[n * s.k + k] * weight[k * s.m + m];
+        for (row, inp) in out.chunks_exact_mut(s.m).zip(input.chunks_exact(s.k)) {
+            for (&a, w) in inp.iter().zip(weight.chunks_exact(s.m)) {
+                for (o, &b) in row.iter_mut().zip(w) {
+                    *o += a * b;
                 }
-                out[n * s.m + m] = acc;
             }
         }
         out
@@ -138,35 +138,15 @@ impl Kernel for Gemm {
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
         let s = Self::size(scale);
-        crate::precision::run_gemm_dims(crate::precision::Precision::F16, s.n, s.k, s.m)
+        precision::run_gemm_dims(Precision::F16, s.n, s.k, s.m)
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
         // fp16, matching the MVE variant: same data, same accumulation order.
-        let dt = DType::F16;
+        let (prec, dt) = (Precision::F16, DType::F16);
         let s = Self::size(scale);
-        let input: Vec<u64> = gen_f32(0xE1, s.n * s.k)
-            .iter()
-            .map(|&v| dt.from_f32(v))
-            .collect();
-        let weight: Vec<u64> = gen_f32(0xE2, s.k * s.m)
-            .iter()
-            .map(|&v| dt.from_f32(v))
-            .collect();
-        let mac = |acc: u64, a: u64, b: u64| {
-            let p = dt.binop(mve_core::dtype::BinOp::Mul, a, b);
-            dt.binop(mve_core::dtype::BinOp::Add, acc, p)
-        };
-        let mut want = vec![0u64; s.n * s.m];
-        for n in 0..s.n {
-            for m in 0..s.m {
-                let mut acc = dt.from_f32(0.0);
-                for k in 0..s.k {
-                    acc = mac(acc, input[n * s.k + k], weight[k * s.m + m]);
-                }
-                want[n * s.m + m] = acc;
-            }
-        }
+        let (input, weight) = precision::gemm_operands(prec, s.n, s.k, s.m);
+        let want = precision::gemm_ref(prec, &input, &weight, s.n, s.k, s.m);
 
         let mut e = engine();
         let ia = e.mem_alloc((s.n * s.k * 2) as u64);
@@ -458,32 +438,19 @@ impl Kernel for Spmm {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        crate::precision::run_spmm_sized(crate::precision::Precision::F16, Self::size(scale))
+        precision::run_spmm_sized(Precision::F16, Self::size(scale))
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
         // RVV processes one nonzero at a time with M-lane 1-D operations —
         // the low-DLP path Section VII-A describes for SpMM. fp16, matching
         // the MVE variant; checked against a sequential-order f16 reference.
-        let dt = DType::F16;
+        let (prec, dt) = (Precision::F16, DType::F16);
         let s = Self::size(scale);
         let d = Self::gen_data(s, 0xE5);
-        let values: Vec<u64> = d.values.iter().map(|&v| dt.from_f32(v)).collect();
-        let weight: Vec<u64> = d.weight.iter().map(|&v| dt.from_f32(v)).collect();
-        let mac = |acc: u64, a: u64, b: u64| {
-            let p = dt.binop(mve_core::dtype::BinOp::Mul, a, b);
-            dt.binop(mve_core::dtype::BinOp::Add, acc, p)
-        };
-        let mut want = vec![dt.from_f32(0.0); s.n * s.m];
-        for n in 0..s.n {
-            for m in 0..s.m {
-                let mut acc = dt.from_f32(0.0);
-                for j in d.row_ptr[n]..d.row_ptr[n + 1] {
-                    acc = mac(acc, values[j], weight[d.col_idx[j] * s.m + m]);
-                }
-                want[n * s.m + m] = acc;
-            }
-        }
+        let ops = SpmmLanes::pack(prec, &d, s.m);
+        let (values, weight) = (&ops.values, &ops.weight);
+        let want = ops.sequential_ref(prec);
 
         let mut e = engine();
         let wa = e.mem_alloc((s.k * s.m * 2) as u64);
