@@ -1,20 +1,18 @@
 //! The artefact registry: one render function per paper artefact, shared
 //! by every front-end so they cannot drift apart.
 //!
-//! Three consumers produce byte-identical output from these functions:
+//! Two consumers produce byte-identical output from these functions:
 //!
-//! * the per-artefact binaries (`table1` … `ext_pumice`) print one render
-//!   each,
-//! * `reproduce` renders the whole set in-process (serially or on its
-//!   `--jobs` work queue) into `results/` / `results-smoke/`,
+//! * `reproduce` renders the whole set, or the `--only NAME` subset,
+//!   in-process (serially or on its `--jobs` work queue) into `results/` /
+//!   `results-smoke/`,
 //! * the `serve` daemon renders them on demand behind its
 //!   content-addressed cache, and `mve-client --replay-smoke` writes them
 //!   back to disk — CI diffs that tree against `reproduce --smoke`
 //!   byte-for-byte.
 //!
 //! Render functions take the [`Scale`] and return the artefact's exact
-//! text (tables and the fixed-size Figure 9 sweeps ignore the scale, like
-//! the binaries always have).
+//! text (tables and the fixed-size Figure 9 sweeps ignore the scale).
 
 use std::fmt::Write as _;
 
@@ -91,15 +89,6 @@ pub fn unknown_artefact_message(name: &str) -> String {
         "unknown artefact `{name}`;{suggestion} valid artefacts: {}",
         names.join(", ")
     )
-}
-
-/// The `--test-scale` convention every artefact binary uses.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
-    }
 }
 
 /// The full registry, ready to inject into `mve_serve::Server`.

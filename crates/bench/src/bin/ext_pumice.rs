@@ -6,12 +6,17 @@
 //! sorted kernel vocabulary — the same message the `serve` daemon replies
 //! with — instead of the old unhelpful failure mode.
 
-use mve_bench::{artefacts, figures};
+use mve_bench::figures;
 use mve_kernels::registry::{kernel_by_name, selected_kernels};
+use mve_kernels::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = artefacts::scale_from_args();
+    let scale = if args.iter().any(|a| a == "--test-scale") {
+        Scale::Test
+    } else {
+        Scale::Paper
+    };
 
     let mut requested: Vec<String> = Vec::new();
     let mut i = 0;

@@ -129,8 +129,8 @@ fn tail_flag(args: &[String], flag: &str) -> Option<u64> {
 
 /// Sums the exposition's per-class `request_service_us` cumulative
 /// buckets into one raw (de-cumulated) log2 histogram, indexed so bucket
-/// `i` covers `(2^i, 2^(i+1)]` µs — the same convention as
-/// `quantile_from_log2_buckets`.
+/// `i` covers `[2^i, 2^(i+1))` µs — the layout
+/// `quantile_from_log2_buckets` reads.
 fn service_buckets(exp: &Exposition) -> [u64; 64] {
     let mut out = [0u64; 64];
     // Buckets are cumulative within each labelled series; de-cumulate by
@@ -267,7 +267,7 @@ fn watch_stats(client: &mut Client, secs: u64, samples: Option<u64>) -> ! {
                     .collect();
                 let p99 = quantile_from_log2_buckets(&delta, 0.99);
                 println!(
-                    "{:8.1} req/s  hit_rate {hit_rate:5.1}%  p99 {p99:8.0} us  (+{dreq:.0} req)",
+                    "{:8.1} req/s  hit_rate {hit_rate:5.1}%  p99 {p99:8} us  (+{dreq:.0} req)",
                     dreq / dt
                 );
             }

@@ -6,8 +6,11 @@
 //! serve [--port N] [--workers N] [--cache-cap N] [--no-stdin-watch]
 //!       [--budget-units N] [--queue-cap N] [--queue-deadline-ms N]
 //!       [--fair-share-pct N] [--idle-timeout-ms N] [--write-stall-ms N]
-//!       [--poller epoll|poll] [--log-level error|warn|info|debug|off]
+//!       [--trace-ring N] [--log-level error|warn|info|debug|off]
 //! ```
+//!
+//! An unknown flag, or a flag missing its value, exits 2 with the usage
+//! line.
 //!
 //! `--log-level` sets the structured NDJSON log threshold on stderr
 //! (overriding the `MVE_LOG` environment variable); with neither set,
@@ -26,6 +29,7 @@
 //! /dev/null), or on a client's `{"op":"shutdown"}` — in-flight requests
 //! finish, the final metrics line is printed, and the process exits 0.
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -33,79 +37,75 @@ use std::time::Duration;
 use mve_bench::artefacts;
 use mve_serve::{ServeOptions, Server};
 
-/// Returns the flag's value if present, `None` if absent — so absent
-/// admission flags keep `ServeOptions`' defaults (unlimited budget).
-fn parse_opt_flag(args: &[String], flag: &str) -> Option<u64> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.parse().unwrap_or_else(|_| usage(flag)));
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage(flag)),
-            );
-        }
-    }
-    None
-}
+const USAGE: &str = "usage: serve [--port N] [--workers N] [--cache-cap N] [--no-stdin-watch] \
+     [--budget-units N] [--queue-cap N] [--queue-deadline-ms N] [--fair-share-pct N] \
+     [--idle-timeout-ms N] [--write-stall-ms N] [--trace-ring N] \
+     [--log-level error|warn|info|debug|off]";
 
-fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
-    parse_opt_flag(args, flag).map_or(default, |v| v as usize)
-}
+/// Flags that take a value, as `--flag N` or `--flag=N`.
+const VALUE_FLAGS: &[&str] = &[
+    "--port",
+    "--workers",
+    "--cache-cap",
+    "--budget-units",
+    "--queue-cap",
+    "--queue-deadline-ms",
+    "--fair-share-pct",
+    "--idle-timeout-ms",
+    "--write-stall-ms",
+    "--trace-ring",
+    "--log-level",
+];
 
-fn usage(flag: &str) -> ! {
-    eprintln!("{flag} needs a non-negative integer");
-    eprintln!(
-        "usage: serve [--port N] [--workers N] [--cache-cap N] [--no-stdin-watch] \
-         [--budget-units N] [--queue-cap N] [--queue-deadline-ms N] [--fair-share-pct N] \
-         [--idle-timeout-ms N] [--write-stall-ms N] [--trace-ring N] [--poller epoll|poll] \
-         [--log-level error|warn|info|debug|off]"
-    );
+/// Prints `msg` and the usage line, then exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
-/// `--log-level LEVEL` overrides the `MVE_LOG` environment variable.
-fn apply_log_level(args: &[String]) {
-    for (i, a) in args.iter().enumerate() {
-        let value = a
-            .strip_prefix("--log-level=")
-            .map(str::to_owned)
-            .or_else(|| (a == "--log-level").then(|| args.get(i + 1).cloned().unwrap_or_default()));
-        if let Some(value) = value {
-            match mve_obs::Level::parse(&value) {
-                Some(level) => mve_obs::log::set_level(level),
-                None => {
-                    eprintln!("--log-level must be one of error|warn|info|debug|off");
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-    }
+/// The parsed command line: every value flag given, and whether stdin is
+/// watched. An unknown flag, or a value flag without its value, exits 2.
+struct Flags {
+    values: HashMap<&'static str, String>,
+    watch_stdin: bool,
 }
 
-/// `--poller epoll|poll`, defaulting to `Auto` (which also honors the
-/// `MVE_SERVE_POLLER` environment override).
-fn parse_poller(args: &[String]) -> mve_serve::PollerBackend {
-    for (i, a) in args.iter().enumerate() {
-        let value = a
-            .strip_prefix("--poller=")
-            .map(str::to_owned)
-            .or_else(|| (a == "--poller").then(|| args.get(i + 1).cloned().unwrap_or_default()));
-        if let Some(value) = value {
-            return match value.as_str() {
-                "epoll" => mve_serve::PollerBackend::Epoll,
-                "poll" => mve_serve::PollerBackend::Poll,
-                _ => {
-                    eprintln!("--poller must be `epoll` or `poll`");
-                    std::process::exit(2);
-                }
+impl Flags {
+    fn parse(args: &[String]) -> Flags {
+        let mut flags = Flags {
+            values: HashMap::new(),
+            watch_stdin: true,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--no-stdin-watch" {
+                flags.watch_stdin = false;
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (arg.as_str(), None),
             };
+            let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == name) else {
+                usage(&format!("unknown flag `{arg}`"));
+            };
+            let value = inline
+                .or_else(|| args.next().filter(|v| !v.starts_with("--")).cloned())
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+            flags.values.insert(flag, value);
         }
+        flags
     }
-    mve_serve::PollerBackend::Auto
+
+    /// The flag's integer value, `None` if absent — so absent admission
+    /// flags keep `ServeOptions`' defaults (unlimited budget).
+    fn num(&self, flag: &str) -> Option<u64> {
+        self.values.get(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage(&format!("{flag} needs a non-negative integer")))
+        })
+    }
 }
 
 /// SIGTERM sets a flag the watcher thread polls (the handler body must be
@@ -134,11 +134,18 @@ mod sigterm {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    apply_log_level(&args);
+    let flags = Flags::parse(&args);
+    // `--log-level LEVEL` overrides the `MVE_LOG` environment variable.
+    if let Some(value) = flags.values.get("--log-level") {
+        match mve_obs::Level::parse(value) {
+            Some(level) => mve_obs::log::set_level(level),
+            None => usage("--log-level must be one of error|warn|info|debug|off"),
+        }
+    }
     let default_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2);
-    let port = parse_flag(&args, "--port", 7878);
+    let port = flags.num("--port").unwrap_or(7878);
     let Ok(port) = u16::try_from(port) else {
         eprintln!("--port {port} is out of range (0..=65535)");
         std::process::exit(2);
@@ -146,21 +153,30 @@ fn main() {
     let defaults = ServeOptions::default();
     let opts = ServeOptions {
         port,
-        workers: parse_flag(&args, "--workers", default_workers),
-        cache_cap: parse_flag(&args, "--cache-cap", 256),
-        cost_budget: parse_opt_flag(&args, "--budget-units").unwrap_or(defaults.cost_budget),
-        queue_cap: parse_opt_flag(&args, "--queue-cap").map_or(defaults.queue_cap, |v| v as usize),
-        queue_deadline: parse_opt_flag(&args, "--queue-deadline-ms")
+        workers: flags
+            .num("--workers")
+            .map_or(default_workers, |v| v as usize),
+        cache_cap: flags.num("--cache-cap").map_or(256, |v| v as usize),
+        cost_budget: flags.num("--budget-units").unwrap_or(defaults.cost_budget),
+        queue_cap: flags
+            .num("--queue-cap")
+            .map_or(defaults.queue_cap, |v| v as usize),
+        queue_deadline: flags
+            .num("--queue-deadline-ms")
             .map_or(defaults.queue_deadline, Duration::from_millis),
-        fair_share: parse_opt_flag(&args, "--fair-share-pct")
+        fair_share: flags
+            .num("--fair-share-pct")
             .map_or(defaults.fair_share, |pct| pct as f64 / 100.0),
-        idle_timeout: parse_opt_flag(&args, "--idle-timeout-ms")
+        idle_timeout: flags
+            .num("--idle-timeout-ms")
             .map_or(defaults.idle_timeout, Duration::from_millis),
-        write_stall_timeout: parse_opt_flag(&args, "--write-stall-ms")
+        write_stall_timeout: flags
+            .num("--write-stall-ms")
             .map_or(defaults.write_stall_timeout, Duration::from_millis),
-        poller: parse_poller(&args),
         trace_ring: {
-            let n = parse_flag(&args, "--trace-ring", defaults.trace_ring);
+            let n = flags
+                .num("--trace-ring")
+                .map_or(defaults.trace_ring, |v| v as usize);
             if !(16..=65536).contains(&n) {
                 eprintln!("--trace-ring {n} is out of range (16..=65536)");
                 std::process::exit(2);
@@ -169,7 +185,6 @@ fn main() {
         },
         ..ServeOptions::default()
     };
-    let watch_stdin = !args.iter().any(|a| a == "--no-stdin-watch");
 
     let server = Server::bind(&opts, artefacts::registry()).unwrap_or_else(|e| {
         eprintln!("failed to bind 127.0.0.1:{}: {e}", opts.port);
@@ -206,7 +221,7 @@ fn main() {
             std::thread::sleep(Duration::from_millis(50));
         });
     }
-    if watch_stdin {
+    if flags.watch_stdin {
         let handle = server.handle();
         std::thread::spawn(move || {
             // Block until stdin closes (EOF), then shut down gracefully.

@@ -142,3 +142,28 @@ fn served_artefacts_match_the_in_process_renders() {
     client.shutdown().expect("shutdown");
     join.join().expect("server thread");
 }
+
+/// The `serve` binary rejects what it does not understand instead of
+/// running with defaults: an unknown flag, such as the retired poller
+/// backend switch, or a value flag without its value exits 2 with usage.
+#[test]
+fn serve_rejects_unknown_flags_and_missing_values() {
+    for args in [
+        &["--port", "0", "--poller", "epoll"][..],
+        &["--port", "0", "--bogus"],
+        &["--port", "0", "--workers"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let usage = stderr
+            .lines()
+            .find(|l| l.starts_with("usage: serve [--port N]"))
+            .unwrap_or_else(|| panic!("{args:?}: no usage line in {stderr}"));
+        assert!(!usage.contains("poller"), "{usage}");
+    }
+}

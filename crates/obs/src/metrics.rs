@@ -55,9 +55,6 @@ impl Log2Histogram {
 #[derive(Debug, Clone)]
 enum Value {
     Scalar(Scalar),
-    /// Rendered as a constant `1` gauge carrying its labels (the
-    /// `*_info` idiom, e.g. `mve_serve_info{poller="epoll"} 1`).
-    Info,
     Histogram(Log2Histogram),
 }
 
@@ -172,20 +169,6 @@ impl MetricsRegistry {
             });
     }
 
-    /// Registers an `*_info`-style constant gauge whose payload is its
-    /// labels.
-    pub fn info(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) {
-        self.family_mut(name, help, Kind::Gauge)
-            .samples
-            .push(MetricSample {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                value: Value::Info,
-            });
-    }
-
     /// Registers one labeled histogram sample under family `name`.
     pub fn histogram(
         &mut self,
@@ -221,18 +204,6 @@ impl MetricsRegistry {
         self.scalars().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Returns the label value of an info metric, e.g.
-    /// `label_of("info", "poller")`.
-    pub fn label_of(&self, name: &str, key: &str) -> Option<&str> {
-        let fam = self.families.iter().find(|f| f.name == name)?;
-        fam.samples.iter().find_map(|s| {
-            s.labels
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        })
-    }
-
     /// Renders the registry in Prometheus text exposition format, with
     /// every family name prefixed by `<prefix>_`.
     pub fn render_prometheus(&self, prefix: &str) -> String {
@@ -251,9 +222,6 @@ impl MetricsRegistry {
                             render_labels(&sample.labels),
                             fmt_value(v.as_f64())
                         );
-                    }
-                    Value::Info => {
-                        let _ = writeln!(out, "{full}{} 1", render_labels(&sample.labels));
                     }
                     Value::Histogram(snap) => {
                         render_histogram(&mut out, &full, &sample.labels, snap)
@@ -623,25 +591,26 @@ fn validate_histograms(exp: &Exposition) -> Result<(), String> {
     Ok(())
 }
 
-/// Approximate quantile (`0.0..=1.0`) from raw log2 bucket counts, using
-/// the geometric bucket midpoint — the client-side (`stats --watch`)
-/// counterpart of the daemon's histogram percentiles.
-pub fn quantile_from_log2_buckets(counts: &[u64], q: f64) -> f64 {
+/// Quantile (`0.0..=1.0`) of raw log2 bucket counts (the
+/// [`Log2Histogram::counts`] layout), 0 when empty. The bucket holding the
+/// rank is reported as `lo + lo/2` for its lower edge `lo = 2^i`, so
+/// bucket 0 (values `0..=1`) reports 1. Callers that track an exact
+/// maximum clamp to it, as the serve daemon's `stats` percentiles do.
+pub fn quantile_from_log2_buckets(counts: &[u64], q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
-        return 0.0;
+        return 0;
     }
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0u64;
     for (i, &c) in counts.iter().enumerate() {
         seen += c;
         if seen >= rank {
-            let lo = if i == 0 { 1.0 } else { (1u128 << i) as f64 };
-            let hi = (2u128 << i) as f64;
-            return (lo * hi).sqrt();
+            let lo = 1u64 << i;
+            return lo.saturating_add(lo / 2);
         }
     }
-    0.0
+    unreachable!("rank <= total")
 }
 
 #[cfg(test)]
@@ -653,7 +622,6 @@ mod tests {
         reg.counter("requests", "Total requests received.", 42);
         reg.counter("hits", "Cache hits.", 17);
         reg.gauge_f("hit_rate", "Hits over lookups.", 0.25);
-        reg.info("info", "Daemon build/runtime info.", &[("poller", "epoll")]);
         let mut counts = vec![0u64; 64];
         counts[0] = 2; // two samples <= 1us
         counts[5] = 1; // one in [32,64)
@@ -678,10 +646,6 @@ mod tests {
         assert_eq!(exp.family_type("mve_serve_requests"), Some("counter"));
         assert_eq!(exp.value("mve_serve_requests", &[]), Some(42.0));
         assert_eq!(exp.value("mve_serve_hit_rate", &[]), Some(0.25));
-        assert_eq!(
-            exp.value("mve_serve_info", &[("poller", "epoll")]),
-            Some(1.0)
-        );
         // Histogram: cumulative buckets, +Inf == count, sum/count present.
         assert_eq!(
             exp.value(
@@ -723,7 +687,6 @@ mod tests {
         let names: Vec<&str> = reg.scalars().map(|(n, _)| n).collect();
         assert_eq!(names, ["requests", "hits", "hit_rate"]);
         assert_eq!(reg.scalar("hits"), Some(Scalar::U64(17)));
-        assert_eq!(reg.label_of("info", "poller"), Some("epoll"));
     }
 
     #[test]
@@ -751,33 +714,34 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_from_buckets() {
-        let mut counts = vec![0u64; 64];
-        assert_eq!(quantile_from_log2_buckets(&counts, 0.99), 0.0);
-        counts[3] = 100; // all samples in [8,16)
-        let p99 = quantile_from_log2_buckets(&counts, 0.99);
-        assert!(p99 > 8.0 && p99 < 16.0, "p99={p99}");
+    fn quantile_of_empty_buckets_is_zero() {
+        assert_eq!(quantile_from_log2_buckets(&[0u64; 64], 0.99), 0);
+        assert_eq!(quantile_from_log2_buckets(&[], 0.5), 0);
     }
 
     #[test]
-    fn quantile_single_occupied_bucket_is_its_geometric_midpoint() {
+    fn quantile_single_occupied_bucket_is_lo_plus_half() {
         let mut counts = vec![0u64; 64];
-        counts[5] = 9; // every sample in (32, 64]
-        let mid = (32.0f64 * 64.0).sqrt();
+        counts[5] = 9; // every sample in [32, 64)
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(quantile_from_log2_buckets(&counts, q), mid, "q={q}");
+            assert_eq!(quantile_from_log2_buckets(&counts, q), 48, "q={q}");
         }
+        // Bucket 0 holds 0 and 1 and reports 1.
+        let mut low = vec![0u64; 64];
+        low[0] = 2;
+        assert_eq!(quantile_from_log2_buckets(&low, 0.5), 1);
     }
 
     #[test]
-    fn quantile_all_mass_in_last_bucket_stays_finite() {
-        // Bucket 63's upper edge is 2^64: the u128 shift must not wrap,
-        // and the interpolated value stays between the edges.
+    fn quantile_all_mass_in_last_bucket_stays_in_range() {
+        // Bucket 63 is [2^63, 2^64): its value fits a u64 without
+        // wrapping and lies inside the bucket.
         let mut counts = vec![0u64; 64];
         counts[63] = 3;
-        let v = quantile_from_log2_buckets(&counts, 0.99);
-        assert!(v.is_finite(), "v={v}");
-        assert!(v >= (1u128 << 63) as f64 && v <= (2u128 << 63) as f64);
+        assert_eq!(
+            quantile_from_log2_buckets(&counts, 0.99),
+            (1u64 << 63) + (1u64 << 62)
+        );
     }
 
     #[test]
@@ -793,13 +757,7 @@ mod tests {
         b[4] = 7;
         let merged: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
         // 15 samples: rank 8 lands in bucket 4, rank 15 in bucket 8.
-        assert_eq!(
-            quantile_from_log2_buckets(&merged, 0.5),
-            (16.0f64 * 32.0).sqrt()
-        );
-        assert_eq!(
-            quantile_from_log2_buckets(&merged, 0.99),
-            (256.0f64 * 512.0).sqrt()
-        );
+        assert_eq!(quantile_from_log2_buckets(&merged, 0.5), 16 + 8);
+        assert_eq!(quantile_from_log2_buckets(&merged, 0.99), 256 + 128);
     }
 }

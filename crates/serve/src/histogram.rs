@@ -4,18 +4,21 @@
 //! (bucket *i* holds values in `[2^i, 2^(i+1))`, with 0 and 1 µs folded
 //! into bucket 0). Recording is three relaxed atomic adds and one atomic
 //! max — cheap enough to sit on every request — and percentile extraction
-//! walks the cumulative bucket counts, reporting each bucket by its
-//! geometric midpoint clamped to the true maximum. The scheme trades
-//! precision for a fixed 640-byte footprint: any quantile is exact to
-//! within its bucket (a factor of √2 around the midpoint), which is the
-//! right resolution for spotting queueing collapse, not for timing
-//! kernels (the criterion-style harness in `mve-bench` does that).
+//! is `mve_obs::metrics::quantile_from_log2_buckets`, which reports a
+//! bucket `[lo, 2lo)` as `lo + lo/2`, clamped here to the true maximum.
+//! The scheme trades precision for a fixed 640-byte footprint: any
+//! quantile is exact to within its bucket (a factor of 1.5 of any value
+//! in it), which is the right resolution for spotting queueing collapse,
+//! not for timing kernels (the criterion-style harness in `mve-bench`
+//! does that).
 //!
 //! [`LatencyMetrics`] groups two histograms (service time and queue wait)
 //! per op class and serializes them into the `stats` reply.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use mve_obs::metrics::quantile_from_log2_buckets;
 
 use crate::json::Json;
 
@@ -122,6 +125,8 @@ impl Histogram {
         let count: u64 = buckets.iter().sum();
         let sum = self.sum.load(Ordering::Relaxed);
         let max = self.max.load(Ordering::Relaxed);
+        // The bucket value never exceeds the largest value recorded.
+        let percentile = |q| quantile_from_log2_buckets(&buckets, q).min(max.max(1));
         HistogramStats {
             count,
             mean_us: if count == 0 {
@@ -129,34 +134,12 @@ impl Histogram {
             } else {
                 sum as f64 / count as f64
             },
-            p50_us: percentile(&buckets, count, max, 0.50),
-            p90_us: percentile(&buckets, count, max, 0.90),
-            p99_us: percentile(&buckets, count, max, 0.99),
+            p50_us: percentile(0.50),
+            p90_us: percentile(0.90),
+            p99_us: percentile(0.99),
             max_us: max,
         }
     }
-}
-
-/// The value reported for bucket `idx`: its geometric midpoint, clamped
-/// to the largest value actually recorded.
-fn bucket_value(idx: usize, max: u64) -> u64 {
-    let lo = 1u64 << idx;
-    lo.saturating_add(lo / 2).min(max.max(1))
-}
-
-fn percentile(buckets: &[u64; BUCKETS], count: u64, max: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (idx, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return bucket_value(idx, max);
-        }
-    }
-    max
 }
 
 /// One histogram snapshot: sample count, mean, p50/p90/p99, max, all µs.
@@ -420,7 +403,7 @@ mod tests {
     #[test]
     fn single_occupied_bucket_reports_one_value_for_every_quantile() {
         // All samples in one bucket: p50/p90/p99 collapse to the bucket's
-        // geometric midpoint, clamped to the recorded max when the max
+        // `lo + lo/2` value, clamped to the recorded max when the max
         // sits below it.
         let clamped = Histogram::new();
         for _ in 0..5 {

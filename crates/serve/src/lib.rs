@@ -28,9 +28,9 @@
 //!   shed with typed `overloaded` replies carrying `retry_after_ms`.
 //! * [`fault`] — test-only fault injection (worker panics, stalls,
 //!   reservation abandonment) behind an inert-by-default [`fault::FaultPlan`].
-//! * [`poller`] — raw-fd readiness polling (epoll on Linux, portable
-//!   `poll(2)` fallback) plus the self-pipe wake mechanism, all via direct
-//!   FFI in the workspace's std-only style.
+//! * [`poller`] — raw-fd readiness polling over `poll(2)`, declared by
+//!   direct FFI in the workspace's std-only style, plus the self-pipe
+//!   wake mechanism.
 //! * [`timer`] — a hashed timer wheel absorbing the idle reaper, the
 //!   admission parking deadline, and write-stall detection.
 //! * [`histogram`] — lock-free log2-bucketed latency histograms with
@@ -74,7 +74,6 @@ pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use histogram::{Histogram, HistogramStats};
 pub use json::Json;
-pub use poller::PollerBackend;
 pub use protocol::{Request, SimSpec};
 pub use server::{ArtefactFn, ArtefactRegistry, ServeOptions, Server, ShutdownHandle};
 pub use trace::{RequestTrace, TraceRing};

@@ -1,34 +1,22 @@
 //! Raw-fd readiness polling for the event-loop I/O core.
 //!
-//! The workspace is std-only, so this module declares the handful of libc
-//! entry points it needs directly (the same idiom as the SIGTERM binding in
-//! the `serve` binary) instead of pulling in `mio`/`libc`. Two backends are
-//! provided behind one `Poller` facade:
-//!
-//! * **epoll** (Linux): `epoll_create1`/`epoll_ctl`/`epoll_wait`, used
-//!   level-triggered. The O(1) kernel-side interest list is what makes a
-//!   64-connection daemon with 4 workers cheap.
-//! * **poll(2)** (portable fallback): the interest set lives in a
-//!   `HashMap` and a `pollfd` array is rebuilt per wait. O(n) per call but
-//!   dependency-free on every unix.
-//!
-//! The backend is chosen by [`PollerBackend`]: `Auto` consults the
-//! `MVE_SERVE_POLLER` environment variable (`"epoll"` or `"poll"`) and
-//! otherwise picks epoll on Linux and poll(2) elsewhere. CI exercises the
-//! serve suites under both values.
+//! [`Poller`] is a `poll(2)` interest set: registrations live in a
+//! `HashMap` and a `pollfd` array is rebuilt per wait, so each wait is
+//! O(n) in the registered fds, which is cheap at the daemon's connection
+//! counts. Readiness is level-triggered: an fd stays ready until its owner
+//! drains it. The workspace is std-only, so this module declares the one
+//! libc entry point it needs directly (the same idiom as the SIGTERM
+//! binding in the `serve` binary) instead of pulling in `mio`/`libc`.
 //!
 //! The module also owns the self-pipe wake mechanism ([`wake_pipe`]):
 //! worker threads finishing a job, and `ShutdownHandle::shutdown`, write a
 //! byte into the pipe to interrupt a blocked wait.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
-
-#[cfg(unix)]
-use std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-type RawFd = i32;
 
 /// Which readiness events a registration cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +34,9 @@ impl Interest {
         write: false,
     };
 
-    /// No interest: stay registered but deliver nothing. Used while a
-    /// connection is backpressured with an empty write buffer pending a
-    /// worker completion.
+    /// No interest: stay registered but deliver only hang-ups and errors.
+    /// Used while a connection is backpressured with an empty write buffer
+    /// pending a worker completion.
     pub const NONE: Interest = Interest {
         read: false,
         write: false,
@@ -68,42 +56,8 @@ pub struct Event {
     pub error: bool,
 }
 
-/// Backend selection for [`Poller::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerBackend {
-    /// Consult `MVE_SERVE_POLLER` (`"epoll"`/`"poll"`), else the platform
-    /// default: epoll on Linux, poll(2) elsewhere.
-    #[default]
-    Auto,
-    /// Force the Linux epoll backend.
-    Epoll,
-    /// Force the portable poll(2) backend.
-    Poll,
-}
-
-impl PollerBackend {
-    /// Resolve `Auto` against the environment and platform.
-    fn resolve(self) -> PollerBackend {
-        match self {
-            PollerBackend::Auto => match std::env::var("MVE_SERVE_POLLER").as_deref() {
-                Ok("poll") => PollerBackend::Poll,
-                Ok("epoll") => PollerBackend::Epoll,
-                _ => {
-                    if cfg!(target_os = "linux") {
-                        PollerBackend::Epoll
-                    } else {
-                        PollerBackend::Poll
-                    }
-                }
-            },
-            other => other,
-        }
-    }
-}
-
-#[cfg(unix)]
 mod ffi {
-    //! The minimal libc surface: poll(2), pipes, fcntl, close.
+    //! The minimal libc surface: poll(2).
     #![allow(non_camel_case_types)]
 
     pub type nfds_t = std::os::raw::c_ulong;
@@ -123,57 +77,13 @@ mod ffi {
     pub const POLLHUP: i16 = 0x10;
     pub const POLLNVAL: i16 = 0x20;
 
-    pub const F_SETFD: i32 = 2;
-    pub const F_GETFL: i32 = 3;
-    pub const F_SETFL: i32 = 4;
-    pub const FD_CLOEXEC: i32 = 1;
-    #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: i32 = 0x4;
-
     extern "C" {
         pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: i32) -> i32;
-        pub fn pipe(fds: *mut i32) -> i32;
-        pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        pub fn close(fd: i32) -> i32;
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 }
 
-#[cfg(target_os = "linux")]
-mod epoll_ffi {
-    //! epoll entry points from `<sys/epoll.h>`.
-
-    /// `struct epoll_event`; the kernel uapi packs it on x86_64 only.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct epoll_event {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut epoll_event, maxevents: i32, timeout: i32)
-            -> i32;
-    }
-}
-
-/// Cap a wait timeout to whole milliseconds for poll/epoll, rounding up so
-/// a timer never fires early. `None` means block indefinitely (-1).
+/// Cap a wait timeout to whole milliseconds for poll(2), rounding up so a
+/// timer never fires early. `None` means block indefinitely (-1).
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -181,107 +91,29 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// Readiness poller over raw fds; see the module docs for the backends.
+/// Readiness poller over raw fds: the `poll(2)` interest set.
+#[derive(Default)]
 pub struct Poller {
-    imp: Imp,
-}
-
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    #[cfg(unix)]
-    Poll(PollSet),
-    #[cfg(not(unix))]
-    Unsupported,
+    set: HashMap<RawFd, (u64, Interest)>,
+    scratch: Vec<ffi::pollfd>,
 }
 
 impl Poller {
-    /// Create a poller with the given backend choice.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the backend is unavailable on this platform (epoll off
-    /// Linux, anything off unix) or the kernel refuses the epoll fd.
-    pub fn new(backend: PollerBackend) -> io::Result<Poller> {
-        match backend.resolve() {
-            #[cfg(target_os = "linux")]
-            PollerBackend::Epoll => Ok(Poller {
-                imp: Imp::Epoll(Epoll::new()?),
-            }),
-            #[cfg(not(target_os = "linux"))]
-            PollerBackend::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll backend requires Linux",
-            )),
-            #[cfg(unix)]
-            PollerBackend::Poll => Ok(Poller {
-                imp: Imp::Poll(PollSet::new()),
-            }),
-            PollerBackend::Auto => unreachable!("resolve() never returns Auto"),
-            #[cfg(not(unix))]
-            _ => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "no poller backend on this platform",
-            )),
-        }
+    /// An empty interest set.
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
-    /// Wire name of the active backend, surfaced in the `stats` reply.
-    pub fn backend(&self) -> &'static str {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(_) => "epoll",
-            #[cfg(unix)]
-            Imp::Poll(_) => "poll",
-            #[cfg(not(unix))]
-            Imp::Unsupported => "none",
-        }
-    }
-
-    /// Add `fd` to the interest set under `token`.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(epoll_ffi::EPOLL_CTL_ADD, fd, token, interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => {
-                p.set.insert(fd, (token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Imp::Unsupported => unreachable!("Poller::new rejects non-unix"),
-        }
-    }
-
-    /// Change the interest of an already-registered fd.
-    pub fn update(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(epoll_ffi::EPOLL_CTL_MOD, fd, token, interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => {
-                p.set.insert(fd, (token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Imp::Unsupported => unreachable!("Poller::new rejects non-unix"),
-        }
+    /// Add `fd` to the interest set under `token`, or replace the token
+    /// and interest of an fd already in it.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) {
+        self.set.insert(fd, (token, interest));
     }
 
     /// Drop an fd from the interest set. Must be called before the fd is
-    /// closed (epoll auto-removes on close, the poll set does not).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.ctl(epoll_ffi::EPOLL_CTL_DEL, fd, 0, Interest::NONE),
-            #[cfg(unix)]
-            Imp::Poll(p) => {
-                p.set.remove(&fd);
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Imp::Unsupported => unreachable!("Poller::new rejects non-unix"),
-        }
+    /// closed, so a reused fd number cannot inherit the registration.
+    pub fn deregister(&mut self, fd: RawFd) {
+        self.set.remove(&fd);
     }
 
     /// Block for readiness, appending events to `out` (which is cleared
@@ -289,111 +121,6 @@ impl Poller {
     /// empty event set rather than an error.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.wait(out, timeout),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.wait(out, timeout),
-            #[cfg(not(unix))]
-            Imp::Unsupported => unreachable!("Poller::new rejects non-unix"),
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-struct Epoll {
-    epfd: RawFd,
-    scratch: Vec<epoll_ffi::epoll_event>,
-}
-
-#[cfg(target_os = "linux")]
-impl Epoll {
-    fn new() -> io::Result<Epoll> {
-        let epfd = unsafe { epoll_ffi::epoll_create1(epoll_ffi::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Epoll {
-            epfd,
-            scratch: vec![epoll_ffi::epoll_event { events: 0, data: 0 }; 256],
-        })
-    }
-
-    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut events = 0u32;
-        if interest.read {
-            events |= epoll_ffi::EPOLLIN;
-        }
-        if interest.write {
-            events |= epoll_ffi::EPOLLOUT;
-        }
-        let mut ev = epoll_ffi::epoll_event {
-            events,
-            data: token,
-        };
-        let rc = unsafe { epoll_ffi::epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let n = unsafe {
-            epoll_ffi::epoll_wait(
-                self.epfd,
-                self.scratch.as_mut_ptr(),
-                self.scratch.len() as i32,
-                timeout_ms(timeout),
-            )
-        };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        for ev in &self.scratch[..n as usize] {
-            // Copy out of the (x86_64: packed) struct before use.
-            let bits = ev.events;
-            let token = ev.data;
-            out.push(Event {
-                token,
-                readable: bits & (epoll_ffi::EPOLLIN | epoll_ffi::EPOLLHUP) != 0,
-                writable: bits & epoll_ffi::EPOLLOUT != 0,
-                error: bits & epoll_ffi::EPOLLERR != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        unsafe {
-            ffi::close(self.epfd);
-        }
-    }
-}
-
-#[cfg(unix)]
-struct PollSet {
-    set: HashMap<RawFd, (u64, Interest)>,
-    scratch: Vec<ffi::pollfd>,
-}
-
-#[cfg(unix)]
-impl PollSet {
-    fn new() -> PollSet {
-        PollSet {
-            set: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         self.scratch.clear();
         // fds with Interest::NONE are still polled (events == 0) so that
         // POLLERR/POLLHUP — always reported — keep flowing.
@@ -448,198 +175,146 @@ impl PollSet {
 /// thread.
 #[derive(Debug)]
 pub struct WakeTx {
-    fd: RawFd,
+    stream: UnixStream,
 }
-
-// The fd is written with a single-byte write(2), which is thread-safe.
-unsafe impl Send for WakeTx {}
-unsafe impl Sync for WakeTx {}
 
 impl WakeTx {
     /// Nudge the event loop. Best-effort: a full pipe already guarantees a
     /// pending wakeup, so EAGAIN is ignored.
     pub fn wake(&self) {
-        #[cfg(unix)]
-        unsafe {
-            let byte = 1u8;
-            let _ = ffi::write(self.fd, &byte, 1);
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for WakeTx {
-    fn drop(&mut self) {
-        unsafe {
-            ffi::close(self.fd);
-        }
+        let _ = (&self.stream).write(&[1]);
     }
 }
 
 /// Read half of the self-pipe, owned by the event loop.
 #[derive(Debug)]
 pub struct WakeRx {
-    fd: RawFd,
+    stream: UnixStream,
 }
 
 impl WakeRx {
     /// The raw fd to register with the poller.
     pub fn fd(&self) -> RawFd {
-        self.fd
+        self.stream.as_raw_fd()
     }
 
     /// Drain all pending wake bytes (the pipe is nonblocking).
     pub fn drain(&self) {
-        #[cfg(unix)]
-        loop {
-            let mut buf = [0u8; 64];
-            let n = unsafe { ffi::read(self.fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
-                break;
-            }
-        }
+        let mut buf = [0u8; 64];
+        while matches!((&self.stream).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-#[cfg(unix)]
-impl Drop for WakeRx {
-    fn drop(&mut self) {
-        unsafe {
-            ffi::close(self.fd);
-        }
-    }
-}
-
-/// Create the nonblocking self-pipe pair.
+/// Create the nonblocking self-pipe pair: a connected unix socket pair,
+/// which std opens close-on-exec.
 ///
 /// # Errors
 ///
-/// Fails if the kernel refuses a pipe or the fcntl flags.
+/// Fails if the kernel refuses the socket pair or the nonblocking flag.
 pub fn wake_pipe() -> io::Result<(WakeTx, WakeRx)> {
-    #[cfg(unix)]
-    {
-        let mut fds = [0i32; 2];
-        if unsafe { ffi::pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for &fd in &fds {
-            let flags = unsafe { ffi::fcntl(fd, ffi::F_GETFL, 0) };
-            if flags < 0
-                || unsafe { ffi::fcntl(fd, ffi::F_SETFL, flags | ffi::O_NONBLOCK) } < 0
-                || unsafe { ffi::fcntl(fd, ffi::F_SETFD, ffi::FD_CLOEXEC) } < 0
-            {
-                let err = io::Error::last_os_error();
-                unsafe {
-                    ffi::close(fds[0]);
-                    ffi::close(fds[1]);
-                }
-                return Err(err);
-            }
-        }
-        Ok((WakeTx { fd: fds[1] }, WakeRx { fd: fds[0] }))
-    }
-    #[cfg(not(unix))]
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "self-pipe requires unix",
-    ))
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((WakeTx { stream: tx }, WakeRx { stream: rx }))
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
-
-    fn backends() -> Vec<PollerBackend> {
-        let mut v = vec![PollerBackend::Poll];
-        if cfg!(target_os = "linux") {
-            v.push(PollerBackend::Epoll);
-        }
-        v
-    }
 
     #[test]
     fn wake_pipe_interrupts_and_drains() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend).unwrap();
-            let (tx, rx) = wake_pipe().unwrap();
-            poller.register(rx.fd(), 7, Interest::READ).unwrap();
-            let mut events = Vec::new();
+        let mut poller = Poller::new();
+        let (tx, rx) = wake_pipe().unwrap();
+        poller.register(rx.fd(), 7, Interest::READ);
+        let mut events = Vec::new();
 
-            // Nothing pending: a short wait times out empty.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: spurious event", poller.backend());
+        // Nothing pending: a short wait times out empty.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "spurious event");
 
-            tx.wake();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{}", poller.backend());
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        tx.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Level-triggered: still readable until drained.
-            rx.drain();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: not drained", poller.backend());
-        }
+        // Level-triggered: still readable until drained.
+        rx.drain();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "not drained");
     }
 
     #[test]
     fn socket_readability_and_interest_updates() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend).unwrap();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut client = TcpStream::connect(addr).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
 
-            poller
-                .register(server.as_raw_fd(), 42, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-            client.write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 42 && e.readable),
-                "{}: no readable event",
-                poller.backend()
-            );
+        poller.register(server.as_raw_fd(), 42, Interest::READ);
+        let mut events = Vec::new();
+        client.write_all(b"x").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 42 && e.readable),
+            "no readable event"
+        );
 
-            // Masking read interest silences the (still-pending) byte.
-            poller
-                .update(server.as_raw_fd(), 42, Interest::NONE)
-                .unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(
-                !events.iter().any(|e| e.token == 42 && e.readable),
-                "{}: masked fd still readable",
-                poller.backend()
-            );
+        // Masking read interest silences the (still-pending) byte.
+        poller.register(server.as_raw_fd(), 42, Interest::NONE);
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(
+            !events.iter().any(|e| e.token == 42 && e.readable),
+            "masked fd still readable"
+        );
 
-            poller.deregister(server.as_raw_fd()).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: deregister leaked", poller.backend());
-        }
+        poller.deregister(server.as_raw_fd());
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "deregister leaked");
     }
 
     #[test]
-    fn env_override_is_respected() {
-        // Resolution logic only — the env var itself is exercised by CI.
-        assert_eq!(PollerBackend::Poll.resolve(), PollerBackend::Poll);
-        assert_eq!(PollerBackend::Epoll.resolve(), PollerBackend::Epoll);
+    fn peer_hang_up_reaches_an_fd_with_no_interest() {
+        // A backpressured connection is parked with Interest::NONE and
+        // learns that its peer left only from POLLHUP, which poll(2)
+        // reports whatever events were requested. A peer that closes with
+        // our bytes unread resets the connection.
+        let mut poller = Poller::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        server.write_all(b"unread reply").unwrap();
+        poller.register(server.as_raw_fd(), 9, Interest::NONE);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "live peer: {events:?}");
+
+        drop(client);
+        poller
+            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 9 && e.readable),
+            "hang-up not delivered: {events:?}"
+        );
     }
 }

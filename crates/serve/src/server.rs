@@ -4,8 +4,8 @@
 //! and the batching scheduler.
 //!
 //! Concurrency model (the PR 8 I/O core): one event-loop thread drives a
-//! [`Poller`] (epoll on Linux, `poll(2)` fallback) over the listener, a
-//! self-pipe, and every connection. Connections are per-fd state machines
+//! level-triggered `poll(2)` [`Poller`] over the listener, a self-pipe,
+//! and every connection. Connections are per-fd state machines
 //! with bounded read and write buffers — a peer that drains slowly stops
 //! being *read from* once its write buffer crosses the high-water mark
 //! (explicit backpressure), and a peer that stops draining entirely is
@@ -55,7 +55,7 @@ use crate::cost::{CostModel, OpClass};
 use crate::fault::FaultPlan;
 use crate::histogram::{Histogram, LatencyMetrics, MetricClass};
 use crate::json::Json;
-use crate::poller::{wake_pipe, Event, Interest, Poller, PollerBackend, WakeRx, WakeTx};
+use crate::poller::{wake_pipe, Event, Interest, Poller, WakeRx, WakeTx};
 use crate::protocol::{
     artefact_key, compile_key, error_reply, error_reply_at, ok_artefact, ok_compile, ok_estimate,
     ok_metrics, ok_profile, ok_shutdown, ok_sim, ok_stats, ok_traces, op_name, overloaded_reply,
@@ -139,8 +139,6 @@ pub struct ServeOptions {
     pub queue_deadline: Duration,
     /// Fraction of the budget one connection may hold in flight.
     pub fair_share: f64,
-    /// Readiness backend; `Auto` consults `MVE_SERVE_POLLER`.
-    pub poller: PollerBackend,
     /// Fault-injection plan (inert by default; tests arm it).
     pub faults: FaultPlan,
     /// Completed-request trace ring capacity (`serve --trace-ring`;
@@ -161,7 +159,6 @@ impl Default for ServeOptions {
             queue_cap: adm.queue_cap,
             queue_deadline: adm.queue_deadline,
             fair_share: adm.fair_share,
-            poller: PollerBackend::Auto,
             faults: FaultPlan::new(),
             trace_ring: crate::trace::TRACE_RING_CAPACITY,
         }
@@ -235,7 +232,6 @@ pub struct ServerState {
     faults: FaultPlan,
     shutdown: AtomicBool,
     latency: LatencyMetrics,
-    poller_backend: &'static str,
     /// Daemon start instant — the zero point of every trace timestamp.
     epoch: Instant,
     /// Monotonic request-id source.
@@ -423,11 +419,6 @@ impl ServerState {
             "DSL per-line profile requests executed.",
             load(&c.profile_requests),
         );
-        reg.info(
-            "info",
-            "Daemon runtime info.",
-            &[("poller", self.poller_backend)],
-        );
         for class in MetricClass::ALL {
             // The measured-cost EWMA the `estimate` op reports as
             // `measured_cost_us`, exposed as a per-class gauge family so
@@ -458,8 +449,7 @@ impl ServerState {
 
     /// Flat counter snapshot — the `stats` reply and the metrics line.
     /// Derived from [`ServerState::registry`]: scalars in registry order,
-    /// then the `poller` string and the nested `latency` object, exactly
-    /// the historical layout.
+    /// then the nested `latency` object.
     pub fn stats_json(&self) -> Json {
         let reg = self.registry();
         let mut members: Vec<(String, Json)> = reg
@@ -472,10 +462,6 @@ impl ServerState {
                 (name.to_owned(), value)
             })
             .collect();
-        members.push((
-            "poller".to_owned(),
-            Json::Str(self.poller_backend.to_owned()),
-        ));
         members.push(("latency".to_owned(), self.latency.to_json()));
         Json::Obj(members)
     }
@@ -571,20 +557,17 @@ pub struct Server {
     listener: TcpListener,
     workers: usize,
     state: Arc<ServerState>,
-    poller: Poller,
     wake_rx: WakeRx,
     cfg: LoopConfig,
 }
 
 impl Server {
-    /// Binds `127.0.0.1:port`, opens the poller and self-pipe, and
-    /// prepares the shared state.
+    /// Binds `127.0.0.1:port`, opens the self-pipe, and prepares the
+    /// shared state.
     pub fn bind(opts: &ServeOptions, artefacts: ArtefactRegistry) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
         listener.set_nonblocking(true)?;
-        let poller = Poller::new(opts.poller)?;
         let (wake_tx, wake_rx) = wake_pipe()?;
-        let poller_backend = poller.backend();
         Ok(Self {
             listener,
             workers: opts.workers.max(1),
@@ -602,7 +585,6 @@ impl Server {
                 faults: opts.faults.clone(),
                 shutdown: AtomicBool::new(false),
                 latency: LatencyMetrics::new(),
-                poller_backend,
                 epoch: Instant::now(),
                 next_request_id: AtomicU64::new(0),
                 traces: TraceRing::new(opts.trace_ring),
@@ -611,7 +593,6 @@ impl Server {
                 completions: Mutex::new(Vec::new()),
                 wake: wake_tx,
             }),
-            poller,
             wake_rx,
             cfg: LoopConfig {
                 idle_timeout: opts.idle_timeout,
@@ -640,7 +621,6 @@ impl Server {
             listener,
             workers,
             state,
-            poller,
             wake_rx,
             cfg,
         } = self;
@@ -652,7 +632,7 @@ impl Server {
             let mut el = EventLoop {
                 state: state_ref,
                 listener: &listener,
-                poller,
+                poller: Poller::new(),
                 wake_rx,
                 cfg,
                 conns: HashMap::new(),
@@ -838,20 +818,10 @@ struct EventLoop<'a> {
 
 impl EventLoop<'_> {
     fn run(&mut self) {
-        if self
-            .poller
-            .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-        if self
-            .poller
-            .register(self.wake_rx.fd(), TOKEN_WAKE, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
+        self.poller
+            .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
+        self.poller
+            .register(self.wake_rx.fd(), TOKEN_WAKE, Interest::READ);
         loop {
             let now = Instant::now();
             let mut timeout = self
@@ -911,13 +881,8 @@ impl EventLoop<'_> {
                         .connections
                         .fetch_add(1, Ordering::SeqCst);
                     let token = FIRST_CONN_TOKEN + conn_id;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
+                    self.poller
+                        .register(stream.as_raw_fd(), token, Interest::READ);
                     self.state
                         .counters
                         .open_connections
@@ -1421,11 +1386,9 @@ impl EventLoop<'_> {
             write: conn.pending_write() > 0,
         };
         if want != conn.interest {
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.update(fd, token, want).is_ok() {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.interest = want;
-                }
+            self.poller.register(conn.stream.as_raw_fd(), token, want);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.interest = want;
             }
         }
     }
@@ -1562,7 +1525,7 @@ impl EventLoop<'_> {
     }
 
     fn begin_shutdown(&mut self) {
-        let _ = self.poller.deregister(self.listener.as_raw_fd());
+        self.poller.deregister(self.listener.as_raw_fd());
         // Admission is closed: every parked request sheds as `closed`
         // with a typed reply before its connection is swept.
         self.advance_parked();
@@ -1638,7 +1601,7 @@ impl EventLoop<'_> {
             trace.collapse_remaining(now);
             self.state.finish_trace(trace, now);
         }
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        self.poller.deregister(conn.stream.as_raw_fd());
         if count_partial && !conn.read_buf.is_empty() {
             self.state
                 .counters

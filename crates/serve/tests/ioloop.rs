@@ -1,8 +1,8 @@
 //! Event-loop I/O core suite: admission parking without worker pinning,
 //! slow-reader backpressure and the write-stall reaper, many-connections
 //! correctness on a small worker pool, per-class latency histograms, and
-//! the open-loop throughput driver. Runs against whichever poller backend
-//! `MVE_SERVE_POLLER` selects, so CI exercises both epoll and poll(2).
+//! the open-loop throughput driver, all over the daemon's `poll(2)` event
+//! loop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
