@@ -9,7 +9,8 @@
 //! silently rot.
 //!
 //! `--only NAME` (repeatable) renders a subset; an unknown name exits
-//! non-zero with the sorted artefact vocabulary.
+//! 2 with the sorted artefact vocabulary. Any unknown flag, or a `--jobs`
+//! value that is not a positive integer, exits 2 with the usage line.
 //!
 //! `--jobs N` renders on N worker threads (a work queue over
 //! `std::thread::scope`; `--jobs` alone uses the available parallelism).
@@ -44,58 +45,80 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mve_bench::artefacts;
 use mve_kernels::Scale;
 
-fn parse_jobs(args: &[String]) -> usize {
-    let hw = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().expect("--jobs=N needs a positive integer");
-        }
-        if a == "--jobs" {
-            return match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    v.parse().expect("--jobs N needs a positive integer")
-                }
-                _ => hw(),
-            };
-        }
-    }
-    1
+const USAGE: &str = "usage: reproduce [--smoke] [--only NAME]... [--jobs [N]] [--dsl] \
+     | reproduce --json | reproduce --profile [--paper]";
+
+/// Prints `msg` and the usage line, then exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
-fn parse_only(args: &[String]) -> Vec<&'static str> {
-    let mut names = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        let requested = if let Some(v) = a.strip_prefix("--only=") {
-            Some(v.to_owned())
-        } else if a == "--only" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => Some(v.clone()),
+/// The parsed command line. An unknown flag, `--only` without a known
+/// artefact name, or a `--jobs` value that is not a positive integer exits
+/// 2, so a mistyped flag never silently runs the wrong pipeline.
+#[derive(Default)]
+struct Flags {
+    smoke: bool,
+    dsl: bool,
+    json: bool,
+    profile: bool,
+    paper: bool,
+    /// Requested artefacts in order; empty renders all of them.
+    only: Vec<&'static str>,
+    /// Worker count; serial when `--jobs` is absent.
+    jobs: Option<usize>,
+}
+
+impl Flags {
+    fn parse(args: &[String]) -> Flags {
+        let mut flags = Flags::default();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => flags.smoke = true,
+                "--dsl" => flags.dsl = true,
+                "--json" => flags.json = true,
+                "--profile" => flags.profile = true,
+                "--paper" => flags.paper = true,
                 _ => {
-                    eprintln!("--only needs an artefact name");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            None
-        };
-        if let Some(requested) = requested {
-            match artefacts::NAMES.iter().find(|&&n| n == requested) {
-                Some(&name) => names.push(name),
-                None => {
-                    eprintln!("{}", artefacts::unknown_artefact_message(&requested));
-                    std::process::exit(2);
+                    // `--flag=V`, or `--flag V` when the next argument is
+                    // not itself a flag.
+                    let (name, inline) = match arg.split_once('=') {
+                        Some((name, value)) => (name, Some(value.to_owned())),
+                        None => (arg.as_str(), None),
+                    };
+                    let value = inline.or_else(|| args.next_if(|v| !v.starts_with("--")).cloned());
+                    match name {
+                        "--only" => {
+                            let requested =
+                                value.unwrap_or_else(|| usage("--only needs an artefact name"));
+                            match artefacts::NAMES.iter().find(|&&n| n == requested) {
+                                Some(&name) => flags.only.push(name),
+                                None => usage(&artefacts::unknown_artefact_message(&requested)),
+                            }
+                        }
+                        "--jobs" => {
+                            flags.jobs = Some(match value {
+                                // Bare `--jobs`: every available core.
+                                None => std::thread::available_parallelism()
+                                    .map(|n| n.get())
+                                    .unwrap_or(1),
+                                Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+                                    usage(&format!("--jobs needs a positive integer, not `{v}`"))
+                                }),
+                            })
+                        }
+                        _ => usage(&format!("unknown flag `{arg}`")),
+                    }
                 }
             }
         }
-    }
-    if names.is_empty() {
-        artefacts::NAMES.to_vec()
-    } else {
-        names
+        if flags.only.is_empty() {
+            flags.only = artefacts::NAMES.to_vec();
+        }
+        flags
     }
 }
 
@@ -110,11 +133,12 @@ fn run_artefact(name: &str, scale: Scale, out_dir: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--profile") {
+    let flags = Flags::parse(&args);
+    if flags.profile {
         // Engine profiling over the selected kernel set: the committed,
         // deterministic per-class report plus a Chrome trace-event export
         // (wall-clock; never committed — load it in chrome://tracing).
-        let scale = if args.iter().any(|a| a == "--paper") {
+        let scale = if flags.paper {
             Scale::Paper
         } else {
             Scale::Test
@@ -153,7 +177,7 @@ fn main() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--json") {
+    if flags.json {
         let results = mve_bench::perf::run_engine_hot();
         for r in &results {
             eprintln!(
@@ -178,14 +202,16 @@ fn main() {
         );
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = if smoke { Scale::Test } else { Scale::Paper };
-    let names = parse_only(&args);
-    let jobs = parse_jobs(&args).clamp(1, names.len());
-    let out_dir = if smoke { "results-smoke" } else { "results" };
+    let (scale, out_dir) = if flags.smoke {
+        (Scale::Test, "results-smoke")
+    } else {
+        (Scale::Paper, "results")
+    };
+    let names = &flags.only;
+    let jobs = flags.jobs.unwrap_or(1).min(names.len());
     fs::create_dir_all(out_dir).expect("create results dir");
 
-    if args.iter().any(|a| a == "--dsl") {
+    if flags.dsl {
         for (name, _) in mve_bench::dslcorpus::CORPUS {
             eprintln!("compiling dsl corpus kernel {name}...");
             let text = mve_bench::dslcorpus::render(name)
@@ -199,7 +225,7 @@ fn main() {
     }
 
     if jobs == 1 {
-        for name in &names {
+        for name in names {
             run_artefact(name, scale, out_dir);
         }
     } else {

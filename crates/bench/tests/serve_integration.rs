@@ -167,3 +167,22 @@ fn serve_rejects_unknown_flags_and_missing_values() {
         assert!(!usage.contains("poller"), "{usage}");
     }
 }
+
+/// `reproduce` is as strict as `serve`: a mistyped flag, a `--jobs` value
+/// that is not a positive integer, or `--only` without a name exits 2 with
+/// usage instead of running a paper-scale pass or panicking.
+#[test]
+fn reproduce_rejects_unknown_flags_and_malformed_values() {
+    for args in [&["--smok"][..], &["--jobs", "abc"], &["--only"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("spawn reproduce");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("usage: reproduce")),
+            "{args:?}: no usage line in {stderr}"
+        );
+    }
+}

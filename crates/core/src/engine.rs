@@ -15,7 +15,7 @@ use std::any::Any;
 
 use crate::addrgen::{self, RowPlan, StrideBank};
 use crate::config::ControlRegs;
-use crate::dtype::{BinOp, BinopKernel, CmpOp, DType};
+use crate::dtype::{BinOp, CmpOp, DType};
 use crate::isa::{Opcode, StrideMode};
 use crate::layout::LogicalShape;
 use crate::mem::{MemScalar, Memory};
@@ -186,112 +186,6 @@ fn for_each_enabled_span(
     }
 }
 
-/// Lanes below which threaded partitioning is never attempted (the default
-/// policy; [`Engine::set_thread_policy`] can lower it for tests).
-const DEFAULT_THREAD_MIN_LANES: usize = 4096;
-
-/// Worker partitioning policy for full-block kernels. Defaults to
-/// single-threaded (`MVE_ENGINE_THREADS` unset or ≤ 1): an 8192-lane block
-/// computes in microseconds — below thread-spawn cost — so threading is an
-/// opt-in for much larger geometries. Blocks split at fixed
-/// 64-lane-aligned boundaries determined only by the range and the thread
-/// count, and every chunk is a pure function of its operand sub-slices
-/// into a disjoint output sub-slice, so results and traces are
-/// bit-identical at any setting.
-#[derive(Debug, Clone, Copy)]
-struct ThreadPolicy {
-    threads: usize,
-    min_lanes: usize,
-}
-
-impl ThreadPolicy {
-    fn from_env() -> Self {
-        let threads = std::env::var("MVE_ENGINE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .clamp(1, 64);
-        Self {
-            threads,
-            min_lanes: DEFAULT_THREAD_MIN_LANES,
-        }
-    }
-
-    /// Whether a block of `n` lanes is worth partitioning.
-    fn split(&self, n: usize) -> bool {
-        self.threads > 1 && n >= self.min_lanes
-    }
-}
-
-/// 64-lane-aligned chunk length splitting `n` lanes over `threads` workers.
-fn chunk_len(n: usize, threads: usize) -> usize {
-    n.div_ceil(threads).div_ceil(64) * 64
-}
-
-/// Runs a binop block kernel over `[start, end)` of the operands, splitting
-/// the output across scoped worker threads when the policy allows.
-fn binop_blocks(
-    tp: ThreadPolicy,
-    kernel: BinopKernel,
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-    start: usize,
-    end: usize,
-) {
-    let n = end - start;
-    let (a, b) = (&a[start..end], &b[start..end]);
-    let out = &mut out[start..end];
-    if !tp.split(n) {
-        kernel(a, b, out);
-        return;
-    }
-    let chunk = chunk_len(n, tp.threads);
-    std::thread::scope(|s| {
-        for (i, oc) in out.chunks_mut(chunk).enumerate() {
-            let off = i * chunk;
-            let (ac, bc) = (&a[off..off + oc.len()], &b[off..off + oc.len()]);
-            s.spawn(move || kernel(ac, bc, oc));
-        }
-    });
-}
-
-/// Widens a contiguous little-endian byte span into lanes, partitioned
-/// across scoped workers when the policy allows.
-fn load_blocks(tp: ThreadPolicy, dtype: DType, src: &[u8], out: &mut [u64]) {
-    if !tp.split(out.len()) {
-        dtype.load_block(src, out);
-        return;
-    }
-    let chunk = chunk_len(out.len(), tp.threads);
-    let eb = dtype.bytes() as usize;
-    std::thread::scope(|s| {
-        for (i, oc) in out.chunks_mut(chunk).enumerate() {
-            let off = i * chunk;
-            let sc = &src[off * eb..(off + oc.len()) * eb];
-            s.spawn(move || dtype.load_block(sc, oc));
-        }
-    });
-}
-
-/// Narrows lanes into a contiguous little-endian byte span, partitioned
-/// across scoped workers when the policy allows.
-fn store_blocks(tp: ThreadPolicy, dtype: DType, lanes: &[u64], dst: &mut [u8]) {
-    if !tp.split(lanes.len()) {
-        dtype.store_block(lanes, dst);
-        return;
-    }
-    let chunk = chunk_len(lanes.len(), tp.threads);
-    let eb = dtype.bytes() as usize;
-    std::thread::scope(|s| {
-        for (i, dc) in dst.chunks_mut(chunk * eb).enumerate() {
-            let off = i * chunk;
-            let lc = &lanes[off..off + dc.len() / eb];
-            s.spawn(move || dtype.store_block(lc, dc));
-        }
-    });
-}
-
 /// The Control-Block occupancy mask of a packed lane bitset.
 fn cb_mask_of(words: &[u64], per_cb: usize) -> u64 {
     let mut cb_mask = 0u64;
@@ -426,7 +320,6 @@ enum Lanes<'a> {
 /// address.
 fn copy_row(
     mem: &mut Memory,
-    tp: ThreadPolicy,
     dtype: DType,
     lanes: Lanes,
     addr: u64,
@@ -441,11 +334,11 @@ fn copy_row(
     let len = n as u64 * eb;
     match (stride, lanes) {
         (1, Lanes::Load(out)) if mem.fits(addr, len) => {
-            load_blocks(tp, dtype, mem.slice(addr, len), out);
+            dtype.load_block(mem.slice(addr, len), out);
             push_span_lines(lines, addr, len);
         }
         (1, Lanes::Store(vals)) if mem.fits(addr, len) => {
-            store_blocks(tp, dtype, vals, mem.slice_mut(addr, len));
+            dtype.store_block(vals, mem.slice_mut(addr, len));
             push_span_lines(lines, addr, len);
         }
         (0, Lanes::Load(out)) => {
@@ -485,8 +378,6 @@ pub struct Engine {
     /// capture); [`Engine::with_sink`] swaps in any streaming consumer.
     sink: Box<dyn TraceSink>,
     mask: LaneMask,
-    /// Worker partitioning policy for block kernels.
-    threads: ThreadPolicy,
     /// Reused per-instruction scratch (zero steady-state allocation):
     /// touched-line accumulation and random-access base pointers.
     line_scratch: Vec<u64>,
@@ -512,7 +403,6 @@ impl Engine {
             mem,
             sink: Box::new(Trace::new()),
             mask: LaneMask::empty(),
-            threads: ThreadPolicy::from_env(),
             line_scratch: Vec::new(),
             base_scratch: Vec::new(),
         }
@@ -531,19 +421,6 @@ impl Engine {
     /// Read-only view of the control registers.
     pub fn crs(&self) -> &ControlRegs {
         &self.crs
-    }
-
-    /// Overrides the worker partitioning policy (by default read from
-    /// `MVE_ENGINE_THREADS` at construction; single-threaded when unset):
-    /// fully-enabled blocks of at least `min_lanes` lanes split across
-    /// `threads` scoped workers. Results and traces are bit-identical at
-    /// any setting — the policy only trades wall clock; the
-    /// thread-determinism integration suite pins that.
-    pub fn set_thread_policy(&mut self, threads: usize, min_lanes: usize) {
-        self.threads = ThreadPolicy {
-            threads: threads.clamp(1, 64),
-            min_lanes: min_lanes.max(128),
-        };
     }
 
     /// Emits one event into the active sink. Returns the event so hot
@@ -1134,7 +1011,6 @@ impl Engine {
             mask,
             tag,
             pred,
-            threads,
             base_scratch: bases,
             ..
         } = self;
@@ -1147,7 +1023,7 @@ impl Engine {
             } else {
                 Lanes::Load(&mut lanes[lo..hi])
             };
-            copy_row(mem, *threads, dtype, seg, addr, plan.stride(), &mut lines);
+            copy_row(mem, dtype, seg, addr, plan.stride(), &mut lines);
         });
         if let Some(ptr_base) = ptr_base {
             push_span_lines(&mut lines, ptr_base, bases.len() as u64 * 8);
@@ -1205,15 +1081,7 @@ impl Engine {
             } else {
                 Lanes::Load(&mut lanes[span])
             };
-            copy_row(
-                &mut self.mem,
-                self.threads,
-                reg.dtype,
-                seg,
-                r.addr,
-                r.stride,
-                &mut lines,
-            );
+            copy_row(&mut self.mem, reg.dtype, seg, r.addr, r.stride, &mut lines);
             cb_mask |= cb_range(r.lane, r.lane + r.len, per_cb);
             end = end.max(r.lane + r.len);
         }
@@ -1287,14 +1155,13 @@ impl Engine {
                 let av = &self.slot(a).lanes;
                 let bv = &self.slot(b).lanes;
                 let kernel = dtype.binop_kernel(op);
-                let tp = self.threads;
                 for_each_enabled_span(
                     &self.mask.words,
                     &self.tag,
                     self.pred,
                     self.mask.total,
                     |sp| match sp {
-                        Span::Run(s, e) => binop_blocks(tp, kernel, av, bv, &mut out, s, e),
+                        Span::Run(s, e) => kernel(&av[s..e], &bv[s..e], &mut out[s..e]),
                         Span::Lane(l) => out[l] = dtype.binop(op, av[l], bv[l]),
                     },
                 );

@@ -4,20 +4,16 @@
 //! The engine's compute inner loops now run over bitset-masked spans
 //! (`dtype.rs` block kernels driven by `enabled_spans`): full mask words
 //! execute as contiguous block loops, partial words fall back to per-bit
-//! scanning, and large shapes may be partitioned across scoped threads.
-//! These tests prove all of that equivalent to calling the scalar
+//! scanning. These tests prove that equivalent to calling the scalar
 //! `DType::binop`/`cmp`/shift/convert reference lane by lane — over every
 //! dtype, every opcode, and adversarial mask shapes (all-set, all-clear,
 //! single-straggler, random), with and without Tag predication — and pin
-//! two trace-level properties: a fully-masked compute sequence emits the
-//! same instruction mix as an active one (with `active_lanes == 0`), and
-//! thread counts {1, 4} produce byte-identical traces, registers, memory
-//! and `SimReport`s.
+//! one trace-level property: a fully-masked compute sequence emits the
+//! same instruction mix as an active one (with `active_lanes == 0`).
 
 use mve_core::dtype::{BinOp, CmpOp, DType};
 use mve_core::engine::{Engine, Reg};
-use mve_core::isa::{Opcode, StrideMode};
-use mve_core::sim::{simulate, SimConfig, SimReport};
+use mve_core::isa::Opcode;
 use mve_core::trace::Event;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -396,63 +392,4 @@ fn fully_masked_compute_pins_instruction_mix() {
         }
     }
     assert!(computes >= 6, "all compute ops still emit events");
-}
-
-/// Runs a mixed workload (contiguous + strided loads/stores, binops,
-/// compare-driven predication, partial masks) at a given thread policy and
-/// returns every observable output.
-fn threaded_workload(threads: usize) -> (SimReport, String, Vec<i32>, Vec<u64>) {
-    let mut e = Engine::default_mobile();
-    e.set_thread_policy(threads, 128);
-    e.vsetwidth(32);
-    e.vsetdimc(1);
-    e.vsetdiml(0, 8192);
-    let a = e.mem_alloc_typed::<i32>(8192);
-    let b = e.mem_alloc_typed::<i32>(8192);
-    let o = e.mem_alloc_typed::<i32>(8192);
-    let av: Vec<i32> = (0..8192).map(|i| i * 7 - 1000).collect();
-    let bv: Vec<i32> = (0..8192).map(|i| 3000 - i * 3).collect();
-    e.mem_fill(a, &av);
-    e.mem_fill(b, &bv);
-    let x = e.load(DType::I32, a, &[StrideMode::One]);
-    let y = e.load(DType::I32, b, &[StrideMode::One]);
-    let sum = e.binop(Opcode::Add, BinOp::Add, x, y);
-    // Predicate on sum > 0, then a predicated multiply.
-    let zero = e.setdup(DType::I32, 0);
-    e.compare(CmpOp::Gt, sum, zero);
-    e.set_predication(true);
-    let scaled = e.binop(Opcode::Mul, BinOp::Mul, sum, sum);
-    e.set_predication(false);
-    // Partial dimension mask over a 2-D reshape.
-    e.vsetdimc(2);
-    e.vsetdiml(0, 256);
-    e.vsetdiml(1, 32);
-    e.vunsetmask(5);
-    e.vunsetmask(17);
-    let masked = e.binop(Opcode::Sub, BinOp::Sub, scaled, x);
-    e.vresetmask();
-    e.vsetdimc(1);
-    e.vsetdiml(0, 8192);
-    e.store(masked, o, &[StrideMode::One]);
-    let lanes = e.reg_lanes(masked).to_vec();
-    for r in [x, y, sum, zero, scaled, masked] {
-        e.free(r);
-    }
-    let trace = e.take_trace();
-    let report = simulate(&trace, &SimConfig::default());
-    (report, trace.dump(), e.mem_read_vec::<i32>(o, 8192), lanes)
-}
-
-/// ISSUE-6 satellite: thread counts {1, 4} must be observationally
-/// identical — same trace bytes, same `SimReport`, same memory, same
-/// register lanes. Determinism is by construction (disjoint 64-lane-aligned
-/// chunks of pure functions), and this pins it.
-#[test]
-fn thread_counts_are_bit_identical() {
-    let (r1, t1, m1, l1) = threaded_workload(1);
-    let (r4, t4, m4, l4) = threaded_workload(4);
-    assert_eq!(r1, r4, "SimReports diverge across thread counts");
-    assert_eq!(t1, t4, "trace dumps diverge across thread counts");
-    assert_eq!(m1, m4, "stored memory diverges across thread counts");
-    assert_eq!(l1, l4, "register lanes diverge across thread counts");
 }

@@ -54,7 +54,6 @@ struct Case {
     pred: bool,
     /// Control-Block width in lanes (the geometry's bit-lines per array).
     per_cb: usize,
-    threads: usize,
     seed: u64,
 }
 
@@ -91,7 +90,6 @@ fn engine_for(c: &Case) -> Engine {
         arrays_per_cb: 1,
     };
     let mut e = Engine::new(geom, Memory::with_capacity(MEM_BYTES));
-    e.set_thread_policy(c.threads, 128);
     let fill = e.mem_alloc(MEM_BYTES - 64);
     let bytes: Vec<u8> = xorshift(c.seed, (MEM_BYTES / 8) as usize)
         .iter()
@@ -269,7 +267,6 @@ proptest! {
         tag_kind in 0usize..4,
         pred: bool,
         per_cb_kind in 0usize..3,
-        threads_kind in 0usize..2,
         seed: u64,
     ) {
         let lens = lens[..count].to_vec();
@@ -303,14 +300,13 @@ proptest! {
             tag,
             pred,
             per_cb: [32, 24, 64][per_cb_kind],
-            threads: [1, 4][threads_kind],
             seed,
         };
         check(&case)?;
     }
 
-    /// Long rows: block copies and broadcasts of hundreds of lanes, split
-    /// across worker threads, under straggler-heavy Tag patterns.
+    /// Long rows: block copies and broadcasts of hundreds of lanes, under
+    /// straggler-heavy Tag patterns.
     #[test]
     fn long_rows_match_per_lane_reference(
         op in 0usize..4,
@@ -334,7 +330,6 @@ proptest! {
             tag: (0..total).map(|l| !bits[l].is_multiple_of(5)).collect(),
             pred,
             per_cb: 32,
-            threads: 4,
             seed,
         };
         check(&case)?;
@@ -358,7 +353,6 @@ fn case(op: Op, lens: &[usize], modes: &[StrideMode], crs: &[i64]) -> Case {
         tag: vec![true; total],
         pred: false,
         per_cb: 128,
-        threads: 1,
         seed: 7,
     }
 }

@@ -12,9 +12,13 @@
 //!   ~60 pJ LLC, ~2.5 nJ per 64 B of LPDDR4X (≈ 40 pJ/bit including PHY).
 //! * CPU energies target an A76-class core at 2.8 GHz burning ~0.75 W at
 //!   IPC 3: ~90 pJ per scalar instruction including its share of fetch/
-//!   decode/bypass. A 128-bit Neon µop costs ~2.2× a scalar op
-//!   (`CALIBRATED` to reproduce the Figure 7(b) 8.8× average gap together
-//!   with the instruction-count reduction).
+//!   decode/bypass. A 128-bit Neon µop costs ~2.2× a scalar op. It was
+//!   `CALIBRATED` to reproduce Figure 7(b)'s 8.8× average energy reduction
+//!   together with the instruction-count reduction, but that calibration
+//!   is stale: the model now gives 3.40× (MVE at 29.4% of Neon's energy
+//!   against the paper's 11.4%). ROADMAP item 1's claims ledger is where
+//!   that gap gets tracked; the value stays until a documented source
+//!   replaces it.
 
 /// Per-event energies in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]

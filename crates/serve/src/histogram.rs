@@ -85,35 +85,6 @@ impl Histogram {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Folds another histogram's samples into this one (bucket-wise add;
-    /// max takes the larger). Used to merge per-class series into one.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Zeroes every bucket and aggregate. Not atomic with respect to
-    /// concurrent recorders (a racing sample may survive or vanish), which
-    /// is fine for its test/tooling uses.
-    pub fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// Extract count, mean, percentiles, and max.
     pub fn snapshot(&self) -> HistogramStats {
         let mut buckets = [0u64; BUCKETS];
@@ -432,58 +403,6 @@ mod tests {
         assert_eq!(s.p50_us, 1u64 << 63);
         assert_eq!(s.p99_us, 1u64 << 63);
         assert_eq!(s.max_us, 1u64 << 63);
-    }
-
-    #[test]
-    fn merge_then_quantile_matches_one_histogram_with_all_samples() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let all = Histogram::new();
-        for v in [3, 10, 100, 5000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [7, 70, 700, 70_000, 1_000_000] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        // count and sum fold exactly, so every snapshot field — mean
-        // included — is identical to the single-histogram run.
-        assert_eq!(a.snapshot(), all.snapshot());
-    }
-
-    #[test]
-    fn merge_folds_buckets_count_sum_and_max() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        a.record(20);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 1030);
-        assert_eq!(a.max_us(), 1000);
-        let s = a.snapshot();
-        assert_eq!(s.count, 3);
-        assert!((512..=1000).contains(&s.p99_us), "p99={}", s.p99_us);
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new());
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    fn reset_returns_to_empty() {
-        let h = Histogram::new();
-        h.record(42);
-        h.record(7);
-        assert_eq!(h.count(), 2);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.max_us(), 0);
-        let s = h.snapshot();
-        assert_eq!(s, Histogram::new().snapshot());
     }
 
     #[test]
