@@ -18,12 +18,12 @@
 //!
 //! `metrics` prints the daemon's Prometheus text exposition; `--check`
 //! additionally validates it with the strict `mve_obs` parser and
-//! cross-checks the stable counters against the `stats` reply and the
-//! `mve_serve_measured_cost_us` gauge family against an `estimate` reply
-//! (the CI scrape step). `trace` prints the request trace ring, one JSON
-//! record per line; `--chrome OUT.json` instead writes the ring as
-//! Chrome trace-event JSON (one track per connection, queue wait as its
-//! own slice) for `chrome://tracing` / Perfetto.
+//! cross-checks the stable counters and the per-class service and
+//! queue-wait histogram counts of every chargeable class against the
+//! `stats` reply (the CI scrape step). `trace` prints the request trace
+//! ring, one JSON record per line; `--chrome OUT.json` instead writes the
+//! ring as Chrome trace-event JSON (one track per connection, queue wait
+//! as its own slice) for `chrome://tracing` / Perfetto.
 //! `stats --watch SECS` polls the `metrics` op
 //! every SECS seconds and prints one compact delta line per interval
 //! (req/s, hit rate, p99 service µs computed client-side from the
@@ -285,13 +285,11 @@ fn watch_stats(client: &mut Client, secs: u64, samples: Option<u64>) -> ! {
 /// cross-checks it against the `stats` reply fetched on the same
 /// connection. Counters no control-plane op touches must agree exactly;
 /// `requests` itself advances with every op (the exposition counts its
-/// own request), so it is only checked as monotone. `est` is an
-/// `estimate` reply fetched after the scrape: its `measured_cost_us`
-/// (the per-class service-time EWMA) must match the
-/// `mve_serve_measured_cost_us` gauge for the same class, since only
-/// completed requests of that class move the EWMA and none ran between
-/// the scrape and the estimate on a quiet daemon.
-fn check_metrics(text: &str, stats: &Json, est: &Json) {
+/// own request), so it is only checked as monotone. The service and
+/// queue-wait histogram counts of each chargeable class must equal the
+/// `stats` reply's `latency.<class>` counts: no chargeable request runs
+/// between the scrape and the `stats` call on one connection.
+fn check_metrics(text: &str, stats: &Json) {
     const STABLE: &[&str] = &[
         "artefact_requests",
         "sim_requests",
@@ -338,33 +336,36 @@ fn check_metrics(text: &str, stats: &Json, est: &Json) {
     if exp.family_type("mve_serve_request_service_us") != Some("histogram") {
         fail("`mve_serve_request_service_us` is not exposed as a histogram");
     }
-    let est_class = est
-        .get("class")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| fail("estimate reply lacks `class`"));
-    let est_measured = est
-        .get("measured_cost_us")
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| fail("estimate reply lacks `measured_cost_us`"));
-    let gauge = exp
-        .value("mve_serve_measured_cost_us", &[("class", est_class)])
-        .unwrap_or_else(|| {
-            fail(format!(
-                "exposition lacks `mve_serve_measured_cost_us{{class=\"{est_class}\"}}`"
-            ))
-        });
-    if (gauge - est_measured).abs() > 1e-9 * est_measured.abs().max(1.0) {
-        fail(format!(
-            "measured cost for class `{est_class}` disagrees: \
-             metrics={gauge} estimate={est_measured}"
-        ));
+    const CHARGEABLE: &[&str] = &["artefact", "sim", "compile", "profile"];
+    for class in CHARGEABLE {
+        for (family, member) in [
+            ("request_service_us", "service"),
+            ("request_queue_wait_us", "queue_wait"),
+        ] {
+            let name = format!("mve_serve_{family}_count");
+            let exposed = exp
+                .value(&name, &[("class", class)])
+                .unwrap_or_else(|| fail(format!("exposition lacks `{name}{{class=\"{class}\"}}`")));
+            let stat = stats
+                .get("latency")
+                .and_then(|l| l.get(class))
+                .and_then(|c| c.get(member))
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| fail(format!("stats lacks `latency.{class}.{member}.count`")));
+            if exposed != stat as f64 {
+                fail(format!(
+                    "`{name}{{class=\"{class}\"}}` disagrees: metrics={exposed} stats={stat}"
+                ));
+            }
+        }
     }
     eprintln!(
-        "metrics check ok: {} families, {} samples, {} counters match stats, \
-         measured_cost_us[{est_class}] matches estimate",
+        "metrics check ok: {} families, {} samples, {} counters and {} class histograms match stats",
         exp.families.len(),
         exp.samples.len(),
-        STABLE.len()
+        STABLE.len(),
+        CHARGEABLE.len()
     );
 }
 
@@ -590,14 +591,7 @@ fn main() {
             print!("{text}");
             if args[1..].iter().any(|a| a == "--check") {
                 let stats = client.stats().unwrap_or_else(|e| fail(e));
-                // Any chargeable request works as the EWMA probe; the
-                // first registry artefact is the cheapest stable pick.
-                let probe = Request::Artefact {
-                    name: artefacts::NAMES[0].to_owned(),
-                    scale: Scale::Test,
-                };
-                let est = client.estimate(&probe).unwrap_or_else(|e| fail(e));
-                check_metrics(&text, &stats, &est);
+                check_metrics(&text, &stats);
             }
         }
         Some("trace") => {

@@ -30,6 +30,7 @@ use mve_core::sim::{simulate_sweep, SimConfig, TimingSim};
 use mve_core::trace::CountingSink;
 use mve_insram::Scheme;
 use mve_kernels::Scale;
+use mve_serve::admission::TryAdmit;
 use mve_serve::cache::{Fetch, ResultCache};
 use mve_serve::client::open_loop;
 use mve_serve::protocol::scale_name;
@@ -468,11 +469,11 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-7 admission hot path: one cost-model charge plus a bounded
-    // admit/release round trip — the fixed overhead the controller adds
-    // ahead of every chargeable request. The budget is ample, so this
-    // times the uncontended fast path (a queue wait would time the
-    // *workload*, not the controller).
+    // Admission hot path: one cost-model charge plus a `try_admit` →
+    // `TryAdmit::Admitted` → drop round trip, the fixed overhead the
+    // controller adds ahead of every chargeable request. The budget is
+    // ample, so this times the uncontended path the daemon takes (a queue
+    // wait would time the *workload*, not the controller).
     {
         let model = CostModel::committed();
         let controller = AdmissionController::new(AdmissionOptions {
@@ -489,7 +490,9 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
             elems: 1,
             run: Box::new(move || {
                 let est = model.charge(&req).expect("sim is chargeable");
-                let permit = controller.admit(0, est.cost).expect("ample budget");
+                let TryAdmit::Admitted(permit) = controller.try_admit(0, est.cost) else {
+                    panic!("ample budget admits");
+                };
                 drop(permit);
             }),
         });

@@ -16,6 +16,8 @@
 //! [spec]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// One scalar metric value. `stats` JSON needs to distinguish integer
 /// counters from float gauges to keep its historical byte format.
@@ -34,14 +36,17 @@ impl Scalar {
     }
 }
 
+/// Number of log2 buckets; the last one holds `[2^63, u64::MAX]`.
+const LOG2_BUCKETS: usize = 64;
+
 /// A log2-bucketed histogram snapshot: `counts[i]` holds samples whose
 /// value `v` satisfies `v.max(1).ilog2() == i` (bucket 0 therefore covers
-/// `0..=1`), exactly the serve-side latency histogram layout.
+/// `0..=1`), the layout [`AtomicLog2Histogram`] records.
 #[derive(Debug, Clone, Default)]
 pub struct Log2Histogram {
     pub counts: Vec<u64>,
-    pub count: u64,
     pub sum: u64,
+    pub max: u64,
 }
 
 impl Log2Histogram {
@@ -49,6 +54,105 @@ impl Log2Histogram {
     /// bucket `i` holds values `< 2^(i+1)`.
     pub fn le_bound(i: usize) -> f64 {
         (2u128 << i) as f64
+    }
+
+    /// Samples in the snapshot: the sum of its buckets, so the `+Inf`
+    /// bucket of the exposition can never fall below a finite one.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Count, mean, p50/p90/p99 and max. A percentile never exceeds the
+    /// recorded maximum (the bucket value is clamped to it).
+    pub fn stats(&self) -> HistogramStats {
+        let count = self.count();
+        let percentile = |q| quantile_from_log2_buckets(&self.counts, q).min(self.max.max(1));
+        HistogramStats {
+            count,
+            mean_us: if count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / count as f64
+            },
+            p50_us: percentile(0.50),
+            p90_us: percentile(0.90),
+            p99_us: percentile(0.99),
+            max_us: self.max,
+        }
+    }
+}
+
+/// Summary of one [`Log2Histogram`]: sample count, mean, p50/p90/p99 and
+/// max, all µs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HistogramStats {
+    /// Samples recorded.
+    pub count: u64,
+    /// Arithmetic mean, µs.
+    pub mean_us: f64,
+    /// Median, µs (bucket-resolution).
+    pub p50_us: u64,
+    /// 90th percentile, µs.
+    pub p90_us: u64,
+    /// 99th percentile, µs.
+    pub p99_us: u64,
+    /// Exact maximum, µs.
+    pub max_us: u64,
+}
+
+/// A concurrent log2-bucketed histogram of microsecond values. Recording
+/// is two relaxed atomic adds and one atomic max, cheap enough to sit on
+/// every request. Any quantile is exact to within its bucket (a factor of
+/// 1.5 of any value in it): the resolution for spotting queueing
+/// collapse, not for timing kernels.
+#[derive(Debug)]
+pub struct AtomicLog2Histogram {
+    buckets: [AtomicU64; LOG2_BUCKETS],
+    sum: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Default for AtomicLog2Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl AtomicLog2Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record one sample, in microseconds.
+    pub fn record(&self, value_us: u64) {
+        self.buckets[value_us.max(1).ilog2() as usize].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value_us, Ordering::Relaxed);
+        self.max.fetch_max(value_us, Ordering::Relaxed);
+    }
+
+    /// Record a duration as microseconds (saturating).
+    pub fn record_duration(&self, d: Duration) {
+        self.record(d.as_micros().min(u64::MAX as u128) as u64);
+    }
+
+    /// Point-in-time copy. There is no separate count to read, so a
+    /// concurrent recorder cannot make the count disagree with the
+    /// buckets.
+    pub fn snapshot(&self) -> Log2Histogram {
+        Log2Histogram {
+            counts: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -152,23 +256,6 @@ impl MetricsRegistry {
             });
     }
 
-    /// Registers one labeled float-gauge sample under family `name` — a
-    /// gauge *family* (one sample per label set, e.g. a per-class
-    /// measured cost). Labeled samples render in the exposition only;
-    /// [`MetricsRegistry::scalars`] skips them, so adding a family never
-    /// perturbs a stats-JSON layout derived from the unlabeled scalars.
-    pub fn gauge_f_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.family_mut(name, help, Kind::Gauge)
-            .samples
-            .push(MetricSample {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                value: Value::Scalar(Scalar::F64(value)),
-            });
-    }
-
     /// Registers one labeled histogram sample under family `name`.
     pub fn histogram(
         &mut self,
@@ -188,15 +275,32 @@ impl MetricsRegistry {
             });
     }
 
-    /// Iterates unlabeled scalar metrics in insertion order as
+    /// Iterates scalar metrics in insertion order as
     /// `(short_name, scalar)` — the `stats` JSON derivation.
     pub fn scalars(&self) -> impl Iterator<Item = (&str, Scalar)> {
         self.families.iter().flat_map(|f| {
             f.samples.iter().filter_map(|s| match s.value {
-                Value::Scalar(v) if s.labels.is_empty() => Some((f.name.as_str(), v)),
-                _ => None,
+                Value::Scalar(v) => Some((f.name.as_str(), v)),
+                Value::Histogram(_) => None,
             })
         })
+    }
+
+    /// Iterates the samples of histogram family `name` in insertion order
+    /// as `(labels, snapshot)`.
+    pub fn histograms<'a>(
+        &'a self,
+        name: &'a str,
+    ) -> impl Iterator<Item = (&'a [(String, String)], &'a Log2Histogram)> {
+        self.families
+            .iter()
+            .filter(move |f| f.name == name)
+            .flat_map(|f| {
+                f.samples.iter().filter_map(|s| match &s.value {
+                    Value::Histogram(h) => Some((s.labels.as_slice(), h)),
+                    Value::Scalar(_) => None,
+                })
+            })
     }
 
     /// Looks up an unlabeled scalar by short name.
@@ -257,14 +361,14 @@ fn render_histogram(
             render_labels_with(labels, "le", &le)
         );
     }
+    let count = snap.count();
     let _ = writeln!(
         out,
-        "{full}_bucket{} {}",
+        "{full}_bucket{} {count}",
         render_labels_with(labels, "le", "+Inf"),
-        snap.count
     );
     let _ = writeln!(out, "{full}_sum{} {}", render_labels(labels), snap.sum);
-    let _ = writeln!(out, "{full}_count{} {}", render_labels(labels), snap.count);
+    let _ = writeln!(out, "{full}_count{} {count}", render_labels(labels));
 }
 
 fn render_labels(labels: &[(String, String)]) -> String {
@@ -595,7 +699,7 @@ fn validate_histograms(exp: &Exposition) -> Result<(), String> {
 /// [`Log2Histogram::counts`] layout), 0 when empty. The bucket holding the
 /// rank is reported as `lo + lo/2` for its lower edge `lo = 2^i`, so
 /// bucket 0 (values `0..=1`) reports 1. Callers that track an exact
-/// maximum clamp to it, as the serve daemon's `stats` percentiles do.
+/// maximum clamp to it, as [`Log2Histogram::stats`] does.
 pub fn quantile_from_log2_buckets(counts: &[u64], q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -631,8 +735,8 @@ mod tests {
             &[("class", "artefact")],
             Log2Histogram {
                 counts,
-                count: 3,
                 sum: 50,
+                max: 40,
             },
         );
         reg
@@ -759,5 +863,127 @@ mod tests {
         // 15 samples: rank 8 lands in bucket 4, rank 15 in bucket 8.
         assert_eq!(quantile_from_log2_buckets(&merged, 0.5), 16 + 8);
         assert_eq!(quantile_from_log2_buckets(&merged, 0.99), 256 + 128);
+    }
+
+    #[test]
+    fn empty_histogram_snapshots_to_zeros() {
+        let s = AtomicLog2Histogram::new().snapshot().stats();
+        assert_eq!(s.count, 0);
+        assert_eq!(s.mean_us, 0.0);
+        assert_eq!(s.p50_us, 0);
+        assert_eq!(s.p99_us, 0);
+        assert_eq!(s.max_us, 0);
+    }
+
+    #[test]
+    fn percentiles_are_bucket_accurate_and_the_mean_exact() {
+        let h = AtomicLog2Histogram::new();
+        // 90 fast samples at ~10µs, 9 at ~1ms, 1 at 100ms.
+        for _ in 0..90 {
+            h.record(10);
+        }
+        for _ in 0..9 {
+            h.record(1000);
+        }
+        h.record(100_000);
+        let s = h.snapshot().stats();
+        assert_eq!(s.count, 100);
+        assert_eq!(s.max_us, 100_000);
+        // p50 lands in the [8,16) bucket, p99 in the [512,1024)+ region.
+        assert!((8..16).contains(&s.p50_us), "p50={}", s.p50_us);
+        assert!(s.p90_us <= s.p99_us, "p90={} p99={}", s.p90_us, s.p99_us);
+        assert!(s.p50_us <= s.p90_us);
+        assert!((512..2048).contains(&s.p99_us), "p99={}", s.p99_us);
+        assert!(s.p99_us <= s.max_us);
+        let expected_mean = (90.0 * 10.0 + 9.0 * 1000.0 + 100_000.0) / 100.0;
+        assert!((s.mean_us - expected_mean).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_and_one_fold_into_the_first_bucket() {
+        let h = AtomicLog2Histogram::new();
+        h.record(0);
+        h.record(1);
+        let snap = h.snapshot();
+        assert_eq!(snap.counts[0], 2);
+        let s = snap.stats();
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max_us, 1);
+        // Bucket value clamps to the true max.
+        assert_eq!(s.p99_us, 1);
+    }
+
+    #[test]
+    fn saturating_top_bucket_holds_huge_samples() {
+        let h = AtomicLog2Histogram::new();
+        h.record(u64::MAX); // ilog2 == 63: lands in (and stays in) the top bucket
+        h.record(1u64 << 63);
+        let snap = h.snapshot();
+        assert_eq!(snap.counts[63], 2);
+        assert_eq!(snap.count(), 2);
+        let s = snap.stats();
+        assert_eq!(s.max_us, u64::MAX);
+        // The top bucket's value saturates instead of wrapping: it
+        // reports inside [2^63, max], never a wrapped-around tiny value.
+        assert!(s.p99_us >= 1u64 << 63, "p99={}", s.p99_us);
+        assert!(s.p99_us <= s.max_us);
+    }
+
+    #[test]
+    fn percentiles_clamp_to_the_recorded_max() {
+        // All samples in one bucket: p50/p90/p99 collapse to the bucket's
+        // `lo + lo/2` value, clamped to the recorded max when the max
+        // sits below it.
+        let clamped = AtomicLog2Histogram::new();
+        for _ in 0..5 {
+            clamped.record(40); // bucket [32,64), value 48 > max 40
+        }
+        let s = clamped.snapshot().stats();
+        assert_eq!((s.p50_us, s.p90_us, s.p99_us, s.max_us), (40, 40, 40, 40));
+
+        let unclamped = AtomicLog2Histogram::new();
+        for _ in 0..5 {
+            unclamped.record(60); // same bucket, value 48 < max 60
+        }
+        let s = unclamped.snapshot().stats();
+        assert_eq!((s.p50_us, s.p90_us, s.p99_us, s.max_us), (48, 48, 48, 60));
+    }
+
+    #[test]
+    fn exposition_stays_valid_under_a_concurrent_recorder() {
+        // A render that overlaps `record` must still emit cumulative
+        // buckets ending in `+Inf == _count`; a count read apart from the
+        // buckets broke that.
+        let h = AtomicLog2Histogram::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (mut renders, mut rejected) = (0u32, Vec::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 1u64;
+                while !done.load(Ordering::Relaxed) {
+                    // Walk the low buckets so the last non-empty finite
+                    // bucket keeps moving.
+                    h.record(v);
+                    v = if v >= 1 << 20 { 1 } else { v * 2 };
+                }
+            });
+            let stop = std::time::Instant::now() + Duration::from_millis(300);
+            while std::time::Instant::now() < stop {
+                let mut reg = MetricsRegistry::new();
+                reg.histogram("h_us", "Race probe.", &[("class", "x")], h.snapshot());
+                if let Err(e) = parse_exposition(&reg.render_prometheus("t")) {
+                    rejected.push(e);
+                }
+                renders += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert!(renders > 0);
+        assert!(
+            rejected.is_empty(),
+            "{} of {renders} renders rejected: {:?}",
+            rejected.len(),
+            rejected.first()
+        );
     }
 }

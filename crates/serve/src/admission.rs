@@ -1,14 +1,14 @@
 //! Admission control: a bounded global cost budget with per-connection
 //! fairness and a bounded FIFO wait queue.
 //!
-//! Every chargeable request (artefact, sim, compile) is priced by the
-//! calibrated [`crate::cost::CostModel`] *before* it executes. The
+//! Every chargeable request (artefact, sim, compile, profile) is priced
+//! by the calibrated [`crate::cost::CostModel`] *before* it executes. The
 //! controller tracks the total cost of everything currently in flight:
 //!
 //! * a request that fits the budget (and its connection's fair share) is
 //!   **admitted** — it holds a [`Permit`] whose drop releases the charge;
 //! * a request that does not fit **queues** in a bounded FIFO and waits
-//!   for capacity, up to a deadline;
+//!   for capacity, up to the caller's parking deadline;
 //! * a request that can never fit (cost exceeds the whole budget or the
 //!   fair share), arrives at a full queue, or times out in the queue is
 //!   **shed** — the server answers with a typed `overloaded` reply
@@ -23,18 +23,13 @@
 //! deadline). That head-of-line behaviour is a deliberate simplicity
 //! choice, recorded in DESIGN.md's non-claims.
 //!
-//! Two admission styles share the same queue:
-//!
-//! * [`AdmissionController::admit`] blocks the calling thread until the
-//!   request admits, deadlines, or the controller closes — used by tests
-//!   and the bench harness, and kept as the reference semantics;
-//! * [`AdmissionController::try_admit`] never blocks: it returns a
-//!   [`Ticket`] when the request must wait, and the caller (the event
-//!   loop) parks the request and later claims the queue head with
-//!   [`AdmissionController::claim_head`], sheds it on its own deadline
-//!   with [`AdmissionController::shed_ticket`], or abandons it with
-//!   [`AdmissionController::forget_ticket`]. This is what lets a queued
-//!   request wait without holding a worker thread.
+//! Admission never blocks: [`AdmissionController::try_admit`] admits,
+//! sheds, or returns a [`Ticket`] when the request must wait. The caller
+//! (the event loop) parks the request and later claims the queue head
+//! with [`AdmissionController::claim_head`], sheds it on its own deadline
+//! with [`AdmissionController::shed_ticket`], or abandons it with
+//! [`AdmissionController::forget_ticket`]. A queued request therefore
+//! waits without holding a worker thread.
 //!
 //! An admitted charge can cross threads: [`Permit::into_charge`] detaches
 //! the RAII guard into a plain-data [`Charge`] that travels with the job,
@@ -42,8 +37,7 @@
 //! release stays panic-safe at the point of execution.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A budget so large it never rejects — the default, preserving the
 /// pre-admission behaviour of existing deployments. Far below `u64::MAX`
@@ -58,8 +52,6 @@ pub struct AdmissionOptions {
     /// Requests that may wait for capacity at once; beyond this, shed
     /// immediately.
     pub queue_cap: usize,
-    /// How long a queued request waits for capacity before it is shed.
-    pub queue_deadline: Duration,
     /// Fraction of the budget one connection may hold in flight
     /// (clamped to (0, 1]).
     pub fair_share: f64,
@@ -70,7 +62,6 @@ impl Default for AdmissionOptions {
         Self {
             budget: UNLIMITED_BUDGET,
             queue_cap: 64,
-            queue_deadline: Duration::from_millis(500),
             fair_share: 1.0,
         }
     }
@@ -161,7 +152,6 @@ pub struct AdmissionController {
     opts: AdmissionOptions,
     conn_cap: u64,
     state: Mutex<State>,
-    capacity_freed: Condvar,
 }
 
 impl AdmissionController {
@@ -174,7 +164,6 @@ impl AdmissionController {
             opts,
             conn_cap,
             state: Mutex::new(State::default()),
-            capacity_freed: Condvar::new(),
         }
     }
 
@@ -230,90 +219,8 @@ impl AdmissionController {
         st.admitted += 1;
     }
 
-    /// Admits, queues, or sheds a request of `cost` from connection
-    /// `conn`. Blocks at most `queue_deadline` (plus scheduling noise).
-    pub fn admit(&self, conn: u64, cost: u64) -> Result<Permit<'_>, Shed> {
-        let mut st = self.lock();
-        if st.closed {
-            return Err(Shed {
-                reason: ShedReason::Closed,
-                retry_after_ms: self.retry_after_ms(&st, conn, cost),
-            });
-        }
-        if cost > self.opts.budget || cost > self.conn_cap {
-            st.shed_oversize += 1;
-            return Err(Shed {
-                reason: ShedReason::Oversize,
-                retry_after_ms: self.retry_after_ms(&st, conn, cost),
-            });
-        }
-        // FIFO: jump the queue only when nobody is waiting.
-        if st.queue.is_empty() && self.fits(&st, conn, cost) {
-            self.charge(&mut st, conn, cost);
-            return Ok(Permit {
-                ctrl: self,
-                conn,
-                cost,
-            });
-        }
-        if st.queue.len() >= self.opts.queue_cap {
-            st.shed_queue_full += 1;
-            return Err(Shed {
-                reason: ShedReason::QueueFull,
-                retry_after_ms: self.retry_after_ms(&st, conn, cost),
-            });
-        }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push_back(Waiter { ticket, conn, cost });
-        st.queued += 1;
-        let deadline = Instant::now() + self.opts.queue_deadline;
-        loop {
-            if st.closed {
-                st.queue.retain(|w| w.ticket != ticket);
-                st.shed_closed += 1;
-                let shed = Shed {
-                    reason: ShedReason::Closed,
-                    retry_after_ms: self.retry_after_ms(&st, conn, cost),
-                };
-                drop(st);
-                // The next head may now be a different ticket.
-                self.capacity_freed.notify_all();
-                return Err(shed);
-            }
-            if st.queue.front().map(|w| w.ticket) == Some(ticket) && self.fits(&st, conn, cost) {
-                st.queue.pop_front();
-                self.charge(&mut st, conn, cost);
-                drop(st);
-                self.capacity_freed.notify_all();
-                return Ok(Permit {
-                    ctrl: self,
-                    conn,
-                    cost,
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                st.queue.retain(|w| w.ticket != ticket);
-                st.shed_deadline += 1;
-                let shed = Shed {
-                    reason: ShedReason::Deadline,
-                    retry_after_ms: self.retry_after_ms(&st, conn, cost),
-                };
-                drop(st);
-                self.capacity_freed.notify_all();
-                return Err(shed);
-            }
-            let (guard, _) = self
-                .capacity_freed
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
-    }
-
-    /// Non-blocking admission: admit, queue (returning a [`Ticket`] the
-    /// caller parks), or shed — never waits.
+    /// Admits, queues (returning a [`Ticket`] the caller parks), or sheds
+    /// a request of `cost` from connection `conn`; never waits.
     pub fn try_admit(&self, conn: u64, cost: u64) -> TryAdmit<'_> {
         let mut st = self.lock();
         if st.closed {
@@ -367,8 +274,6 @@ impl AdmissionController {
                 reason: ShedReason::Closed,
                 retry_after_ms: self.retry_after_ms(&st, head.conn, head.cost),
             };
-            drop(st);
-            self.capacity_freed.notify_all();
             return HeadClaim::Shed {
                 ticket: Ticket(head.ticket),
                 shed,
@@ -379,8 +284,6 @@ impl AdmissionController {
         }
         st.queue.pop_front();
         self.charge(&mut st, head.conn, head.cost);
-        drop(st);
-        self.capacity_freed.notify_all();
         HeadClaim::Admitted {
             ticket: Ticket(head.ticket),
             permit: Permit {
@@ -399,27 +302,17 @@ impl AdmissionController {
         let pos = st.queue.iter().position(|w| w.ticket == ticket.0)?;
         let w = st.queue.remove(pos)?;
         st.shed_deadline += 1;
-        let shed = Shed {
+        Some(Shed {
             reason: ShedReason::Deadline,
             retry_after_ms: self.retry_after_ms(&st, w.conn, w.cost),
-        };
-        drop(st);
-        self.capacity_freed.notify_all();
-        Some(shed)
+        })
     }
 
     /// Drop a queued ticket without shed accounting — the connection died
     /// while parked, so there is nobody to answer. No-op if the ticket
     /// already left the queue.
     pub fn forget_ticket(&self, ticket: Ticket) {
-        let mut st = self.lock();
-        let before = st.queue.len();
-        st.queue.retain(|w| w.ticket != ticket.0);
-        let removed = st.queue.len() != before;
-        drop(st);
-        if removed {
-            self.capacity_freed.notify_all();
-        }
+        self.lock().queue.retain(|w| w.ticket != ticket.0);
     }
 
     /// Re-attach a transferred [`Charge`] as an RAII permit on this
@@ -442,15 +335,13 @@ impl AdmissionController {
                 st.per_conn.remove(&conn);
             }
         }
-        drop(st);
-        self.capacity_freed.notify_all();
     }
 
-    /// Wakes every queued waiter into a `Closed` shed — called at server
-    /// shutdown so no worker stays parked in the queue.
+    /// Closes the controller at server shutdown: new requests shed as
+    /// `Closed`, and [`AdmissionController::claim_head`] sheds every
+    /// queued ticket the same way.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.capacity_freed.notify_all();
     }
 
     /// Counter/gauge snapshot.
@@ -572,19 +463,39 @@ impl Drop for Permit<'_> {
 mod tests {
     use super::*;
 
-    fn opts(budget: u64, queue_cap: usize, deadline_ms: u64, fair_share: f64) -> AdmissionOptions {
+    fn opts(budget: u64, queue_cap: usize, fair_share: f64) -> AdmissionOptions {
         AdmissionOptions {
             budget,
             queue_cap,
-            queue_deadline: Duration::from_millis(deadline_ms),
             fair_share,
+        }
+    }
+
+    fn admitted(outcome: TryAdmit<'_>) -> Permit<'_> {
+        match outcome {
+            TryAdmit::Admitted(permit) => permit,
+            other => panic!("expected admit, got {other:?}"),
+        }
+    }
+
+    fn queued(outcome: TryAdmit<'_>) -> Ticket {
+        match outcome {
+            TryAdmit::Queued(ticket) => ticket,
+            other => panic!("expected queue, got {other:?}"),
+        }
+    }
+
+    fn shed(outcome: TryAdmit<'_>) -> Shed {
+        match outcome {
+            TryAdmit::Shed(shed) => shed,
+            other => panic!("expected shed, got {other:?}"),
         }
     }
 
     #[test]
     fn admits_within_budget_and_releases_on_drop() {
-        let ctrl = AdmissionController::new(opts(100, 4, 50, 1.0));
-        let a = ctrl.admit(1, 60).expect("fits");
+        let ctrl = AdmissionController::new(opts(100, 4, 1.0));
+        let a = admitted(ctrl.try_admit(1, 60));
         assert_eq!(ctrl.snapshot().in_flight, 60);
         assert!(!ctrl.would_admit(1, 60), "second 60 exceeds the budget");
         drop(a);
@@ -598,8 +509,8 @@ mod tests {
 
     #[test]
     fn oversize_requests_shed_immediately_with_a_retry_hint() {
-        let ctrl = AdmissionController::new(opts(100, 4, 50, 1.0));
-        let shed = ctrl.admit(1, 101).expect_err("cannot ever fit");
+        let ctrl = AdmissionController::new(opts(100, 4, 1.0));
+        let shed = shed(ctrl.try_admit(1, 101));
         assert_eq!(shed.reason, ShedReason::Oversize);
         assert!(shed.retry_after_ms >= 1);
         assert_eq!(ctrl.snapshot().shed_oversize, 1);
@@ -607,73 +518,32 @@ mod tests {
 
     #[test]
     fn fairness_caps_one_connection_below_the_global_budget() {
-        let ctrl = AdmissionController::new(opts(100, 4, 20, 0.5));
+        let ctrl = AdmissionController::new(opts(100, 4, 0.5));
         assert_eq!(ctrl.conn_cap(), 50);
-        let _a = ctrl.admit(7, 40).expect("within share");
+        let _a = admitted(ctrl.try_admit(7, 40));
         // Same connection: 40 + 40 > 50 → queues, then deadline-sheds
         // (nothing will free).
-        let shed = ctrl.admit(7, 40).expect_err("over fair share");
+        let ticket = queued(ctrl.try_admit(7, 40));
+        assert!(matches!(ctrl.claim_head(), HeadClaim::Pending));
+        let shed = ctrl.shed_ticket(ticket).expect("still queued");
         assert_eq!(shed.reason, ShedReason::Deadline);
         // A different connection still fits the global budget.
-        let _b = ctrl.admit(8, 40).expect("other connection unaffected");
+        let _b = admitted(ctrl.try_admit(8, 40));
         // A single request larger than the share is oversize outright.
-        let shed = ctrl.admit(9, 51).expect_err("exceeds share");
+        let shed = self::shed(ctrl.try_admit(9, 51));
         assert_eq!(shed.reason, ShedReason::Oversize);
-    }
-
-    /// Spins until `cond` holds; panics after ten seconds.
-    fn wait_until(mut cond: impl FnMut() -> bool) {
-        let give_up = Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(Instant::now() < give_up, "condition never held");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn queued_requests_admit_in_fifo_order_when_capacity_frees() {
-        let ctrl = AdmissionController::new(opts(100, 8, 5_000, 1.0));
-        let first = ctrl.admit(1, 100).expect("fills the budget");
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for ticket in 0..3u64 {
-                let (ctrl, order) = (&ctrl, &order);
-                s.spawn(move || {
-                    // Above half the budget: the freed capacity admits one
-                    // ticket at a time, and each holds its permit while it
-                    // records its turn.
-                    let permit = ctrl.admit(10 + ticket, 60).expect("eventually admitted");
-                    order.lock().unwrap().push(ticket);
-                    drop(permit);
-                });
-                // The next arrival waits until this one is queued, so the
-                // queue order is the ticket order.
-                wait_until(|| ctrl.snapshot().queue_depth == ticket + 1);
-            }
-            drop(first);
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "strict FIFO");
-        let snap = ctrl.snapshot();
-        assert_eq!(snap.admitted, 4);
-        assert_eq!(snap.queued, 3);
-        assert_eq!(snap.in_flight, 0);
-        assert_eq!(snap.sheds, 0);
     }
 
     #[test]
     fn full_queue_sheds_and_deadline_sheds_are_typed() {
-        let ctrl = AdmissionController::new(opts(10, 1, 30, 1.0));
-        let _hold = ctrl.admit(1, 10).expect("fills the budget");
-        std::thread::scope(|s| {
-            // One waiter occupies the single queue slot until its deadline.
-            s.spawn(|| {
-                let shed = ctrl.admit(2, 5).expect_err("deadline");
-                assert_eq!(shed.reason, ShedReason::Deadline);
-            });
-            std::thread::sleep(Duration::from_millis(10));
-            let shed = ctrl.admit(3, 5).expect_err("queue full");
-            assert_eq!(shed.reason, ShedReason::QueueFull);
-        });
+        let ctrl = AdmissionController::new(opts(10, 1, 1.0));
+        let _hold = admitted(ctrl.try_admit(1, 10));
+        // One waiter occupies the single queue slot until its deadline.
+        let ticket = queued(ctrl.try_admit(2, 5));
+        let shed = shed(ctrl.try_admit(3, 5));
+        assert_eq!(shed.reason, ShedReason::QueueFull);
+        let shed = ctrl.shed_ticket(ticket).expect("still queued");
+        assert_eq!(shed.reason, ShedReason::Deadline);
         let snap = ctrl.snapshot();
         assert_eq!(snap.shed_queue_full, 1);
         assert_eq!(snap.shed_deadline, 1);
@@ -682,47 +552,23 @@ mod tests {
     }
 
     #[test]
-    fn close_unparks_every_waiter_as_a_typed_shed() {
-        let ctrl = AdmissionController::new(opts(10, 8, 60_000, 1.0));
-        let _hold = ctrl.admit(1, 10).expect("fills the budget");
-        std::thread::scope(|s| {
-            for c in 0..3u64 {
-                let ctrl = &ctrl;
-                s.spawn(move || {
-                    let shed = ctrl.admit(20 + c, 5).expect_err("closed");
-                    assert_eq!(shed.reason, ShedReason::Closed);
-                });
-            }
-            std::thread::sleep(Duration::from_millis(30));
-            ctrl.close();
-        });
-        assert_eq!(ctrl.snapshot().shed_closed, 3);
-        // Post-close admissions shed immediately (no counter class: the
-        // daemon is going away).
-        assert!(matches!(
-            ctrl.admit(9, 1),
-            Err(Shed {
-                reason: ShedReason::Closed,
-                ..
-            })
-        ));
+    fn post_close_admissions_shed_as_closed() {
+        let ctrl = AdmissionController::new(opts(10, 8, 1.0));
+        ctrl.close();
+        assert!(!ctrl.would_admit(9, 1));
+        let shed = shed(ctrl.try_admit(9, 1));
+        assert_eq!(shed.reason, ShedReason::Closed);
+        // No counter class: the daemon is going away.
+        let snap = ctrl.snapshot();
+        assert_eq!((snap.sheds, snap.admitted, snap.queue_depth), (0, 0, 0));
     }
 
     #[test]
     fn try_admit_parks_and_claim_head_admits_in_fifo_order() {
-        let ctrl = AdmissionController::new(opts(100, 8, 60_000, 1.0));
-        let hold = match ctrl.try_admit(1, 100) {
-            TryAdmit::Admitted(p) => p,
-            other => panic!("expected admit, got {other:?}"),
-        };
-        let t_a = match ctrl.try_admit(2, 30) {
-            TryAdmit::Queued(t) => t,
-            other => panic!("expected queue, got {other:?}"),
-        };
-        let t_b = match ctrl.try_admit(3, 30) {
-            TryAdmit::Queued(t) => t,
-            other => panic!("expected queue, got {other:?}"),
-        };
+        let ctrl = AdmissionController::new(opts(100, 8, 1.0));
+        let hold = admitted(ctrl.try_admit(1, 100));
+        let t_a = queued(ctrl.try_admit(2, 30));
+        let t_b = queued(ctrl.try_admit(3, 30));
         assert!(matches!(ctrl.claim_head(), HeadClaim::Pending));
         drop(hold);
         let first = match ctrl.claim_head() {
@@ -746,14 +592,10 @@ mod tests {
 
     #[test]
     fn shed_ticket_and_forget_ticket_account_differently() {
-        let ctrl = AdmissionController::new(opts(10, 8, 60_000, 1.0));
-        let _hold = ctrl.admit(1, 10).expect("fills the budget");
-        let TryAdmit::Queued(t_shed) = ctrl.try_admit(2, 5) else {
-            panic!("expected queue");
-        };
-        let TryAdmit::Queued(t_gone) = ctrl.try_admit(3, 5) else {
-            panic!("expected queue");
-        };
+        let ctrl = AdmissionController::new(opts(10, 8, 1.0));
+        let _hold = admitted(ctrl.try_admit(1, 10));
+        let t_shed = queued(ctrl.try_admit(2, 5));
+        let t_gone = queued(ctrl.try_admit(3, 5));
         let shed = ctrl.shed_ticket(t_shed).expect("still queued");
         assert_eq!(shed.reason, ShedReason::Deadline);
         assert!(ctrl.shed_ticket(t_shed).is_none(), "second shed is a no-op");
@@ -766,11 +608,9 @@ mod tests {
 
     #[test]
     fn claim_head_sheds_closed_with_accounting() {
-        let ctrl = AdmissionController::new(opts(10, 8, 60_000, 1.0));
-        let _hold = ctrl.admit(1, 10).expect("fills the budget");
-        let TryAdmit::Queued(ticket) = ctrl.try_admit(2, 5) else {
-            panic!("expected queue");
-        };
+        let ctrl = AdmissionController::new(opts(10, 8, 1.0));
+        let _hold = admitted(ctrl.try_admit(1, 10));
+        let ticket = queued(ctrl.try_admit(2, 5));
         ctrl.close();
         match ctrl.claim_head() {
             HeadClaim::Shed { ticket: t, shed } => {
@@ -785,9 +625,8 @@ mod tests {
 
     #[test]
     fn a_charge_rides_to_another_thread_and_releases_there() {
-        let ctrl = AdmissionController::new(opts(100, 4, 50, 1.0));
-        let permit = ctrl.admit(1, 60).expect("fits");
-        let charge = permit.into_charge();
+        let ctrl = AdmissionController::new(opts(100, 4, 1.0));
+        let charge = admitted(ctrl.try_admit(1, 60)).into_charge();
         assert_eq!(ctrl.snapshot().in_flight, 60, "charge survives detach");
         assert_eq!(charge.cost(), 60);
         std::thread::scope(|s| {
@@ -807,9 +646,9 @@ mod tests {
 
     #[test]
     fn permits_are_panic_safe() {
-        let ctrl = AdmissionController::new(opts(100, 4, 50, 1.0));
+        let ctrl = AdmissionController::new(opts(100, 4, 1.0));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _permit = ctrl.admit(1, 70).expect("fits");
+            let _permit = admitted(ctrl.try_admit(1, 70));
             panic!("handler died");
         }));
         assert!(result.is_err());

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mve_kernels::Scale;
+use mve_obs::metrics::{AtomicLog2Histogram, HistogramStats};
 
-use crate::histogram::{Histogram, HistogramStats};
 use crate::json::Json;
 use crate::protocol::{encode_request, parse_overloaded, parse_response, Request, SimSpec};
 
@@ -417,7 +417,7 @@ pub fn open_loop(
     let overloaded = AtomicU64::new(0);
     let server_errors = AtomicU64::new(0);
     let lost = AtomicU64::new(0);
-    let latency = Histogram::new();
+    let latency = AtomicLog2Histogram::new();
     let make_request = &make_request;
     let started = Instant::now();
     let deadline = started + duration;
@@ -469,6 +469,6 @@ pub fn open_loop(
         overloaded: overloaded.into_inner(),
         server_errors: server_errors.into_inner(),
         lost: lost.into_inner(),
-        latency: latency.snapshot(),
+        latency: latency.snapshot().stats(),
     })
 }

@@ -1,17 +1,19 @@
 //! The calibrated per-op-class cost model behind admission control.
 //!
 //! A daemon facing heavy traffic must predict what a request costs
-//! *before* running it (ROADMAP open item 2; the Swan benchmark study
-//! shows per-op-class cost characterization is stable across kernels).
-//! This module turns the measured `mve_bench::perf` workloads into
-//! closed-form cost formulas per operation class:
+//! *before* running it (the Swan benchmark study shows per-op-class cost
+//! characterization is stable across kernels). This static table is the
+//! daemon's one cost signal: closed-form cost formulas per operation
+//! class, fitted by the `calibrate` binary's own timing probes:
 //!
 //! * **artefact** — one registry render at a scale,
 //! * **sim** — one functional kernel execution plus one timing walk
 //!   (generalizing to a *sweep-of-N*: one execution, N walks — the
 //!   batching scheduler's shape),
 //! * **compile** — the DSL front-end over the source text plus the
-//!   compiled kernel's execution and timing walk.
+//!   compiled kernel's execution and timing walk,
+//! * **profile** — a compile plus one extra timing walk (the per-line
+//!   attribution pass).
 //!
 //! The unit is **microseconds of worker compute on the calibration
 //! host** — relative magnitudes are what admission control needs; no

@@ -33,8 +33,9 @@
 //!   wake mechanism.
 //! * [`timer`] — a hashed timer wheel absorbing the idle reaper, the
 //!   admission parking deadline, and write-stall detection.
-//! * [`histogram`] — lock-free log2-bucketed latency histograms with
-//!   p50/p90/p99 extraction, grouped per op class.
+//! * [`histogram`] — per-op-class service-time and queue-wait recording
+//!   on `mve_obs`'s atomic log2 histogram, and the `stats` reply's
+//!   `latency` object read back from the metrics registry.
 //! * [`trace`] — per-request lifecycle traces (monotonic ids, phase
 //!   timestamps received → parsed → admitted → dispatched → executed →
 //!   flushed) retained in a bounded ring the `trace` op snapshots.
@@ -72,7 +73,6 @@ pub use cache::{CacheStats, ResultCache};
 pub use client::{open_loop, Client, ClientError, OpenLoopReport};
 pub use cost::CostModel;
 pub use fault::FaultPlan;
-pub use histogram::{Histogram, HistogramStats};
 pub use json::Json;
 pub use protocol::{Request, SimSpec};
 pub use server::{ArtefactFn, ArtefactRegistry, ServeOptions, Server, ShutdownHandle};

@@ -43,7 +43,7 @@ use mve_kernels::registry::kernel_by_name;
 use mve_kernels::Scale;
 use mve_lang::CompilePhases;
 use mve_obs::logev;
-use mve_obs::metrics::{Log2Histogram, MetricsRegistry, Scalar};
+use mve_obs::metrics::{MetricsRegistry, Scalar};
 use mve_obs::Level;
 
 use crate::admission::{
@@ -53,7 +53,7 @@ use crate::admission::{
 use crate::cache::{Fetch, ResultCache};
 use crate::cost::{CostModel, OpClass};
 use crate::fault::FaultPlan;
-use crate::histogram::{Histogram, LatencyMetrics, MetricClass};
+use crate::histogram::{latency_json, LatencyMetrics, MetricClass};
 use crate::json::Json;
 use crate::poller::{wake_pipe, Event, Interest, Poller, WakeRx, WakeTx};
 use crate::protocol::{
@@ -157,7 +157,7 @@ impl Default for ServeOptions {
             write_stall_timeout: Duration::from_secs(10),
             cost_budget: UNLIMITED_BUDGET,
             queue_cap: adm.queue_cap,
-            queue_deadline: adm.queue_deadline,
+            queue_deadline: Duration::from_millis(500),
             fair_share: adm.fair_share,
             faults: FaultPlan::new(),
             trace_ring: crate::trace::TRACE_RING_CAPACITY,
@@ -245,9 +245,9 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Trips the shutdown flag and wakes everything: the event loop (via
-    /// the self-pipe), the workers, and any admission-queue waiter, which
-    /// sheds as `closed`.
+    /// Trips the shutdown flag, closes admission (parked requests shed as
+    /// `closed`), and wakes the event loop (via the self-pipe) and the
+    /// workers.
     pub fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.admission.close();
@@ -419,31 +419,7 @@ impl ServerState {
             "DSL per-line profile requests executed.",
             load(&c.profile_requests),
         );
-        for class in MetricClass::ALL {
-            // The measured-cost EWMA the `estimate` op reports as
-            // `measured_cost_us`, exposed as a per-class gauge family so
-            // scrapers see model-vs-observed drift without a request.
-            reg.gauge_f_with(
-                "measured_cost_us",
-                "Observed mean service time per op class, µs (EWMA).",
-                &[("class", class.name())],
-                self.latency.mean_service_us(class),
-            );
-            let (service, queue_wait) = self.latency.class_histograms(class);
-            let labels = [("class", class.name())];
-            reg.histogram(
-                "request_service_us",
-                "Request service time per op class, µs (log2 buckets).",
-                &labels,
-                log2_snapshot(service),
-            );
-            reg.histogram(
-                "request_queue_wait_us",
-                "Runnable-to-picked-up wait per op class, µs (log2 buckets).",
-                &labels,
-                log2_snapshot(queue_wait),
-            );
-        }
+        self.latency.register(&mut reg);
         reg
     }
 
@@ -462,7 +438,7 @@ impl ServerState {
                 (name.to_owned(), value)
             })
             .collect();
-        members.push(("latency".to_owned(), self.latency.to_json()));
+        members.push(("latency".to_owned(), latency_json(&reg)));
         Json::Obj(members)
     }
 
@@ -503,15 +479,6 @@ impl ServerState {
     /// One-line human/CI-readable metrics summary of the current state.
     pub fn metrics_line(&self) -> String {
         metrics_line(&self.stats_json())
-    }
-}
-
-/// Snapshot a serve histogram into the registry's raw-bucket form.
-fn log2_snapshot(h: &Histogram) -> Log2Histogram {
-    Log2Histogram {
-        counts: h.bucket_counts().to_vec(),
-        count: h.count(),
-        sum: h.sum(),
     }
 }
 
@@ -579,7 +546,6 @@ impl Server {
                 admission: AdmissionController::new(AdmissionOptions {
                     budget: opts.cost_budget,
                     queue_cap: opts.queue_cap,
-                    queue_deadline: opts.queue_deadline,
                     fair_share: opts.fair_share,
                 }),
                 faults: opts.faults.clone(),
@@ -1105,7 +1071,6 @@ impl EventLoop<'_> {
                     est.class.name(),
                     est.cost,
                     state.admission.would_admit(conn_id, est.cost),
-                    state.latency.mean_service_us(est.class.into()),
                 );
                 let reply = inline_reply(state, MetricClass::Estimate, reply);
                 trace.collapse_remaining(Instant::now());
@@ -1474,8 +1439,7 @@ impl EventLoop<'_> {
         self.after_io(token);
     }
 
-    /// Admit parked requests from the queue head while budget allows —
-    /// the event-loop counterpart of the blocking waiter wake-up.
+    /// Admit parked requests from the queue head while budget allows.
     fn advance_parked(&mut self) {
         loop {
             match self.state.admission.claim_head() {
