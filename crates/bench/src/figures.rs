@@ -2,10 +2,18 @@
 //!
 //! Figures 7, 8, 10-13 and the PUMICE study evaluate the same kernel set,
 //! so every kernel run they need goes through one process-wide results
-//! memo ([`evaluate`]): each kernel executes once per process and each of
-//! its traces is timed once per configuration.
+//! memo ([`evaluate`]) that keeps each run's reports per configuration.
+//! A configuration the memo lacks costs a fresh kernel run, so [`fig7`],
+//! the first figure of a pass to run every kernel, also times each MVE run
+//! under every configuration a later figure reads (Figure 13's schemes and
+//! the PUMICE dispatch model): in a full pass each MVE kernel runs once.
+//! Figure 13's RVV half still runs its kernels a second time, because
+//! Figure 10, their first consumer, times only the default configuration
+//! and a lone Figure 10 must stay cheap. Figure 12(b)'s other array counts
+//! are different traces, not partial misses.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::platform;
@@ -75,11 +83,13 @@ fn memo() -> MutexGuard<'static, HashMap<MemoKey, Memoized>> {
 /// Runs `kernel`'s `isa` implementation at `scale` and times it under each
 /// of `cfgs`, through the process-wide results memo.
 ///
-/// A hit returns the stored results. On a miss, or when some of `cfgs`
-/// have not been timed yet, the kernel runs again and only the missing
-/// configurations are timed, in one fanned-out walk of its trace. The lock
-/// is not held while the kernel runs, so concurrent misses on one key may
-/// both compute; the results are deterministic, so either may be kept.
+/// A hit returns the stored results. When any of `cfgs` has not been timed
+/// yet, the kernel runs again (counted by [`kernel_runs`]) and only the
+/// missing configurations are timed, in one fanned-out walk of its trace;
+/// a caller that knows what later callers will ask for should request it
+/// up front, as [`fig7`] does. The lock is not held while the kernel runs,
+/// so concurrent misses on one key may both compute; the results are
+/// deterministic, so either may be kept.
 ///
 /// The check is returned, not asserted: each caller asserts
 /// `checked.ok()` itself.
@@ -110,6 +120,7 @@ pub fn evaluate(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfgs: &[SimConfig])
             _ => missing,
         }
     };
+    KERNEL_RUNS[isa as usize].fetch_add(1, Ordering::Relaxed);
     let run = match isa {
         Isa::Mve => kernel.run_mve(scale),
         Isa::Rvv => kernel
@@ -131,6 +142,16 @@ pub fn evaluate(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfgs: &[SimConfig])
         mix,
         reports: cfgs.iter().map(|c| entry.reports[c].clone()).collect(),
     }
+}
+
+/// Kernel runs [`evaluate`] has made, per [`Isa`], since the process
+/// started.
+static KERNEL_RUNS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+/// How many times [`evaluate`] has run a kernel's `isa` implementation in
+/// this process (every memo miss, across all threads).
+pub fn kernel_runs(isa: Isa) -> usize {
+    KERNEL_RUNS[isa as usize].load(Ordering::Relaxed)
 }
 
 /// Empties the results memo, so the next evaluation of every kernel runs
@@ -184,7 +205,33 @@ pub struct Fig7Row {
     pub energy_split: (f64, f64, f64),
 }
 
+/// The configurations [`fig7`] times a kernel's MVE run under: the default
+/// one first, then every one a later figure reads at the default geometry
+/// (Figure 13's schemes for its kernels, the PUMICE study's dispatch
+/// models for the selected ones), so those figures hit the memo.
+fn fig7_configs(kernel: &dyn Kernel) -> Vec<SimConfig> {
+    let info = kernel.info();
+    let mut later = Vec::new();
+    if fig10_kernel_names().contains(&info.name) {
+        later.extend(platform::scheme_sweep().into_iter().map(|(_, cfg)| cfg));
+    }
+    if info.selected {
+        later.extend(pumice_configs());
+    }
+    let mut cfgs = vec![platform::mve_config()];
+    for cfg in later {
+        if !cfgs.contains(&cfg) {
+            cfgs.push(cfg);
+        }
+    }
+    cfgs
+}
+
 /// Figure 7: MVE vs Arm Neon across all 44 kernels, averaged per library.
+///
+/// It is the first figure of a pass to run every kernel, so it also fills
+/// the memo for the later ones ([`fig7_configs`]); its own rows read only
+/// the default configuration's report.
 pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
     let params = EnergyParams::default();
     let mut rows = Vec::new();
@@ -198,7 +245,10 @@ pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
         let mut es = (0.0, 0.0, 0.0);
         let mut count = 0.0;
         for k in kernels.iter().filter(|k| k.info().library == lib) {
-            let (_, report) = timed(k.as_ref(), Isa::Mve, scale, platform::mve_config());
+            let cfgs = fig7_configs(k.as_ref());
+            let report = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs)
+                .reports
+                .swap_remove(0);
             let (profile, neon) = timed_neon(k.as_ref(), scale);
             time_fracs.push(report.total_cycles as f64 / neon.cycles as f64);
             let me: EnergyBreakdown = mve_energy(&report, &params);
@@ -632,8 +682,10 @@ pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
     }
     let mut acc: Vec<SchemeAcc> = (0..cfgs.len()).map(|_| SchemeAcc::default()).collect();
 
-    // The schemes the memo lacks are timed in one fanned-out walk of each
-    // trace (with a single shared cache-warming pass).
+    // In a full pass fig7 has already timed the MVE runs under every
+    // scheme. The RVV runs lack all but the default one; those are timed in
+    // one fanned-out walk of each trace (with a single shared cache-warming
+    // pass).
     for k in &kernels {
         let mreps = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs).reports;
         let rreps = evaluate_ok(k.as_ref(), Isa::Rvv, scale, &cfgs).reports;
@@ -665,8 +717,19 @@ pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
         .collect()
 }
 
+/// The two dispatch models the PUMICE study compares: the baseline
+/// controller, then per-CB out-of-order dispatch.
+fn pumice_configs() -> [SimConfig; 2] {
+    [
+        platform::mve_config(),
+        platform::mve_config().with_ooo_dispatch(),
+    ]
+}
+
 /// The PUMICE extension study (Section VIII) over `kernels`: baseline vs
-/// per-CB out-of-order dispatch, one fanned-out trace walk per kernel.
+/// per-CB out-of-order dispatch. After [`fig7`] both reports of every
+/// selected kernel are in the memo; otherwise each kernel runs once and
+/// both models are timed in one fanned-out walk of its trace.
 /// Shared by the `ext_pumice` binary (which can filter the kernel set) and
 /// the artefact registry.
 pub fn ext_pumice_report(scale: Scale, kernels: &[Box<dyn Kernel>]) -> String {
@@ -681,11 +744,7 @@ pub fn ext_pumice_report(scale: Scale, kernels: &[Box<dyn Kernel>]) -> String {
         "{:<8} {:>12} {:>12} {:>8}",
         "kernel", "base cyc", "pumice cyc", "gain"
     );
-    // Both dispatch models consume one fanned-out walk of each trace.
-    let cfgs = [
-        platform::mve_config(),
-        platform::mve_config().with_ooo_dispatch(),
-    ];
+    let cfgs = pumice_configs();
     let mut gains = Vec::new();
     for k in kernels {
         let reports = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs).reports;

@@ -14,7 +14,7 @@
 use std::any::Any;
 
 use crate::addrgen::{self, RowPlan, StrideBank};
-use crate::config::ControlRegs;
+use crate::config::{ControlRegs, MAX_MASK_LEN};
 use crate::dtype::{BinOp, CmpOp, DType};
 use crate::isa::{Opcode, StrideMode};
 use crate::layout::LogicalShape;
@@ -861,17 +861,23 @@ impl Engine {
         m.words.clear();
         m.words.resize(total.div_ceil(64), 0);
         // Lane activity is constant across each highest-dimension element
-        // (a run of `inner` consecutive lanes), so the bitset is built from
-        // at most `dlen` range fills, not per-lane tests.
-        for coord in 0..dlen {
-            let start = coord * inner;
+        // (a run of `inner` consecutive lanes), and each mask bit covers one
+        // element, or a group of consecutive elements when the highest
+        // dimension is longer than the mask CR
+        // ([`ControlRegs::mask_bit_for`]). Bit `b` covers the elements
+        // `[ceil(b * dlen / bits), ceil((b + 1) * dlen / bits))`, so the
+        // bitset is built from at most 256 range fills, not per-lane tests.
+        let bits = dlen.min(MAX_MASK_LEN);
+        let first_coord = |b: usize| (b * dlen).div_ceil(bits);
+        for b in 0..bits {
+            let start = first_coord(b) * inner;
             if start >= total {
                 break;
             }
-            if !self.crs.mask_bit_for(coord, dlen) {
+            if !self.crs.mask_bit(b) {
                 continue;
             }
-            set_bit_range(&mut m.words, start, (start + inner).min(total));
+            set_bit_range(&mut m.words, start, (first_coord(b + 1) * inner).min(total));
         }
         m.active = m.words.iter().map(|w| w.count_ones()).sum();
         m.cb_mask = cb_mask_of(&m.words, self.geom.bitlines_per_cb());
@@ -1536,6 +1542,87 @@ mod tests {
         match e.trace().events().last().expect("event") {
             Event::Compute { cb_mask, .. } => assert_eq!(*cb_mask, 0b111),
             other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    /// The cached lane bitset, rebuilt from one per-coordinate
+    /// [`ControlRegs::mask_bit_for`] test per highest-dimension element.
+    fn reference_lane_mask(e: &Engine) -> Vec<u64> {
+        let shape = e.shape();
+        let dlen = shape.dim(shape.highest_dim());
+        let inner = shape.total() / dlen;
+        let total = shape.total().min(e.lanes());
+        let mut words = vec![0u64; total.div_ceil(64)];
+        for coord in 0..dlen {
+            if e.crs.mask_bit_for(coord, dlen) {
+                for lane in (coord * inner..(coord + 1) * inner).take_while(|&l| l < total) {
+                    words[lane / 64] |= 1 << (lane % 64);
+                }
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn lane_mask_rebuild_matches_per_coordinate_mask_bits() {
+        // (dims, lowest first): 1-D highest dims longer than the 256-bit
+        // mask CR, 2-D and 3-D shapes with inner > 1 on both sides of 256,
+        // and one shape wider than the engine.
+        let shapes: [&[usize]; 13] = [
+            &[257],
+            &[300],
+            &[1000],
+            &[4096],
+            &[8192],
+            &[100],
+            &[2, 4096],
+            &[4, 2048],
+            &[3, 1000],
+            &[8, 300],
+            &[32, 256],
+            &[32, 257],
+            &[2, 3, 600],
+        ];
+        let mut rng = 0x5eed_u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for dims in shapes {
+            let mut e = Engine::default_mobile();
+            e.vsetdimc(dims.len());
+            for (d, &len) in dims.iter().enumerate() {
+                e.vsetdiml(d, len);
+            }
+            for round in 0..6 {
+                match round {
+                    0 => {}
+                    1 => (0..256).for_each(|b| e.vunsetmask(b)),
+                    _ => {
+                        for _ in 0..next() % 200 {
+                            let b = (next() % 256) as usize;
+                            if next() % 2 == 0 {
+                                e.vsetmask(b);
+                            } else {
+                                e.vunsetmask(b);
+                            }
+                        }
+                    }
+                }
+                let shape = e.shape();
+                e.refresh_mask(&shape);
+                let want = reference_lane_mask(&e);
+                assert_eq!(e.mask.words, want, "{dims:?} round {round}");
+                let active: u32 = want.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(e.mask.active, active, "{dims:?} round {round}");
+                assert_eq!(
+                    e.mask.cb_mask,
+                    cb_mask_of(&want, e.geom.bitlines_per_cb()),
+                    "{dims:?} round {round}"
+                );
+            }
         }
     }
 

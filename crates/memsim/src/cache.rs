@@ -91,6 +91,9 @@ pub struct SetAssocCache {
     /// Ways usable for storage (reduced when the compute half is enabled).
     active_ways: usize,
     sets: Vec<Vec<TagEntry>>,
+    /// `sets - 1` when the set count is a power of two (every Table IV
+    /// level), so the set index is a mask rather than a division.
+    set_mask: Option<u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -107,6 +110,7 @@ impl SetAssocCache {
         Self {
             active_ways: cfg.ways,
             sets: vec![Vec::new(); cfg.sets()],
+            set_mask: cfg.sets().is_power_of_two().then(|| cfg.sets() as u64 - 1),
             clock: 0,
             cfg,
             hits: 0,
@@ -162,7 +166,10 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, line_addr: u64) -> usize {
-        (line_addr % self.sets.len() as u64) as usize
+        match self.set_mask {
+            Some(mask) => (line_addr & mask) as usize,
+            None => (line_addr % self.sets.len() as u64) as usize,
+        }
     }
 
     fn lru_index(set: &[TagEntry]) -> usize {
@@ -358,6 +365,26 @@ mod tests {
         assert_eq!(c.resident_lines(), 4);
         assert!(flushed >= 1, "some dirty lines must flush");
         assert_eq!(c.active_ways(), 2);
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_index_by_remainder() {
+        let cfg = CacheConfig {
+            size_bytes: 6 * 64,
+            ways: 2,
+            line_bytes: 64,
+            latency: 1,
+            mshrs: 4,
+        };
+        // 3 sets × 2 ways: lines 1, 4 and 7 all map to set 1, so the third
+        // evicts the first.
+        let mut c = SetAssocCache::new(cfg);
+        c.access(1, false);
+        c.access(4, false);
+        assert_eq!(c.access(7, false).victim, Some(1));
+        // Line 2 maps to set 2 and evicts nothing.
+        assert_eq!(c.access(2, false).victim, None);
+        assert!(c.probe(4) && c.probe(7) && c.probe(2) && !c.probe(1));
     }
 
     #[test]

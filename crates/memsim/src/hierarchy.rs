@@ -1,6 +1,9 @@
 //! The full L1 → L2 → LLC → DRAM hierarchy with the two access paths of
 //! Section V: scalar core accesses and MVE vector gathers/scatters.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dram::{Dram, DramConfig};
 use crate::line_of;
@@ -78,6 +81,9 @@ pub struct Hierarchy {
     llc: SetAssocCache,
     dram: Dram,
     stats: MemStats,
+    /// Completion cycles of a vector batch's outstanding L2 misses, earliest
+    /// on top; reused across batches.
+    outstanding: BinaryHeap<Reverse<u64>>,
 }
 
 impl Default for Hierarchy {
@@ -94,8 +100,9 @@ impl Hierarchy {
             l2: SetAssocCache::new(cfg.l2),
             llc: SetAssocCache::new(cfg.llc),
             dram: Dram::new(cfg.dram),
-            cfg,
             stats: MemStats::default(),
+            outstanding: BinaryHeap::with_capacity(cfg.l2.mshrs),
+            cfg,
         }
     }
 
@@ -194,7 +201,7 @@ impl Hierarchy {
     pub fn vector_access(&mut self, lines: &[u64], write: bool, now: u64) -> BatchResult {
         const TAG_BANKS: u64 = 4;
         let mshrs = self.cfg.l2.mshrs;
-        let mut outstanding: Vec<u64> = Vec::with_capacity(mshrs);
+        self.outstanding.clear();
         let mut t = now;
         let mut done_at = now;
         let mut l2_hits = 0;
@@ -232,11 +239,14 @@ impl Hierarchy {
                 t + self.cfg.l2.latency + penalty
             } else {
                 self.stats.l2_misses += 1;
-                // Block for a free MSHR.
-                if outstanding.len() >= mshrs {
-                    let earliest = *outstanding.iter().min().expect("nonempty");
+                // Block for a free MSHR: wait for the earliest outstanding
+                // miss, then retire every miss complete by then.
+                if self.outstanding.len() >= mshrs {
+                    let Reverse(earliest) = self.outstanding.pop().expect("nonempty");
                     t = t.max(earliest);
-                    outstanding.retain(|&c| c > t);
+                    while self.outstanding.peek().is_some_and(|&Reverse(c)| c <= t) {
+                        self.outstanding.pop();
+                    }
                 }
                 let llc_out = self.llc.access(line, write);
                 if let Some(victim) = llc_out.victim {
@@ -255,7 +265,7 @@ impl Hierarchy {
                     let t_issue = t + self.cfg.l2.latency + self.cfg.llc.latency;
                     self.dram.access(line, t_issue) + penalty
                 };
-                outstanding.push(completion);
+                self.outstanding.push(Reverse(completion));
                 completion
             };
             done_at = done_at.max(completion);
@@ -559,6 +569,51 @@ mod more_tests {
                 );
             }
             assert_eq!(new.stats(), old.stats());
+        }
+    }
+
+    #[test]
+    fn full_mshr_path_matches_the_two_lookup_order() {
+        let mshrs = CacheConfig::l2().mshrs as u64;
+        for seed in 0..4u64 {
+            let mut rng = seed;
+            let mut new = Hierarchy::default();
+            if seed % 2 == 1 {
+                new.enable_compute_mode();
+            }
+            let mut old = new.clone();
+            // Batches of 64-512 read lines from three regions, which the
+            // sort puts in address order: a 1 GiB span (cold: DRAM fills
+            // spread over every bank and many rows) whose misses fill the
+            // MSHRs, a hot region the L2 holds (hits, during which some of
+            // those fills complete unretired), and a region larger than the
+            // L2 but inside the LLC, whose misses then find the MSHRs full.
+            let line = |rng: &mut u64| match next(rng) % 3 {
+                0 => next(rng) % (1 << 24),
+                1 => (1 << 24) + next(rng) % 1_024,
+                _ => (1 << 25) + next(rng) % 24_576,
+            };
+            let (mut now, mut blocked) = (0, 0);
+            let batches = 60;
+            for _ in 0..batches {
+                now += next(&mut rng) % 4_096;
+                let n = 64 + next(&mut rng) % 449;
+                let mut lines: Vec<u64> = (0..n).map(|_| line(&mut rng)).collect();
+                lines.sort_unstable();
+                lines.dedup();
+                let res = new.vector_access(&lines, false, now);
+                assert_eq!(res, two_lookup_vector_access(&mut old, &lines, false, now));
+                assert_eq!(new.stats(), old.stats());
+                // More misses than MSHRs: the batch ran the full-MSHR path.
+                if res.lines - res.l2_hits > mshrs {
+                    blocked += 1;
+                }
+            }
+            assert!(
+                blocked * 4 > batches * 3,
+                "seed {seed}: {blocked}/{batches} blocked"
+            );
+            assert!(new.stats().dram_accesses > 0, "seed {seed}");
         }
     }
 
