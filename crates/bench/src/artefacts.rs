@@ -77,8 +77,8 @@ pub fn render(name: &str, scale: Scale) -> Option<String> {
 
 /// The help message for a name `render` rejects: a nearest-name
 /// suggestion (the registry's shared edit-distance policy, so
-/// `reproduce --only`, `ext_pumice --kernel` and the serve error replies
-/// all behave the same on typos) plus the sorted vocabulary.
+/// `reproduce --only` and the serve error replies behave the same on
+/// typos) plus the sorted vocabulary.
 pub fn unknown_artefact_message(name: &str) -> String {
     let mut names = NAMES;
     names.sort_unstable();

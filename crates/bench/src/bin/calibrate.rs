@@ -9,6 +9,9 @@
 //!                           # table, exit 1 if any formula drifts > 2x
 //! ```
 //!
+//! An unknown flag, or `--write` without a path, exits 2 with the usage
+//! line.
+//!
 //! The probes time the same code paths the daemon charges for: an
 //! artefact render from the shared registry, a functional kernel
 //! execution (`run_mve`) at both scales, a single-configuration timing
@@ -165,23 +168,36 @@ fn probe_charges(m: &CostModel) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let write_path = args.iter().position(|a| a == "--write").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--write needs a path");
-            std::process::exit(2);
-        })
-    });
-    if args
-        .iter()
-        .any(|a| a != "--check" && a != "--write" && write_path.as_deref().is_none_or(|p| p != a))
-    {
-        eprintln!("usage: calibrate [--write PATH] [--check]");
-        std::process::exit(2);
-    }
+const USAGE: &str = "usage: calibrate [--write PATH] [--check]";
 
+/// Prints `msg` and the usage line, then exits 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses `(check, write_path)`. An unknown flag, or `--write` without a
+/// path (a following `--flag` is not a path), exits 2 before any probe
+/// runs.
+fn parse_flags() -> (bool, Option<String>) {
+    let (mut check, mut write_path) = (false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--write" => match args.next().filter(|v| !v.starts_with("--")) {
+                Some(path) => write_path = Some(path),
+                None => usage("--write needs a path"),
+            },
+            _ => usage(&format!("unknown flag `{arg}`")),
+        }
+    }
+    (check, write_path)
+}
+
+fn main() {
+    let (check, write_path) = parse_flags();
     // Fast mode still takes a median of 3: a single sample per probe
     // tripped the 2x drift gate on a noisy host.
     let reps = if perf::fast_mode() { 3 } else { 5 };

@@ -54,11 +54,10 @@
 //! no-request-lost invariant, asserted from the outside.
 //!
 //! Adding `--duration-ms M` (with `--connections N` or `--flood N` for
-//! the connection count) switches to the *open-loop* throughput mode
-//! shared with the `serve_throughput` perf harness: N connections send
-//! the request back-to-back for M milliseconds and one JSON line with
-//! req/s and latency percentiles is printed. `lost` must still be zero or
-//! the run fails.
+//! the connection count) switches to the *open-loop* throughput mode: N
+//! connections send the request back-to-back for M milliseconds and one
+//! JSON line with req/s and latency percentiles is printed. `lost` must
+//! still be zero or the run fails.
 //!
 //! `--replay-smoke` renders every artefact at test scale through the
 //! server and writes `DIR/<name>.txt` — CI diffs that tree byte-for-byte

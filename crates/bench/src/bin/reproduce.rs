@@ -1,8 +1,7 @@
 //! One-shot reproduction: regenerates every table, figure and ablation into
 //! `results/` (paper scale) through the shared artefact registry
-//! (`mve_bench::artefacts`) — the same render functions the per-artefact
-//! binaries print and the `serve` daemon caches, so all three front-ends
-//! are byte-identical by construction.
+//! (`mve_bench::artefacts`) — the same render functions the `serve` daemon
+//! caches, so both front-ends are byte-identical by construction.
 //!
 //! `--smoke` runs the same pipeline at test scale into `results-smoke/`,
 //! in seconds instead of minutes — used by CI so this entry point cannot
@@ -27,8 +26,8 @@
 //!
 //! `--json` instead times the engine and service hot-path micro-benchmarks
 //! (`mve_bench::perf`) and writes the machine-readable trajectory file
-//! `BENCH_engine.json` into the current directory, so each PR records the
-//! functional engine's throughput. `MVE_BENCH_FAST=1` shrinks the timing
+//! `BENCH_engine.json` into the current directory: each bench's median
+//! ns/iter and its min–max band. `MVE_BENCH_FAST=1` shrinks the timing
 //! budgets for CI.
 //!
 //! `--profile` instead profiles the selected kernel set
@@ -181,25 +180,14 @@ fn main() {
         let results = mve_bench::perf::run_engine_hot();
         for r in &results {
             eprintln!(
-                "  {:28} {:>12.1} ns/iter  {:>10.1} Melem/s",
-                r.name, r.median_ns, r.melems_per_s
+                "  {:28} {:>12.1} ns/iter  [{:.1}, {:.1}]  {:>10.1} Melem/s",
+                r.name, r.median_ns, r.min_ns, r.max_ns, r.melems_per_s
             );
         }
-        let throughput = mve_bench::perf::run_serve_throughput();
-        for t in &throughput {
-            eprintln!(
-                "  {:28} {:>10.1} req/s  p50 {:>6} µs  p99 {:>6} µs  ({} conns, {} lost)",
-                t.name, t.req_per_s, t.p50_us, t.p99_us, t.connections, t.lost
-            );
-        }
-        let json = mve_bench::perf::to_json(&results, &throughput);
+        let json = mve_bench::perf::to_json(&results);
         fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
         print!("{json}");
-        eprintln!(
-            "wrote BENCH_engine.json ({} benches, {} throughput scenarios)",
-            results.len(),
-            throughput.len()
-        );
+        eprintln!("wrote BENCH_engine.json ({} benches)", results.len());
         return;
     }
     let (scale, out_dir) = if flags.smoke {

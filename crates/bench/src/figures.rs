@@ -730,8 +730,6 @@ fn pumice_configs() -> [SimConfig; 2] {
 /// per-CB out-of-order dispatch. After [`fig7`] both reports of every
 /// selected kernel are in the memo; otherwise each kernel runs once and
 /// both models are timed in one fanned-out walk of its trace.
-/// Shared by the `ext_pumice` binary (which can filter the kernel set) and
-/// the artefact registry.
 pub fn ext_pumice_report(scale: Scale, kernels: &[Box<dyn Kernel>]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();

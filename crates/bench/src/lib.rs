@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Section VII). Each figure has one function here returning
 //! typed rows; `reproduce` and the `serve` daemon render them through
-//! [`artefacts`], and the Criterion benches time them at test scale.
+//! [`artefacts`].
 //!
 //! | Entry point | Paper artefact |
 //! |---|---|

@@ -1,26 +1,16 @@
 //! Tracked engine hot-path micro-benchmarks.
 //!
 //! One canonical list of functional-engine workloads ([`engine_hot_benches`])
-//! is shared by two consumers so they can never drift apart:
+//! is timed in-process by `reproduce --json`, which writes the
+//! machine-readable trajectory file `BENCH_engine.json`, so every PR
+//! records where the hot path stands (see DESIGN.md, "Performance
+//! architecture"). End-to-end time, serve latency and throughput are
+//! perfbench's job, not this file's.
 //!
-//! * `benches/engine_hot.rs` wraps each workload in the vendored criterion
-//!   harness (`cargo bench -p mve-bench --bench engine_hot`), and
-//! * `reproduce --json` times the same workloads in-process and writes the
-//!   machine-readable trajectory file `BENCH_engine.json`, so every PR
-//!   records where the hot path stands (see DESIGN.md, "Performance
-//!   architecture").
-//!
-//! Methodology mirrors the vendored criterion: short warm-up, then
-//! `samples` timed batches, reporting the median per-iteration wall time.
+//! Methodology: short warm-up, then `samples` timed batches, reporting the
+//! median per-iteration wall time and the fastest and slowest batch.
 //! `MVE_BENCH_FAST=1` shrinks the budgets for CI smoke runs.
-//!
-//! Since PR 8 the file also carries [`run_serve_throughput`]: an open-loop
-//! daemon-capacity harness (N concurrent connections of cache-hit and
-//! cache-miss traffic against an in-process loopback server) whose req/s
-//! and latency percentiles land in `BENCH_engine.json` next to the
-//! micro-benchmarks.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mve_core::dtype::{BinOp, CmpOp};
@@ -32,14 +22,11 @@ use mve_insram::Scheme;
 use mve_kernels::Scale;
 use mve_serve::admission::TryAdmit;
 use mve_serve::cache::{Fetch, ResultCache};
-use mve_serve::client::open_loop;
-use mve_serve::protocol::scale_name;
-use mve_serve::server::{ArtefactFn, ArtefactRegistry, ServeOptions, Server};
 use mve_serve::{AdmissionController, AdmissionOptions, CostModel, Request, SimSpec};
 
 /// One named hot-path workload over a pre-built engine.
 pub struct HotBench {
-    /// Stable identifier (also the criterion bench id).
+    /// Stable identifier (the `name` in `BENCH_engine.json`).
     pub name: &'static str,
     /// Elements processed per iteration (for Melem/s reporting).
     pub elems: u64,
@@ -54,6 +41,10 @@ pub struct HotResult {
     pub name: &'static str,
     /// Median wall time per iteration, nanoseconds.
     pub median_ns: f64,
+    /// Fastest sample's wall time per iteration, nanoseconds.
+    pub min_ns: f64,
+    /// Slowest sample's wall time per iteration, nanoseconds.
+    pub max_ns: f64,
     /// Derived throughput in millions of elements per second.
     pub melems_per_s: f64,
 }
@@ -553,7 +544,8 @@ pub fn fast_mode() -> bool {
     std::env::var_os("MVE_BENCH_FAST").is_some()
 }
 
-/// Times one workload: warm-up, then `samples` batches, median ns/iter.
+/// Times one workload: warm-up, then `samples` batches; the median
+/// ns/iter plus the fastest and slowest batch.
 pub fn measure(bench: &mut HotBench) -> HotResult {
     let (warm_up, measurement, samples) = if fast_mode() {
         (Duration::from_millis(5), Duration::from_millis(50), 3)
@@ -585,6 +577,8 @@ pub fn measure(bench: &mut HotBench) -> HotResult {
     HotResult {
         name: bench.name,
         median_ns,
+        min_ns: timings[0],
+        max_ns: timings[timings.len() - 1],
         melems_per_s: bench.elems as f64 / median_ns * 1e3,
     }
 }
@@ -597,160 +591,28 @@ pub fn run_engine_hot() -> Vec<HotResult> {
         .collect()
 }
 
-/// One tracked daemon-capacity measurement from [`run_serve_throughput`].
-#[derive(Debug, Clone)]
-pub struct ThroughputResult {
-    /// Scenario name (`serve_throughput_hit` / `serve_throughput_miss`).
-    pub name: &'static str,
-    /// Concurrent open-loop connections.
-    pub connections: usize,
-    /// Requests sent over the run.
-    pub requests: u64,
-    /// Typed replies per second.
-    pub req_per_s: f64,
-    /// Median request-to-reply latency, µs.
-    pub p50_us: u64,
-    /// 99th-percentile request-to-reply latency, µs.
-    pub p99_us: u64,
-    /// Requests with no typed reply — must be zero for a valid run.
-    pub lost: u64,
-}
-
-/// Connections driven by each throughput scenario.
-const THROUGHPUT_CONNECTIONS: usize = 32;
-/// Distinct artefact names in the throughput registry.
-const THROUGHPUT_NAMES: usize = 256;
-
-/// A registry of [`THROUGHPUT_NAMES`] cheap deterministic artefacts
-/// (`w0`..`w255`), each rendering a few-KiB payload so replies carry
-/// realistic weight without the render dominating the wire path.
-fn throughput_registry() -> ArtefactRegistry {
-    let mut entries: Vec<(&'static str, ArtefactFn)> = Vec::new();
-    for i in 0..THROUGHPUT_NAMES {
-        let name: &'static str = Box::leak(format!("w{i}").into_boxed_str());
-        let render: ArtefactFn = Arc::new(move |scale| {
-            format!(
-                "{name} throughput artefact at {} scale\n",
-                scale_name(scale)
-            )
-            .repeat(64)
-        });
-        entries.push((name, render));
-    }
-    ArtefactRegistry::new(entries)
-}
-
-/// Boots a loopback daemon, drives it open-loop, and tears it down.
-fn run_throughput_scenario(
-    name: &'static str,
-    cache_cap: usize,
-    duration: Duration,
-    make_request: impl Fn(usize, u64) -> Request + Sync,
-) -> ThroughputResult {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(8);
-    let server = Server::bind(
-        &ServeOptions {
-            port: 0,
-            workers,
-            cache_cap,
-            ..ServeOptions::default()
-        },
-        throughput_registry(),
-    )
-    .expect("bind loopback daemon");
-    let port = server.port();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    let report = open_loop(
-        ("127.0.0.1", port),
-        THROUGHPUT_CONNECTIONS,
-        duration,
-        make_request,
-    )
-    .expect("open-loop run");
-    handle.shutdown();
-    join.join().expect("daemon thread");
-    ThroughputResult {
-        name,
-        connections: report.connections,
-        requests: report.requests,
-        req_per_s: report.req_per_s(),
-        p50_us: report.latency.p50_us,
-        p99_us: report.latency.p99_us,
-        lost: report.lost,
-    }
-}
-
-/// Measures daemon capacity as a tracked number: an open-loop harness
-/// drives [`THROUGHPUT_CONNECTIONS`] concurrent connections of cache-hit
-/// traffic (every connection requests the same artefact — after the first
-/// render the wire path plus one cache lookup is the whole request) and
-/// cache-miss traffic (a small cache against a rotating 256-key working
-/// set, so most requests render) through an in-process loopback daemon.
-pub fn run_serve_throughput() -> Vec<ThroughputResult> {
-    let duration = if fast_mode() {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(2)
-    };
-    vec![
-        run_throughput_scenario("serve_throughput_hit", 1024, duration, |_conn, _seq| {
-            Request::Artefact {
-                name: "w0".to_owned(),
-                scale: Scale::Test,
-            }
-        }),
-        run_throughput_scenario("serve_throughput_miss", 16, duration, |conn, seq| {
-            // Each connection strides a disjoint 8-name slice of the
-            // 256-key set; cap 16 keeps the cache churning.
-            let idx = (conn * 8 + seq as usize % 8) % THROUGHPUT_NAMES;
-            Request::Artefact {
-                name: format!("w{idx}"),
-                scale: Scale::Test,
-            }
-        }),
-    ]
-}
-
 /// Renders results as the `BENCH_engine.json` trajectory document.
 ///
 /// Hand-rolled JSON (the workspace vendors no serde); the schema is frozen
-/// so successive PRs can be diffed: one object per bench with median
-/// nanoseconds per iteration and derived element throughput, plus — since
-/// `mve-engine-hot-v2` — one object per serve-throughput scenario with
-/// open-loop req/s and latency percentiles.
-pub fn to_json(results: &[HotResult], throughput: &[ThroughputResult]) -> String {
+/// so successive PRs can be diffed: one object per bench with the median,
+/// fastest and slowest sample in nanoseconds per iteration — the min–max
+/// band is the noise a later run is compared against — and the derived
+/// element throughput at the median.
+pub fn to_json(results: &[HotResult]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"mve-engine-hot-v2\",");
+    let _ = writeln!(s, "  \"schema\": \"mve-engine-hot-v3\",");
     let _ = writeln!(s, "  \"fast_mode\": {},", fast_mode());
     s.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"name\": \"{}\", \"median_ns_per_iter\": {:.1}, \"melems_per_s\": {:.1}}}",
-            r.name, r.median_ns, r.melems_per_s
+            "    {{\"name\": \"{}\", \"median_ns_per_iter\": {:.1}, \"min_ns_per_iter\": {:.1}, \
+             \"max_ns_per_iter\": {:.1}, \"melems_per_s\": {:.1}}}",
+            r.name, r.median_ns, r.min_ns, r.max_ns, r.melems_per_s
         );
         s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"serve_throughput\": [\n");
-    for (i, t) in throughput.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"connections\": {}, \"requests\": {}, \
-             \"req_per_s\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"lost\": {}}}",
-            t.name, t.connections, t.requests, t.req_per_s, t.p50_us, t.p99_us, t.lost
-        );
-        s.push_str(if i + 1 < throughput.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
     s.push_str("  ]\n}\n");
     s
@@ -764,56 +626,37 @@ mod tests {
     fn workloads_run_and_json_is_well_formed() {
         // One iteration of each workload must be side-effect-stable (the
         // measurement loop calls them thousands of times).
-        for mut b in engine_hot_benches() {
+        let mut benches = engine_hot_benches();
+        for b in &mut benches {
             (b.run)();
             (b.run)();
         }
+        let binop = benches
+            .iter_mut()
+            .find(|b| b.name == "binop_add_8192")
+            .expect("binop_add_8192 is tracked");
+        let measured = measure(binop);
+        assert!(
+            measured.min_ns <= measured.median_ns && measured.median_ns <= measured.max_ns,
+            "{measured:?}"
+        );
         let results = vec![
-            HotResult {
-                name: "a",
-                median_ns: 1.5,
-                melems_per_s: 2.0,
-            },
+            measured,
             HotResult {
                 name: "b",
                 median_ns: 3.0,
+                min_ns: 2.5,
+                max_ns: 4.0,
                 melems_per_s: 4.5,
             },
         ];
-        let throughput = vec![ThroughputResult {
-            name: "serve_throughput_hit",
-            connections: 32,
-            requests: 1000,
-            req_per_s: 3333.3,
-            p50_us: 120,
-            p99_us: 900,
-            lost: 0,
-        }];
-        let json = to_json(&results, &throughput);
-        assert!(json.contains("\"schema\": \"mve-engine-hot-v2\""));
-        assert!(json.contains("\"name\": \"a\""));
-        assert!(json.contains("\"serve_throughput\""));
-        assert!(json.contains("\"req_per_s\": 3333.3"));
-        assert!(json.contains("\"lost\": 0"));
+        let json = to_json(&results);
+        assert!(json.contains("\"schema\": \"mve-engine-hot-v3\""));
+        assert!(json.contains("\"name\": \"binop_add_8192\""));
+        assert!(json.contains(
+            "\"median_ns_per_iter\": 3.0, \"min_ns_per_iter\": 2.5, \"max_ns_per_iter\": 4.0"
+        ));
+        assert!(!json.contains("serve_throughput"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn serve_throughput_harness_serves_and_loses_nothing() {
-        // One short hit-scenario run end-to-end (fast regardless of
-        // MVE_BENCH_FAST: the duration here is the test's own).
-        let result = run_throughput_scenario(
-            "serve_throughput_hit",
-            1024,
-            Duration::from_millis(200),
-            |_conn, _seq| Request::Artefact {
-                name: "w0".to_owned(),
-                scale: Scale::Test,
-            },
-        );
-        assert_eq!(result.connections, THROUGHPUT_CONNECTIONS);
-        assert_eq!(result.lost, 0, "{result:?}");
-        assert!(result.requests > 0 && result.req_per_s > 0.0, "{result:?}");
-        assert!(result.p50_us <= result.p99_us, "{result:?}");
     }
 }

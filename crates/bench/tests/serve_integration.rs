@@ -186,3 +186,26 @@ fn reproduce_rejects_unknown_flags_and_malformed_values() {
         );
     }
 }
+
+/// `calibrate` is as strict too: a mistyped flag, or `--write` without a
+/// path (`--write --check` once took `--check` as the path, wrote nothing
+/// and ran the drift check), exits 2 with usage before any probe runs.
+#[test]
+fn calibrate_rejects_unknown_flags_and_missing_values() {
+    for args in [&["--chek"][..], &["--write"], &["--write", "--check"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_calibrate"))
+            .args(args)
+            .output()
+            .expect("spawn calibrate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("usage: calibrate")),
+            "{args:?}: no usage line in {stderr}"
+        );
+        assert!(
+            !stderr.contains("calibrating"),
+            "{args:?}: probes ran before the flag error: {stderr}"
+        );
+    }
+}

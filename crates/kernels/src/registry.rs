@@ -248,9 +248,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// suggestion), if one is close enough to plausibly be a typo: edit
 /// distance at most `max(1, len/3)`, ties broken by iteration order —
 /// pass a sorted vocabulary for deterministic output. Shared by every
-/// vocabulary front-end: [`UnknownKernel`] (so `ext_pumice --kernel` and
-/// the serve error reply inherit it) and the artefact vocabulary behind
-/// `reproduce --only`.
+/// vocabulary front-end: [`UnknownKernel`] (so the serve error reply
+/// inherits it) and the artefact vocabulary behind `reproduce --only`.
 pub fn did_you_mean<'a>(name: &str, candidates: &[&'a str]) -> Option<&'a str> {
     let budget = (name.chars().count() / 3).max(1);
     candidates
@@ -262,10 +261,9 @@ pub fn did_you_mean<'a>(name: &str, candidates: &[&'a str]) -> Option<&'a str> {
 }
 
 /// A kernel name that is not in the Table III suite. Its `Display` output
-/// is the one help message every front-end shows (`reproduce`,
-/// `ext_pumice`, and the `mve-serve` error reply), so the failure mode of
-/// a typo'd kernel is a nearest-name suggestion plus the sorted list of
-/// valid names, everywhere.
+/// is the help message the `mve-serve` error reply carries, so the failure
+/// mode of a typo'd kernel is a nearest-name suggestion plus the sorted
+/// list of valid names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownKernel {
     /// The name that failed to resolve.

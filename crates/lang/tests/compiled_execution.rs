@@ -2,8 +2,7 @@
 //!
 //! * a compiled `.mvel` dot product produces cycle/energy stats
 //!   **identical** to the equivalent hand-written engine sequence run
-//!   through `simulate()` with the same `SimConfig` (the PR-5 acceptance
-//!   criterion);
+//!   through `simulate()` with the same `SimConfig`;
 //! * a register-pressured kernel demonstrably emits spill/reload memory
 //!   traffic that shows up in the trace instruction mix — and still
 //!   computes the right answer;

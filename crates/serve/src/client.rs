@@ -1,8 +1,8 @@
 //! The client side of the wire protocol: a blocking connection (with an
 //! optional request deadline and overload-aware capped exponential
 //! backoff), the smoke-set replay driver used by `mve-client` and CI, and
-//! the open-loop throughput driver shared by `mve-client --flood
-//! --duration-ms` and the `serve_throughput` perf harness.
+//! the open-loop throughput driver behind `mve-client --connections N
+//! --duration-ms M`.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -45,8 +45,7 @@
 //!   requests, counters, graceful shutdown.
 //! * [`client`] — the blocking client (with request deadline and
 //!   overload-aware capped backoff), the smoke-set replay driver, and the
-//!   open-loop throughput driver shared by `mve-client --flood` and the
-//!   perf harness.
+//!   open-loop throughput driver behind `mve-client --duration-ms`.
 //!
 //! The `serve` and `mve-client` binaries live in `mve-bench`, which owns
 //! the artefact render functions and injects them via
