@@ -16,6 +16,10 @@
 //! mve-client [--port N] shutdown
 //! ```
 //!
+//! Each subcommand accepts only the tail shown above: an unknown flag, a
+//! flag missing its value, or a word left over after `--replay-smoke DIR`
+//! exits 2 with the usage line before any connection is made.
+//!
 //! `metrics` prints the daemon's Prometheus text exposition; `--check`
 //! additionally validates it with the strict `mve_obs` parser and
 //! cross-checks the stable counters and the per-class service and
@@ -63,6 +67,7 @@
 //! server and writes `DIR/<name>.txt` — CI diffs that tree byte-for-byte
 //! against `reproduce --smoke`.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use mve_bench::artefacts;
@@ -93,37 +98,43 @@ fn fail(e: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// `--flag VALUE` anywhere in the tail, value kept as a string (used by
-/// `trace --chrome OUT.json`).
-fn tail_str_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_owned());
+/// Parses a control subcommand's tail (everything after the subcommand
+/// word) against exactly the flags its usage line documents: `values`
+/// take a value (`--flag V` or `--flag=V`), `switches` take none. An
+/// unknown flag, a stray word, or a value flag without its value exits 2
+/// with usage — before any connection is made. Switches map to `""`.
+fn parse_tail(
+    tail: &[String],
+    values: &[&'static str],
+    switches: &[&'static str],
+) -> HashMap<&'static str, String> {
+    let mut out = HashMap::new();
+    let mut tail = tail.iter();
+    while let Some(arg) = tail.next() {
+        if let Some(&switch) = switches.iter().find(|&&s| s == arg) {
+            out.insert(switch, String::new());
+            continue;
         }
-        if a == flag {
-            return Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_owned())),
+            None => (arg.as_str(), None),
+        };
+        let Some(&flag) = values.iter().find(|&&f| f == name) else {
+            usage()
+        };
+        let value = inline
+            .or_else(|| tail.next().filter(|v| !v.starts_with("--")).cloned())
+            .unwrap_or_else(|| usage());
+        out.insert(flag, value);
     }
-    None
+    out
 }
 
-/// `--flag N` anywhere in the tail (used by `stats --watch/--samples`,
-/// which live after the subcommand word and so survive the global flag
-/// pass untouched).
-fn tail_flag(args: &[String], flag: &str) -> Option<u64> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.parse().unwrap_or_else(|_| usage()));
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage()),
-            );
-        }
-    }
-    None
+/// A parsed tail flag's integer value, `None` if absent.
+fn num_flag(flags: &HashMap<&'static str, String>, flag: &str) -> Option<u64> {
+    flags
+        .get(flag)
+        .map(|v| v.parse().unwrap_or_else(|_| usage()))
 }
 
 /// Sums the exposition's per-class `request_service_us` cumulative
@@ -302,6 +313,7 @@ fn check_metrics(text: &str, stats: &Json) {
         "sheds",
         "truncated_requests",
         "faults_injected",
+        "worker_panics",
     ];
     let exp = parse_exposition(text)
         .unwrap_or_else(|e| fail(format!("daemon sent an invalid exposition: {e}")));
@@ -559,8 +571,13 @@ fn main() {
         }
     }
     let addr = ("127.0.0.1", port);
+    // The connection-fan-out flags belong to the request subcommands only.
+    let fan_out = flood_count.is_some() || connections.is_some() || duration_ms.is_some();
 
     if let Some(dir) = replay_dir {
+        if !args.is_empty() || fan_out {
+            usage()
+        }
         let written = replay_artefacts(
             addr,
             &artefacts::NAMES,
@@ -575,28 +592,41 @@ fn main() {
         return;
     }
 
-    match args.first().map(String::as_str) {
+    let sub = args.first().map(String::as_str);
+    let control = matches!(
+        sub,
+        Some("stats" | "metrics" | "trace" | "shutdown" | "estimate")
+    );
+    if control && fan_out {
+        usage()
+    }
+    let tail = args.get(1..).unwrap_or_default();
+    match sub {
         Some("stats") => {
+            let flags = parse_tail(tail, &["--watch", "--samples"], &[]);
+            let (watch, samples) = (num_flag(&flags, "--watch"), num_flag(&flags, "--samples"));
             let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
-            if let Some(secs) = tail_flag(&args[1..], "--watch") {
-                watch_stats(&mut client, secs, tail_flag(&args[1..], "--samples"));
+            if let Some(secs) = watch {
+                watch_stats(&mut client, secs, samples);
             }
             let stats = client.stats().unwrap_or_else(|e| fail(e));
             println!("{}", stats.encode());
         }
         Some("metrics") => {
+            let check = parse_tail(tail, &[], &["--check"]).contains_key("--check");
             let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
             let text = client.metrics().unwrap_or_else(|e| fail(e));
             print!("{text}");
-            if args[1..].iter().any(|a| a == "--check") {
+            if check {
                 let stats = client.stats().unwrap_or_else(|e| fail(e));
                 check_metrics(&text, &stats);
             }
         }
         Some("trace") => {
+            let chrome = parse_tail(tail, &["--chrome"], &[]).remove("--chrome");
             let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
             let traces = client.trace().unwrap_or_else(|e| fail(e));
-            if let Some(out) = tail_str_flag(&args[1..], "--chrome") {
+            if let Some(out) = chrome {
                 let chrome = chrome_from_traces(&traces);
                 std::fs::write(&out, chrome.render())
                     .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
@@ -613,12 +643,13 @@ fn main() {
             eprintln!("{} trace records", traces.len());
         }
         Some("shutdown") => {
+            parse_tail(tail, &[], &[]);
             let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
             client.shutdown().unwrap_or_else(|e| fail(e));
             println!("server shutting down");
         }
         Some("estimate") => {
-            let (req, _) = build_request(&args[1..]);
+            let (req, _) = build_request(tail);
             let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
             let est = client.estimate(&req).unwrap_or_else(|e| fail(e));
             println!("{}", est.encode());

@@ -35,7 +35,7 @@ use mve_memsim::Hierarchy;
 const FREQ_GHZ: f64 = 2.8;
 
 fn cycles_to_us(cycles: u64) -> f64 {
-    cycles as f64 / (FREQ_GHZ * 1e3) / 1e3 * 1e3 / 1e3 * 1e3 // = cycles / (GHz*1e3)
+    cycles as f64 / (FREQ_GHZ * 1e3)
 }
 
 /// Which implementation of a kernel an [`Evaluation`] ran.

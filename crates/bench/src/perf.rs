@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use mve_core::dtype::{BinOp, CmpOp};
 use mve_core::engine::Engine;
 use mve_core::isa::{Opcode, StrideMode};
-use mve_core::sim::{simulate_sweep, SimConfig, TimingSim};
+use mve_core::sim::{SimConfig, TimingSim};
 use mve_core::trace::CountingSink;
 use mve_insram::Scheme;
 use mve_kernels::Scale;
@@ -58,11 +58,9 @@ const LANES: usize = 8192;
 /// emitted into a counting sink (`stream_count_…`, isolating the
 /// `TraceSink` dispatch overhead against `binop_add_8192`) and the fused
 /// engine→`TimingSim` pipeline (`stream_timing_…`, execution and timing
-/// in one pass with no materialized trace) — plus two ISSUE-4 service
-/// workloads tracking the `mve-serve` hot paths: `serve_cache_hit` (the
-/// content-addressed lookup a repeat request rides) and
-/// `serve_batched_sweep` (one trace fanned across the four scheme
-/// configurations, the coalesced-batch execution path) — plus two ISSUE-5
+/// in one pass with no materialized trace) — plus the ISSUE-4 service
+/// workload tracking the `mve-serve` hot path `serve_cache_hit` (the
+/// content-addressed lookup a repeat request rides) — plus two ISSUE-5
 /// DSL workloads: `dsl_parse_lower` (the full mve-lang compile pipeline
 /// over the strip-mined saxpy corpus source, the per-unique-source cost of
 /// the serve `compile` op) and `dsl_compiled_binop_8192` (a pre-compiled
@@ -305,7 +303,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // Service hot path 1: the content-addressed cache lookup a repeat
+    // Service hot path: the content-addressed cache lookup a repeat
     // request rides — canonical SimConfig encoding + FNV digest + the
     // single-flight map hit — for all four scheme configurations per
     // iteration. This is what makes repeat requests O(lookup).
@@ -333,39 +331,6 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
                         Fetch::Miss => unreachable!("pre-filled key"),
                     }
                 }
-            }),
-        });
-    }
-
-    // Service hot path 2: the batching scheduler's sweep — one captured
-    // trace (8192-lane load → mul → store) fanned out across the four
-    // scheme configurations in a single walk, exactly what a coalesced
-    // batch of sim requests executes per kernel.
-    {
-        let mut e = Engine::default_mobile();
-        e.vsetdimc(1);
-        e.vsetdiml(0, LANES);
-        let a = e.mem_alloc_typed::<i32>(LANES);
-        let v = e.vsld_dw(a, &[StrideMode::One]);
-        let r = e.binop(Opcode::Mul, BinOp::Mul, v, v);
-        let o = e.mem_alloc_typed::<i32>(LANES);
-        e.store(r, o, &[StrideMode::One]);
-        let trace = e.take_trace();
-        let cfgs: Vec<SimConfig> = Scheme::ALL
-            .iter()
-            .map(|&s| {
-                SimConfig::default()
-                    .with_scheme(s)
-                    .without_mode_switch()
-                    .without_cache_warming()
-            })
-            .collect();
-        out.push(HotBench {
-            name: "serve_batched_sweep",
-            elems: (Scheme::ALL.len() * LANES) as u64,
-            run: Box::new(move || {
-                let reports = simulate_sweep(&trace, &cfgs);
-                assert_eq!(reports.len(), Scheme::ALL.len());
             }),
         });
     }

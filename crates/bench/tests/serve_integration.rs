@@ -209,3 +209,31 @@ fn calibrate_rejects_unknown_flags_and_missing_values() {
         );
     }
 }
+
+/// `mve-client` is as strict as the other binaries: a mistyped tail flag,
+/// a flag without its value, or words left over after `--replay-smoke DIR`
+/// exit 2 with usage instead of being ignored. Port 1 refuses connections,
+/// so a flag error that came after connecting would exit 1 instead.
+#[test]
+fn mve_client_rejects_unknown_flags_and_missing_values() {
+    for args in [
+        &["stats", "--wach", "1"][..],
+        &["metrics", "--chek"],
+        &["trace", "--chrome"],
+        &["shutdown", "--now"],
+        &["--port"],
+        &["--replay-smoke", "DIR", "artefact", "fig10"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mve-client"))
+            .args(["--port", "1"])
+            .args(args)
+            .output()
+            .expect("spawn mve-client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("usage: mve-client")),
+            "{args:?}: no usage line in {stderr}"
+        );
+    }
+}

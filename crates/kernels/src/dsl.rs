@@ -1,8 +1,8 @@
 //! The [`Kernel`]-trait adapter for compiled `.mvel` kernels, so
 //! client-submitted programs flow through the same machinery as the 44
-//! hand-written Table III kernels: `simulate`/`simulate_sweep`, the trace
-//! tooling and the service batching all consume a [`KernelRun`] without
-//! knowing whether a compiler produced it.
+//! hand-written Table III kernels: `simulate`/`simulate_sweep` and the
+//! trace tooling consume a [`KernelRun`] without knowing whether a
+//! compiler produced it.
 //!
 //! DSL kernels declare their own shapes, so [`Scale`] is ignored — a
 //! `.mvel` file is its own dataset description. They are never registered

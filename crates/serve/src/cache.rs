@@ -73,8 +73,9 @@ pub enum Fetch {
     /// computation).
     Hit(std::sync::Arc<Vec<u8>>),
     /// The caller now holds the key's reservation and MUST either
-    /// [`ResultCache::fulfill`] or [`ResultCache::abandon`] it (directly or
-    /// by delegating to a batch leader), or waiters hang forever.
+    /// [`ResultCache::fulfill`] or [`ResultCache::abandon`] it, or waiters
+    /// hang forever. The server meets this obligation in one place, its
+    /// private `cached` helper.
     Miss,
 }
 
@@ -139,25 +140,6 @@ impl ResultCache {
                     inner.stats.misses += 1;
                     return Fetch::Miss;
                 }
-            }
-        }
-    }
-
-    /// Blocks until `key` is published by another worker. Returns `None` if
-    /// the reservation was abandoned (caller should retry its fetch) —
-    /// used by batch joiners whose reservation a leader fulfills.
-    pub fn wait_ready(&self, key: u64) -> Option<std::sync::Arc<Vec<u8>>> {
-        let mut inner = self.lock();
-        loop {
-            match inner.slots.get(&key) {
-                Some(Slot::Ready { bytes, .. }) => return Some(bytes.clone()),
-                Some(Slot::InFlight) => {
-                    inner = self
-                        .published
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => return None,
             }
         }
     }
@@ -336,20 +318,5 @@ mod tests {
             Fetch::Hit(b) => assert_eq!(&**b, b"late"),
             Fetch::Miss => panic!("reservation must have survived"),
         }
-    }
-
-    #[test]
-    fn wait_ready_returns_delegated_results() {
-        let cache = Arc::new(ResultCache::new(8));
-        assert!(matches!(cache.fetch(5), Fetch::Miss));
-        let joiner = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || cache.wait_ready(5))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        cache.fulfill(5, b"from-leader".to_vec());
-        let got = joiner.join().expect("joiner").expect("published");
-        assert_eq!(&*got, b"from-leader");
-        assert_eq!(cache.stats().waits, 0, "wait_ready is not a fetch");
     }
 }

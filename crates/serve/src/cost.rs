@@ -8,8 +8,9 @@
 //!
 //! * **artefact** — one registry render at a scale,
 //! * **sim** — one functional kernel execution plus one timing walk
-//!   (generalizing to a *sweep-of-N*: one execution, N walks — the
-//!   batching scheduler's shape),
+//!   (generalizing to a *sweep-of-N*: one execution, N walks — the shape
+//!   `mve_core::sim::simulate_sweep` runs, which calibrate's drift rows
+//!   check),
 //! * **compile** — the DSL front-end over the source text plus the
 //!   compiled kernel's execution and timing walk,
 //! * **profile** — a compile plus one extra timing walk (the per-line
@@ -215,7 +216,7 @@ impl CostModel {
 
     /// Cost of a sweep-of-`width`: one functional kernel execution plus
     /// `width` timing walks at `arrays`. A plain `sim` request is the
-    /// `width == 1` case; the batching scheduler's coalesced group is the
+    /// `width == 1` case; calibrate's `sweep@…` drift row checks the
     /// general one.
     pub fn sweep_cost(&self, scale: Scale, arrays: usize, width: usize) -> u64 {
         let exec = self.sim_exec_test_us * self.scale_mult(scale);

@@ -2,11 +2,11 @@
 //!
 //! Every prior entry point was a one-shot CLI: each invocation rebuilt
 //! hierarchies, re-executed kernels and exited. This crate turns the
-//! reproduction into a long-running daemon serving many
-//! `(kernel × SimConfig)` and artefact requests with massive overlap —
-//! the workload shape of the paper's evaluation and its companion Swan
-//! benchmark study — over a std-only, JSON-lines-over-TCP protocol (the
-//! workspace vendors no crates.io dependencies; see DESIGN.md).
+//! reproduction into a long-running daemon serving artefact, `(kernel ×
+//! SimConfig)`, DSL compile and profile requests — each unique one
+//! computed once behind a single-flight result cache — over a std-only,
+//! JSON-lines-over-TCP protocol (the workspace vendors no crates.io
+//! dependencies; see DESIGN.md).
 //!
 //! Layers (bottom-up):
 //!
@@ -17,9 +17,6 @@
 //!   [`mve_core::sim::SimConfig::canonical_bytes`].
 //! * [`cache`] — the single-flight LRU result cache: every unique request
 //!   is computed exactly once, concurrent duplicates block for the result.
-//! * [`scheduler`] — the batching scheduler: concurrent sim requests that
-//!   share a kernel execute it once; their configurations fan out over one
-//!   trace walk (`mve_core::sim::simulate_sweep`).
 //! * [`cost`] — the calibrated per-op-class cost model pricing every
 //!   request before it runs (`COST_MODEL.json`, regenerated by the
 //!   `calibrate` binary and drift-checked in CI).
@@ -62,7 +59,6 @@ pub mod histogram;
 pub mod json;
 pub mod poller;
 pub mod protocol;
-pub mod scheduler;
 pub mod server;
 pub mod timer;
 pub mod trace;

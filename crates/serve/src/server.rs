@@ -1,7 +1,6 @@
 //! The simulation daemon: a nonblocking event loop owning every
 //! connection, a fixed worker pool that only ever holds *executing*
-//! requests, and the request handlers that tie the protocol to the cache
-//! and the batching scheduler.
+//! requests, and the request handlers that tie the protocol to the cache.
 //!
 //! Concurrency model (the PR 8 I/O core): one event-loop thread drives a
 //! level-triggered `poll(2)` [`Poller`] over the listener, a self-pipe,
@@ -17,12 +16,12 @@
 //! admission [`Charge`]) to the worker pool. Workers push completions and
 //! wake the loop through the pipe.
 //!
-//! Cross-connection coordination happens in exactly two places — the
+//! Cross-connection result sharing happens in exactly one place — the
 //! content-addressed [`ResultCache`] (single flight: every unique
-//! `(kernel, config)` or `(artefact, scale)` is computed exactly once,
-//! concurrent duplicates block for the result) and the [`Batcher`]
-//! (concurrent sim requests sharing a kernel execute it once and fan
-//! their configurations out over one trace walk).
+//! `(kernel, config)`, `(artefact, scale)` or DSL source and config is
+//! computed exactly once, concurrent duplicates block for the result).
+//! Every request computes its cache miss through one function, `cached`,
+//! which alone fulfils or abandons the reservation.
 //!
 //! Shutdown is cooperative: the flag plus a wake byte stop the loop from
 //! accepting, shed parked requests as typed `closed` overloads, let
@@ -38,10 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use mve_core::sim::simulate_sweep;
+use mve_core::sim::simulate;
 use mve_kernels::registry::kernel_by_name;
 use mve_kernels::Scale;
-use mve_lang::CompilePhases;
 use mve_obs::logev;
 use mve_obs::metrics::{MetricsRegistry, Scalar};
 use mve_obs::Level;
@@ -59,10 +57,8 @@ use crate::poller::{wake_pipe, Event, Interest, Poller, WakeRx, WakeTx};
 use crate::protocol::{
     artefact_key, compile_key, error_reply, error_reply_at, ok_artefact, ok_compile, ok_estimate,
     ok_metrics, ok_profile, ok_shutdown, ok_sim, ok_stats, ok_traces, op_name, overloaded_reply,
-    parse_request, profile_key, profile_payload, report_to_json, scale_name, sim_key, Request,
-    SimSpec,
+    parse_request, profile_key, profile_payload, report_to_json, sim_key, Request, SimSpec,
 };
-use crate::scheduler::{BatchEntry, Batcher};
 use crate::timer::{TimerId, TimerWheel};
 use crate::trace::{PendingTrace, TraceRing};
 
@@ -165,8 +161,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// Request/error counters (cache and batch counters live with their
-/// structures).
+/// Request/error counters (cache counters live with the cache).
 #[derive(Debug, Default)]
 pub struct Counters {
     /// Request lines received.
@@ -201,6 +196,9 @@ pub struct Counters {
     pub trace_requests: AtomicU64,
     /// DSL per-line profile requests.
     pub profile_requests: AtomicU64,
+    /// Panics caught on a worker — in a cache-miss computation or anywhere
+    /// else in a request's execution — each answered with a typed error.
+    pub worker_panics: AtomicU64,
 }
 
 /// An admitted request in transit to the worker pool. Only *executing*
@@ -225,7 +223,6 @@ struct Completion {
 /// Shared server state.
 pub struct ServerState {
     cache: ResultCache,
-    batcher: Batcher,
     artefacts: ArtefactRegistry,
     counters: Counters,
     admission: AdmissionController,
@@ -269,7 +266,6 @@ impl ServerState {
     pub fn registry(&self) -> MetricsRegistry {
         let c = &self.counters;
         let cache = self.cache.stats();
-        let (batches, batched_sims, joined) = self.batcher.stats.snapshot();
         let adm = self.admission.snapshot();
         let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
         let mut reg = MetricsRegistry::new();
@@ -298,17 +294,6 @@ impl ServerState {
             load(&c.errors),
         );
         reg.counter("connections", "Connections accepted.", load(&c.connections));
-        reg.counter(
-            "batches",
-            "Batched sim executions (one kernel run each).",
-            batches,
-        );
-        reg.counter(
-            "batched_sims",
-            "Sim requests served through a batch.",
-            batched_sims,
-        );
-        reg.counter("joined", "Requests that joined an existing batch.", joined);
         reg.counter("hits", "Result-cache hits.", cache.hits);
         reg.counter("waits", "Result-cache single-flight waits.", cache.waits);
         reg.counter(
@@ -418,6 +403,11 @@ impl ServerState {
             "profile_requests",
             "DSL per-line profile requests executed.",
             load(&c.profile_requests),
+        );
+        reg.counter(
+            "worker_panics",
+            "Worker panics caught and answered with a typed error.",
+            load(&c.worker_panics),
         );
         self.latency.register(&mut reg);
         reg
@@ -540,7 +530,6 @@ impl Server {
             workers: opts.workers.max(1),
             state: Arc::new(ServerState {
                 cache: ResultCache::new(opts.cache_cap),
-                batcher: Batcher::new(),
                 artefacts,
                 counters: Counters::default(),
                 admission: AdmissionController::new(AdmissionOptions {
@@ -654,6 +643,7 @@ fn worker_loop(state: &ServerState) {
                 Ok(done) => done,
                 Err(payload) => {
                     state.counters.errors.fetch_add(1, Ordering::SeqCst);
+                    state.counters.worker_panics.fetch_add(1, Ordering::SeqCst);
                     let reply =
                         error_reply(&format!("request failed: {}", panic_message(&*payload)));
                     (reply, "none", false)
@@ -1598,85 +1588,126 @@ fn shed_reason_text(reason: ShedReason) -> &'static str {
 
 /// Executes one admitted chargeable request on a worker thread. The
 /// admission permit is held by the caller ([`worker_loop`]) across this
-/// call, covering cache waits and batched execution alike. Returns the
-/// reply line plus the trace attribution: cache outcome
-/// (`"hit"`/`"miss"`/`"none"`) and whether the request succeeded.
+/// call, covering cache waits and computation alike. Returns the reply
+/// line plus the trace attribution: cache outcome (`"hit"`/`"miss"`/
+/// `"none"`) and whether the request succeeded.
 fn execute_chargeable(state: &ServerState, req: &Request) -> (String, &'static str, bool) {
-    let fail = |msg: &str| {
-        state.counters.errors.fetch_add(1, Ordering::SeqCst);
-        (error_reply(msg), "none", false)
-    };
-    let cache_name = |hit: bool| if hit { "hit" } else { "miss" };
-    match req {
-        Request::Artefact { name, scale } => {
-            state
-                .counters
-                .artefact_requests
-                .fetch_add(1, Ordering::SeqCst);
-            match serve_artefact(state, name, *scale) {
-                Ok((bytes, hit)) => match std::str::from_utf8(&bytes) {
-                    Ok(text) => (ok_artefact(name, text), cache_name(hit), true),
-                    Err(_) => fail("artefact bytes are not UTF-8"),
-                },
-                Err(msg) => fail(&msg),
-            }
-        }
-        Request::Compile { source, spec } => {
-            state
-                .counters
-                .compile_requests
-                .fetch_add(1, Ordering::SeqCst);
-            match serve_compile(state, source, spec) {
-                Ok((bytes, phases)) => match std::str::from_utf8(&bytes) {
-                    Ok(text) => (
-                        ok_compile(text, phases.as_ref()),
-                        cache_name(phases.is_none()),
-                        true,
-                    ),
-                    Err(_) => fail("compile bytes are not UTF-8"),
-                },
-                Err((msg, line, col)) => {
-                    state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                    (error_reply_at(&msg, line, col), "none", false)
-                }
-            }
-        }
-        Request::Profile { source, spec } => {
-            state
-                .counters
-                .profile_requests
-                .fetch_add(1, Ordering::SeqCst);
-            match serve_profile(state, source, spec) {
-                Ok((bytes, hit)) => match std::str::from_utf8(&bytes) {
-                    Ok(fragment) => (ok_profile(fragment), cache_name(hit), true),
-                    Err(_) => fail("profile bytes are not UTF-8"),
-                },
-                Err((msg, line, col)) => {
-                    state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                    (error_reply_at(&msg, line, col), "none", false)
-                }
-            }
-        }
-        Request::Sim {
-            kernel,
-            scale,
-            spec,
-        } => {
-            state.counters.sim_requests.fetch_add(1, Ordering::SeqCst);
-            match serve_sim(state, kernel, *scale, spec) {
-                Ok((bytes, hit)) => match std::str::from_utf8(&bytes) {
-                    Ok(fragment) => (ok_sim(kernel, fragment), cache_name(hit), true),
-                    Err(_) => fail("report bytes are not UTF-8"),
-                },
-                Err(msg) => fail(&msg),
-            }
-        }
+    let c = &state.counters;
+    let requests = match req {
+        Request::Artefact { .. } => &c.artefact_requests,
+        Request::Sim { .. } => &c.sim_requests,
+        Request::Compile { .. } => &c.compile_requests,
+        Request::Profile { .. } => &c.profile_requests,
         Request::Estimate(_)
         | Request::Stats
         | Request::Metrics
         | Request::Trace
         | Request::Shutdown => {
             unreachable!("control-plane ops are served inline by the event loop")
+        }
+    };
+    requests.fetch_add(1, Ordering::SeqCst);
+    // Each arm yields the reply plus whether the cache already held it.
+    let served: Result<(String, bool), Failure> = match req {
+        Request::Artefact { name, scale } => {
+            serve_artefact(state, name, *scale).and_then(|(bytes, miss)| {
+                Ok((ok_artefact(name, utf8(&bytes, "artefact")?), miss.is_none()))
+            })
+        }
+        Request::Sim {
+            kernel,
+            scale,
+            spec,
+        } => serve_sim(state, kernel, *scale, spec).and_then(|(bytes, miss)| {
+            Ok((ok_sim(kernel, utf8(&bytes, "report")?), miss.is_none()))
+        }),
+        // A compile miss also returns the per-phase timings (the cached
+        // bytes stay exactly the golden render, so hits carry none).
+        Request::Compile { source, spec } => {
+            let cfg = spec.to_config();
+            cached(state, compile_key(source, &cfg), "compile", || {
+                let (text, phases) =
+                    mve_lang::compile_and_render_timed(source, &cfg).map_err(diag_failure)?;
+                Ok((text.into_bytes(), phases))
+            })
+            .and_then(|(bytes, phases)| {
+                let reply = ok_compile(utf8(&bytes, "compile")?, phases.as_ref());
+                Ok((reply, phases.is_none()))
+            })
+        }
+        // The cached bytes are the serialized [`profile_payload`] fragment
+        // (annotated text plus per-line attribution rows) under a key
+        // domain distinct from `compile`'s, so the two ops never alias.
+        Request::Profile { source, spec } => {
+            let cfg = spec.to_config();
+            cached(state, profile_key(source, &cfg), "profile", || {
+                let (text, report) =
+                    mve_lang::profile_and_render(source, &cfg).map_err(diag_failure)?;
+                Ok((profile_payload(&text, &report).into_bytes(), ()))
+            })
+            .and_then(|(bytes, miss)| Ok((ok_profile(utf8(&bytes, "profile")?), miss.is_none())))
+        }
+        _ => unreachable!("matched above"),
+    };
+    match served {
+        Ok((reply, hit)) => (reply, if hit { "hit" } else { "miss" }, true),
+        Err((msg, line, col)) => {
+            c.errors.fetch_add(1, Ordering::SeqCst);
+            (error_reply_at(&msg, line, col), "none", false)
+        }
+    }
+}
+
+/// A failed request: the message plus its source position (`0, 0` when
+/// it has none, which [`error_reply_at`] renders as a plain error).
+type Failure = (String, u32, u32);
+
+/// Cached bytes plus the value the computation returned beside them —
+/// `None` on a cache hit, so `is_none()` is the hit flag.
+type Served<T> = Result<(Arc<Vec<u8>>, Option<T>), Failure>;
+
+/// A positioned DSL diagnostic as a [`Failure`].
+fn diag_failure(diag: mve_lang::Diag) -> Failure {
+    (diag.message, diag.span.line, diag.span.col)
+}
+
+/// Cached bytes as text; `what` names them in the error.
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, Failure> {
+    std::str::from_utf8(bytes).map_err(|_| (format!("{what} bytes are not UTF-8"), 0, 0))
+}
+
+/// Serves `key` from the result cache, running `compute` on a miss. This
+/// is the one place the server meets the [`Fetch::Miss`] obligation: an
+/// injected abandonment, a `compute` error or a panic abandons the
+/// reservation (a waiter takes over), success fulfils it. Abandonments
+/// and panics fail as `{what} failed: …`; a caught panic also counts
+/// under `worker_panics`.
+fn cached<T>(
+    state: &ServerState,
+    key: u64,
+    what: &str,
+    compute: impl FnOnce() -> Result<(Vec<u8>, T), Failure>,
+) -> Served<T> {
+    if let Fetch::Hit(bytes) = state.cache.fetch(key) {
+        return Ok((bytes, None));
+    }
+    if state.faults.should_abandon_reservation() {
+        state.cache.abandon(key);
+        return Err((format!("{what} failed: injected abandonment"), 0, 0));
+    }
+    let computed = catch_unwind(AssertUnwindSafe(|| {
+        state.faults.on_compute();
+        compute()
+    }))
+    .unwrap_or_else(|payload| {
+        state.counters.worker_panics.fetch_add(1, Ordering::SeqCst);
+        Err((format!("{what} failed: {}", panic_message(&*payload)), 0, 0))
+    });
+    match computed {
+        Ok((bytes, extra)) => Ok((state.cache.fulfill(key, bytes), Some(extra))),
+        Err(failure) => {
+            state.cache.abandon(key);
+            Err(failure)
         }
     }
 }
@@ -1689,192 +1720,52 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "worker panicked".to_owned())
 }
 
-fn serve_artefact(
-    state: &ServerState,
-    name: &str,
-    scale: Scale,
-) -> Result<(Arc<Vec<u8>>, bool), String> {
+fn serve_artefact(state: &ServerState, name: &str, scale: Scale) -> Served<()> {
     let Some(render) = state.artefacts.get(name) else {
         let names = state.artefacts.names_sorted();
         let suggestion = mve_kernels::registry::did_you_mean(name, &names)
             .map(|s| format!(" did you mean `{s}`?"))
             .unwrap_or_default();
-        return Err(format!(
+        let msg = format!(
             "unknown artefact `{name}`;{suggestion} valid artefacts: {}",
             names.join(", ")
-        ));
+        );
+        return Err((msg, 0, 0));
     };
-    match state.cache.fetch(artefact_key(name, scale)) {
-        Fetch::Hit(bytes) => Ok((bytes, true)),
-        Fetch::Miss => {
-            let key = artefact_key(name, scale);
-            if state.faults.should_abandon_reservation() {
-                state.cache.abandon(key);
-                return Err(format!("artefact `{name}` failed: injected abandonment"));
-            }
-            match catch_unwind(AssertUnwindSafe(|| {
-                state.faults.on_compute();
-                render(scale)
-            })) {
-                Ok(text) => Ok((state.cache.fulfill(key, text.into_bytes()), false)),
-                Err(payload) => {
-                    state.cache.abandon(key);
-                    Err(format!(
-                        "artefact `{name}` failed: {}",
-                        panic_message(&*payload)
-                    ))
-                }
-            }
-        }
-    }
+    cached(
+        state,
+        artefact_key(name, scale),
+        &format!("artefact `{name}`"),
+        || Ok((render(scale).into_bytes(), ())),
+    )
 }
 
-/// Compiles, executes, checks and times a client-submitted kernel behind
-/// the single-flight cache, keyed on the source digest plus the canonical
-/// configuration encoding. Diagnostics come back with their source
-/// position (`line`/`col`) for the typed error reply. A cache miss also
-/// returns the per-phase compile timings (the cached bytes stay exactly
-/// the golden render, so hits carry no timings).
-type CompileOutcome = Result<(Arc<Vec<u8>>, Option<CompilePhases>), (String, u32, u32)>;
-/// A served `profile` fragment plus the cache-hit flag, or a positioned
-/// diagnostic.
-type ProfileOutcome = Result<(Arc<Vec<u8>>, bool), (String, u32, u32)>;
-
-fn serve_compile(state: &ServerState, source: &str, spec: &SimSpec) -> CompileOutcome {
-    let cfg = spec.to_config();
-    let key = compile_key(source, &cfg);
-    match state.cache.fetch(key) {
-        Fetch::Hit(bytes) => Ok((bytes, None)),
-        Fetch::Miss => {
-            if state.faults.should_abandon_reservation() {
-                state.cache.abandon(key);
-                return Err(("compile failed: injected abandonment".to_owned(), 0, 0));
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                state.faults.on_compute();
-                mve_lang::compile_and_render_timed(source, &cfg)
-            }));
-            match result {
-                Ok(Ok((text, phases))) => {
-                    Ok((state.cache.fulfill(key, text.into_bytes()), Some(phases)))
-                }
-                Ok(Err(diag)) => {
-                    state.cache.abandon(key);
-                    Err((diag.message.clone(), diag.span.line, diag.span.col))
-                }
-                Err(payload) => {
-                    state.cache.abandon(key);
-                    Err((
-                        format!("compile failed: {}", panic_message(&*payload)),
-                        0,
-                        0,
-                    ))
-                }
-            }
-        }
-    }
-}
-
-/// Serves one `profile` request behind the single-flight cache. The
-/// cached bytes are the serialized [`profile_payload`] fragment —
-/// annotated text plus the per-line attribution rows — keyed by
-/// [`profile_key`] (a domain distinct from `compile`, so the two ops
-/// never alias). Returns the fragment plus the hit flag; diagnostics
-/// carry their source position like `compile`'s.
-fn serve_profile(state: &ServerState, source: &str, spec: &SimSpec) -> ProfileOutcome {
-    let cfg = spec.to_config();
-    let key = profile_key(source, &cfg);
-    match state.cache.fetch(key) {
-        Fetch::Hit(bytes) => Ok((bytes, true)),
-        Fetch::Miss => {
-            if state.faults.should_abandon_reservation() {
-                state.cache.abandon(key);
-                return Err(("profile failed: injected abandonment".to_owned(), 0, 0));
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                state.faults.on_compute();
-                mve_lang::profile_and_render(source, &cfg)
-            }));
-            match result {
-                Ok(Ok((text, report))) => {
-                    let fragment = profile_payload(&text, &report);
-                    Ok((state.cache.fulfill(key, fragment.into_bytes()), false))
-                }
-                Ok(Err(diag)) => {
-                    state.cache.abandon(key);
-                    Err((diag.message.clone(), diag.span.line, diag.span.col))
-                }
-                Err(payload) => {
-                    state.cache.abandon(key);
-                    Err((
-                        format!("profile failed: {}", panic_message(&*payload)),
-                        0,
-                        0,
-                    ))
-                }
-            }
-        }
-    }
-}
-
-fn serve_sim(
-    state: &ServerState,
-    kernel: &str,
-    scale: Scale,
-    spec: &SimSpec,
-) -> Result<(Arc<Vec<u8>>, bool), String> {
+fn serve_sim(state: &ServerState, kernel: &str, scale: Scale, spec: &SimSpec) -> Served<()> {
     // Resolve the name first: the unknown-kernel reply is the registry's
     // own sorted-vocabulary message, shared with the CLI front-ends.
-    let kernel_impl = kernel_by_name(kernel).map_err(|e| e.to_string())?;
+    let kernel_impl = kernel_by_name(kernel).map_err(|e| (e.to_string(), 0, 0))?;
     let cfg = spec.to_config();
-    let key = sim_key(kernel, scale, &cfg);
-    match state.cache.fetch(key) {
-        Fetch::Hit(bytes) => Ok((bytes, true)),
-        Fetch::Miss => {
-            if state.faults.should_abandon_reservation() {
-                state.cache.abandon(key);
-                return Err(format!("sim `{kernel}` failed: injected abandonment"));
-            }
-            // The batch group is the functional execution identity: kernel,
-            // scale, and the engine geometry the kernel must run under (an
-            // `arrays` override changes the trace itself, exactly as in the
-            // Figure 12(b) sweep — such requests get their own group).
-            let arrays = cfg.geometry.arrays;
-            let group = format!("{kernel}@{}@{arrays}", scale_name(scale));
-            let faults = state.faults.clone();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                state.batcher.submit(
-                    &group,
-                    BatchEntry { cfg, key },
-                    &state.cache,
-                    move || {
-                        faults.on_compute();
-                        // Guard, not set/restore: a panicking kernel must
-                        // not leave the worker's thread-local poisoned for
-                        // later requests on the same thread.
-                        let _arrays = mve_kernels::common::EngineArraysGuard::new(arrays);
-                        let run = kernel_impl.run_mve(scale);
-                        assert!(
-                            run.checked.ok(),
-                            "{kernel}: functional check failed {:?}",
-                            run.checked
-                        );
-                        run.trace
-                    },
-                    |trace, entries| {
-                        let cfgs: Vec<_> = entries.iter().map(|e| e.cfg.clone()).collect();
-                        simulate_sweep(trace, &cfgs)
-                            .iter()
-                            .map(|report| report_to_json(report).encode().into_bytes())
-                            .collect()
-                    },
-                )
-            }));
-            result.map(|bytes| (bytes, false)).map_err(|payload| {
-                // The batcher's leader guard has already abandoned every
-                // registered reservation.
-                format!("sim `{kernel}` failed: {}", panic_message(&*payload))
-            })
-        }
-    }
+    cached(
+        state,
+        sim_key(kernel, scale, &cfg),
+        &format!("sim `{kernel}`"),
+        || {
+            // An `arrays` override changes the trace itself, exactly as in
+            // the Figure 12(b) sweep, so the kernel runs under the
+            // requested geometry. Guard, not set/restore: a panicking
+            // kernel must not leave the worker's thread-local poisoned for
+            // later requests on the same thread.
+            let run = {
+                let _arrays = mve_kernels::common::EngineArraysGuard::new(cfg.geometry.arrays);
+                kernel_impl.run_mve(scale)
+            };
+            assert!(
+                run.checked.ok(),
+                "{kernel}: functional check failed {:?}",
+                run.checked
+            );
+            let report = report_to_json(&simulate(&run.trace, &cfg));
+            Ok((report.encode().into_bytes(), ()))
+        },
+    )
 }

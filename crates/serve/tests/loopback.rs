@@ -146,6 +146,7 @@ fn concurrent_overlapping_clients_share_one_computation_per_unique_request() {
         "everything else was served from cache or by waiting"
     );
     assert_eq!(stat(&stats, "errors"), 0);
+    assert_eq!(stat(&stats, "worker_panics"), 0);
     assert_eq!(stat(&stats, "artefact_requests"), CLIENTS * 6);
     assert_eq!(stat(&stats, "sim_requests"), CLIENTS * 2);
 

@@ -173,6 +173,7 @@ fn burst_at_4x_budget_with_faults_sheds_but_loses_nothing() {
     assert_eq!(stat(&stats, "queue_depth"), 0, "no parked waiters");
     assert!(stat(&stats, "peak_in_flight") >= unit_cost);
     assert_eq!(stat(&stats, "faults_injected"), 3);
+    assert_eq!(stat(&stats, "worker_panics"), 2, "both panics were caught");
     assert_eq!(stat(&stats, "admitted"), ok + errors);
 
     // Cache accounting: distinct names, so phase 1 had no coalescing —
@@ -317,6 +318,11 @@ fn injected_abandonment_fails_once_and_recovers() {
     let stats = client.stats().expect("stats");
     assert_eq!(stat(&stats, "misses"), 2, "both attempts reserved");
     assert_eq!(stat(&stats, "faults_injected"), 1);
+    assert_eq!(
+        stat(&stats, "worker_panics"),
+        0,
+        "abandonment is not a panic"
+    );
 
     handle.shutdown();
     join.join().expect("server thread");
