@@ -82,7 +82,8 @@ impl Oracle<'_> {
     fn store_1d(&mut self, src: Reg, base: u64, stride_elems: i64) {
         let dtype = src.dtype();
         let bytes = dtype.bytes();
-        let values: Vec<u64> = self.e.reg_lanes(src)[..self.vl].to_vec();
+        let mut values = self.e.reg_lanes(src);
+        values.truncate(self.vl);
         let mut addrs = Vec::with_capacity(self.vl);
         for (i, &v) in values.iter().enumerate() {
             let a = (base as i64 + i as i64 * stride_elems * bytes as i64) as u64;
@@ -174,7 +175,8 @@ impl Oracle<'_> {
         assert!(cols * rows <= self.vl, "segments exceed vector length");
         let dtype = src.dtype();
         let bytes = dtype.bytes();
-        let values: Vec<u64> = self.e.reg_lanes(src)[..cols * rows].to_vec();
+        let mut values = self.e.reg_lanes(src);
+        values.truncate(cols * rows);
         for r in 0..rows {
             self.e.scalar(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
             self.e.push_raw_event(Event::Config {

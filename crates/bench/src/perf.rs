@@ -77,9 +77,10 @@ const LANES: usize = 8192;
 /// load) costs nothing when logging is disabled — plus the replicated
 /// (`[Zero, Cr]`, `[One, Zero]`) and CR-strided loads, the stride patterns
 /// the engine's row-based memory path serves without a per-lane walk —
-/// plus an f16 add (`binop_f16_8192`, the binary16 conversion cost) and a
-/// 256-lane add on the full engine (`narrow_binop_256_of_8192`, the
-/// dirty-bound register zeroing).
+/// plus an f16 add (`binop_f16_8192`, the binary16 conversion cost), a
+/// u8 contiguous load and an i16 add (`load_u8_8192`, `binop_i16_8192`,
+/// the narrow lane storage) and a 256-lane add on the full engine
+/// (`narrow_binop_256_of_8192`, the dirty-bound register zeroing).
 pub fn engine_hot_benches() -> Vec<HotBench> {
     let mut out = Vec::new();
 
@@ -205,6 +206,42 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         let y = e.vsetdup_hf(0.25);
         out.push(HotBench {
             name: "binop_f16_8192",
+            elems: LANES as u64,
+            run: Box::new(move || {
+                let r = e.binop(Opcode::Add, BinOp::Add, x, y);
+                e.free(r);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // Contiguous u8 load over all 8192 lanes: registers hold one byte per
+    // lane, so this is a plain byte copy.
+    {
+        let mut e = Engine::default_mobile();
+        e.vsetdimc(1);
+        e.vsetdiml(0, LANES);
+        let a = e.mem_alloc_typed::<u8>(LANES);
+        out.push(HotBench {
+            name: "load_u8_8192",
+            elems: LANES as u64,
+            run: Box::new(move || {
+                let v = e.vsld_ub(a, &[StrideMode::One]);
+                e.free(v);
+                e.clear_trace();
+            }),
+        });
+    }
+
+    // Element-wise i16 add over all 8192 lanes, on two-byte lanes.
+    {
+        let mut e = Engine::default_mobile();
+        e.vsetdimc(1);
+        e.vsetdiml(0, LANES);
+        let x = e.vsetdup_w(3);
+        let y = e.vsetdup_w(-4);
+        out.push(HotBench {
+            name: "binop_i16_8192",
             elems: LANES as u64,
             run: Box::new(move || {
                 let r = e.binop(Opcode::Add, BinOp::Add, x, y);

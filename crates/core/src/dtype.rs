@@ -2,8 +2,9 @@
 //!
 //! Section III-F: MVE supports 8/16/32/64-bit un/signed integers and
 //! 16/32-bit floating point, denoted by the `b`/`w`/`dw`/`qw` and `hf`/`f`
-//! assembly suffixes. Lane values are stored as raw `u64` bit patterns,
-//! zero-extended to 64 bits; the operations here interpret them per type.
+//! assembly suffixes. Canonical lane values are raw bit patterns
+//! zero-extended to `u64`; the operations here interpret them per type.
+//! Registers store each lane at its element width (the `Lane` trait).
 //!
 //! Integer arithmetic wraps at the element width, exactly like the
 //! bit-serial hardware (validated against `mve_insram::bitserial`). The
@@ -361,18 +362,80 @@ impl DType {
 // compile-time constants inside the loop body, so the per-lane `match`es
 // constant-fold away and LLVM can unroll and autovectorize the loop — which
 // makes bit-identity with the per-lane reference true by construction
-// rather than by reimplementation.
+// rather than by reimplementation. Registers store lanes at their element
+// width ([`Lane`]); every kernel widens its operands to `u64`, applies the
+// reference op and narrows the canonical result back, which is lossless.
 
 /// Contiguous-block binary op: `out[i] = dt.binop(op, a[i], b[i])`.
-pub type BinopKernel = fn(&[u64], &[u64], &mut [u64]);
+pub(crate) type BinopKernel<T> = fn(&[T], &[T], &mut [T]);
 /// Comparison over ≤ 64 lanes, result bits packed lane-minor into a word.
-pub type CmpKernel = fn(&[u64], &[u64]) -> u64;
-/// Contiguous-block unary op (conversions).
-pub type UnaryKernel = fn(&[u64], &mut [u64]);
+pub(crate) type CmpKernel<T> = fn(&[T], &[T]) -> u64;
+/// Contiguous-block conversion from lanes of width `S` into width `D`.
+pub(crate) type ConvertKernel<S, D> = fn(&[S], &mut [D]);
 /// Contiguous-block shift/rotate by a shared immediate amount.
-pub type ShiftImmKernel = fn(&[u64], &mut [u64], u32);
-/// Contiguous-block shift by per-lane amounts (low byte of the amount lane).
-pub type ShiftRegKernel = fn(&[u64], &[u64], &mut [u64]);
+pub(crate) type ShiftImmKernel<T> = fn(&[T], &mut [T], u32);
+/// Contiguous-block shift by per-lane amounts (low byte of the amount
+/// lane, whose register may have another width `A`).
+pub(crate) type ShiftRegKernel<T, A> = fn(&[T], &[A], &mut [T]);
+
+/// A register lane at its element width: a canonical lane value
+/// ([`DType::truncate`], zero-extended) held in the unsigned integer of
+/// [`DType::bytes`] bytes, so [`Lane::widen`] and [`Lane::narrow`] are
+/// lossless. The kernel getters accept exactly the dtypes of that width.
+pub(crate) trait Lane: Copy {
+    /// Width in bytes.
+    const BYTES: usize;
+
+    /// The canonical `u64` lane value.
+    fn widen(self) -> u64;
+
+    /// The low `BYTES` bytes of `v`.
+    fn narrow(v: u64) -> Self;
+
+    /// Decodes one little-endian element of `BYTES` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+
+    /// Encodes into `BYTES` little-endian bytes.
+    fn write_le(self, out: &mut [u8]);
+
+    /// The monomorphized contiguous-block kernel for `(dt, op)`.
+    fn binop_kernel(dt: DType, op: BinOp) -> BinopKernel<Self>;
+
+    /// The monomorphized ≤ 64-lane comparison kernel for `(dt, op)`.
+    fn cmp_kernel(dt: DType, op: CmpOp) -> CmpKernel<Self>;
+
+    /// The monomorphized shift/rotate-by-immediate kernel (`left`/`rotate`
+    /// select between [`DType::shl`], [`DType::shr`], [`DType::rotl`] and
+    /// [`DType::rotr`]).
+    fn shift_imm_kernel(dt: DType, left: bool, rotate: bool) -> ShiftImmKernel<Self>;
+
+    /// The monomorphized shift-by-register kernel (per-lane amounts, low
+    /// byte — the `vshiftr` semantics).
+    fn shift_reg_kernel<A: Lane>(dt: DType, left: bool) -> ShiftRegKernel<Self, A>;
+
+    /// The monomorphized `from → to` conversion kernel; `D` is `to`'s
+    /// lane width.
+    fn convert_kernel<D: Lane>(from: DType, to: DType) -> ConvertKernel<Self, D>;
+
+    /// Copies `out.len()` packed little-endian elements from `src` into
+    /// lanes — bit-identical to per-lane `truncate(Memory::read_raw(..))`
+    /// over ascending addresses.
+    fn load_block(src: &[u8], out: &mut [Self]) {
+        debug_assert_eq!(src.len(), out.len() * Self::BYTES);
+        for (o, c) in out.iter_mut().zip(src.chunks_exact(Self::BYTES)) {
+            *o = Self::from_le(c);
+        }
+    }
+
+    /// Copies lanes into packed little-endian elements — the inverse of
+    /// [`Lane::load_block`], bit-identical to per-lane `Memory::write_raw`.
+    fn store_block(lanes: &[Self], dst: &mut [u8]) {
+        debug_assert_eq!(dst.len(), lanes.len() * Self::BYTES);
+        for (c, &v) in dst.chunks_exact_mut(Self::BYTES).zip(lanes) {
+            v.write_le(c);
+        }
+    }
+}
 
 /// Expands `$mac!(<DTypeIdent> $(, extra)*)` for the matching variant.
 macro_rules! dtype_match {
@@ -394,11 +457,11 @@ macro_rules! dtype_match {
 
 macro_rules! binop_arm {
     ($dt:ident, $op:ident) => {{
-        fn k(a: &[u64], b: &[u64], out: &mut [u64]) {
+        fn k<T: Lane>(a: &[T], b: &[T], out: &mut [T]) {
             const DT: DType = DType::$dt;
             const OP: BinOp = BinOp::$op;
             for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(b)) {
-                *o = DT.binop(OP, x, y);
+                *o = T::narrow(DT.binop(OP, x.widen(), y.widen()));
             }
         }
         k
@@ -407,12 +470,12 @@ macro_rules! binop_arm {
 
 macro_rules! cmp_arm {
     ($dt:ident, $op:ident) => {{
-        fn k(a: &[u64], b: &[u64]) -> u64 {
+        fn k<T: Lane>(a: &[T], b: &[T]) -> u64 {
             const DT: DType = DType::$dt;
             const OP: CmpOp = CmpOp::$op;
             let mut bits = 0u64;
             for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-                bits |= u64::from(DT.cmp(OP, x, y)) << i;
+                bits |= u64::from(DT.cmp(OP, x.widen(), y.widen())) << i;
             }
             bits
         }
@@ -422,10 +485,10 @@ macro_rules! cmp_arm {
 
 macro_rules! shift_imm_arm {
     ($dt:ident, $method:ident) => {{
-        fn k(src: &[u64], out: &mut [u64], sh: u32) {
+        fn k<T: Lane>(src: &[T], out: &mut [T], sh: u32) {
             const DT: DType = DType::$dt;
             for (o, &v) in out.iter_mut().zip(src) {
-                *o = DT.$method(v, sh);
+                *o = T::narrow(DT.$method(v.widen(), sh));
             }
         }
         k
@@ -434,10 +497,10 @@ macro_rules! shift_imm_arm {
 
 macro_rules! shift_reg_arm {
     ($dt:ident, $method:ident) => {{
-        fn k(src: &[u64], amounts: &[u64], out: &mut [u64]) {
+        fn k<T: Lane, A: Lane>(src: &[T], amounts: &[A], out: &mut [T]) {
             const DT: DType = DType::$dt;
             for (o, (&v, &s)) in out.iter_mut().zip(src.iter().zip(amounts)) {
-                *o = DT.$method(v, (s & 0xFF) as u32);
+                *o = T::narrow(DT.$method(v.widen(), (s.widen() & 0xFF) as u32));
             }
         }
         k
@@ -446,154 +509,141 @@ macro_rules! shift_reg_arm {
 
 macro_rules! convert_arm {
     ($to:ident, $from:ident) => {{
-        fn k(src: &[u64], out: &mut [u64]) {
+        fn k<S: Lane, D: Lane>(src: &[S], out: &mut [D]) {
             const FROM: DType = DType::$from;
             const TO: DType = DType::$to;
+            // Only the instantiation at `TO`'s width may run; the others
+            // fold to this panic.
+            if D::BYTES as u64 != TO.bytes() {
+                wrong_width(TO, D::BYTES);
+            }
             for (o, &v) in out.iter_mut().zip(src) {
-                *o = FROM.convert_to(TO, v);
+                *o = D::narrow(FROM.convert_to(TO, v.widen()));
             }
         }
         k
     }};
 }
 
-impl DType {
-    /// The monomorphized contiguous-block kernel for `(self, op)`.
-    pub fn binop_kernel(self, op: BinOp) -> BinopKernel {
-        macro_rules! by_op {
-            ($dt:ident) => {
-                match op {
-                    BinOp::Add => binop_arm!($dt, Add),
-                    BinOp::Sub => binop_arm!($dt, Sub),
-                    BinOp::Mul => binop_arm!($dt, Mul),
-                    BinOp::Min => binop_arm!($dt, Min),
-                    BinOp::Max => binop_arm!($dt, Max),
-                    BinOp::Xor => binop_arm!($dt, Xor),
-                    BinOp::And => binop_arm!($dt, And),
-                    BinOp::Or => binop_arm!($dt, Or),
-                }
-            };
-        }
-        dtype_match!(self, by_op)
-    }
-
-    /// The monomorphized ≤ 64-lane comparison kernel for `(self, op)`.
-    pub fn cmp_kernel(self, op: CmpOp) -> CmpKernel {
-        macro_rules! by_op {
-            ($dt:ident) => {
-                match op {
-                    CmpOp::Gt => cmp_arm!($dt, Gt),
-                    CmpOp::Gte => cmp_arm!($dt, Gte),
-                    CmpOp::Lt => cmp_arm!($dt, Lt),
-                    CmpOp::Lte => cmp_arm!($dt, Lte),
-                    CmpOp::Eq => cmp_arm!($dt, Eq),
-                    CmpOp::Neq => cmp_arm!($dt, Neq),
-                }
-            };
-        }
-        dtype_match!(self, by_op)
-    }
-
-    /// The monomorphized shift/rotate-by-immediate kernel (`left`/`rotate`
-    /// select between [`DType::shl`], [`DType::shr`], [`DType::rotl`] and
-    /// [`DType::rotr`]).
-    pub fn shift_imm_kernel(self, left: bool, rotate: bool) -> ShiftImmKernel {
-        macro_rules! by_variant {
-            ($dt:ident) => {
-                match (left, rotate) {
-                    (true, false) => shift_imm_arm!($dt, shl),
-                    (false, false) => shift_imm_arm!($dt, shr),
-                    (true, true) => shift_imm_arm!($dt, rotl),
-                    (false, true) => shift_imm_arm!($dt, rotr),
-                }
-            };
-        }
-        dtype_match!(self, by_variant)
-    }
-
-    /// The monomorphized shift-by-register kernel (per-lane amounts, low
-    /// byte — the `vshiftr` semantics).
-    pub fn shift_reg_kernel(self, left: bool) -> ShiftRegKernel {
-        macro_rules! by_dir {
-            ($dt:ident) => {
-                if left {
-                    shift_reg_arm!($dt, shl)
-                } else {
-                    shift_reg_arm!($dt, shr)
-                }
-            };
-        }
-        dtype_match!(self, by_dir)
-    }
-
-    /// The monomorphized `self → to` conversion kernel.
-    pub fn convert_kernel(self, to: DType) -> UnaryKernel {
-        macro_rules! by_from {
-            ($from:ident) => {
-                dtype_match!(to, convert_arm, $from)
-            };
-        }
-        dtype_match!(self, by_from)
-    }
-
-    /// Widens `out.len()` packed little-endian elements of width
-    /// [`DType::bytes`] from `src` into canonical lane values — bit-identical
-    /// to per-lane `truncate(Memory::read_raw(..))` over ascending addresses.
-    pub fn load_block(self, src: &[u8], out: &mut [u64]) {
-        debug_assert_eq!(src.len() as u64, out.len() as u64 * self.bytes());
-        match self.bytes() {
-            1 => {
-                for (o, &b) in out.iter_mut().zip(src) {
-                    *o = u64::from(b);
-                }
-            }
-            2 => {
-                for (o, c) in out.iter_mut().zip(src.chunks_exact(2)) {
-                    *o = u64::from(u16::from_le_bytes([c[0], c[1]]));
-                }
-            }
-            4 => {
-                for (o, c) in out.iter_mut().zip(src.chunks_exact(4)) {
-                    *o = u64::from(u32::from_le_bytes(c.try_into().unwrap()));
-                }
-            }
-            _ => {
-                for (o, c) in out.iter_mut().zip(src.chunks_exact(8)) {
-                    *o = u64::from_le_bytes(c.try_into().unwrap());
-                }
-            }
-        }
-    }
-
-    /// Narrows canonical lane values into packed little-endian elements —
-    /// the inverse of [`DType::load_block`], bit-identical to per-lane
-    /// `Memory::write_raw`.
-    pub fn store_block(self, lanes: &[u64], dst: &mut [u8]) {
-        debug_assert_eq!(dst.len() as u64, lanes.len() as u64 * self.bytes());
-        match self.bytes() {
-            1 => {
-                for (d, &v) in dst.iter_mut().zip(lanes) {
-                    *d = v as u8;
-                }
-            }
-            2 => {
-                for (c, &v) in dst.chunks_exact_mut(2).zip(lanes) {
-                    c.copy_from_slice(&(v as u16).to_le_bytes());
-                }
-            }
-            4 => {
-                for (c, &v) in dst.chunks_exact_mut(4).zip(lanes) {
-                    c.copy_from_slice(&(v as u32).to_le_bytes());
-                }
-            }
-            _ => {
-                for (c, &v) in dst.chunks_exact_mut(8).zip(lanes) {
-                    c.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-    }
+/// A kernel request for a dtype whose lanes are not `bytes` wide.
+#[cold]
+fn wrong_width(dt: DType, bytes: usize) -> ! {
+    panic!("{dt} lanes are {} bytes wide, not {bytes}", dt.bytes())
 }
+
+/// Implements [`Lane`] for `$t`, the storage of the dtypes `$dt`.
+macro_rules! lane_impl {
+    ($t:ty, $($dt:ident),+) => {
+        impl Lane for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+
+            #[inline(always)]
+            fn widen(self) -> u64 {
+                u64::from(self)
+            }
+
+            #[inline(always)]
+            fn narrow(v: u64) -> Self {
+                v as $t
+            }
+
+            #[inline(always)]
+            fn from_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("element width"))
+            }
+
+            #[inline(always)]
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+
+            fn binop_kernel(dt: DType, op: BinOp) -> BinopKernel<Self> {
+                macro_rules! by_op {
+                    ($d:ident) => {
+                        match op {
+                            BinOp::Add => binop_arm!($d, Add),
+                            BinOp::Sub => binop_arm!($d, Sub),
+                            BinOp::Mul => binop_arm!($d, Mul),
+                            BinOp::Min => binop_arm!($d, Min),
+                            BinOp::Max => binop_arm!($d, Max),
+                            BinOp::Xor => binop_arm!($d, Xor),
+                            BinOp::And => binop_arm!($d, And),
+                            BinOp::Or => binop_arm!($d, Or),
+                        }
+                    };
+                }
+                match dt {
+                    $(DType::$dt => by_op!($dt),)+
+                    _ => wrong_width(dt, Self::BYTES),
+                }
+            }
+
+            fn cmp_kernel(dt: DType, op: CmpOp) -> CmpKernel<Self> {
+                macro_rules! by_op {
+                    ($d:ident) => {
+                        match op {
+                            CmpOp::Gt => cmp_arm!($d, Gt),
+                            CmpOp::Gte => cmp_arm!($d, Gte),
+                            CmpOp::Lt => cmp_arm!($d, Lt),
+                            CmpOp::Lte => cmp_arm!($d, Lte),
+                            CmpOp::Eq => cmp_arm!($d, Eq),
+                            CmpOp::Neq => cmp_arm!($d, Neq),
+                        }
+                    };
+                }
+                match dt {
+                    $(DType::$dt => by_op!($dt),)+
+                    _ => wrong_width(dt, Self::BYTES),
+                }
+            }
+
+            fn shift_imm_kernel(dt: DType, left: bool, rotate: bool) -> ShiftImmKernel<Self> {
+                macro_rules! by_variant {
+                    ($d:ident) => {
+                        match (left, rotate) {
+                            (true, false) => shift_imm_arm!($d, shl),
+                            (false, false) => shift_imm_arm!($d, shr),
+                            (true, true) => shift_imm_arm!($d, rotl),
+                            (false, true) => shift_imm_arm!($d, rotr),
+                        }
+                    };
+                }
+                match dt {
+                    $(DType::$dt => by_variant!($dt),)+
+                    _ => wrong_width(dt, Self::BYTES),
+                }
+            }
+
+            fn shift_reg_kernel<A: Lane>(dt: DType, left: bool) -> ShiftRegKernel<Self, A> {
+                macro_rules! by_dir {
+                    ($d:ident) => {
+                        if left {
+                            shift_reg_arm!($d, shl)
+                        } else {
+                            shift_reg_arm!($d, shr)
+                        }
+                    };
+                }
+                match dt {
+                    $(DType::$dt => by_dir!($dt),)+
+                    _ => wrong_width(dt, Self::BYTES),
+                }
+            }
+
+            fn convert_kernel<D: Lane>(from: DType, to: DType) -> ConvertKernel<Self, D> {
+                match from {
+                    $(DType::$dt => dtype_match!(to, convert_arm, $dt),)+
+                    _ => wrong_width(from, Self::BYTES),
+                }
+            }
+        }
+    };
+}
+
+lane_impl!(u8, U8, I8);
+lane_impl!(u16, U16, I16, F16);
+lane_impl!(u32, U32, I32, F32);
+lane_impl!(u64, U64, I64);
 
 impl std::fmt::Display for DType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -15,7 +15,7 @@ use std::any::Any;
 
 use crate::addrgen::{self, RowPlan, StrideBank};
 use crate::config::{ControlRegs, MAX_MASK_LEN};
-use crate::dtype::{BinOp, CmpOp, DType};
+use crate::dtype::{BinOp, CmpOp, DType, Lane};
 use crate::isa::{Opcode, StrideMode};
 use crate::layout::LogicalShape;
 use crate::mem::{MemScalar, Memory};
@@ -41,10 +41,129 @@ impl Reg {
     }
 }
 
+/// A register's lanes, stored at the element width of its dtype
+/// ([`Lane`]): an i8 register moves one byte per lane, not eight.
+#[derive(Debug, Clone)]
+enum LaneBuf {
+    W8(Vec<u8>),
+    W16(Vec<u16>),
+    W32(Vec<u32>),
+    W64(Vec<u64>),
+}
+
+/// Evaluates `$body` with `$v` bound to the typed lane vector of `$buf`.
+macro_rules! on_lanes {
+    ($buf:expr, $v:ident => $body:expr) => {
+        match $buf {
+            LaneBuf::W8($v) => $body,
+            LaneBuf::W16($v) => $body,
+            LaneBuf::W32($v) => $body,
+            LaneBuf::W64($v) => $body,
+        }
+    };
+}
+
+/// Evaluates `$body` with the type `$t` naming the lane storage of
+/// elements `$bytes` wide: the one width dispatch of an instruction.
+macro_rules! by_width {
+    ($bytes:expr, $t:ident => $body:expr) => {
+        match $bytes {
+            1 => {
+                type $t = u8;
+                $body
+            }
+            2 => {
+                type $t = u16;
+                $body
+            }
+            4 => {
+                type $t = u32;
+                $body
+            }
+            _ => {
+                type $t = u64;
+                $body
+            }
+        }
+    };
+}
+
+impl LaneBuf {
+    /// `n` zero lanes of `bytes` bytes each.
+    fn zeroed(bytes: u64, n: usize) -> Self {
+        by_width!(bytes, T => T::wrap(vec![0; n]))
+    }
+
+    /// Lane width in bytes.
+    fn width(&self) -> u64 {
+        match self {
+            LaneBuf::W8(_) => 1,
+            LaneBuf::W16(_) => 2,
+            LaneBuf::W32(_) => 4,
+            LaneBuf::W64(_) => 8,
+        }
+    }
+
+    /// The canonical value of one lane.
+    #[inline]
+    fn get(&self, lane: usize) -> u64 {
+        on_lanes!(self, v => v[lane].widen())
+    }
+
+    /// Stores the low bytes of `raw` into one lane.
+    #[inline]
+    fn set(&mut self, lane: usize, raw: u64) {
+        on_lanes!(self, v => v[lane] = Lane::narrow(raw))
+    }
+}
+
+impl Default for LaneBuf {
+    /// The allocation-free placeholder [`Engine::take_lanes`] leaves.
+    fn default() -> Self {
+        LaneBuf::W8(Vec::new())
+    }
+}
+
+/// A lane storage type and its [`LaneBuf`] variant.
+trait Storage: Lane {
+    fn wrap(v: Vec<Self>) -> LaneBuf;
+    fn of(buf: &LaneBuf) -> &[Self];
+    fn of_mut(buf: &mut LaneBuf) -> &mut [Self];
+}
+
+macro_rules! storage_impl {
+    ($t:ty, $var:ident) => {
+        impl Storage for $t {
+            fn wrap(v: Vec<Self>) -> LaneBuf {
+                LaneBuf::$var(v)
+            }
+
+            fn of(buf: &LaneBuf) -> &[Self] {
+                match buf {
+                    LaneBuf::$var(v) => v,
+                    _ => unreachable!("register lanes are {} bytes wide", buf.width()),
+                }
+            }
+
+            fn of_mut(buf: &mut LaneBuf) -> &mut [Self] {
+                match buf {
+                    LaneBuf::$var(v) => v,
+                    _ => unreachable!("register lanes are {} bytes wide", buf.width()),
+                }
+            }
+        }
+    };
+}
+
+storage_impl!(u8, W8);
+storage_impl!(u16, W16);
+storage_impl!(u32, W32);
+storage_impl!(u64, W64);
+
 #[derive(Debug, Clone)]
 struct Slot {
     dtype: DType,
-    lanes: Vec<u64>,
+    lanes: LaneBuf,
     live: bool,
     /// Dirty bound: every lane at or above it is zero, so a zeroing alloc
     /// that reuses the buffer clears only `lanes[..dirty]`. Each writer
@@ -127,10 +246,10 @@ enum Span {
 }
 
 /// Decomposes an enabled-lane bitset into maximal fully-enabled
-/// [`Span::Run`] ranges (word-coalesced, handed to block kernels) and
-/// [`Span::Lane`] stragglers from partially-enabled words (handed to the
-/// per-lane scalar reference). Spans are produced in ascending lane order,
-/// so consumers observe lanes exactly as the per-lane walk would.
+/// [`Span::Run`] ranges (word-coalesced) and [`Span::Lane`] stragglers
+/// from partially-enabled words. Spans are produced in ascending lane
+/// order, so consumers observe lanes exactly as the per-lane walk would;
+/// [`for_each_enabled_run`] merges adjacent ones.
 fn enabled_spans(words: impl Iterator<Item = u64>, total: usize, mut f: impl FnMut(Span)) {
     let mut run_start: Option<usize> = None;
     let mut covered = 0usize;
@@ -166,8 +285,7 @@ fn enabled_spans(words: impl Iterator<Item = u64>, total: usize, mut f: impl FnM
 }
 
 /// [`enabled_spans`] over the cached mask (and, when `pred`, the Tag
-/// latch). A fully active unpredicated shape yields exactly one
-/// `Span::Run(0, total)` — the full-mask fast path needs no special case.
+/// latch).
 fn for_each_enabled_span(
     mask_words: &[u64],
     tag_words: &[u64],
@@ -254,7 +372,7 @@ fn for_each_row_segment(
     plan: &RowPlan,
     bases: &[u64],
     elem_bytes: u64,
-    mut f: impl FnMut(usize, usize, u64),
+    f: &mut dyn FnMut(usize, usize, u64),
 ) {
     let (row_len, step) = (
         plan.row_len(),
@@ -277,9 +395,21 @@ fn for_each_row_segment(
             lo = end;
         }
     };
+    for_each_enabled_run(mask, tag, pred, &mut split);
+}
+
+/// Calls `f(lo, hi)` for every maximal run `[lo, hi)` of enabled lanes
+/// (the mask's spans and, when `pred`, the Tag latch's), in ascending
+/// lane order: adjacent spans and straggler lanes merge into one run.
+/// Compiled once, not once per caller and lane width.
+#[inline(never)]
+fn for_each_enabled_run(mask: &LaneMask, tag: &[u64], pred: bool, f: &mut dyn FnMut(usize, usize)) {
     if !pred && mask.active as usize == mask.total {
         // A fully active shape is one run; skip the word scan.
-        return split(0, mask.total);
+        if mask.total > 0 {
+            f(0, mask.total);
+        }
+        return;
     }
     let mut run: Option<(usize, usize)> = None;
     for_each_enabled_span(&mask.words, tag, pred, mask.total, |sp| {
@@ -291,13 +421,13 @@ fn for_each_row_segment(
             Some((_, hi)) if *hi == s => *hi = e,
             _ => {
                 if let Some((lo, hi)) = run.replace((s, e)) {
-                    split(lo, hi);
+                    f(lo, hi);
                 }
             }
         }
     });
     if let Some((lo, hi)) = run {
-        split(lo, hi);
+        f(lo, hi);
     }
 }
 
@@ -307,9 +437,9 @@ fn push_span_lines(lines: &mut Vec<u64>, addr: u64, len: u64) {
 }
 
 /// The lanes a row segment moves: loaded into, or stored from.
-enum Lanes<'a> {
-    Load(&'a mut [u64]),
-    Store(&'a [u64]),
+enum Lanes<'a, T> {
+    Load(&'a mut [T]),
+    Store(&'a [T]),
 }
 
 /// Copies one non-empty row segment between memory and lanes and appends
@@ -318,15 +448,14 @@ enum Lanes<'a> {
 /// other stride a lane-by-lane gather or scatter. A block that would fault
 /// takes the lane-by-lane walk instead, so the fault names the same
 /// address.
-fn copy_row(
+fn copy_row<T: Lane>(
     mem: &mut Memory,
-    dtype: DType,
-    lanes: Lanes,
+    lanes: Lanes<T>,
     addr: u64,
     stride: i64,
     lines: &mut Vec<u64>,
 ) {
-    let eb = dtype.bytes();
+    let eb = T::BYTES as u64;
     let n = match &lanes {
         Lanes::Load(out) => out.len(),
         Lanes::Store(vals) => vals.len(),
@@ -334,19 +463,19 @@ fn copy_row(
     let len = n as u64 * eb;
     match (stride, lanes) {
         (1, Lanes::Load(out)) if mem.fits(addr, len) => {
-            dtype.load_block(mem.slice(addr, len), out);
+            T::load_block(mem.slice(addr, len), out);
             push_span_lines(lines, addr, len);
         }
         (1, Lanes::Store(vals)) if mem.fits(addr, len) => {
-            dtype.store_block(vals, mem.slice_mut(addr, len));
+            T::store_block(vals, mem.slice_mut(addr, len));
             push_span_lines(lines, addr, len);
         }
         (0, Lanes::Load(out)) => {
-            out.fill(dtype.truncate(mem.read_raw(addr, eb)));
+            out.fill(T::narrow(mem.read_raw(addr, eb)));
             push_span_lines(lines, addr, eb);
         }
         (0, Lanes::Store(vals)) => {
-            mem.write_raw(addr, eb, vals[n - 1]);
+            mem.write_raw(addr, eb, vals[n - 1].widen());
             push_span_lines(lines, addr, eb);
         }
         (_, mut lanes) => {
@@ -354,8 +483,8 @@ fn copy_row(
             let (mut a, mut prev) = (addr, u64::MAX);
             for k in 0..n {
                 match &mut lanes {
-                    Lanes::Load(out) => out[k] = dtype.truncate(mem.read_raw(a, eb)),
-                    Lanes::Store(vals) => mem.write_raw(a, eb, vals[k]),
+                    Lanes::Load(out) => out[k] = T::narrow(mem.read_raw(a, eb)),
+                    Lanes::Store(vals) => mem.write_raw(a, eb, vals[k].widen()),
                 }
                 addrgen::push_line_range(lines, &mut prev, a, eb);
                 a = a.wrapping_add(step);
@@ -736,15 +865,22 @@ impl Engine {
              free temporaries (Section III-G register pressure)",
             self.crs.kernel_width()
         );
-        let lanes = self.lanes();
-        if let Some(idx) = self.slots.iter().position(|s| !s.live) {
-            // Reuse the freed slot's buffer (capacity survives `free`), so a
-            // steady-state alloc/free cycle never touches the allocator.
+        let (lanes, bytes) = (self.lanes(), dtype.bytes());
+        let free = self
+            .slots
+            .iter()
+            .position(|s| !s.live && s.lanes.width() == bytes);
+        if let Some(idx) = free {
+            // Reuse a freed slot's buffer of the same width (capacity
+            // survives `free`), so a steady-state alloc/free cycle never
+            // touches the allocator. Slots keep their width: re-sizing one
+            // would free and allocate a buffer at every width change.
             let slot = &mut self.slots[idx];
             slot.dtype = dtype;
             slot.live = true;
             if zero {
-                slot.lanes[..slot.dirty].fill(0);
+                let dirty = slot.dirty;
+                on_lanes!(&mut slot.lanes, v => v[..dirty].fill(0));
                 slot.dirty = 0;
             } else {
                 slot.dirty = lanes;
@@ -753,7 +889,7 @@ impl Engine {
         } else {
             self.slots.push(Slot {
                 dtype,
-                lanes: vec![0; lanes],
+                lanes: LaneBuf::zeroed(bytes, lanes),
                 live: true,
                 dirty: if zero { 0 } else { lanes },
             });
@@ -794,19 +930,20 @@ impl Engine {
         slot
     }
 
-    /// Raw lane values of a register (tests/inspection).
-    pub fn reg_lanes(&self, reg: Reg) -> &[u64] {
-        &self.slot(reg).lanes
+    /// Canonical lane values of a register, widened to `u64`
+    /// (tests/inspection; allocates).
+    pub fn reg_lanes(&self, reg: Reg) -> Vec<u64> {
+        on_lanes!(&self.slot(reg).lanes, v => v.iter().map(|x| x.widen()).collect())
     }
 
     /// Directly writes a raw lane value — simulator-internal API used by
     /// baseline ISA layers (e.g. the RVV emulation in `mve-baselines`) that
     /// perform their own functional execution and trace emission.
+    /// `raw` is truncated to the element width.
     pub fn set_lane_raw(&mut self, reg: Reg, lane: usize, raw: u64) {
-        let dtype = reg.dtype;
         let slot = &mut self.slots[reg.idx];
         assert!(slot.live, "use of freed register {reg:?}");
-        slot.lanes[lane] = dtype.truncate(raw);
+        slot.lanes.set(lane, raw);
         slot.dirty = slot.dirty.max(lane + 1);
     }
 
@@ -819,7 +956,7 @@ impl Engine {
 
     /// One canonical lane value.
     pub fn lane_value(&self, reg: Reg, lane: usize) -> u64 {
-        self.slot(reg).lanes[lane]
+        self.slot(reg).lanes.get(lane)
     }
 
     // ------------------------------------------------------------------
@@ -1022,14 +1159,17 @@ impl Engine {
         } = self;
         let pred = write && *pred;
         let mut segments = 0usize;
-        for_each_row_segment(mask, tag, pred, plan, bases, eb, |lo, hi, addr| {
-            segments += 1;
-            let seg = if write {
-                Lanes::Store(&lanes[lo..hi])
-            } else {
-                Lanes::Load(&mut lanes[lo..hi])
-            };
-            copy_row(mem, dtype, seg, addr, plan.stride(), &mut lines);
+        by_width!(eb, T => {
+            let lanes = T::of_mut(&mut lanes);
+            for_each_row_segment(mask, tag, pred, plan, bases, eb, &mut |lo, hi, addr| {
+                segments += 1;
+                let seg = if write {
+                    Lanes::Store(&lanes[lo..hi])
+                } else {
+                    Lanes::Load(&mut lanes[lo..hi])
+                };
+                copy_row::<T>(mem, seg, addr, plan.stride(), &mut lines);
+            });
         });
         if let Some(ptr_base) = ptr_base {
             push_span_lines(&mut lines, ptr_base, bases.len() as u64 * 8);
@@ -1080,17 +1220,20 @@ impl Engine {
         let per_cb = self.geom.bitlines_per_cb();
         let mut lanes = self.take_lanes(reg);
         let (mut lines, mut cb_mask, mut end) = (Vec::new(), 0u64, 0usize);
-        for r in rows.into_iter().filter(|r| r.len > 0) {
-            let span = r.lane..r.lane + r.len;
-            let seg = if write {
-                Lanes::Store(&lanes[span])
-            } else {
-                Lanes::Load(&mut lanes[span])
-            };
-            copy_row(&mut self.mem, reg.dtype, seg, r.addr, r.stride, &mut lines);
-            cb_mask |= cb_range(r.lane, r.lane + r.len, per_cb);
-            end = end.max(r.lane + r.len);
-        }
+        by_width!(reg.dtype.bytes(), T => {
+            let lanes = T::of_mut(&mut lanes);
+            for r in rows.into_iter().filter(|r| r.len > 0) {
+                let span = r.lane..r.lane + r.len;
+                let seg = if write {
+                    Lanes::Store(&lanes[span])
+                } else {
+                    Lanes::Load(&mut lanes[span])
+                };
+                copy_row::<T>(&mut self.mem, seg, r.addr, r.stride, &mut lines);
+                cb_mask |= cb_range(r.lane, r.lane + r.len, per_cb);
+                end = end.max(r.lane + r.len);
+            }
+        });
         self.put_back_upto(reg, lanes, end);
         addrgen::finish_lines(&mut lines);
         (lines, cb_mask)
@@ -1126,22 +1269,29 @@ impl Engine {
     /// Takes a destination register's lane buffer out of the slot arena so
     /// source slots can be read by reference while it is written (no operand
     /// clones). Pair with [`Engine::put_back`].
-    fn take_lanes(&mut self, reg: Reg) -> Vec<u64> {
+    fn take_lanes(&mut self, reg: Reg) -> LaneBuf {
         std::mem::take(&mut self.slots[reg.idx].lanes)
     }
 
     /// Returns a buffer taken by [`Engine::take_lanes`] after a write
     /// through the lane mask, which touches no lane past `mask.total`.
-    fn put_back(&mut self, reg: Reg, lanes: Vec<u64>) {
+    fn put_back(&mut self, reg: Reg, lanes: LaneBuf) {
         self.put_back_upto(reg, lanes, self.mask.total);
     }
 
     /// [`Engine::put_back`] after a write that touched no lane at or above
     /// `end`.
-    fn put_back_upto(&mut self, reg: Reg, lanes: Vec<u64>, end: usize) {
+    fn put_back_upto(&mut self, reg: Reg, lanes: LaneBuf, end: usize) {
         let slot = &mut self.slots[reg.idx];
         slot.lanes = lanes;
         slot.dirty = slot.dirty.max(end);
+    }
+
+    /// Calls `f(lo, hi)` for every maximal run of lanes enabled by the
+    /// current lane mask (and, under predication, the Tag latch); the
+    /// block kernels serve runs of any length. Requires a fresh lane mask.
+    fn spans(&self, f: &mut dyn FnMut(usize, usize)) {
+        for_each_enabled_run(&self.mask, &self.tag, self.pred, f);
     }
 
     /// Element-wise binary operation into a fresh register.
@@ -1157,21 +1307,12 @@ impl Engine {
         let dst = self.alloc_dst(dtype, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            {
-                let av = &self.slot(a).lanes;
-                let bv = &self.slot(b).lanes;
-                let kernel = dtype.binop_kernel(op);
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => kernel(&av[s..e], &bv[s..e], &mut out[s..e]),
-                        Span::Lane(l) => out[l] = dtype.binop(op, av[l], bv[l]),
-                    },
-                );
-            }
+            by_width!(dtype.bytes(), T => {
+                let (av, bv) = (T::of(&self.slot(a).lanes), T::of(&self.slot(b).lanes));
+                let out = T::of_mut(&mut out);
+                let kernel = T::binop_kernel(dtype, op);
+                self.spans(&mut |s, e| kernel(&av[s..e], &bv[s..e], &mut out[s..e]));
+            });
             self.put_back(dst, out);
         }
         self.emit_compute(opcode, dtype, stats);
@@ -1190,10 +1331,9 @@ impl Engine {
         let stats = self.active_stats(false);
         if stats.0 > 0 {
             let mut tag = std::mem::take(&mut self.tag);
-            {
-                let av = &self.slot(a).lanes;
-                let bv = &self.slot(b).lanes;
-                let kernel = dtype.cmp_kernel(op);
+            by_width!(dtype.bytes(), T => {
+                let (av, bv) = (T::of(&self.slot(a).lanes), T::of(&self.slot(b).lanes));
+                let kernel = T::cmp_kernel(dtype, op);
                 let total = self.mask.total;
                 // Whole-word kernel, then a masked merge: enabled bits take
                 // the comparison result, disabled (and beyond-total) bits
@@ -1209,7 +1349,7 @@ impl Engine {
                     let bits = kernel(&av[base..base + span], &bv[base..base + span]);
                     tag[w] = (tag[w] & !m) | (bits & m);
                 }
-            }
+            });
             self.tag = tag;
         }
         self.emit_compute(Opcode::Compare, dtype, stats);
@@ -1224,27 +1364,12 @@ impl Engine {
         let dst = self.alloc_dst(dtype, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            {
-                let av = &self.slot(a).lanes;
-                let kernel = dtype.shift_imm_kernel(left, rotate);
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => kernel(&av[s..e], &mut out[s..e], amount),
-                        Span::Lane(l) => {
-                            out[l] = match (rotate, left) {
-                                (false, true) => dtype.shl(av[l], amount),
-                                (false, false) => dtype.shr(av[l], amount),
-                                (true, true) => dtype.rotl(av[l], amount),
-                                (true, false) => dtype.rotr(av[l], amount),
-                            }
-                        }
-                    },
-                );
-            }
+            by_width!(dtype.bytes(), T => {
+                let av = T::of(&self.slot(a).lanes);
+                let out = T::of_mut(&mut out);
+                let kernel = T::shift_imm_kernel(dtype, left, rotate);
+                self.spans(&mut |s, e| kernel(&av[s..e], &mut out[s..e], amount));
+            });
             self.put_back(dst, out);
         }
         let opcode = if rotate {
@@ -1256,7 +1381,8 @@ impl Engine {
         dst
     }
 
-    /// Shift by per-lane amounts held in `amounts`.
+    /// Shift by per-lane amounts held in `amounts` (the low byte of each
+    /// lane; `amounts` may have another width than `a`).
     pub fn shift_reg(&mut self, a: Reg, amounts: Reg, left: bool) -> Reg {
         let dtype = a.dtype;
         self.prepare_compute();
@@ -1264,28 +1390,13 @@ impl Engine {
         let dst = self.alloc_dst(dtype, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            {
-                let av = &self.slot(a).lanes;
-                let sv = &self.slot(amounts).lanes;
-                let kernel = dtype.shift_reg_kernel(left);
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => kernel(&av[s..e], &sv[s..e], &mut out[s..e]),
-                        Span::Lane(l) => {
-                            let sh = (sv[l] & 0xFF) as u32;
-                            out[l] = if left {
-                                dtype.shl(av[l], sh)
-                            } else {
-                                dtype.shr(av[l], sh)
-                            };
-                        }
-                    },
-                );
-            }
+            by_width!(dtype.bytes(), T => by_width!(amounts.dtype.bytes(), A => {
+                let av = T::of(&self.slot(a).lanes);
+                let sv = A::of(&self.slot(amounts).lanes);
+                let out = T::of_mut(&mut out);
+                let kernel = T::shift_reg_kernel::<A>(dtype, left);
+                self.spans(&mut |s, e| kernel(&av[s..e], &sv[s..e], &mut out[s..e]));
+            }));
             self.put_back(dst, out);
         }
         self.emit_compute(Opcode::ShiftReg, dtype, stats);
@@ -1299,21 +1410,23 @@ impl Engine {
         let dst = self.alloc_dst(dtype, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            let v = dtype.truncate(raw);
-            for_each_enabled_span(
-                &self.mask.words,
-                &self.tag,
-                self.pred,
-                self.mask.total,
-                |sp| match sp {
-                    Span::Run(s, e) => out[s..e].fill(v),
-                    Span::Lane(l) => out[l] = v,
-                },
-            );
+            by_width!(dtype.bytes(), T => {
+                let (out, v) = (T::of_mut(&mut out), T::narrow(raw));
+                self.spans(&mut |s, e| out[s..e].fill(v));
+            });
             self.put_back(dst, out);
         }
         self.emit_compute(Opcode::SetDup, dtype, stats);
         dst
+    }
+
+    /// Copies the enabled lanes of `src` into the buffer `out` of the same
+    /// width.
+    fn copy_enabled(&self, src: Reg, out: &mut LaneBuf) {
+        by_width!(src.dtype.bytes(), T => {
+            let (sv, out) = (T::of(&self.slot(src).lanes), T::of_mut(out));
+            self.spans(&mut |s, e| out[s..e].copy_from_slice(&sv[s..e]));
+        });
     }
 
     /// Register copy into a fresh register.
@@ -1324,19 +1437,7 @@ impl Engine {
         let dst = self.alloc_dst(dtype, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            {
-                let sv = &self.slot(src).lanes;
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => out[s..e].copy_from_slice(&sv[s..e]),
-                        Span::Lane(l) => out[l] = sv[l],
-                    },
-                );
-            }
+            self.copy_enabled(src, &mut out);
             self.put_back(dst, out);
         }
         self.emit_compute(Opcode::Copy, dtype, stats);
@@ -1353,19 +1454,7 @@ impl Engine {
         assert!(self.slots[dst.idx].live, "use of freed register {dst:?}");
         if stats.0 > 0 && dst.idx != src.idx {
             let mut out = self.take_lanes(dst);
-            {
-                let sv = &self.slot(src).lanes;
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => out[s..e].copy_from_slice(&sv[s..e]),
-                        Span::Lane(l) => out[l] = sv[l],
-                    },
-                );
-            }
+            self.copy_enabled(src, &mut out);
             self.put_back(dst, out);
         }
         self.emit_compute(Opcode::Copy, dst.dtype, stats);
@@ -1379,20 +1468,12 @@ impl Engine {
         let dst = self.alloc_dst(to, true);
         if stats.0 > 0 {
             let mut out = self.take_lanes(dst);
-            {
-                let sv = &self.slot(src).lanes;
-                let kernel = from.convert_kernel(to);
-                for_each_enabled_span(
-                    &self.mask.words,
-                    &self.tag,
-                    self.pred,
-                    self.mask.total,
-                    |sp| match sp {
-                        Span::Run(s, e) => kernel(&sv[s..e], &mut out[s..e]),
-                        Span::Lane(l) => out[l] = from.convert_to(to, sv[l]),
-                    },
-                );
-            }
+            by_width!(from.bytes(), S => by_width!(to.bytes(), D => {
+                let sv = S::of(&self.slot(src).lanes);
+                let out = D::of_mut(&mut out);
+                let kernel = S::convert_kernel::<D>(from, to);
+                self.spans(&mut |s, e| kernel(&sv[s..e], &mut out[s..e]));
+            }));
             self.put_back(dst, out);
         }
         self.emit_compute(Opcode::Convert, to, stats);

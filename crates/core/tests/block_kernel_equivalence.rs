@@ -393,3 +393,104 @@ fn fully_masked_compute_pins_instruction_mix() {
     }
     assert!(computes >= 6, "all compute ops still emit events");
 }
+
+/// Registers store lanes at their element width, so a conversion pairs
+/// two storage widths. Every `(from, to)` pair, beside a freed register of
+/// a third width with every lane set, under a full mask (one block run)
+/// and a ragged one (runs plus stragglers).
+#[test]
+fn convert_every_pair_across_storage_widths() {
+    let ragged: Vec<usize> = (0..N).filter(|l| l % 5 == 3 || *l == 64).collect();
+    for (fi, &from) in DType::ALL.iter().enumerate() {
+        let av = lane_values(from, 0x4242 + fi as u64, N);
+        for &to in &DType::ALL {
+            for masked_off in [Vec::new(), ragged.clone()] {
+                let mut e = lane_shaped_engine(N);
+                // Leave a freed slot of a third width with every lane set.
+                let other = if to.bytes() == 8 {
+                    DType::U8
+                } else {
+                    DType::U64
+                };
+                let junk = e.setdup(other, u64::MAX);
+                e.free(junk);
+                for &m in &masked_off {
+                    e.vunsetmask(m);
+                }
+                let a = reg_with(&mut e, from, &av);
+                let r = e.convert(a, to);
+                let want: Vec<u64> = (0..e.lanes())
+                    .map(|l| {
+                        if l < N && !masked_off.contains(&l) {
+                            from.convert_to(to, av[l])
+                        } else {
+                            0
+                        }
+                    })
+                    .collect();
+                assert_eq!(e.reg_lanes(r), want, "{from:?}→{to:?}");
+            }
+        }
+    }
+}
+
+/// `vshiftr` reads the low byte of each amount lane, whatever the amount
+/// register's width: amounts of every integer width, with high bytes set
+/// and low bytes past the element width.
+#[test]
+fn shift_reg_amounts_of_every_width() {
+    let ints: Vec<DType> = DType::ALL.into_iter().filter(|d| !d.is_float()).collect();
+    for (di, &dtype) in ints.iter().enumerate() {
+        let av = lane_values(dtype, 0x3141 + di as u64, N);
+        for (ai, &amount_type) in ints.iter().enumerate() {
+            // Low bytes 0..=72 (past every width) under random high bytes.
+            let amounts: Vec<u64> = lane_values(DType::U64, 0x2718 + ai as u64, N)
+                .iter()
+                .enumerate()
+                .map(|(l, &hi)| amount_type.truncate((hi & !0xFF) | ((l as u64 * 9) % 73)))
+                .collect();
+            for left in [true, false] {
+                let mut e = lane_shaped_engine(N);
+                e.vunsetmask(5);
+                let a = reg_with(&mut e, dtype, &av);
+                let s = reg_with(&mut e, amount_type, &amounts);
+                let r = e.shift_reg(a, s, left);
+                for l in 0..N {
+                    let sh = (amounts[l] & 0xFF) as u32;
+                    let want = match (l, left) {
+                        (5, _) => 0,
+                        (_, true) => dtype.shl(av[l], sh),
+                        (_, false) => dtype.shr(av[l], sh),
+                    };
+                    assert_eq!(
+                        e.lane_value(r, l),
+                        want,
+                        "{dtype:?} by {amount_type:?} left={left} lane {l}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `set_lane_raw` keeps the low element-width bits of its value, and
+/// `lane_value` reads them back zero-extended, at every width.
+#[test]
+fn set_lane_raw_truncates_at_every_width() {
+    let raw = 0xFEDC_BA98_7654_3210u64;
+    for dtype in DType::ALL {
+        let mut e = lane_shaped_engine(N);
+        let r = e.alloc(dtype);
+        let top = e.lanes() - 1;
+        for (l, v) in [(0, raw), (1, !raw), (63, 0x80), (top, raw.rotate_left(8))] {
+            e.set_lane_raw(r, l, v);
+            assert_eq!(e.lane_value(r, l), dtype.truncate(v), "{dtype:?} lane {l}");
+        }
+        assert_eq!(e.lane_value(r, 2), 0, "{dtype:?}: untouched lane");
+        let mut want = vec![0u64; e.lanes()];
+        for (l, v) in [(0, raw), (1, !raw), (63, 0x80), (top, raw.rotate_left(8))] {
+            want[l] = dtype.truncate(v);
+        }
+        assert_eq!(e.reg_lanes(r), want, "{dtype:?}");
+    }
+}

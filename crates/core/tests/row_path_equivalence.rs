@@ -236,7 +236,7 @@ fn check(c: &Case) -> Result<(), TestCaseError> {
         for &(l, a) in &enabled {
             want[l] = c.dtype.truncate(r.mem().read_raw(a, eb));
         }
-        prop_assert_eq!(e.reg_lanes(dst), &want[..]);
+        prop_assert_eq!(e.reg_lanes(dst), want);
     }
     let span = MEM_BYTES - 64;
     prop_assert!(
@@ -456,6 +456,63 @@ fn faulting_accesses_panic_like_the_per_lane_walk() {
             assert_eq!(
                 got, want,
                 "{modes:?} stride {stride} base {base:#x} write {write}"
+            );
+        }
+    }
+}
+
+/// A register freed at one lane width, then one allocated at another:
+/// every lane a zeroing allocation must clear reads zero, whichever width
+/// dirtied the freed one, and a load fills exactly its own shape.
+#[test]
+fn registers_allocated_after_a_freed_one_of_another_width_read_zero() {
+    let widths = [DType::U8, DType::I16, DType::F32, DType::I64];
+    for first in widths {
+        for second in widths {
+            let mut e = Engine::new(EngineGeometry::default(), Memory::with_capacity(MEM_BYTES));
+            let lanes = e.lanes();
+            e.vsetwidth(64);
+            e.vsetdimc(1);
+            e.vsetdiml(0, lanes);
+            // Dirty every lane of a slot at the first width, plus a raw
+            // write at the top lane, then free it.
+            let dirty = e.setdup(first, u64::MAX);
+            e.set_lane_raw(dirty, lanes - 1, 1);
+            e.free(dirty);
+            let fresh = e.alloc(second);
+            assert!(
+                e.reg_lanes(fresh).iter().all(|&v| v == 0),
+                "{first:?} then {second:?}: stale lanes"
+            );
+            e.free(fresh);
+            // A partial-shape load into the recycled slot: lanes past the
+            // shape stay zero.
+            let a = e.mem_alloc(100 * second.bytes());
+            let bytes: Vec<u8> = (0..100 * second.bytes()).map(|b| b as u8 | 1).collect();
+            e.mem_mut()
+                .slice_mut(a, 100 * second.bytes())
+                .copy_from_slice(&bytes);
+            e.vsetdiml(0, 100);
+            let v = e.load(second, a, &[StrideMode::One]);
+            let got = e.reg_lanes(v);
+            for (l, &g) in got.iter().enumerate() {
+                let want = if l < 100 {
+                    second.truncate(
+                        e.mem()
+                            .read_raw(a + l as u64 * second.bytes(), second.bytes()),
+                    )
+                } else {
+                    0
+                };
+                assert_eq!(g, want, "{first:?} then {second:?}: lane {l}");
+            }
+            // The store writes back exactly the loaded bytes.
+            let out = e.mem_alloc(100 * second.bytes());
+            e.store(v, out, &[StrideMode::One]);
+            assert_eq!(
+                e.mem().slice(out, 100 * second.bytes()),
+                &bytes[..],
+                "{first:?} then {second:?}"
             );
         }
     }

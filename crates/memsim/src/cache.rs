@@ -85,12 +85,18 @@ pub struct AccessOutcome {
 }
 
 /// A set-associative, write-back, write-allocate cache (tags only).
+///
+/// LRU stamps are unique within a set, so neither lookups nor victim
+/// choice depend on the order of a set's entries: a fill replaces its
+/// victim in place and an invalidation swap-removes.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Ways usable for storage (reduced when the compute half is enabled).
     active_ways: usize,
     sets: Vec<Vec<TagEntry>>,
+    /// Resident lines over all sets.
+    resident: usize,
     /// `sets - 1` when the set count is a power of two (every Table IV
     /// level), so the set index is a mask rather than a division.
     set_mask: Option<u64>,
@@ -110,6 +116,7 @@ impl SetAssocCache {
         Self {
             active_ways: cfg.ways,
             sets: vec![Vec::new(); cfg.sets()],
+            resident: 0,
             set_mask: cfg.sets().is_power_of_two().then(|| cfg.sets() as u64 - 1),
             clock: 0,
             cfg,
@@ -139,10 +146,10 @@ impl SetAssocCache {
                 while set.len() > ways {
                     // Evict LRU first.
                     let lru_idx = Self::lru_index(set);
-                    if set[lru_idx].dirty {
+                    if set.swap_remove(lru_idx).dirty {
                         flushed += 1;
                     }
-                    set.remove(lru_idx);
+                    self.resident -= 1;
                 }
             }
         }
@@ -216,19 +223,21 @@ impl SetAssocCache {
         }
 
         self.misses += 1;
-        let (writeback, victim) = if set.len() >= active_ways {
-            let lru_idx = Self::lru_index(set);
-            let v = set.remove(lru_idx);
-            (v.dirty.then_some(v.tag), Some(v.tag))
-        } else {
-            (None, None)
-        };
-        set.push(TagEntry {
+        let fill = TagEntry {
             tag: line_addr,
             dirty: write,
             present_above: false,
             lru: clock,
-        });
+        };
+        let (writeback, victim) = if set.len() >= active_ways {
+            let lru_idx = Self::lru_index(set);
+            let v = std::mem::replace(&mut set[lru_idx], fill);
+            (v.dirty.then_some(v.tag), Some(v.tag))
+        } else {
+            set.push(fill);
+            self.resident += 1;
+            (None, None)
+        };
         AccessOutcome {
             hit: false,
             writeback,
@@ -265,18 +274,48 @@ impl SetAssocCache {
 
     /// Invalidates a line; returns `true` if it was resident and dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> bool {
+        if self.resident == 0 {
+            return false;
+        }
         let set_idx = self.set_index(line_addr);
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|e| e.tag == line_addr) {
-            set.remove(pos).dirty
+            self.resident -= 1;
+            set.swap_remove(pos).dirty
         } else {
             false
         }
     }
 
+    /// Counts `n` hits on lines that were the `n` most recent accesses, in
+    /// the order they were made, without re-stamping them: stamps are only
+    /// compared within a set, and re-stamping those lines in their own
+    /// order would leave every set's LRU order as it is.
+    pub(crate) fn repeat_hits(&mut self, n: u64) {
+        self.clock += n;
+        self.hits += n;
+    }
+
+    /// Every set's `(line, dirty, presence)` entries, least recently used
+    /// first: the state that decides every later access.
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self) -> Vec<Vec<(u64, bool, bool)>> {
+        self.sets
+            .iter()
+            .map(|set| {
+                let mut entries = set.clone();
+                entries.sort_by_key(|e| e.lru);
+                entries
+                    .iter()
+                    .map(|e| (e.tag, e.dirty, e.present_above))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.resident
     }
 
     /// Number of resident dirty lines (used for the mode-switch flush cost).

@@ -8,6 +8,10 @@ use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dram::{Dram, DramConfig};
 use crate::line_of;
 
+/// L2 tag lookups per cycle on the vector path: the data half is
+/// multi-banked over its 4 storage ways.
+const TAG_BANKS: u64 = 4;
+
 /// Configuration of the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -84,6 +88,13 @@ pub struct Hierarchy {
     /// Completion cycles of a vector batch's outstanding L2 misses, earliest
     /// on top; reused across batches.
     outstanding: BinaryHeap<Reverse<u64>>,
+    /// The lines of the last vector batch the L2 walked.
+    last_lines: Vec<u64>,
+    /// That batch's `write` flag.
+    last_write: bool,
+    /// Whether every line of `last_lines` is still resident in the L2
+    /// with its presence bit clear, and no L2 access has come since.
+    last_resident: bool,
 }
 
 impl Default for Hierarchy {
@@ -102,6 +113,9 @@ impl Hierarchy {
             dram: Dram::new(cfg.dram),
             stats: MemStats::default(),
             outstanding: BinaryHeap::with_capacity(cfg.l2.mshrs),
+            last_lines: Vec::new(),
+            last_write: false,
+            last_resident: false,
             cfg,
         }
     }
@@ -125,6 +139,7 @@ impl Hierarchy {
     /// from the deactivated ways. Returns the switch cost in cycles: each
     /// flushed line needs an L2 read plus a DRAM burst slot (Section V-C).
     pub fn enable_compute_mode(&mut self) -> u64 {
+        self.last_resident = false;
         let keep = self.cfg.l2.ways / 2;
         let flushed = self.l2.restrict_ways(keep.max(1));
         self.stats.mode_switch_flushes += flushed;
@@ -134,6 +149,7 @@ impl Hierarchy {
 
     /// Restores the L2 to full-cache mode (a CR write; negligible cost).
     pub fn disable_compute_mode(&mut self) {
+        self.last_resident = false;
         let ways = self.cfg.l2.ways;
         self.l2.restrict_ways(ways);
     }
@@ -175,6 +191,7 @@ impl Hierarchy {
     /// A scalar core load/store of `addr` at time `now`; returns its latency
     /// in cycles.
     pub fn core_access(&mut self, addr: u64, write: bool, now: u64) -> u64 {
+        self.last_resident = false;
         let line = line_of(addr);
         let l1_out = self.l1d.access(line, write);
         if let Some(victim) = l1_out.victim {
@@ -198,9 +215,46 @@ impl Hierarchy {
     /// Outstanding L2 misses are bounded by the L2 MSHR count; the L2 data
     /// half is multi-banked (4 storage ways), so four tag lookups proceed
     /// per cycle.
+    ///
+    /// A batch that repeats the previous one (same lines, same `write`)
+    /// while all of its lines are still resident with their presence bits
+    /// clear is all hits and changes no cache state: re-stamping the same
+    /// lines in the same order keeps every set's LRU order, and their dirty
+    /// bits are already set. So it only counts its hits.
     pub fn vector_access(&mut self, lines: &[u64], write: bool, now: u64) -> BatchResult {
-        const TAG_BANKS: u64 = 4;
+        if self.last_resident
+            && write == self.last_write
+            && !lines.is_empty()
+            && lines == self.last_lines.as_slice()
+        {
+            let n = lines.len() as u64;
+            self.l2.repeat_hits(n);
+            self.stats.l2_hits += n;
+            self.count_vector_lines(n, write);
+            return BatchResult {
+                done_at: now + n.div_ceil(TAG_BANKS) + self.cfg.l2.latency,
+                lines: n,
+                l2_hits: n,
+                dram_lines: 0,
+            };
+        }
+        self.walk_vector_batch(lines, write, now)
+    }
+
+    fn count_vector_lines(&mut self, n: u64, write: bool) {
+        if write {
+            self.stats.vector_lines_written += n;
+        } else {
+            self.stats.vector_lines_read += n;
+        }
+    }
+
+    /// [`Hierarchy::vector_access`] as a walk of every line, which records
+    /// the batch for the repeat check. A victim or back-invalidation that
+    /// may remove one of the batch's (sorted) lines rules the repeat out.
+    fn walk_vector_batch(&mut self, lines: &[u64], write: bool, now: u64) -> BatchResult {
         let mshrs = self.cfg.l2.mshrs;
+        let mut resident = lines.is_sorted();
         self.outstanding.clear();
         let mut t = now;
         let mut done_at = now;
@@ -225,6 +279,7 @@ impl Hierarchy {
                 if out.writeback == Some(victim) {
                     self.stats.dram_accesses += 1;
                 }
+                resident &= lines.binary_search(&victim).is_err();
             }
             let completion = if out.hit {
                 self.stats.l2_hits += 1;
@@ -254,6 +309,7 @@ impl Hierarchy {
                     if self.l2.invalidate(victim) || llc_out.writeback == Some(victim) {
                         self.stats.dram_accesses += 1;
                     }
+                    resident &= lines.binary_search(&victim).is_err();
                 }
                 let completion = if llc_out.hit {
                     self.stats.llc_hits += 1;
@@ -271,11 +327,11 @@ impl Hierarchy {
             done_at = done_at.max(completion);
         }
 
-        if write {
-            self.stats.vector_lines_written += lines.len() as u64;
-        } else {
-            self.stats.vector_lines_read += lines.len() as u64;
-        }
+        self.count_vector_lines(lines.len() as u64, write);
+        self.last_lines.clear();
+        self.last_lines.extend_from_slice(lines);
+        self.last_write = write;
+        self.last_resident = resident;
         BatchResult {
             done_at,
             lines: lines.len() as u64,
@@ -615,6 +671,125 @@ mod more_tests {
             );
             assert!(new.stats().dram_accesses > 0, "seed {seed}");
         }
+    }
+
+    /// Asserts two hierarchies hold the same lines, in the same LRU order
+    /// per set, with the same dirty and presence bits, and the same counts.
+    fn assert_same_state(a: &Hierarchy, b: &Hierarchy) {
+        for (x, y) in [(&a.l1d, &b.l1d), (&a.l2, &b.l2), (&a.llc, &b.llc)] {
+            assert_eq!(x.lru_order(), y.lru_order());
+            assert_eq!((x.hits(), x.misses()), (y.hits(), y.misses()));
+            assert_eq!(x.resident_lines(), y.resident_lines());
+        }
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    /// A pool of lines that crowds a few L2 sets past their ways (stride
+    /// 1024, the L2 set count) and a few LLC sets past theirs (stride 4096),
+    /// plus cold lines scattered over 64 MiB.
+    fn pool_line(rng: &mut u64) -> u64 {
+        match next(rng) % 4 {
+            0 => next(rng) % 2 + 1_024 * (next(rng) % 12),
+            1 | 2 => 3 + 4_096 * (next(rng) % 14),
+            _ => next(rng) % (1 << 20),
+        }
+    }
+
+    proptest::proptest! {
+        /// The repeat fast path of `vector_access` against a forced full
+        /// walk of every batch: exact repeats, read→write repeats, batches
+        /// with more lines in one set than it has ways, LLC
+        /// back-invalidations of lines the L2 holds, core accesses in
+        /// between, and mode switches.
+        #[test]
+        fn prop_repeat_batches_match_a_full_walk(
+            seed: u64,
+            ops in proptest::collection::vec(0u64..10, 20..160),
+        ) {
+            let mut rng = seed;
+            let mut fast = Hierarchy::default();
+            let mut full = fast.clone();
+            let (mut lines, mut write, mut compute) = (Vec::new(), false, false);
+            let (mut now, mut repeats) = (0, 0);
+            for op in ops {
+                now += next(&mut rng) % 256;
+                match op {
+                    0..=3 if !lines.is_empty() => repeats += 1,
+                    4 if !lines.is_empty() => write = !write,
+                    8 => {
+                        let addr = pool_line(&mut rng) * 64;
+                        let w = next(&mut rng).is_multiple_of(2);
+                        assert_eq!(
+                            fast.core_access(addr, w, now),
+                            full.core_access(addr, w, now)
+                        );
+                        continue;
+                    }
+                    9 => {
+                        compute = !compute;
+                        for h in [&mut fast, &mut full] {
+                            if compute {
+                                h.enable_compute_mode();
+                            } else {
+                                h.disable_compute_mode();
+                            }
+                        }
+                        continue;
+                    }
+                    _ => {
+                        let n = 1 + next(&mut rng) % 40;
+                        lines = (0..n).map(|_| pool_line(&mut rng)).collect();
+                        lines.sort_unstable();
+                        lines.dedup();
+                        write = next(&mut rng).is_multiple_of(3);
+                    }
+                }
+                let got = fast.vector_access(&lines, write, now);
+                let want = full.walk_vector_batch(&lines, write, now);
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(fast.stats(), full.stats());
+            }
+            assert_same_state(&fast, &full);
+            proptest::prop_assert!(repeats > 0);
+        }
+    }
+
+    #[test]
+    fn repeat_fast_path_fires_and_yields_to_back_invalidation() {
+        let mut h = Hierarchy::default();
+        let batch: Vec<u64> = (0..64).collect();
+        h.vector_access(&batch, false, 0);
+        assert!(h.last_resident, "a batch that fits stays resident");
+        let mut full = h.clone();
+        let res = h.vector_access(&batch, false, 1_000);
+        assert_eq!(res, full.walk_vector_batch(&batch, false, 1_000));
+        assert_eq!(res.done_at, 1_000 + 16 + 12);
+        assert_same_state(&h, &full);
+
+        // Line 7 stays in the L2, hit by the vector path (which the LLC
+        // does not see), while seven newer lines of its LLC set arrive. A
+        // batch of line 7 and an eighth such line then hits 7 in the L2,
+        // and the eighth line's LLC fill evicts 7 (the LLC's LRU line) and
+        // back-invalidates the L2 copy: the repeat must walk and miss.
+        let mut h = Hierarchy::default();
+        let crowd: Vec<u64> = (0..9).map(|k| 7 + 4_096 * k).collect();
+        h.vector_access(&[7], false, 0);
+        for (i, &line) in crowd[1..8].iter().enumerate() {
+            h.vector_access(&[line], false, 10 * i as u64 + 5);
+            h.vector_access(&[7], false, 10 * i as u64 + 10);
+        }
+        let batch = [7, crowd[8]];
+        assert_eq!(h.vector_access(&batch, false, 1_000).l2_hits, 1);
+        assert!(!h.l2.probe(7), "the LLC victim left the L2 too");
+        assert!(
+            !h.last_resident,
+            "a back-invalidated line rules the repeat out"
+        );
+        let mut full = h.clone();
+        let res = h.vector_access(&batch, false, 2_000);
+        assert_eq!(res, full.walk_vector_batch(&batch, false, 2_000));
+        assert_eq!(res.l2_hits, 1);
+        assert_same_state(&h, &full);
     }
 
     #[test]
