@@ -459,10 +459,12 @@ impl TimingSim {
     }
 
     /// Ends the warm phase: clears the warming statistics so only the timed
-    /// pass is reported. No-op when not warming.
+    /// pass is reported, and the DRAM's busy times, since the warm pass ran
+    /// on a clock of its own ([`Hierarchy::end_warm_pass`]). No-op when not
+    /// warming.
     pub fn start_timing(&mut self) {
         if self.warming {
-            self.hier.reset_stats();
+            self.hier.end_warm_pass();
             self.warming = false;
         }
     }
@@ -1036,6 +1038,49 @@ mod tests {
         let r = simulate(&e.take_trace(), &quiet_cfg());
         let (idle, _, _) = r.breakdown();
         assert!(idle > 0.8, "idle fraction {idle} should dominate");
+    }
+
+    /// The warm pass runs on a clock of its own. After it issued DRAM
+    /// fills, the timed pass's first DRAM fill must not queue behind them:
+    /// it may find another row open in its bank (one precharge more than
+    /// on a fresh hierarchy), but no busy channel or bank.
+    #[test]
+    fn warm_pass_leaves_no_dram_busy_time() {
+        let read = |lines: Vec<u64>| Event::Memory {
+            opcode: crate::isa::Opcode::StridedLoad,
+            dtype: crate::dtype::DType::I32,
+            active_lanes: 16,
+            cb_mask: 1,
+            lines,
+            write: false,
+        };
+        // More lines than the LLC holds: ~40,000 DRAM fills, which keep
+        // the channel busy for ~280K cycles of the warm pass's clock.
+        let warm = read((0..40_000).collect());
+        let timed = read(vec![1 << 30]);
+        let cfg = quiet_cfg();
+        let cold = {
+            let mut sim = TimingSim::new(cfg.clone());
+            sim.start_timing();
+            sim.on_event(&timed);
+            sim.finish().total_cycles
+        };
+        let bound = cold + cfg.hierarchy.dram.t_rp;
+        let mut sim = TimingSim::new(cfg.clone());
+        sim.on_event(&warm);
+        sim.start_timing();
+        sim.on_event(&timed);
+        let warmed = sim.finish().total_cycles;
+        assert!(warmed <= bound, "{warmed} cycles, fresh hierarchy {cold}");
+        // A follower of a shared warm pass adopts the leader's hierarchy,
+        // busy times cleared too.
+        let mut fan = Fanout::new([cfg.clone(), cfg.with_ooo_dispatch()]);
+        fan.on_event(&warm);
+        fan.start_timing();
+        fan.on_event(&timed);
+        for report in fan.finish() {
+            assert!(report.total_cycles <= bound, "{report:?}");
+        }
     }
 
     #[test]

@@ -131,6 +131,16 @@ impl Dram {
         done
     }
 
+    /// Forgets when the channel and every bank next fall idle, keeping the
+    /// open rows: the clock of the next pass restarts at zero, and its
+    /// first access must not queue behind the last pass's traffic.
+    pub(crate) fn reset_busy(&mut self) {
+        self.channel_free_at = 0;
+        for bank in &mut self.banks {
+            bank.ready_at = 0;
+        }
+    }
+
     /// Peak sustainable bandwidth in bytes per core cycle (channel-limited).
     pub fn peak_bytes_per_cycle(&self) -> f64 {
         crate::LINE_BYTES as f64 / self.cfg.burst_cycles as f64

@@ -130,6 +130,15 @@ impl Hierarchy {
         self.stats = MemStats::default();
     }
 
+    /// Ends a warming pass: clears the statistics and when the DRAM's
+    /// channel and banks next fall idle, keeping every cache line and open
+    /// DRAM row, so a timed pass whose clock starts at zero sees the warm
+    /// state but none of the warm pass's queueing.
+    pub fn end_warm_pass(&mut self) {
+        self.reset_stats();
+        self.dram.reset_busy();
+    }
+
     /// Configuration in use.
     pub fn config(&self) -> &HierarchyConfig {
         &self.cfg
