@@ -4,13 +4,17 @@
 //! so every kernel run they need goes through one process-wide results
 //! memo ([`evaluate`]) that keeps each run's reports per configuration.
 //! A configuration the memo lacks costs a fresh kernel run, so [`fig7`],
-//! the first figure of a pass to run every kernel, also times each MVE run
-//! under every configuration a later figure reads (Figure 13's schemes and
-//! the PUMICE dispatch model): in a full pass each MVE kernel runs once.
-//! Figure 13's RVV half still runs its kernels a second time, because
-//! Figure 10, their first consumer, times only the default configuration
-//! and a lone Figure 10 must stay cheap. Figure 12(b)'s other array counts
-//! are different traces, not partial misses.
+//! the first figure of a pass to run every kernel, also runs Figure 13's
+//! RVV kernels and times every MVE and RVV run under every configuration a
+//! later figure reads (Figure 13's schemes and the PUMICE dispatch model):
+//! in a full pass each kernel runs once per ISA. A lone Figure 10 stays
+//! unwidened, so it times only the default configuration. Figure 12(b)'s
+//! other array counts are different traces, not partial misses.
+//!
+//! The Neon baseline's steady state (Figures 7 and 12(c)) goes through a
+//! second memo, of line-stream walks ([`neon_steady_state`]): a stream's
+//! cycles depend only on its first line modulo the hierarchy's address
+//! period and its length, so each distinct stream is walked once.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +33,7 @@ use mve_kernels::precision::{self, Precision};
 use mve_kernels::registry::{all_kernels, selected_kernels, Kernel, Library};
 use mve_kernels::xnnpack::{Gemm, GemmSize, Spmm, SpmmSize};
 use mve_kernels::{Checked, KernelRun, Scale};
-use mve_memsim::Hierarchy;
+use mve_memsim::{Hierarchy, HierarchyConfig, LINE_BYTES};
 
 /// Core clock in GHz (Table IV) for cycle → µs conversion.
 const FREQ_GHZ: f64 = 2.8;
@@ -154,10 +158,12 @@ pub fn kernel_runs(isa: Isa) -> usize {
     KERNEL_RUNS[isa as usize].load(Ordering::Relaxed)
 }
 
-/// Empties the results memo, so the next evaluation of every kernel runs
-/// it again (cost calibration times cold renders).
+/// Empties the results memo and the Neon stream memo, so the next
+/// evaluation of every kernel runs it again (cost calibration times cold
+/// renders).
 pub fn clear_memo() {
     memo().clear();
+    neon_streams().clear();
 }
 
 /// [`evaluate`], asserting the functional check: a figure must never be
@@ -179,15 +185,52 @@ fn timed(kernel: &dyn Kernel, isa: Isa, scale: Scale, cfg: SimConfig) -> (InstrM
     (ev.mix, ev.reports.remove(0))
 }
 
-fn timed_neon(kernel: &dyn Kernel, scale: Scale) -> (NeonProfile, NeonResult) {
-    let profile = kernel.neon_profile(scale);
+/// The cycle at which the measured pass of a Neon steady state starts.
+const NEON_MEASURED_START: u64 = 1_000_000_000;
+
+/// A Neon line stream's memo key: its first byte address modulo the
+/// hierarchy's address period ([`HierarchyConfig::address_period_lines`])
+/// and its length in lines, which together fix every cycle of its walk on
+/// a fresh hierarchy.
+type StreamKey = (u64, u64);
+
+fn neon_stream_key(cfg: &HierarchyConfig, base_addr: u64, lines: u64) -> StreamKey {
+    (base_addr % (cfg.address_period_lines() * LINE_BYTES), lines)
+}
+
+/// Steady-state cycles of each Neon line stream walked so far, recovered
+/// if poisoned like [`memo`].
+fn neon_streams() -> MutexGuard<'static, HashMap<StreamKey, u64>> {
+    static STREAMS: OnceLock<Mutex<HashMap<StreamKey, u64>>> = OnceLock::new();
+    STREAMS
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `profile` on the Neon model in Swan-style steady state (mirroring
+/// `SimConfig::warm_caches`): on a fresh Table IV hierarchy, a first
+/// [`NeonModel::execute`] warms the caches and a second, at cycle 1e9, is
+/// reported.
+///
+/// Only the line walk touches the hierarchy, so its measured cycles are
+/// memoized per stream ([`neon_stream_key`]); the rest is closed-form
+/// ([`NeonModel::finish`]). Like [`evaluate`], the lock is not held while
+/// a stream is walked.
+pub fn neon_steady_state(profile: &NeonProfile) -> NeonResult {
     let model = NeonModel::default();
-    let mut hier = Hierarchy::default();
-    // Swan-style steady-state measurement: the first pass warms the caches,
-    // the second is reported (mirrors `SimConfig::warm_caches`).
-    let _ = model.execute(&profile, &mut hier, 0);
-    let result = model.execute(&profile, &mut hier, 1_000_000_000);
-    (profile, result)
+    let cfg = HierarchyConfig::default();
+    let lines = profile.stream_lines();
+    let key = neon_stream_key(&cfg, profile.base_addr, lines);
+    let cached = neon_streams().get(&key).copied();
+    let stream_cycles = cached.unwrap_or_else(|| {
+        let mut hier = Hierarchy::new(cfg);
+        model.walk_stream(profile.base_addr, lines, &mut hier, 0);
+        let cycles = model.walk_stream(profile.base_addr, lines, &mut hier, NEON_MEASURED_START);
+        neon_streams().insert(key, cycles);
+        cycles
+    });
+    model.finish(profile, &cfg, stream_cycles)
 }
 
 /// One Figure 7 row (per library averages).
@@ -213,11 +256,24 @@ fn fig7_configs(kernel: &dyn Kernel) -> Vec<SimConfig> {
     let info = kernel.info();
     let mut later = Vec::new();
     if fig10_kernel_names().contains(&info.name) {
-        later.extend(platform::scheme_sweep().into_iter().map(|(_, cfg)| cfg));
+        later.extend(scheme_configs());
     }
     if info.selected {
         later.extend(pumice_configs());
     }
+    default_then(later)
+}
+
+/// Figure 13's configurations, one per scheme in plot order.
+fn scheme_configs() -> Vec<SimConfig> {
+    platform::scheme_sweep()
+        .into_iter()
+        .map(|(_, cfg)| cfg)
+        .collect()
+}
+
+/// The default configuration, then each of `later` not already listed.
+fn default_then(later: Vec<SimConfig>) -> Vec<SimConfig> {
     let mut cfgs = vec![platform::mve_config()];
     for cfg in later {
         if !cfgs.contains(&cfg) {
@@ -230,8 +286,11 @@ fn fig7_configs(kernel: &dyn Kernel) -> Vec<SimConfig> {
 /// Figure 7: MVE vs Arm Neon across all 44 kernels, averaged per library.
 ///
 /// It is the first figure of a pass to run every kernel, so it also fills
-/// the memo for the later ones ([`fig7_configs`]); its own rows read only
-/// the default configuration's report.
+/// the memo for the later ones: each MVE run is timed under
+/// [`fig7_configs`], and then Figure 13's nine kernels run their RVV
+/// implementation, timed under the default configuration (Figures 10 and
+/// 11) and Figure 13's schemes. Its own rows read only the default
+/// configuration's MVE reports.
 pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
     let params = EnergyParams::default();
     let mut rows = Vec::new();
@@ -249,7 +308,8 @@ pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
             let report = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs)
                 .reports
                 .swap_remove(0);
-            let (profile, neon) = timed_neon(k.as_ref(), scale);
+            let profile = k.neon_profile(scale);
+            let neon = neon_steady_state(&profile);
             time_fracs.push(report.total_cycles as f64 / neon.cycles as f64);
             let me: EnergyBreakdown = mve_energy(&report, &params);
             let ne = neon_energy(&profile, &neon, &params);
@@ -270,6 +330,15 @@ pub fn fig7(scale: Scale) -> (Vec<Fig7Row>, Fig7Row) {
             energy_frac: crate::geomean(&e_fracs),
             energy_split: (es.0 / count, es.1 / count, es.2 / count),
         });
+    }
+    let rvv_cfgs = default_then(scheme_configs());
+    // After every MVE run, not between them: interleaved, a paper-scale
+    // pass peaked about 5 MB higher (32.8 against 27.5 MB).
+    for k in kernels
+        .iter()
+        .filter(|k| fig10_kernel_names().contains(&k.info().name))
+    {
+        evaluate_ok(k.as_ref(), Isa::Rvv, scale, &rvv_cfgs);
     }
     let avg = Fig7Row {
         library: Library::Linpack, // placeholder tag for the average row
@@ -571,12 +640,33 @@ pub struct Fig12cRow {
     pub neon_cycles: u64,
 }
 
-/// A precision-scaled Neon profile: same structure, lane count scaled by the
-/// element width.
-fn neon_profile_at(base_ops: u64, bits: u32, float: bool, bytes: u64) -> NeonProfile {
-    let lanes = u64::from(128 / bits);
-    let v = base_ops / lanes;
-    let class = if float {
+/// Figure 12(c)'s kernels and their MAC counts.
+const FIG12C_KERNELS: [(&str, u64); 5] = [
+    ("gemm", 64 * 64 * 64),
+    ("spmm", 32 * 256 * 64 / 3),
+    ("fir_v", 64 * 1024 * 32),
+    ("fir_s", 64 * 1024 * 16),
+    ("fir_l", 64 * 1024 * 128),
+];
+
+/// Runs Figure 12(c)'s kernel `name` at `prec`.
+fn fig12c_run(name: &str, prec: Precision, scale: Scale) -> KernelRun {
+    match name {
+        "gemm" => precision::run_gemm(prec, scale),
+        "spmm" => precision::run_spmm(prec, scale),
+        "fir_v" => precision::run_fir(prec, scale, 32),
+        "fir_s" => precision::run_fir(prec, scale, 16),
+        "fir_l" => precision::run_fir(prec, scale, 128),
+        _ => unreachable!("{name} is not a Figure 12(c) kernel"),
+    }
+}
+
+/// A precision-scaled Neon profile of `macs` multiply-accumulates: same
+/// structure, lane count scaled by the element width.
+fn fig12c_neon_profile(macs: u64, prec: Precision) -> NeonProfile {
+    let dtype = prec.dtype();
+    let v = macs / u64::from(128 / dtype.bits());
+    let class = if dtype.is_float() {
         NeonOpClass::FpMac
     } else {
         NeonOpClass::IntMul
@@ -587,7 +677,7 @@ fn neon_profile_at(base_ops: u64, bits: u32, float: bool, bytes: u64) -> NeonPro
         loads: v,
         stores: v / 8,
         scalar_instrs: v,
-        touched_bytes: bytes,
+        touched_bytes: macs / 4,
         base_addr: 0x3000_0000,
     }
 }
@@ -595,45 +685,12 @@ fn neon_profile_at(base_ops: u64, bits: u32, float: bool, bytes: u64) -> NeonPro
 /// Figure 12(c): precision sensitivity of GEMM/SpMM/FIR.
 pub fn fig12c(scale: Scale) -> Vec<Fig12cRow> {
     let mut rows = Vec::new();
-    let model = NeonModel::default();
-    type PrecisionRun = Box<dyn Fn(Precision) -> KernelRun>;
-    let runs: Vec<(&'static str, PrecisionRun, u64)> = vec![
-        (
-            "gemm",
-            Box::new(move |p| precision::run_gemm(p, scale)),
-            64 * 64 * 64,
-        ),
-        (
-            "spmm",
-            Box::new(move |p| precision::run_spmm(p, scale)),
-            32 * 256 * 64 / 3,
-        ),
-        (
-            "fir_v",
-            Box::new(move |p| precision::run_fir(p, scale, 32)),
-            64 * 1024 * 32,
-        ),
-        (
-            "fir_s",
-            Box::new(move |p| precision::run_fir(p, scale, 16)),
-            64 * 1024 * 16,
-        ),
-        (
-            "fir_l",
-            Box::new(move |p| precision::run_fir(p, scale, 128)),
-            64 * 1024 * 128,
-        ),
-    ];
-    for (name, runner, macs) in runs {
+    for (name, macs) in FIG12C_KERNELS {
         for prec in Precision::ALL {
-            let run = runner(prec);
+            let run = fig12c_run(name, prec, scale);
             assert!(run.checked.ok(), "{name} {} mismatch", prec.label());
             let report = simulate(&run.trace, &platform::mve_config());
-            let profile =
-                neon_profile_at(macs, prec.dtype().bits(), prec.dtype().is_float(), macs / 4);
-            let mut hier = Hierarchy::default();
-            let _ = model.execute(&profile, &mut hier, 0);
-            let neon = model.execute(&profile, &mut hier, 1_000_000_000);
+            let neon = neon_steady_state(&fig12c_neon_profile(macs, prec));
             rows.push(Fig12cRow {
                 name,
                 precision: prec,
@@ -682,10 +739,10 @@ pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
     }
     let mut acc: Vec<SchemeAcc> = (0..cfgs.len()).map(|_| SchemeAcc::default()).collect();
 
-    // In a full pass fig7 has already timed the MVE runs under every
-    // scheme. The RVV runs lack all but the default one; those are timed in
-    // one fanned-out walk of each trace (with a single shared cache-warming
-    // pass).
+    // In a full pass fig7 has already timed the MVE and RVV runs under
+    // every scheme. Alone, or after a lone fig10, each ISA's missing
+    // schemes are timed in one fanned-out walk of each trace (with a single
+    // shared cache-warming pass).
     for k in &kernels {
         let mreps = evaluate_ok(k.as_ref(), Isa::Mve, scale, &cfgs).reports;
         let rreps = evaluate_ok(k.as_ref(), Isa::Rvv, scale, &cfgs).reports;
@@ -818,6 +875,46 @@ mod tests {
             gemm.mve.total_cycles
         );
         assert!(gemm.rvv_mix.vector_total() > gemm.mve_mix.vector_total());
+    }
+
+    /// Every Neon profile fig7 (at both scales) and fig12c time: the
+    /// memoized steady state equals the direct two-pass execute on a fresh
+    /// hierarchy it replaces.
+    #[test]
+    fn neon_steady_state_matches_a_direct_two_pass_execute() {
+        let mut profiles: Vec<NeonProfile> = [Scale::Test, Scale::Paper]
+            .into_iter()
+            .flat_map(|scale| {
+                all_kernels()
+                    .into_iter()
+                    .map(move |k| k.neon_profile(scale))
+            })
+            .collect();
+        for (_, macs) in FIG12C_KERNELS {
+            profiles.extend(Precision::ALL.map(|prec| fig12c_neon_profile(macs, prec)));
+        }
+        let model = NeonModel::default();
+        for profile in &profiles {
+            let mut hier = Hierarchy::default();
+            let _ = model.execute(profile, &mut hier, 0);
+            let direct = model.execute(profile, &mut hier, NEON_MEASURED_START);
+            assert_eq!(neon_steady_state(profile), direct, "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn neon_stream_keys_are_the_base_modulo_the_address_period() {
+        let cfg = HierarchyConfig::default();
+        let period_bytes = cfg.address_period_lines() * LINE_BYTES;
+        assert_eq!(period_bytes, 256 << 10, "Table IV's period is 256 KB");
+        let base = 0x3000_0000 + 5 * LINE_BYTES;
+        let key = neon_stream_key(&cfg, base, 1000);
+        assert_eq!(neon_stream_key(&cfg, base + 7 * period_bytes, 1000), key);
+        // Negative control: any other offset is a stream of its own.
+        for offset in [1, LINE_BYTES, period_bytes / 2, period_bytes - LINE_BYTES] {
+            assert_ne!(neon_stream_key(&cfg, base + offset, 1000), key, "+{offset}");
+        }
+        assert_ne!(neon_stream_key(&cfg, base, 1001), key);
     }
 
     #[test]

@@ -468,16 +468,30 @@ macro_rules! binop_arm {
     }};
 }
 
+/// Packs 64 0/1 bytes into a word, byte `i` into bit `i`. Eight bytes at a
+/// time: the multiply moves byte `j`'s bit to bit `56 + j`, and no two
+/// partial products overlap, so nothing carries.
+fn pack_flags(flags: &[u8; 64]) -> u64 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |bits, (i, bytes)| {
+            let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+            bits | ((word.wrapping_mul(GATHER) >> 56) << (8 * i))
+        })
+}
+
 macro_rules! cmp_arm {
     ($dt:ident, $op:ident) => {{
         fn k<T: Lane>(a: &[T], b: &[T]) -> u64 {
             const DT: DType = DType::$dt;
             const OP: CmpOp = CmpOp::$op;
-            let mut bits = 0u64;
-            for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-                bits |= u64::from(DT.cmp(OP, x.widen(), y.widen())) << i;
+            let mut flags = [0u8; 64];
+            for (f, (&x, &y)) in flags.iter_mut().zip(a.iter().zip(b)) {
+                *f = u8::from(DT.cmp(OP, x.widen(), y.widen()));
             }
-            bits
+            pack_flags(&flags)
         }
         k
     }};

@@ -148,8 +148,10 @@ fn check_binop(
     }
 }
 
+/// Compares `av` with `bv` over `av.len()` lanes.
 fn check_cmp(dtype: DType, op: CmpOp, masked_off: &[usize], tag0: &[bool], av: &[u64], bv: &[u64]) {
-    let mut e = lane_shaped_engine(N);
+    let n = av.len();
+    let mut e = lane_shaped_engine(n);
     seed_tag(&mut e, tag0);
     for &m in masked_off {
         e.vunsetmask(m);
@@ -158,7 +160,7 @@ fn check_cmp(dtype: DType, op: CmpOp, masked_off: &[usize], tag0: &[bool], av: &
     let b = reg_with(&mut e, dtype, bv);
     e.compare(op, a, b);
     let tags = e.tag_lanes();
-    for l in 0..N {
+    for l in 0..n {
         let enabled = !masked_off.contains(&l);
         // Masked-off lanes keep their previous Tag bit.
         let want = if enabled {
@@ -202,17 +204,21 @@ fn predicated_binop_blocks_match_scalar_reference() {
 }
 
 /// Every dtype × comparison opcode × adversarial mask, checking that
-/// masked-off lanes preserve their previous Tag bits.
+/// masked-off lanes preserve their previous Tag bits. Besides `N`, lane
+/// counts whose last mask word ends inside an eight-lane group (13) and
+/// past a whole one (100), since Tag words are packed eight lanes at a time.
 #[test]
 fn compare_blocks_match_scalar_reference() {
-    let random_mask: Vec<usize> = (0..N).filter(|l| l % 4 == 3).collect();
-    let tag0: Vec<bool> = (0..N).map(|l| l % 3 == 0).collect();
-    for (di, &dtype) in DType::ALL.iter().enumerate() {
-        let av = lane_values(dtype, 0xABCD + di as u64, N);
-        let bv = lane_values(dtype, 0xEF01 + di as u64, N);
-        for &op in &ALL_CMPS {
-            for masked_off in mask_cases(N, &random_mask) {
-                check_cmp(dtype, op, &masked_off, &tag0, &av, &bv);
+    for n in [N, 13, 100] {
+        let random_mask: Vec<usize> = (0..n).filter(|l| l % 4 == 3).collect();
+        let tag0: Vec<bool> = (0..n).map(|l| l % 3 == 0).collect();
+        for (di, &dtype) in DType::ALL.iter().enumerate() {
+            let av = lane_values(dtype, 0xABCD + di as u64, n);
+            let bv = lane_values(dtype, 0xEF01 + di as u64, n);
+            for &op in &ALL_CMPS {
+                for masked_off in mask_cases(n, &random_mask) {
+                    check_cmp(dtype, op, &masked_off, &tag0, &av, &bv);
+                }
             }
         }
     }

@@ -20,7 +20,7 @@
 //! shape that matches how the paper's Neon baselines were measured (real
 //! silicon, fully pipelined).
 
-use mve_memsim::Hierarchy;
+use mve_memsim::{Hierarchy, HierarchyConfig};
 
 use crate::core::CoreConfig;
 
@@ -88,10 +88,15 @@ impl NeonProfile {
     pub fn vector_instrs(&self) -> u64 {
         self.ops.iter().map(|(_, c)| c).sum::<u64>() + self.loads + self.stores
     }
+
+    /// Sequential lines the model streams from `base_addr`.
+    pub fn stream_lines(&self) -> u64 {
+        self.touched_bytes / mve_memsim::LINE_BYTES
+    }
 }
 
 /// Result of running a profile through the model.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NeonResult {
     /// Total kernel cycles.
     pub cycles: u64,
@@ -145,8 +150,57 @@ impl NeonModel {
         &self.core
     }
 
-    /// Executes a profile against `hier`, starting at cycle `now`.
+    /// Executes a profile against `hier`, starting at cycle `now`: the
+    /// profile's line stream ([`NeonModel::walk_stream`]) and then the
+    /// closed-form bounds ([`NeonModel::finish`]).
     pub fn execute(&self, profile: &NeonProfile, hier: &mut Hierarchy, now: u64) -> NeonResult {
+        let stream_cycles = self.walk_stream(profile.base_addr, profile.stream_lines(), hier, now);
+        self.finish(profile, hier.config(), stream_cycles)
+    }
+
+    /// Walks `lines` sequential lines from `base_addr` through `hier`,
+    /// issuing one per cycle from `now`, and returns the cycles until the
+    /// last one is served. This is the only part of [`NeonModel::execute`]
+    /// that touches the hierarchy.
+    ///
+    /// The OoO window and prefetcher overlap miss latencies, but outstanding
+    /// L1 misses are bounded by the 20 L1 MSHRs (Table IV) — this is
+    /// precisely why the in-L2 engine, sitting next to the data with 46
+    /// MSHRs, wins on cache-resident working sets (Section VII-A).
+    pub fn walk_stream(&self, base_addr: u64, lines: u64, hier: &mut Hierarchy, now: u64) -> u64 {
+        let l1_mshrs = hier.config().l1d.mshrs;
+        let l1_latency = hier.config().l1d.latency;
+        let mut outstanding: std::collections::VecDeque<u64> =
+            std::collections::VecDeque::with_capacity(l1_mshrs);
+        let mut t_issue = now;
+        let mut last_done = now;
+        for i in 0..lines {
+            let addr = base_addr + i * mve_memsim::LINE_BYTES;
+            if outstanding.len() >= l1_mshrs {
+                if let Some(f) = outstanding.pop_front() {
+                    t_issue = t_issue.max(f);
+                }
+            }
+            let lat = hier.core_access(addr, false, t_issue);
+            let done = t_issue + lat;
+            if lat > l1_latency {
+                outstanding.push_back(done);
+            }
+            last_done = last_done.max(done);
+            t_issue += 1;
+        }
+        last_done - now
+    }
+
+    /// The rest of [`NeonModel::execute`] once the profile's line stream
+    /// took `stream_cycles` on a hierarchy configured as `cfg`: closed-form
+    /// arithmetic on the profile.
+    pub fn finish(
+        &self,
+        profile: &NeonProfile,
+        cfg: &HierarchyConfig,
+        stream_cycles: u64,
+    ) -> NeonResult {
         // Throughput bound over the SIMD pipes.
         let total_ops: u64 = profile.ops.iter().map(|(_, c)| c).sum();
         let issue_bound = (total_ops as f64 / (self.pipes as f64 * self.sustain)).ceil() as u64;
@@ -161,38 +215,12 @@ impl NeonModel {
         // Scalar glue retires in parallel on the scalar pipes.
         let scalar = self.core.scalar_block_cycles(profile.scalar_instrs);
 
-        // Memory: port occupancy vs stream-completion time. The OoO window
-        // and prefetcher overlap miss latencies, but outstanding L1 misses
-        // are bounded by the 20 L1 MSHRs (Table IV) — this is precisely why
-        // the in-L2 engine, sitting next to the data with 46 MSHRs, wins on
-        // cache-resident working sets (Section VII-A).
+        // Memory: port occupancy vs stream-completion time.
         let port_cycles = (profile.loads + profile.stores).div_ceil(self.mem_ports);
-        let lines = profile.touched_bytes / mve_memsim::LINE_BYTES;
-        let l1_mshrs = hier.config().l1d.mshrs;
-        let mut outstanding: std::collections::VecDeque<u64> =
-            std::collections::VecDeque::with_capacity(l1_mshrs);
-        let mut t_issue = now;
-        let mut last_done = now;
-        for i in 0..lines {
-            let addr = profile.base_addr + i * mve_memsim::LINE_BYTES;
-            if outstanding.len() >= l1_mshrs {
-                if let Some(f) = outstanding.pop_front() {
-                    t_issue = t_issue.max(f);
-                }
-            }
-            let lat = hier.core_access(addr, false, t_issue);
-            let done = t_issue + lat;
-            if lat > hier.config().l1d.latency {
-                outstanding.push_back(done);
-            }
-            last_done = last_done.max(done);
-            t_issue += 1;
-        }
-        let stream_cycles = last_done - now;
         // Streamed stores drain through the same DRAM channel as the read
         // stream (write-allocate + eventual writeback).
         let store_lines = profile.stores * 16 / mve_memsim::LINE_BYTES;
-        let writeback_cycles = store_lines * hier.config().dram.burst_cycles;
+        let writeback_cycles = store_lines * cfg.dram.burst_cycles;
         let memory = port_cycles.max(stream_cycles + writeback_cycles);
 
         let cycles = compute.max(scalar).max(memory).max(1);

@@ -59,20 +59,25 @@ impl Fir {
     }
 
     /// Scalar reference in the variant's exact wrap-around semantics:
-    /// `y[i] = Σ_t h[t]·x[i+t]` (mod 2^width). A native u32 wrapping dot
-    /// product is exact for every variant: the lanes are at most 32 bits
+    /// `y[i] = Σ_t h[t]·x[i+t]` (mod 2^width). Native u32 wrapping
+    /// arithmetic is exact for every variant: the lanes are at most 32 bits
     /// wide, and the low bits of a wrapping sum of products depend only on
-    /// the low bits of the operands.
+    /// the low bits of the operands. Taps run outer and outputs inner, one
+    /// multiply-accumulate over a whole row per tap, which vectorises.
     pub fn scalar_ref(&self, x: &[u64], h: &[u64]) -> Vec<u64> {
         let mask = self.dtype().lane_mask();
-        x.windows(h.len())
-            .map(|w| {
-                let dot = w.iter().zip(h).fold(0u32, |acc, (&xv, &c)| {
-                    acc.wrapping_add((c as u32).wrapping_mul(xv as u32))
-                });
-                u64::from(dot) & mask
-            })
-            .collect()
+        let Some(n_out) = (x.len() + 1).checked_sub(h.len()).filter(|&n| n > 0) else {
+            return Vec::new();
+        };
+        let x: Vec<u32> = x.iter().map(|&v| v as u32).collect();
+        let mut acc = vec![0u32; n_out];
+        for (t, &c) in h.iter().enumerate() {
+            let c = c as u32;
+            for (o, &xv) in acc.iter_mut().zip(&x[t..t + n_out]) {
+                *o = o.wrapping_add(c.wrapping_mul(xv));
+            }
+        }
+        acc.into_iter().map(|v| u64::from(v) & mask).collect()
     }
 
     fn run_mve_impl(&self, scale: Scale) -> KernelRun {

@@ -36,6 +36,33 @@ impl Default for HierarchyConfig {
     }
 }
 
+impl HierarchyConfig {
+    /// The hierarchy's address period in lines: the lcm of the L1, L2 and
+    /// LLC set counts and the DRAM's banks × lines per row (4,096 lines,
+    /// 256 KB, for Table IV).
+    ///
+    /// Moving every line of an access sequence by a multiple of the period
+    /// maps each line to the same set at every cache level and to the same
+    /// DRAM bank, and moves every DRAM row by one constant. Tags and rows
+    /// are only ever compared for equality, so on a fresh hierarchy the
+    /// moved sequence sees the same hits, victims, row hits and completion
+    /// cycles.
+    pub fn address_period_lines(&self) -> u64 {
+        fn gcd(a: u64, b: u64) -> u64 {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        let dram_stripe = self.dram.banks as u64 * (self.dram.row_bytes / crate::LINE_BYTES);
+        [self.l1d.sets(), self.l2.sets(), self.llc.sets()]
+            .into_iter()
+            .map(|sets| sets as u64)
+            .fold(dram_stripe, |p, sets| p / gcd(p, sets) * sets)
+    }
+}
+
 /// Aggregate statistics across the hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
@@ -288,7 +315,7 @@ impl Hierarchy {
                 if out.writeback == Some(victim) {
                     self.stats.dram_accesses += 1;
                 }
-                resident &= lines.binary_search(&victim).is_err();
+                resident = resident && !batch_holds(lines, victim);
             }
             let completion = if out.hit {
                 self.stats.l2_hits += 1;
@@ -318,7 +345,7 @@ impl Hierarchy {
                     if self.l2.invalidate(victim) || llc_out.writeback == Some(victim) {
                         self.stats.dram_accesses += 1;
                     }
-                    resident &= lines.binary_search(&victim).is_err();
+                    resident = resident && !batch_holds(lines, victim);
                 }
                 let completion = if llc_out.hit {
                     self.stats.llc_hits += 1;
@@ -350,9 +377,25 @@ impl Hierarchy {
     }
 }
 
+/// Whether the sorted, nonempty batch `lines` holds `victim`: a range
+/// check first, since most victims fall outside the batch, then a binary
+/// search.
+fn batch_holds(lines: &[u64], victim: u64) -> bool {
+    (lines[0]..=lines[lines.len() - 1]).contains(&victim) && lines.binary_search(&victim).is_ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn address_period_is_the_lcm_of_the_set_counts_and_the_dram_stripe() {
+        assert_eq!(HierarchyConfig::default().address_period_lines(), 4096);
+        let mut cfg = HierarchyConfig::default();
+        cfg.llc.ways = 12; // 2730 sets = 2 · 3 · 5 · 7 · 13
+        cfg.dram.banks = 6; // a 192-line stripe = 2^6 · 3
+        assert_eq!(cfg.address_period_lines(), 1024 * 1365);
+    }
 
     #[test]
     fn scalar_latencies_follow_table_iv() {
