@@ -238,29 +238,6 @@ impl<'e> Rvv<'e> {
         self.memory_event(Opcode::RandomLoad, dtype, total, access, false);
         dst
     }
-
-    /// Emulates a random-row-pointer 2-D load: RVV loads each row with a
-    /// separate masked 1-D access after scalar code chases the pointer.
-    pub fn pointer_rows_load(
-        &mut self,
-        dtype: DType,
-        ptr_base: u64,
-        rows: usize,
-        cols: usize,
-    ) -> Reg {
-        assert!(rows * cols <= self.vl, "rows exceed vector length");
-        let dst = self.e.alloc(dtype);
-        for r in 0..rows {
-            // Scalar pointer chase + mask computation.
-            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK + 2);
-            let row = Row::new(r * cols, cols, self.e.mem().read::<u64>(ptr_base, r), 1);
-            let access = self.e.load_rows(dst, [row]);
-            let cb_mask = access.1;
-            self.memory_event(Opcode::StridedLoad, dtype, cols, access, false);
-            self.move_event(dtype, cols, cb_mask);
-        }
-        dst
-    }
 }
 
 /// Byte address of element `index` of a `dtype` array at `base`.
@@ -346,22 +323,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pointer_rows_load_chases_pointers() {
-        let mut e = engine();
-        let row0 = e.mem_alloc_typed::<u8>(16);
-        let row1 = e.mem_alloc_typed::<u8>(16);
-        e.mem_fill(row0, &[10u8; 16]);
-        e.mem_fill(row1, &[20u8; 16]);
-        let ptrs = e.mem_alloc_typed::<u64>(2);
-        e.mem_fill(ptrs, &[row1, row0]); // deliberately swapped
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(8192);
-        let r = rvv.pointer_rows_load(DType::U8, ptrs, 2, 16);
-        assert_eq!(e.lane_value(r, 0), 20);
-        assert_eq!(e.lane_value(r, 16), 10);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (`Engine::load_rows` / `Engine::store_rows`). The `Oracle` below keeps
 //! the per-lane bodies they replaced, verbatim: explicit address lists,
 //! `read_raw`/`set_lane_raw` loops, `lines_for` and `cb_mask_for_lanes`.
-//! Generated vector lengths, strides (0, ±1, ±k), segment shapes and row
-//! pointers must give identical registers, memory and event streams.
+//! Generated vector lengths, strides (0, ±1, ±k) and segment shapes must
+//! give identical registers, memory and event streams.
 
 use mve_baselines::rvv::Rvv;
 use mve_core::dtype::DType;
@@ -252,46 +252,6 @@ impl Oracle<'_> {
         });
         dst
     }
-
-    fn pointer_rows_load(&mut self, dtype: DType, ptr_base: u64, rows: usize, cols: usize) -> Reg {
-        assert!(rows * cols <= self.vl, "rows exceed vector length");
-        let dst = self.e.alloc(dtype);
-        let bytes = dtype.bytes();
-        for r in 0..rows {
-            // Scalar pointer chase + mask computation.
-            self.e.scalar(SCALARS_PER_SEGMENT + SCALARS_PER_MASK + 2);
-            self.e.push_raw_event(Event::Config {
-                opcode: Opcode::SetMask,
-            });
-            let row_base = self.e.mem().read::<u64>(ptr_base, r);
-            let mut addrs = Vec::with_capacity(cols);
-            for c in 0..cols {
-                let a = row_base + c as u64 * bytes;
-                let v = self.e.mem().read_raw(a, bytes);
-                self.e.set_lane_raw(dst, r * cols + c, v);
-                addrs.push(a);
-            }
-            let lo = r * cols;
-            let cb_mask = self.cb_mask_for_lanes(lo, lo + cols);
-            let lines = Self::lines_for(addrs.into_iter(), bytes);
-            self.e.push_raw_event(Event::Memory {
-                opcode: Opcode::StridedLoad,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-                lines,
-                write: false,
-            });
-            self.e.push_raw_event(Event::Compute {
-                opcode: Opcode::Copy,
-                alu: AluOp::Copy,
-                dtype,
-                active_lanes: cols as u32,
-                cb_mask,
-            });
-        }
-        dst
-    }
 }
 
 /// Functional memory of the test engines; accesses are based mid-way so
@@ -384,12 +344,6 @@ enum Op {
         unique: usize,
         rep: usize,
     },
-    PointerRows {
-        dtype: DType,
-        rows: usize,
-        cols: usize,
-        seed: u64,
-    },
 }
 
 fn op_from(draw: &[u64], vl: usize) -> Op {
@@ -399,7 +353,7 @@ fn op_from(draw: &[u64], vl: usize) -> Op {
     let cols = 1 + (draw[4] as usize % 32).min(vl - 1);
     let rows = 1 + draw[5] as usize % (vl / cols).clamp(1, 16);
     let row_stride = stride(draw[6], 16 + k);
-    match draw[0] % 7 {
+    match draw[0] % 6 {
         0 => Op::Load1d {
             dtype,
             off,
@@ -430,31 +384,13 @@ fn op_from(draw: &[u64], vl: usize) -> Op {
             rows,
             row_stride,
         },
-        5 => Op::Replicated {
+        _ => Op::Replicated {
             dtype,
             off,
             unique: cols,
             rep: 1 + draw[8] as usize % (vl / cols).clamp(1, 8),
         },
-        _ => Op::PointerRows {
-            dtype,
-            rows,
-            cols,
-            seed: draw[8],
-        },
     }
-}
-
-/// Writes `rows` row pointers (scattered, possibly overlapping) at a fixed
-/// pointer array and returns its address.
-fn write_row_pointers(e: &mut Engine, rows: usize, seed: u64) -> u64 {
-    let ptrs = 64 + 8 * (seed % 256);
-    let bases: Vec<u64> = xorshift(seed ^ 0xB45E, rows)
-        .iter()
-        .map(|&v| MID - 8192 + v % 16384)
-        .collect();
-    e.mem_fill(ptrs, &bases);
-    ptrs
 }
 
 /// Register operand of a store: `vl` deterministic lanes written without
@@ -471,10 +407,6 @@ fn store_source(e: &mut Engine, vl: usize, seed: u64) -> Reg {
 /// Runs `op` through the `Rvv` layer. Returns the register it loaded.
 fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
     let src = store_source(e, vl, seed);
-    let ptrs = match op {
-        Op::PointerRows { rows, seed, .. } => write_row_pointers(e, rows, seed),
-        _ => 0,
-    };
     let mut rvv = Rvv::new(e);
     rvv.setvl(vl);
     let got = match op {
@@ -520,9 +452,6 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             unique,
             rep,
         } => Some(rvv.replicated_load(dtype, MID + off, unique, rep)),
-        Op::PointerRows {
-            dtype, rows, cols, ..
-        } => Some(rvv.pointer_rows_load(dtype, ptrs, rows, cols)),
     };
     e.free(src);
     got
@@ -532,10 +461,6 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
 /// engine.
 fn run_oracle(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
     let src = store_source(e, vl, seed);
-    let ptrs = match op {
-        Op::PointerRows { rows, seed, .. } => write_row_pointers(e, rows, seed),
-        _ => 0,
-    };
     // Same CR configuration (and Config events) as the layer.
     Rvv::new(e).setvl(vl);
     let mut o = Oracle { e, vl };
@@ -577,9 +502,6 @@ fn run_oracle(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             unique,
             rep,
         } => Some(o.replicated_load(dtype, MID + off, unique, rep)),
-        Op::PointerRows {
-            dtype, rows, cols, ..
-        } => Some(o.pointer_rows_load(dtype, ptrs, rows, cols)),
     };
     e.free(src);
     got

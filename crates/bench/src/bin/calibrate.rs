@@ -9,8 +9,8 @@
 //!                           # table, exit 1 if any formula drifts > 2x
 //! ```
 //!
-//! An unknown flag, or `--write` without a path, exits 2 with the usage
-//! line.
+//! An unknown flag, `--write` without a path, or `--check` together with
+//! `--write` exits 2 with the usage line.
 //!
 //! The probes time the same code paths the daemon charges for: an
 //! artefact render from the shared registry, a functional kernel
@@ -168,7 +168,7 @@ fn probe_charges(m: &CostModel) -> Vec<(&'static str, u64)> {
     ]
 }
 
-const USAGE: &str = "usage: calibrate [--write PATH] [--check]";
+const USAGE: &str = "usage: calibrate [--write PATH | --check]";
 
 /// Prints `msg` and the usage line, then exits 2.
 fn usage(msg: &str) -> ! {
@@ -177,9 +177,9 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses `(check, write_path)`. An unknown flag, or `--write` without a
-/// path (a following `--flag` is not a path), exits 2 before any probe
-/// runs.
+/// Parses `(check, write_path)`. An unknown flag, `--write` without a
+/// path (a following `--flag` is not a path), or `--check` with `--write`
+/// (a check writes nothing) exits 2 before any probe runs.
 fn parse_flags() -> (bool, Option<String>) {
     let (mut check, mut write_path) = (false, None);
     let mut args = std::env::args().skip(1);
@@ -192,6 +192,9 @@ fn parse_flags() -> (bool, Option<String>) {
             },
             _ => usage(&format!("unknown flag `{arg}`")),
         }
+    }
+    if check && write_path.is_some() {
+        usage("--check writes nothing; drop --write");
     }
     (check, write_path)
 }

@@ -8,8 +8,10 @@
 //! silently rot.
 //!
 //! `--only NAME` (repeatable) renders a subset; an unknown name exits
-//! 2 with the sorted artefact vocabulary. Any unknown flag, or a `--jobs`
-//! value that is not a positive integer, exits 2 with the usage line.
+//! 2 with the sorted artefact vocabulary. Any unknown flag, a `--jobs`
+//! value that is not a positive integer, or a combination the usage line
+//! excludes (`--json` or `--profile` with a render flag or each other,
+//! `--paper` without `--profile`) exits 2 with the usage line.
 //!
 //! `--jobs N` renders on N worker threads (a work queue over
 //! `std::thread::scope`; `--jobs` alone uses the available parallelism).
@@ -55,8 +57,9 @@ fn usage(msg: &str) -> ! {
 }
 
 /// The parsed command line. An unknown flag, `--only` without a known
-/// artefact name, or a `--jobs` value that is not a positive integer exits
-/// 2, so a mistyped flag never silently runs the wrong pipeline.
+/// artefact name, a `--jobs` value that is not a positive integer, or a
+/// flag the chosen mode would ignore exits 2, so a mistyped flag never
+/// silently runs the wrong pipeline.
 #[derive(Default)]
 struct Flags {
     smoke: bool,
@@ -113,6 +116,28 @@ impl Flags {
                     }
                 }
             }
+        }
+        // `--json` and `--profile` are whole modes of their own: a render
+        // flag beside one of them would be silently ignored.
+        let mode = match (flags.json, flags.profile) {
+            (true, true) => usage("--json and --profile are separate modes"),
+            (true, false) => Some("--json"),
+            (false, true) => Some("--profile"),
+            (false, false) => None,
+        };
+        if let Some(mode) = mode {
+            let render_flags = [
+                (flags.smoke, "--smoke"),
+                (!flags.only.is_empty(), "--only"),
+                (flags.jobs.is_some(), "--jobs"),
+                (flags.dsl, "--dsl"),
+            ];
+            if let Some((_, other)) = render_flags.iter().find(|(set, _)| *set) {
+                usage(&format!("{mode} does not take {other}"));
+            }
+        }
+        if flags.paper && !flags.profile {
+            usage("--paper only applies to --profile");
         }
         if flags.only.is_empty() {
             flags.only = artefacts::NAMES.to_vec();

@@ -169,11 +169,28 @@ fn serve_rejects_unknown_flags_and_missing_values() {
 }
 
 /// `reproduce` is as strict as `serve`: a mistyped flag, a `--jobs` value
-/// that is not a positive integer, or `--only` without a name exits 2 with
-/// usage instead of running a paper-scale pass or panicking.
+/// that is not a positive integer, `--only` without a name, or a flag the
+/// usage line excludes (`--json`/`--profile` beside a render flag or each
+/// other, `--paper` without `--profile`) exits 2 with usage instead of
+/// running a paper-scale pass, ignoring the flag, or panicking.
 #[test]
 fn reproduce_rejects_unknown_flags_and_malformed_values() {
-    for args in [&["--smok"][..], &["--jobs", "abc"], &["--only"]] {
+    for args in [
+        &["--smok"][..],
+        &["--jobs", "abc"],
+        &["--only"],
+        &["--json", "--smoke"],
+        &["--json", "--only", "fig7"],
+        &["--json", "--jobs", "2"],
+        &["--json", "--dsl"],
+        &["--profile", "--smoke"],
+        &["--profile", "--only", "fig7"],
+        &["--profile", "--jobs"],
+        &["--dsl", "--profile"],
+        &["--json", "--profile"],
+        &["--paper"],
+        &["--json", "--paper"],
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
             .args(args)
             .output()
@@ -187,12 +204,20 @@ fn reproduce_rejects_unknown_flags_and_malformed_values() {
     }
 }
 
-/// `calibrate` is as strict too: a mistyped flag, or `--write` without a
+/// `calibrate` is as strict too: a mistyped flag, `--write` without a
 /// path (`--write --check` once took `--check` as the path, wrote nothing
-/// and ran the drift check), exits 2 with usage before any probe runs.
+/// and ran the drift check), or `--check` with `--write PATH` (the check
+/// once skipped the write without saying so) exits 2 with usage before
+/// any probe runs.
 #[test]
 fn calibrate_rejects_unknown_flags_and_missing_values() {
-    for args in [&["--chek"][..], &["--write"], &["--write", "--check"]] {
+    for args in [
+        &["--chek"][..],
+        &["--write"],
+        &["--write", "--check"],
+        &["--check", "--write", "table.json"],
+        &["--write", "table.json", "--check"],
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_calibrate"))
             .args(args)
             .output()

@@ -188,16 +188,21 @@ pub fn random_addresses(
     })
 }
 
-/// Walks the lane odometer, addressing active lanes with `addr_of`.
+/// Addresses each of the first `max_lanes` lanes straight from its
+/// [`LogicalShape::coords`] with `addr_of`; lanes that
+/// [`LogicalShape::lane_active`] rejects yield `None`.
 fn lane_addresses(
     shape: &LogicalShape,
     crs: &ControlRegs,
     max_lanes: usize,
     addr_of: impl Fn(&[usize; MAX_DIMS]) -> u64,
 ) -> Vec<Option<u64>> {
-    shape
-        .iter_lanes(crs, max_lanes)
-        .map(|(_, coords, active)| active.then(|| addr_of(&coords)))
+    (0..shape.total().min(max_lanes))
+        .map(|lane| {
+            shape
+                .lane_active(lane, crs)
+                .then(|| addr_of(&shape.coords(lane)))
+        })
         .collect()
 }
 

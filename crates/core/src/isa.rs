@@ -26,33 +26,6 @@ pub enum StrideMode {
     Cr,
 }
 
-impl StrideMode {
-    /// The 2-bit encoding.
-    pub fn encoding(&self) -> u8 {
-        match self {
-            StrideMode::Zero => 0,
-            StrideMode::One => 1,
-            StrideMode::Seq => 2,
-            StrideMode::Cr => 3,
-        }
-    }
-
-    /// Decodes a 2-bit mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > 3`.
-    pub fn from_encoding(bits: u8) -> Self {
-        match bits {
-            0 => StrideMode::Zero,
-            1 => StrideMode::One,
-            2 => StrideMode::Seq,
-            3 => StrideMode::Cr,
-            other => panic!("invalid stride-mode encoding {other}"),
-        }
-    }
-}
-
 /// Instruction categories used by the Figure 11 instruction-distribution
 /// analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,12 +110,6 @@ impl Opcode {
             SetDup | ShiftImm | RotateImm | ShiftReg | Add | Sub | Mul | Min | Max | Xor | And
             | Or | Compare => OpClass::Arithmetic,
         }
-    }
-
-    /// Whether the opcode executes on the SRAM arrays (vs. only in the
-    /// controller).
-    pub fn uses_arrays(&self) -> bool {
-        !matches!(self.class(), OpClass::Config)
     }
 
     /// Assembly mnemonic (Table II).
@@ -242,31 +209,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stride_mode_encoding_roundtrip() {
-        for m in [
-            StrideMode::Zero,
-            StrideMode::One,
-            StrideMode::Seq,
-            StrideMode::Cr,
-        ] {
-            assert_eq!(StrideMode::from_encoding(m.encoding()), m);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid stride-mode encoding")]
-    fn stride_mode_bad_encoding_panics() {
-        StrideMode::from_encoding(4);
-    }
-
-    #[test]
     fn opcode_classes_match_table_ii() {
         assert_eq!(Opcode::SetDimCount.class(), OpClass::Config);
         assert_eq!(Opcode::Convert.class(), OpClass::Move);
         assert_eq!(Opcode::StridedLoad.class(), OpClass::MemAccess);
         assert_eq!(Opcode::Mul.class(), OpClass::Arithmetic);
-        assert!(!Opcode::SetWidth.uses_arrays());
-        assert!(Opcode::RandomStore.uses_arrays());
     }
 
     #[test]

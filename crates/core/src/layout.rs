@@ -102,89 +102,7 @@ impl LogicalShape {
     pub fn lane_active(&self, lane: usize, crs: &ControlRegs) -> bool {
         lane < self.total() && crs.mask_bit_for(self.mask_coord(lane), self.dim(self.highest_dim()))
     }
-
-    /// Iterates over active lanes under the CR mask, up to `max_lanes`.
-    pub fn active_lanes<'a>(
-        &'a self,
-        crs: &'a ControlRegs,
-        max_lanes: usize,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let len = self.dim(self.highest_dim());
-        (0..self.total().min(max_lanes)).filter(move |&l| crs.mask_bit_for(self.mask_coord(l), len))
-    }
-
-    /// Division-free odometer over the first `max_lanes` lanes of the shape,
-    /// yielding `(lane, coords, active)` per lane.
-    ///
-    /// The per-lane address oracles in `addrgen` walk this instead of calling
-    /// [`LogicalShape::coords`] (4 div/mods) and [`LogicalShape::lane_active`]
-    /// (4 more) per lane: coordinates advance by carry propagation, and the
-    /// mask bit is re-evaluated only when the highest-dimension coordinate
-    /// changes. Equivalence with the reference pair is pinned by the
-    /// `odometer_equivalence` property suite.
-    pub fn iter_lanes<'a>(&self, crs: &'a ControlRegs, max_lanes: usize) -> ShapeIter<'a> {
-        let highest = self.highest_dim();
-        ShapeIter {
-            dims: self.dims,
-            coords: [0; MAX_DIMS],
-            lane: 0,
-            total: self.total().min(max_lanes),
-            highest,
-            highest_len: self.dim(highest),
-            active: crs.mask_bit_for(0, self.dim(highest)),
-            crs,
-        }
-    }
 }
-
-/// Carry-propagating lane iterator — see [`LogicalShape::iter_lanes`].
-#[derive(Debug, Clone)]
-pub struct ShapeIter<'a> {
-    dims: [usize; MAX_DIMS],
-    coords: [usize; MAX_DIMS],
-    lane: usize,
-    total: usize,
-    highest: usize,
-    highest_len: usize,
-    active: bool,
-    crs: &'a ControlRegs,
-}
-
-impl Iterator for ShapeIter<'_> {
-    /// `(flat lane index, [x, y, z, w] coordinates, mask-active)`.
-    type Item = (usize, [usize; MAX_DIMS], bool);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.lane >= self.total {
-            return None;
-        }
-        let item = (self.lane, self.coords, self.active);
-        self.lane += 1;
-        // Odometer increment: bump dimension 0, carry upwards. The mask only
-        // depends on the highest-dimension coordinate, so `active` is
-        // refreshed exactly when a carry reaches it.
-        for d in 0..MAX_DIMS {
-            self.coords[d] += 1;
-            if self.coords[d] < self.dims[d] {
-                if d >= self.highest {
-                    self.active = self
-                        .crs
-                        .mask_bit_for(self.coords[self.highest], self.highest_len);
-                }
-                break;
-            }
-            self.coords[d] = 0;
-        }
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.total - self.lane;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for ShapeIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +139,7 @@ mod tests {
         let s = LogicalShape::new([2, 3, 2, 1], 3);
         let mut crs = ControlRegs::new();
         crs.unset_mask(1);
-        let active: Vec<usize> = s.active_lanes(&crs, 8192).collect();
+        let active: Vec<usize> = (0..s.total()).filter(|&l| s.lane_active(l, &crs)).collect();
         assert_eq!(active, vec![0, 1, 2, 3, 4, 5]);
         assert!(!s.lane_active(6, &crs));
         assert!(s.lane_active(5, &crs));

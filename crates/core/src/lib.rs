@@ -59,7 +59,6 @@ pub mod addrgen;
 pub mod compiler;
 pub mod config;
 pub mod dtype;
-pub mod encoding;
 pub mod engine;
 pub mod intrinsics;
 pub mod isa;

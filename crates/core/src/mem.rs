@@ -198,11 +198,6 @@ impl Memory {
     pub fn read_vec<T: MemScalar>(&self, base: u64, count: usize) -> Vec<T> {
         (0..count).map(|i| self.read(base, i)).collect()
     }
-
-    /// Current allocation watermark (for tests / reporting).
-    pub fn used_bytes(&self) -> u64 {
-        self.brk
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use crate::trace::{Event, Trace, TraceSink};
 use mve_coresim::CoreConfig;
 use mve_insram::scheme::{EngineGeometry, Scheme};
-use mve_insram::tmu::TransposeMemoryUnit;
+use mve_insram::tmu;
 use mve_insram::LatencyModel;
 use mve_memsim::{Hierarchy, HierarchyConfig, MemStats};
 
@@ -211,7 +211,6 @@ impl SimConfig {
         push_f(&mut b, self.core.freq_ghz);
         push(&mut b, u64::from(self.core.issue_width));
         push(&mut b, u64::from(self.core.rob_entries));
-        push(&mut b, self.core.write_buffer_entries as u64);
         push_f(&mut b, self.core.scalar_ipc);
         push(&mut b, self.queue_entries as u64);
         push(&mut b, self.issue_gap_cycles);
@@ -644,7 +643,7 @@ impl TimingSim {
                         .div_ceil(active_cbs_for_tmu)
                         .min(self.cfg.geometry.bitlines_per_cb())
                         .max(1);
-                    TransposeMemoryUnit::transfer_cycles(
+                    tmu::transfer_cycles(
                         elems_per_cb,
                         self.cfg.scheme.tmu_drain_slices(dtype.bits()),
                         self.cfg.xb_words_per_cycle,

@@ -3,10 +3,14 @@
 //! MVE instructions are fetched/decoded by the core, pushed to the ROB and
 //! LSQ, and issued to the L2 **in program order at the head of the ROB** —
 //! there is no speculative or out-of-order issue of MVE instructions. Scalar
-//! instructions between them retire at the core's sustained IPC. MVE stores
-//! park in a write buffer until the MVE controller acknowledges them; a
-//! younger scalar load whose address falls inside a parked store's range
-//! (computed by the LSQ Address Decoder per Equation 2) must stall.
+//! instructions between them retire at the core's sustained IPC.
+//!
+//! The paper also parks MVE stores in a write buffer and stalls a younger
+//! scalar load whose address falls inside a parked store's range (the LSQ
+//! Address Decoder of Equation 2). That stall is not modelled: a trace's
+//! scalar blocks carry an instruction count but no addresses, so the timing
+//! simulator has no load to check against a store's range (see DESIGN.md,
+//! substitution table).
 
 /// Cortex-A76-class core parameters (Table IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,8 +21,6 @@ pub struct CoreConfig {
     pub issue_width: u32,
     /// Reorder-buffer capacity.
     pub rob_entries: u32,
-    /// Write-buffer entries for in-flight MVE stores.
-    pub write_buffer_entries: usize,
     /// Sustained scalar IPC on the data-parallel kernels' glue code.
     ///
     /// CALIBRATED: 3.0 of the 4-wide machine; loop-control and address
@@ -32,7 +34,6 @@ impl Default for CoreConfig {
             freq_ghz: 2.8,
             issue_width: 4,
             rob_entries: 128,
-            write_buffer_entries: 8,
             scalar_ipc: 3.0,
         }
     }
@@ -42,163 +43,6 @@ impl CoreConfig {
     /// Cycles for a block of `instrs` scalar instructions to retire.
     pub fn scalar_block_cycles(&self, instrs: u64) -> u64 {
         (instrs as f64 / self.scalar_ipc).ceil() as u64
-    }
-
-    /// Converts cycles of this core's clock to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.freq_ghz
-    }
-
-    /// Converts nanoseconds to cycles of this core's clock.
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        (ns * self.freq_ghz).ceil() as u64
-    }
-}
-
-/// A byte-address range `[start, end)` covered by a vector memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddrRange {
-    /// Inclusive start byte.
-    pub start: u64,
-    /// Exclusive end byte.
-    pub end: u64,
-}
-
-impl AddrRange {
-    /// Whether `addr` falls inside the range.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.start && addr < self.end
-    }
-
-    /// Whether two ranges overlap.
-    pub fn overlaps(&self, other: &AddrRange) -> bool {
-        self.start < other.end && other.start < self.end
-    }
-}
-
-/// The LSQ Address Decoder of Section V-A: mirrors the MVE dimension CRs and
-/// computes the conservative address range of a vector store (Equation 2):
-///
-/// `Range = Base + Σᵢ Dimᵢ.Length × Dimᵢ.Stride`
-#[derive(Debug, Clone, Default)]
-pub struct AddressDecoder {
-    dim_lengths: [u64; 4],
-    dim_strides: [i64; 4],
-    dim_count: usize,
-}
-
-impl AddressDecoder {
-    /// Creates a decoder with no dimensions configured.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirrors a `vsetdimc` config instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or exceeds 4 (the ISA supports up to 4D).
-    pub fn set_dim_count(&mut self, count: usize) {
-        assert!((1..=4).contains(&count), "dimension count must be 1..=4");
-        self.dim_count = count;
-    }
-
-    /// Mirrors a `vsetdiml` config instruction.
-    pub fn set_dim(&mut self, dim: usize, length: u64, stride_bytes: i64) {
-        assert!(dim < 4, "dimension index must be < 4");
-        self.dim_lengths[dim] = length;
-        self.dim_strides[dim] = stride_bytes;
-    }
-
-    /// Equation 2: the conservative byte range a store with `base` covers.
-    /// Negative strides extend the range below `base`.
-    pub fn store_range(&self, base: u64, elem_bytes: u64) -> AddrRange {
-        let mut lo: i64 = 0;
-        let mut hi: i64 = 0;
-        for d in 0..self.dim_count {
-            let extent = (self.dim_lengths[d].saturating_sub(1)) as i64 * self.dim_strides[d];
-            lo += extent.min(0);
-            hi += extent.max(0);
-        }
-        AddrRange {
-            start: (base as i64 + lo).max(0) as u64,
-            end: (base as i64 + hi) as u64 + elem_bytes,
-        }
-    }
-}
-
-/// An in-flight MVE store parked in the write buffer.
-#[derive(Debug, Clone, Copy)]
-struct PendingStore {
-    range: AddrRange,
-    completes_at: u64,
-}
-
-/// The write buffer of Section V-A. MVE stores enter on commit and leave when
-/// the MVE controller acknowledges completion; scalar loads check it for
-/// memory dependences.
-#[derive(Debug, Clone)]
-pub struct WriteBuffer {
-    capacity: usize,
-    entries: Vec<PendingStore>,
-}
-
-impl WriteBuffer {
-    /// Creates an empty buffer of the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "write buffer needs capacity");
-        Self {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Drops entries acknowledged by `now`.
-    pub fn drain_completed(&mut self, now: u64) {
-        self.entries.retain(|e| e.completes_at > now);
-    }
-
-    /// Parks a store covering `range` that the controller will acknowledge at
-    /// `completes_at`. Returns the cycle at which the entry was actually
-    /// accepted (if the buffer is full, commit stalls until a slot frees).
-    pub fn push(&mut self, range: AddrRange, completes_at: u64, now: u64) -> u64 {
-        self.drain_completed(now);
-        let mut accept_at = now;
-        if self.entries.len() >= self.capacity {
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.completes_at)
-                .min()
-                .expect("nonempty");
-            accept_at = accept_at.max(earliest);
-            self.drain_completed(accept_at);
-        }
-        self.entries.push(PendingStore {
-            range,
-            completes_at,
-        });
-        accept_at
-    }
-
-    /// If a scalar load of `addr` at `now` conflicts with a parked store,
-    /// returns the cycle at which the youngest conflicting store completes.
-    pub fn load_stall_until(&self, addr: u64, now: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|e| e.completes_at > now && e.range.contains(addr))
-            .map(|e| e.completes_at)
-            .max()
-    }
-
-    /// Number of parked stores at `now`.
-    pub fn occupancy(&mut self, now: u64) -> usize {
-        self.drain_completed(now);
-        self.entries.len()
     }
 }
 
@@ -212,67 +56,5 @@ mod tests {
         assert_eq!(cfg.scalar_block_cycles(30), 10);
         assert_eq!(cfg.scalar_block_cycles(1), 1);
         assert_eq!(cfg.scalar_block_cycles(0), 0);
-    }
-
-    #[test]
-    fn cycles_ns_roundtrip() {
-        let cfg = CoreConfig::default();
-        assert!((cfg.cycles_to_ns(2800) - 1000.0).abs() < 1e-9);
-        assert_eq!(cfg.ns_to_cycles(1000.0), 2800);
-    }
-
-    #[test]
-    fn equation2_range_2d() {
-        let mut ad = AddressDecoder::new();
-        ad.set_dim_count(2);
-        // 8 columns of 4-byte elements, stride 4; 16 rows, stride 1024.
-        ad.set_dim(0, 8, 4);
-        ad.set_dim(1, 16, 1024);
-        let r = ad.store_range(0x1000, 4);
-        assert_eq!(r.start, 0x1000);
-        assert_eq!(r.end, 0x1000 + 7 * 4 + 15 * 1024 + 4);
-        assert!(r.contains(0x1000));
-        assert!(r.contains(r.end - 1));
-        assert!(!r.contains(r.end));
-    }
-
-    #[test]
-    fn equation2_range_negative_stride() {
-        let mut ad = AddressDecoder::new();
-        ad.set_dim_count(1);
-        ad.set_dim(0, 10, -8);
-        let r = ad.store_range(0x1000, 8);
-        assert_eq!(r.start, 0x1000 - 9 * 8); // lowest touched element
-        assert_eq!(r.end, 0x1008);
-    }
-
-    #[test]
-    fn write_buffer_stalls_conflicting_loads_only() {
-        let mut wb = WriteBuffer::new(4);
-        let range = AddrRange {
-            start: 0x100,
-            end: 0x200,
-        };
-        wb.push(range, 500, 10);
-        assert_eq!(wb.load_stall_until(0x180, 20), Some(500));
-        assert_eq!(wb.load_stall_until(0x80, 20), None);
-        assert_eq!(wb.load_stall_until(0x200, 20), None);
-        // After completion, no stall.
-        assert_eq!(wb.load_stall_until(0x180, 600), None);
-    }
-
-    #[test]
-    fn write_buffer_backpressure() {
-        let mut wb = WriteBuffer::new(2);
-        let r = |s: u64| AddrRange {
-            start: s,
-            end: s + 64,
-        };
-        assert_eq!(wb.push(r(0), 100, 0), 0);
-        assert_eq!(wb.push(r(64), 200, 1), 1);
-        // Full: third push waits for the earliest (100).
-        assert_eq!(wb.push(r(128), 300, 2), 100);
-        assert_eq!(wb.occupancy(150), 2);
-        assert_eq!(wb.occupancy(1000), 0);
     }
 }

@@ -16,8 +16,9 @@
 //!   (BH), bit-parallel (BP) and associative computing (AC).
 //! * [`scheme`] — the scheme descriptor tying lane counts, frequency
 //!   derating, and latency together.
-//! * [`tmu`] — the Transpose Memory Unit that converts between horizontal
-//!   (memory) and vertical (bit-line) data layouts.
+//! * [`tmu`] — the cycle cost of streaming data through the Transpose
+//!   Memory Unit that converts between horizontal (memory) and vertical
+//!   (bit-line) data layouts.
 //!
 //! # Example
 //!

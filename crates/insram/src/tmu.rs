@@ -1,4 +1,4 @@
-//! Transpose Memory Unit (TMU) model.
+//! Transpose Memory Unit (TMU) timing.
 //!
 //! Section V-B: gathered data words arrive from the MSHRs in the horizontal
 //! (memory) layout and must be rotated into the vertical (bit-line) layout
@@ -8,96 +8,20 @@
 //! Block (1024 elements by default). A crossbar (XB) routes each incoming
 //! word to its bit-line column.
 //!
-//! The functional model is an actual bidirectional bit matrix so the
-//! transpose path is executable and testable; the timing model counts the
-//! cycles to stream data through it.
+//! The transpose itself is not modelled bit by bit: the word-level engine in
+//! `mve-core` keeps lanes horizontal, and the bit-serial layout is checked
+//! separately by [`crate::bitserial`]. What the simulator needs is the cycle
+//! count to stream data through the unit, [`transfer_cycles`].
 
-/// A transpose memory unit for one Control Block.
-#[derive(Debug, Clone)]
-pub struct TransposeMemoryUnit {
-    /// Elements (columns) the TMU holds — one per CB bit-line.
-    elements: usize,
-    /// Maximum element width in bits (rows of the transpose cell matrix).
-    width: usize,
-    /// Bit matrix: `bits[row][col]` = bit `row` of element `col`.
-    bits: Vec<Vec<bool>>,
-}
-
-impl TransposeMemoryUnit {
-    /// Creates a TMU for `elements` elements of up to `width` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(elements: usize, width: usize) -> Self {
-        assert!(elements > 0 && width > 0, "TMU dimensions must be nonzero");
-        Self {
-            elements,
-            width,
-            bits: vec![vec![false; elements]; width],
-        }
-    }
-
-    /// Number of element columns.
-    pub fn elements(&self) -> usize {
-        self.elements
-    }
-
-    /// Writes element `col` horizontally (as a memory word arriving through
-    /// the crossbar). Truncates to the TMU width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn write_horizontal(&mut self, col: usize, value: u64, bits: usize) {
-        assert!(col < self.elements, "TMU column out of range");
-        let bits = bits.min(self.width);
-        for (row, row_bits) in self.bits.iter_mut().enumerate().take(bits) {
-            row_bits[col] = (value >> row) & 1 == 1;
-        }
-    }
-
-    /// Reads element `col` horizontally.
-    pub fn read_horizontal(&self, col: usize, bits: usize) -> u64 {
-        assert!(col < self.elements, "TMU column out of range");
-        let bits = bits.min(self.width);
-        let mut v = 0u64;
-        for row in 0..bits {
-            if self.bits[row][col] {
-                v |= 1 << row;
-            }
-        }
-        v
-    }
-
-    /// Reads bit-slice `row` vertically — the side facing the SRAM arrays.
-    /// Returns one bit per element.
-    pub fn read_vertical(&self, row: usize) -> Vec<bool> {
-        assert!(row < self.width, "TMU row out of range");
-        self.bits[row].clone()
-    }
-
-    /// Writes bit-slice `row` vertically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from the element count.
-    pub fn write_vertical(&mut self, row: usize, slice: &[bool]) {
-        assert!(row < self.width, "TMU row out of range");
-        assert_eq!(slice.len(), self.elements, "slice length mismatch");
-        self.bits[row].copy_from_slice(slice);
-    }
-
-    /// Cycles to fill the TMU with `elements` words of `bits` width through
-    /// the crossbar and drain it into the arrays as bit-slices.
-    ///
-    /// Fill: the XB routes `xb_words_per_cycle` words per cycle; drain: one
-    /// bit-slice (word-line write) per cycle, `bits` slices total.
-    pub fn transfer_cycles(elements: usize, bits: usize, xb_words_per_cycle: usize) -> u64 {
-        let fill = elements.div_ceil(xb_words_per_cycle.max(1)) as u64;
-        let drain = bits as u64;
-        fill + drain
-    }
+/// Cycles to fill a TMU with `elements` words of `bits` width through
+/// the crossbar and drain it into the arrays as bit-slices.
+///
+/// Fill: the XB routes `xb_words_per_cycle` words per cycle; drain: one
+/// bit-slice (word-line write) per cycle, `bits` slices total.
+pub fn transfer_cycles(elements: usize, bits: usize, xb_words_per_cycle: usize) -> u64 {
+    let fill = elements.div_ceil(xb_words_per_cycle.max(1)) as u64;
+    let drain = bits as u64;
+    fill + drain
 }
 
 #[cfg(test)]
@@ -105,46 +29,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transpose_roundtrip() {
-        let mut tmu = TransposeMemoryUnit::new(8, 16);
-        let values = [1u64, 2, 3, 0xFFFF, 0x8000, 42, 0, 999];
-        for (col, &v) in values.iter().enumerate() {
-            tmu.write_horizontal(col, v, 16);
-        }
-        // Vertical view of bit 0 should be the LSBs of the values.
-        let lsbs = tmu.read_vertical(0);
-        let expect: Vec<bool> = values.iter().map(|v| v & 1 == 1).collect();
-        assert_eq!(lsbs, expect);
-        // Horizontal read-back is exact.
-        for (col, &v) in values.iter().enumerate() {
-            assert_eq!(tmu.read_horizontal(col, 16), v);
-        }
-    }
-
-    #[test]
-    fn vertical_writes_visible_horizontally() {
-        let mut tmu = TransposeMemoryUnit::new(4, 8);
-        tmu.write_vertical(3, &[true, false, true, false]);
-        assert_eq!(tmu.read_horizontal(0, 8), 0b1000);
-        assert_eq!(tmu.read_horizontal(1, 8), 0);
-        assert_eq!(tmu.read_horizontal(2, 8), 0b1000);
-    }
-
-    #[test]
     fn transfer_cycle_model() {
         // 1024 elements, 32-bit, 8 words/cycle crossbar: 128 fill + 32 drain.
-        assert_eq!(TransposeMemoryUnit::transfer_cycles(1024, 32, 8), 160);
+        assert_eq!(transfer_cycles(1024, 32, 8), 160);
         // Narrower data drains faster.
-        assert!(
-            TransposeMemoryUnit::transfer_cycles(1024, 8, 8)
-                < TransposeMemoryUnit::transfer_cycles(1024, 32, 8)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "column out of range")]
-    fn horizontal_oob_panics() {
-        let tmu = TransposeMemoryUnit::new(4, 8);
-        tmu.read_horizontal(4, 8);
+        assert!(transfer_cycles(1024, 8, 8) < transfer_cycles(1024, 32, 8));
     }
 }

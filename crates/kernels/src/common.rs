@@ -280,11 +280,6 @@ pub fn tag_to_data(e: &mut Engine, dtype: DType) -> Reg {
     ones
 }
 
-/// Rounds `n` up to the next power of two.
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,6 @@
 pub mod boringssl;
 pub mod cmsis;
 pub mod common;
-pub mod dsl;
 pub mod kvazaar;
 pub mod libjpeg;
 pub mod libpng;
@@ -45,5 +44,4 @@ pub mod xnnpack;
 pub mod zlib;
 
 pub use common::{Checked, KernelRun, Scale};
-pub use dsl::DslKernel;
 pub use registry::{all_kernels, selected_kernels, Kernel, KernelInfo, Library};

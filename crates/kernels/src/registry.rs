@@ -34,9 +34,6 @@ pub enum Library {
     Boringssl,
     /// Arm Optimized Routines — string/network utilities.
     OptRoutines,
-    /// Client-submitted `.mvel` kernels compiled by `mve-lang` (not part
-    /// of the Table III suite; never in [`Library::ALL`]).
-    Dsl,
 }
 
 impl Library {
@@ -71,7 +68,6 @@ impl Library {
             Library::Zlib => "zlib",
             Library::Boringssl => "boringssl",
             Library::OptRoutines => "Opt. Routines",
-            Library::Dsl => "mve-lang",
         }
     }
 
@@ -88,7 +84,6 @@ impl Library {
             Library::Zlib => "Data Compression",
             Library::Boringssl => "Cryptography",
             Library::OptRoutines => "String/Network Utilities",
-            Library::Dsl => "User-Defined Kernels",
         }
     }
 
@@ -105,7 +100,6 @@ impl Library {
             | Library::Skia => "1280x720",
             Library::Webaudio => "32S x 44.1kHz",
             Library::Zlib | Library::Boringssl | Library::OptRoutines => "128KB",
-            Library::Dsl => "client-submitted",
         }
     }
 }

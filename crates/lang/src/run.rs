@@ -772,8 +772,7 @@ pub struct CheckOutcome {
 }
 
 /// Exact raw comparison of executor outputs against the interpreter's —
-/// the one comparison rule every checked path (here and the
-/// `DslKernel` adapter) shares.
+/// the one comparison rule every checked path shares.
 pub fn compare_outputs(got: &RawOutputs, want: &RawOutputs) -> CheckOutcome {
     let mut compared = 0usize;
     let mut mismatches = 0usize;

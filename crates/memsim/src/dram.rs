@@ -140,11 +140,6 @@ impl Dram {
             bank.ready_at = 0;
         }
     }
-
-    /// Peak sustainable bandwidth in bytes per core cycle (channel-limited).
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        crate::LINE_BYTES as f64 / self.cfg.burst_cycles as f64
-    }
 }
 
 #[cfg(test)]
@@ -197,13 +192,5 @@ mod tests {
             d.access(i, 0);
         }
         assert_eq!(d.stats().accesses, 10);
-    }
-
-    #[test]
-    fn bandwidth_ceiling() {
-        let d = Dram::new(DramConfig::default());
-        let bpc = d.peak_bytes_per_cycle();
-        // ≈ 9.1 B/cycle ≈ 25.6 GB/s at 2.8 GHz.
-        assert!((8.0..=10.0).contains(&bpc), "bytes/cycle {bpc}");
     }
 }
