@@ -9,17 +9,16 @@
 //!                           # table, exit 1 if any formula drifts > 2x
 //! ```
 //!
-//! An unknown flag, `--write` without a path, or `--check` together with
-//! `--write` exits 2 with the usage line.
+//! The command line is `mve_bench::cli::calibrate` (DESIGN.md, "Command
+//! line"): a mistake exits 2 with the reason and the usage line.
 //!
 //! The probes time the same code paths the daemon charges for: an
 //! artefact render from the shared registry, a functional kernel
 //! execution (`run_mve`) at both scales, a single-configuration timing
-//! walk at 8/32/64 arrays (fitting the linear `arrays` slope), and the
-//! DSL front-end over a short and a long source (fitting the per-byte
-//! slope). Every probe is the median of 5 samples, or of 3 under
-//! `MVE_BENCH_FAST=1` for the CI drift check; the committed table itself
-//! should be regenerated without it.
+//! walk at the default 32 arrays, and the DSL front-end over a short and
+//! a long source (fitting the per-byte slope). Every probe is the median
+//! of 5 samples, or of 3 under `MVE_BENCH_FAST=1` for the CI drift check;
+//! the committed table itself should be regenerated without it.
 //!
 //! `--check` compares *formula outputs* (representative charges per op
 //! class), not raw coefficients — two tables that price every request
@@ -28,11 +27,10 @@
 
 use std::time::Instant;
 
-use mve_bench::{artefacts, dslcorpus, figures, perf};
-use mve_kernels::common::EngineArraysGuard;
+use mve_bench::{artefacts, cli, dslcorpus, figures, perf};
 use mve_kernels::registry::kernel_by_name;
 use mve_kernels::Scale;
-use mve_serve::cost::{CostModel, DEFAULT_ARRAYS};
+use mve_serve::cost::CostModel;
 use mve_serve::SimSpec;
 
 /// The kernel every sim-class probe runs: cheap enough to execute at
@@ -59,24 +57,6 @@ fn median_us(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
-}
-
-/// One timing walk (single configuration) over a trace captured at
-/// `arrays`, in microseconds.
-fn walk_us(reps: usize, arrays: usize) -> f64 {
-    let _guard = EngineArraysGuard::new(arrays);
-    let kernel = kernel_by_name(PROBE_KERNEL).expect("probe kernel");
-    let run = kernel.run_mve(Scale::Test);
-    assert!(run.checked.ok(), "probe kernel functional check");
-    let cfg = SimSpec {
-        arrays: Some(arrays),
-        ..SimSpec::default()
-    }
-    .to_config();
-    median_us(reps, || {
-        let reports = mve_core::sim::simulate_sweep(&run.trace, std::slice::from_ref(&cfg));
-        assert_eq!(reports.len(), 1);
-    })
 }
 
 /// Measures every coefficient. `reps` is the per-probe sample count.
@@ -110,20 +90,15 @@ fn calibrate(reps: usize) -> CostModel {
     });
     let scale_paper_mult = (exec_paper / exec_test.max(1e-9)).max(1.0);
 
-    // Timing walk at the calibration geometry, plus the 8/64-array
-    // endpoints to fit the linear slope:
-    //   walk(a) ∝ 1 + slope * a  ⇒  slope = (r - 1) / (64 - 8 r)
-    // for r = walk(64)/walk(8). Noise can push r below 1 (or past the
-    // pole at r = 8); both clamp to a flat model.
-    let sweep_per_config_us = walk_us(reps, DEFAULT_ARRAYS);
-    let (w8, w64) = (walk_us(reps, 8), walk_us(reps, 64));
-    let r = w64 / w8.max(1e-9);
-    let denom = 64.0 - 8.0 * r;
-    let arrays_slope_per_array = if r > 1.0 && denom > 0.0 {
-        ((r - 1.0) / denom).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
+    // One timing walk (single configuration) at the calibration
+    // geometry, the default 32 arrays.
+    let run = kernel.run_mve(Scale::Test);
+    assert!(run.checked.ok(), "probe kernel functional check");
+    let cfg = SimSpec::default().to_config();
+    let sweep_per_config_us = median_us(reps, || {
+        let reports = mve_core::sim::simulate_sweep(&run.trace, std::slice::from_ref(&cfg));
+        assert_eq!(reports.len(), 1);
+    });
 
     // DSL front-end: a short and a long source fit the per-byte slope;
     // the intercept is the fixed lex/parse/schedule/allocate cost.
@@ -147,7 +122,6 @@ fn calibrate(reps: usize) -> CostModel {
         scale_paper_mult,
         sim_exec_test_us: exec_test,
         sweep_per_config_us,
-        arrays_slope_per_array,
         compile_base_us,
         compile_per_byte_us,
     }
@@ -159,48 +133,16 @@ fn probe_charges(m: &CostModel) -> Vec<(&'static str, u64)> {
     vec![
         ("artefact@test", m.artefact_cost(Scale::Test)),
         ("artefact@paper", m.artefact_cost(Scale::Paper)),
-        ("sim@test/32", m.sim_cost(Scale::Test, 32)),
-        ("sim@test/256", m.sim_cost(Scale::Test, 256)),
-        ("sim@paper/32", m.sim_cost(Scale::Paper, 32)),
-        ("sweep@test/32x4", m.sweep_cost(Scale::Test, 32, 4)),
+        ("sim@test/32", m.sim_cost(Scale::Test)),
+        ("sim@paper/32", m.sim_cost(Scale::Paper)),
+        ("sweep@test/32x4", m.sweep_cost(Scale::Test, 4)),
         ("compile@200B", m.compile_cost(200)),
         ("compile@4096B", m.compile_cost(4096)),
     ]
 }
 
-const USAGE: &str = "usage: calibrate [--write PATH | --check]";
-
-/// Prints `msg` and the usage line, then exits 2.
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// Parses `(check, write_path)`. An unknown flag, `--write` without a
-/// path (a following `--flag` is not a path), or `--check` with `--write`
-/// (a check writes nothing) exits 2 before any probe runs.
-fn parse_flags() -> (bool, Option<String>) {
-    let (mut check, mut write_path) = (false, None);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--write" => match args.next().filter(|v| !v.starts_with("--")) {
-                Some(path) => write_path = Some(path),
-                None => usage("--write needs a path"),
-            },
-            _ => usage(&format!("unknown flag `{arg}`")),
-        }
-    }
-    if check && write_path.is_some() {
-        usage("--check writes nothing; drop --write");
-    }
-    (check, write_path)
-}
-
 fn main() {
-    let (check, write_path) = parse_flags();
+    let (check, write_path) = cli::from_env(cli::calibrate::USAGE, cli::calibrate::parse);
     // Fast mode still takes a median of 3: a single sample per probe
     // tripped the 2x drift gate on a noisy host.
     let reps = if perf::fast_mode() { 3 } else { 5 };

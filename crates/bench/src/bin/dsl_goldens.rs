@@ -1,9 +1,14 @@
 //! Regenerates the committed `corpus/<name>.golden.txt` compile renders
 //! and the `corpus/<name>.lines.golden.txt` per-line annotated profiles
 //! (run from the repo root after changing the DSL pipeline, then review
-//! the diff).
+//! the diff). It takes no arguments.
+
+use mve_bench::cli;
 
 fn main() {
+    cli::from_env("usage: dsl_goldens", |args| {
+        cli::parse(args, "")?.no_words()
+    });
     for (name, _) in mve_bench::dslcorpus::CORPUS {
         let text = mve_bench::dslcorpus::render(name)
             .expect("known name")

@@ -1,24 +1,8 @@
 //! `mve-client`: drives a running `serve` daemon.
 //!
-//! ```text
-//! mve-client [--port N] --replay-smoke DIR     # full 16-artefact smoke set
-//! mve-client [--port N] [--flood N] artefact NAME [--paper]
-//! mve-client [--port N] [--flood N] sim KERNEL [--paper] [--scheme BS|BH|BP|AC]
-//!            [--arrays N] [--ooo] [--no-mode-switch] [--no-cache-warming]
-//! mve-client [--port N] [--flood N] compile FILE.mvel [--scheme S] [--ooo]
-//!            [--no-mode-switch] [--no-cache-warming]
-//! mve-client [--port N] [--flood N] profile FILE.mvel [--scheme S] [--ooo]
-//!            [--no-mode-switch] [--no-cache-warming]
-//! mve-client [--port N] estimate (artefact NAME | sim KERNEL | compile FILE) [...]
-//! mve-client [--port N] stats [--watch SECS] [--samples N]
-//! mve-client [--port N] metrics [--check]
-//! mve-client [--port N] trace [--chrome OUT.json]
-//! mve-client [--port N] shutdown
-//! ```
-//!
-//! Each subcommand accepts only the tail shown above: an unknown flag, a
-//! flag missing its value, or a word left over after `--replay-smoke DIR`
-//! exits 2 with the usage line before any connection is made.
+//! The command line is `mve_bench::cli::client` (DESIGN.md, "Command
+//! line"): a mistake exits 2 with the reason and the usage line before
+//! any connection is made.
 //!
 //! `metrics` prints the daemon's Prometheus text exposition; `--check`
 //! additionally validates it with the strict `mve_obs` parser and
@@ -27,24 +11,18 @@
 //! `stats` reply (the CI scrape step). `trace` prints the request trace
 //! ring, one JSON record per line; `--chrome OUT.json` instead writes the
 //! ring as Chrome trace-event JSON (one track per connection, queue wait
-//! as its own slice) for `chrome://tracing` / Perfetto.
-//! `stats --watch SECS` polls the `metrics` op
-//! every SECS seconds and prints one compact delta line per interval
-//! (req/s, hit rate, p99 service µs computed client-side from the
-//! exposition's histogram buckets); `--samples N` stops after N lines.
+//! as its own slice) for `chrome://tracing` / Perfetto. `stats --watch
+//! SECS` polls the `metrics` op every SECS seconds and prints one compact
+//! delta line per interval (req/s, hit rate, p99 service µs computed
+//! client-side from the exposition's histogram buckets); `--samples N`
+//! stops after N lines.
 //!
-//! `compile` ships the `.mvel` source to the daemon, which parses, lowers,
-//! schedules, allocates, executes, checks and times it (single-flight
-//! cached on the source digest + configuration), and prints the rendered
-//! compile artefact. Parse/type errors print as `FILE:line:col: message`
-//! and exit non-zero.
-//!
-//! `profile` does the same but asks for the per-source-line engine
-//! profile: the daemon compiles, executes with line markers, replays the
-//! trace through the profiling sink and timing simulator, and the client
-//! prints the perf-annotate-style annotated source (cycle share,
-//! instruction counts, spill traffic per line). Replies are single-flight
-//! cached like `compile`, so a repeated `profile` is byte-identical.
+//! `compile` and `profile` ship the `.mvel` source to the daemon, which
+//! compiles, runs and times it (single-flight cached on the source digest
+//! and configuration). `compile` prints the rendered compile artefact,
+//! `profile` the perf-annotate-style annotated source (cycle share,
+//! instruction counts, spill traffic per line). Parse/type errors print
+//! as `FILE:line:col: message` and exit non-zero.
 //!
 //! `estimate` prices the wrapped request against the daemon's calibrated
 //! cost model without executing it, printing the
@@ -67,74 +45,35 @@
 //! server and writes `DIR/<name>.txt` — CI diffs that tree byte-for-byte
 //! against `reproduce --smoke`.
 
-use std::collections::HashMap;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use mve_bench::artefacts;
-use mve_insram::Scheme;
+use mve_bench::cli::client::Op;
+use mve_bench::{artefacts, cli};
 use mve_kernels::Scale;
 use mve_obs::log::FieldValue;
 use mve_obs::metrics::{parse_exposition, quantile_from_log2_buckets, Exposition};
 use mve_obs::ChromeTrace;
 use mve_serve::client::{replay_artefacts, Client, ClientError};
-use mve_serve::{Json, Request, SimSpec};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: mve-client [--port N] (--replay-smoke DIR | [--flood N] \
-         [--connections N --duration-ms M] artefact NAME [--paper] | [--flood N] \
-         [--connections N --duration-ms M] sim KERNEL [--paper] [--scheme S] [--arrays N] \
-         [--ooo] [--no-mode-switch] [--no-cache-warming] | [--flood N] \
-         (compile|profile) FILE.mvel [--scheme S] [--ooo] [--no-mode-switch] \
-         [--no-cache-warming] | estimate (artefact|sim|compile|profile) ... | \
-         stats [--watch SECS] [--samples N] | metrics [--check] | \
-         trace [--chrome OUT.json] | shutdown)"
-    );
-    std::process::exit(2);
-}
+use mve_serve::{Json, Request};
 
 fn fail(e: impl std::fmt::Display) -> ! {
     eprintln!("mve-client: {e}");
     std::process::exit(1);
 }
 
-/// Parses a control subcommand's tail (everything after the subcommand
-/// word) against exactly the flags its usage line documents: `values`
-/// take a value (`--flag V` or `--flag=V`), `switches` take none. An
-/// unknown flag, a stray word, or a value flag without its value exits 2
-/// with usage — before any connection is made. Switches map to `""`.
-fn parse_tail(
-    tail: &[String],
-    values: &[&'static str],
-    switches: &[&'static str],
-) -> HashMap<&'static str, String> {
-    let mut out = HashMap::new();
-    let mut tail = tail.iter();
-    while let Some(arg) = tail.next() {
-        if let Some(&switch) = switches.iter().find(|&&s| s == arg) {
-            out.insert(switch, String::new());
-            continue;
-        }
-        let (name, inline) = match arg.split_once('=') {
-            Some((name, value)) => (name, Some(value.to_owned())),
-            None => (arg.as_str(), None),
-        };
-        let Some(&flag) = values.iter().find(|&&f| f == name) else {
-            usage()
-        };
-        let value = inline
-            .or_else(|| tail.next().filter(|v| !v.starts_with("--")).cloned())
-            .unwrap_or_else(|| usage());
-        out.insert(flag, value);
-    }
-    out
+/// The reply's `key` member; its absence is a protocol error.
+fn member<'a>(reply: &'a Json, key: &str) -> &'a Json {
+    reply
+        .get(key)
+        .unwrap_or_else(|| fail(format!("reply lacks `{key}`")))
 }
 
-/// A parsed tail flag's integer value, `None` if absent.
-fn num_flag(flags: &HashMap<&'static str, String>, flag: &str) -> Option<u64> {
-    flags
-        .get(flag)
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
+/// The reply's `key` member as text.
+fn text<'a>(reply: &'a Json, key: &str) -> &'a str {
+    member(reply, key)
+        .as_str()
+        .unwrap_or_else(|| fail(format!("reply's `{key}` is not text")))
 }
 
 /// Sums the exposition's per-class `request_service_us` cumulative
@@ -380,104 +319,20 @@ fn check_metrics(text: &str, stats: &Json) {
     );
 }
 
-/// Parses the request-shaped tail of the command line (`artefact …`,
-/// `sim …`, `compile …`). Returns the request plus the compile source
-/// path, if any, for error-message prefixes.
-fn build_request(args: &[String]) -> (Request, Option<String>) {
-    let scale = if args.iter().any(|a| a == "--paper") {
-        Scale::Paper
-    } else {
-        Scale::Test
-    };
-    let parse_spec = |args: &[String], start: usize, allow_arrays: bool| -> SimSpec {
-        let mut spec = SimSpec::default();
-        let mut j = start;
-        while j < args.len() {
-            match args[j].as_str() {
-                "--paper" => j += 1,
-                "--ooo" => {
-                    spec.ooo_dispatch = true;
-                    j += 1;
-                }
-                "--no-mode-switch" => {
-                    spec.mode_switch = false;
-                    j += 1;
-                }
-                "--no-cache-warming" => {
-                    spec.cache_warming = false;
-                    j += 1;
-                }
-                "--scheme" => {
-                    let scheme = args.get(j + 1).and_then(|name| {
-                        Scheme::ALL.iter().copied().find(|s| s.short_name() == name)
-                    });
-                    let Some(scheme) = scheme else { usage() };
-                    spec.scheme = scheme;
-                    j += 2;
-                }
-                "--arrays" if allow_arrays => {
-                    let Some(v) = args.get(j + 1).and_then(|v| v.parse().ok()) else {
-                        usage()
-                    };
-                    spec.arrays = Some(v);
-                    j += 2;
-                }
-                _ => usage(),
-            }
-        }
-        spec
-    };
-    match args.first().map(String::as_str) {
-        Some("artefact") => {
-            let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                usage()
-            };
-            if args.len() > 2 && args[2..].iter().any(|a| a != "--paper") {
-                usage()
-            }
-            (
-                Request::Artefact {
-                    name: name.clone(),
-                    scale,
-                },
-                None,
-            )
-        }
-        Some("sim") => {
-            let Some(kernel) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                usage()
-            };
-            (
-                Request::Sim {
-                    kernel: kernel.clone(),
-                    scale,
-                    spec: parse_spec(args, 2, true),
-                },
-                None,
-            )
-        }
-        Some(op @ ("compile" | "profile")) => {
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                usage()
-            };
-            let source = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-            let spec = parse_spec(args, 2, false);
-            let req = if op == "profile" {
-                Request::Profile { source, spec }
-            } else {
-                Request::Compile { source, spec }
-            };
-            (req, Some(path.clone()))
-        }
-        _ => usage(),
+/// Reads a `compile` or `profile` request's source from `path`.
+fn load(mut req: Request, path: Option<&str>) -> Request {
+    if let (Request::Compile { source, .. } | Request::Profile { source, .. }, Some(path)) =
+        (&mut req, path)
+    {
+        *source = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
     }
+    req
 }
 
 /// Sends `req` on `count` concurrent connections and prints the typed
 /// tally. Exits non-zero if any request is lost (no typed reply).
 fn flood(addr: (&str, u16), req: &Request, count: usize) -> ! {
-    let (mut ok, mut overloaded, mut server_errors, mut lost) = (0u64, 0u64, 0u64, 0u64);
     let outcomes: Vec<&str> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..count)
             .map(|_| {
@@ -487,13 +342,11 @@ fn flood(addr: (&str, u16), req: &Request, count: usize) -> ! {
                     };
                     match client.request(req) {
                         Ok(_) => "ok",
-                        Err(ClientError::Overloaded { retry_after_ms, .. }) => {
-                            if retry_after_ms >= 1 {
-                                "overloaded"
-                            } else {
-                                "lost" // a shed without an actionable hint
-                            }
-                        }
+                        // A shed without an actionable hint counts as lost.
+                        Err(ClientError::Overloaded {
+                            retry_after_ms: 1..,
+                            ..
+                        }) => "overloaded",
                         Err(ClientError::Server(_)) => "server_error",
                         Err(_) => "lost",
                     }
@@ -505,14 +358,9 @@ fn flood(addr: (&str, u16), req: &Request, count: usize) -> ! {
             .map(|h| h.join().unwrap_or("lost"))
             .collect()
     });
-    for outcome in outcomes {
-        match outcome {
-            "ok" => ok += 1,
-            "overloaded" => overloaded += 1,
-            "server_error" => server_errors += 1,
-            _ => lost += 1,
-        }
-    }
+    let tally = |outcome| outcomes.iter().filter(|&&o| o == outcome).count();
+    let (ok, overloaded, server_errors) = (tally("ok"), tally("overloaded"), tally("server_error"));
+    let lost = count - ok - overloaded - server_errors;
     println!(
         "{{\"flood\":{count},\"ok\":{ok},\"overloaded\":{overloaded},\
          \"server_errors\":{server_errors},\"lost\":{lost}}}"
@@ -525,108 +373,38 @@ fn flood(addr: (&str, u16), req: &Request, count: usize) -> ! {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut port: u16 = 7878;
-    let mut replay_dir: Option<String> = None;
-    let mut flood_count: Option<usize> = None;
-    let mut connections: Option<usize> = None;
-    let mut duration_ms: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--port" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                port = v;
-                args.drain(i..=i + 1);
+    let c = cli::from_env(cli::client::USAGE, cli::client::parse);
+    let addr = ("127.0.0.1", c.port);
+    let connect = || Client::connect(addr).unwrap_or_else(|e| fail(e));
+    match c.op {
+        Op::Replay(dir) => {
+            let files = replay_artefacts(addr, &artefacts::NAMES, Scale::Test, Path::new(&dir))
+                .unwrap_or_else(|e| fail(e));
+            for (name, bytes) in &files {
+                eprintln!("  {dir}/{name}.txt ({bytes} bytes)");
             }
-            "--replay-smoke" => {
-                let Some(dir) = args.get(i + 1) else { usage() };
-                replay_dir = Some(dir.clone());
-                args.drain(i..=i + 1);
-            }
-            "--flood" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                flood_count = Some(v);
-                args.drain(i..=i + 1);
-            }
-            "--connections" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                connections = Some(v);
-                args.drain(i..=i + 1);
-            }
-            "--duration-ms" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                duration_ms = Some(v);
-                args.drain(i..=i + 1);
-            }
-            _ => i += 1,
+            println!("replayed {} artefacts into {dir}/", files.len());
         }
-    }
-    let addr = ("127.0.0.1", port);
-    // The connection-fan-out flags belong to the request subcommands only.
-    let fan_out = flood_count.is_some() || connections.is_some() || duration_ms.is_some();
-
-    if let Some(dir) = replay_dir {
-        if !args.is_empty() || fan_out {
-            usage()
-        }
-        let written = replay_artefacts(
-            addr,
-            &artefacts::NAMES,
-            Scale::Test,
-            std::path::Path::new(&dir),
-        )
-        .unwrap_or_else(|e| fail(e));
-        for (name, bytes) in &written {
-            eprintln!("  {dir}/{name}.txt ({bytes} bytes)");
-        }
-        println!("replayed {} artefacts into {dir}/", written.len());
-        return;
-    }
-
-    let sub = args.first().map(String::as_str);
-    let control = matches!(
-        sub,
-        Some("stats" | "metrics" | "trace" | "shutdown" | "estimate")
-    );
-    if control && fan_out {
-        usage()
-    }
-    let tail = args.get(1..).unwrap_or_default();
-    match sub {
-        Some("stats") => {
-            let flags = parse_tail(tail, &["--watch", "--samples"], &[]);
-            let (watch, samples) = (num_flag(&flags, "--watch"), num_flag(&flags, "--samples"));
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
-            if let Some(secs) = watch {
-                watch_stats(&mut client, secs, samples);
+        Op::Stats => {
+            let mut client = connect();
+            if let Some(secs) = c.watch {
+                watch_stats(&mut client, secs, c.samples);
             }
             let stats = client.stats().unwrap_or_else(|e| fail(e));
             println!("{}", stats.encode());
         }
-        Some("metrics") => {
-            let check = parse_tail(tail, &[], &["--check"]).contains_key("--check");
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
+        Op::Metrics => {
+            let mut client = connect();
             let text = client.metrics().unwrap_or_else(|e| fail(e));
             print!("{text}");
-            if check {
+            if c.check {
                 let stats = client.stats().unwrap_or_else(|e| fail(e));
                 check_metrics(&text, &stats);
             }
         }
-        Some("trace") => {
-            let chrome = parse_tail(tail, &["--chrome"], &[]).remove("--chrome");
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
-            let traces = client.trace().unwrap_or_else(|e| fail(e));
-            if let Some(out) = chrome {
+        Op::Trace => {
+            let traces = connect().trace().unwrap_or_else(|e| fail(e));
+            if let Some(out) = c.chrome {
                 let chrome = chrome_from_traces(&traces);
                 std::fs::write(&out, chrome.render())
                     .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
@@ -642,25 +420,22 @@ fn main() {
             }
             eprintln!("{} trace records", traces.len());
         }
-        Some("shutdown") => {
-            parse_tail(tail, &[], &[]);
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
-            client.shutdown().unwrap_or_else(|e| fail(e));
+        Op::Shutdown => {
+            connect().shutdown().unwrap_or_else(|e| fail(e));
             println!("server shutting down");
         }
-        Some("estimate") => {
-            let (req, _) = build_request(tail);
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
-            let est = client.estimate(&req).unwrap_or_else(|e| fail(e));
+        Op::Estimate(req) => {
+            let req = load(req, c.path.as_deref());
+            let est = connect().estimate(&req).unwrap_or_else(|e| fail(e));
             println!("{}", est.encode());
         }
-        Some(_) => {
-            let (req, source_path) = build_request(&args);
-            if let Some(ms) = duration_ms {
+        Op::Send(req) => {
+            let req = load(req, c.path.as_deref());
+            if let Some(ms) = c.duration_ms {
                 // Open-loop throughput mode; `--connections` names the
                 // fan-out, or reuse the `--flood` count so the CI overload
                 // step and the perf harness share one invocation shape.
-                let conns = connections.or(flood_count).unwrap_or(32);
+                let conns = c.connections.or(c.flood).unwrap_or(32);
                 let report = mve_serve::client::open_loop(
                     addr,
                     conns,
@@ -678,46 +453,21 @@ fn main() {
                 }
                 return;
             }
-            if let Some(count) = flood_count {
+            if let Some(count) = c.flood {
                 flood(addr, &req, count);
             }
-            let mut client = Client::connect(addr).unwrap_or_else(|e| fail(e));
+            // A compile or profile error names its source file.
+            let at = c.path.map(|p| format!("{p}: ")).unwrap_or_default();
+            let reply = connect()
+                .request(&req)
+                .unwrap_or_else(|e| fail(format!("{at}{e}")));
             match req {
-                Request::Artefact { name, scale } => {
-                    let text = client.artefact(&name, scale).unwrap_or_else(|e| fail(e));
-                    print!("{text}");
-                }
-                Request::Sim {
-                    kernel,
-                    scale,
-                    spec,
-                } => {
-                    let report = client.sim(&kernel, scale, spec).unwrap_or_else(|e| fail(e));
-                    println!("{}", report.encode());
-                }
-                Request::Compile { source, spec } => {
-                    let path = source_path.expect("compile keeps its path");
-                    let text = client
-                        .compile(&source, spec)
-                        .unwrap_or_else(|e| fail(format!("{path}: {e}")));
-                    print!("{text}");
-                }
-                Request::Profile { source, spec } => {
-                    let path = source_path.expect("profile keeps its path");
-                    let profile = client
-                        .profile(&source, spec)
-                        .unwrap_or_else(|e| fail(format!("{path}: {e}")));
-                    // The annotated source is the human-facing artefact;
-                    // print it byte-for-byte so CI can diff two runs.
-                    let text = profile
-                        .get("text")
-                        .and_then(Json::as_str)
-                        .unwrap_or_else(|| fail("profile reply lacks `text`"));
-                    print!("{text}");
-                }
-                _ => unreachable!("build_request yields chargeable requests"),
+                Request::Sim { .. } => println!("{}", member(&reply, "report").encode()),
+                // The annotated source is the human-facing artefact;
+                // print it byte-for-byte so CI can diff two runs.
+                Request::Profile { .. } => print!("{}", text(member(&reply, "profile"), "text")),
+                _ => print!("{}", text(&reply, "bytes")),
             }
         }
-        None => usage(),
     }
 }

@@ -8,10 +8,9 @@
 //! silently rot.
 //!
 //! `--only NAME` (repeatable) renders a subset; an unknown name exits
-//! 2 with the sorted artefact vocabulary. Any unknown flag, a `--jobs`
-//! value that is not a positive integer, or a combination the usage line
-//! excludes (`--json` or `--profile` with a render flag or each other,
-//! `--paper` without `--profile`) exits 2 with the usage line.
+//! 2 with the sorted artefact vocabulary. The command line is
+//! `mve_bench::cli::reproduce` (DESIGN.md, "Command line"): a mistake
+//! exits 2 with the reason and the usage line.
 //!
 //! `--jobs N` renders on N worker threads (a work queue over
 //! `std::thread::scope`; `--jobs` alone uses the available parallelism).
@@ -43,121 +42,11 @@
 use std::fs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mve_bench::artefacts;
+use mve_bench::{artefacts, cli};
 use mve_kernels::Scale;
 
-const USAGE: &str = "usage: reproduce [--smoke] [--only NAME]... [--jobs [N]] [--dsl] \
-     | reproduce --json | reproduce --profile [--paper]";
-
-/// Prints `msg` and the usage line, then exits 2.
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// The parsed command line. An unknown flag, `--only` without a known
-/// artefact name, a `--jobs` value that is not a positive integer, or a
-/// flag the chosen mode would ignore exits 2, so a mistyped flag never
-/// silently runs the wrong pipeline.
-#[derive(Default)]
-struct Flags {
-    smoke: bool,
-    dsl: bool,
-    json: bool,
-    profile: bool,
-    paper: bool,
-    /// Requested artefacts in order; empty renders all of them.
-    only: Vec<&'static str>,
-    /// Worker count; serial when `--jobs` is absent.
-    jobs: Option<usize>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Flags {
-        let mut flags = Flags::default();
-        let mut args = args.iter().peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--smoke" => flags.smoke = true,
-                "--dsl" => flags.dsl = true,
-                "--json" => flags.json = true,
-                "--profile" => flags.profile = true,
-                "--paper" => flags.paper = true,
-                _ => {
-                    // `--flag=V`, or `--flag V` when the next argument is
-                    // not itself a flag.
-                    let (name, inline) = match arg.split_once('=') {
-                        Some((name, value)) => (name, Some(value.to_owned())),
-                        None => (arg.as_str(), None),
-                    };
-                    let value = inline.or_else(|| args.next_if(|v| !v.starts_with("--")).cloned());
-                    match name {
-                        "--only" => {
-                            let requested =
-                                value.unwrap_or_else(|| usage("--only needs an artefact name"));
-                            match artefacts::NAMES.iter().find(|&&n| n == requested) {
-                                Some(&name) => flags.only.push(name),
-                                None => usage(&artefacts::unknown_artefact_message(&requested)),
-                            }
-                        }
-                        "--jobs" => {
-                            flags.jobs = Some(match value {
-                                // Bare `--jobs`: every available core.
-                                None => std::thread::available_parallelism()
-                                    .map(|n| n.get())
-                                    .unwrap_or(1),
-                                Some(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                                    usage(&format!("--jobs needs a positive integer, not `{v}`"))
-                                }),
-                            })
-                        }
-                        _ => usage(&format!("unknown flag `{arg}`")),
-                    }
-                }
-            }
-        }
-        // `--json` and `--profile` are whole modes of their own: a render
-        // flag beside one of them would be silently ignored.
-        let mode = match (flags.json, flags.profile) {
-            (true, true) => usage("--json and --profile are separate modes"),
-            (true, false) => Some("--json"),
-            (false, true) => Some("--profile"),
-            (false, false) => None,
-        };
-        if let Some(mode) = mode {
-            let render_flags = [
-                (flags.smoke, "--smoke"),
-                (!flags.only.is_empty(), "--only"),
-                (flags.jobs.is_some(), "--jobs"),
-                (flags.dsl, "--dsl"),
-            ];
-            if let Some((_, other)) = render_flags.iter().find(|(set, _)| *set) {
-                usage(&format!("{mode} does not take {other}"));
-            }
-        }
-        if flags.paper && !flags.profile {
-            usage("--paper only applies to --profile");
-        }
-        if flags.only.is_empty() {
-            flags.only = artefacts::NAMES.to_vec();
-        }
-        flags
-    }
-}
-
-/// Renders one artefact and writes it under `out_dir`.
-fn run_artefact(name: &str, scale: Scale, out_dir: &str) {
-    eprintln!("running {name}...");
-    let text = artefacts::render(name, scale).expect("validated artefact name");
-    fs::write(format!("{out_dir}/{name}.txt"), text.as_bytes())
-        .unwrap_or_else(|e| panic!("failed to write {out_dir}/{name}.txt: {e}"));
-    eprintln!("  -> {out_dir}/{name}.txt ({} bytes)", text.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args);
+    let flags = cli::from_env(cli::reproduce::USAGE, cli::reproduce::parse);
     if flags.profile {
         // Engine profiling over the selected kernel set: the committed,
         // deterministic per-class report plus a Chrome trace-event export
@@ -237,25 +126,24 @@ fn main() {
         }
     }
 
-    if jobs == 1 {
-        for name in names {
-            run_artefact(name, scale, out_dir);
+    // Work queue: each worker claims the next unstarted artefact (one
+    // worker runs them in order). A failing artefact panics its worker;
+    // the scope propagates the panic so the run still exits non-zero.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(name) = names.get(i) else { break };
+                eprintln!("running {name}...");
+                let text = artefacts::render(name, scale).expect("validated artefact name");
+                let path = format!("{out_dir}/{name}.txt");
+                fs::write(&path, text.as_bytes())
+                    .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
+                eprintln!("  -> {path} ({} bytes)", text.len());
+            });
         }
-    } else {
-        // Work queue: each worker claims the next unstarted artefact. A
-        // failing artefact panics its worker; the scope propagates the
-        // panic so the run still exits non-zero.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(i) else { break };
-                    run_artefact(name, scale, out_dir);
-                });
-            }
-        });
-    }
+    });
     eprintln!(
         "done: {} artefacts under {out_dir}/ ({jobs} jobs)",
         names.len()

@@ -22,6 +22,7 @@
 
 pub mod ablations;
 pub mod artefacts;
+pub mod cli;
 pub mod dslcorpus;
 pub mod figures;
 pub mod perf;

@@ -143,27 +143,48 @@ fn served_artefacts_match_the_in_process_renders() {
     join.join().expect("server thread");
 }
 
+/// Runs the binary at `bin` with `args` and stdin closed, asserts it
+/// exits 2 with a reason and then its usage line, and returns both lines.
+fn usage_exit(bin: &str, args: &[&str]) -> (String, String) {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    let name = std::path::Path::new(bin)
+        .file_name()
+        .unwrap()
+        .to_string_lossy();
+    let lines: Vec<&str> = stderr.lines().collect();
+    let [reason, usage] = lines[..] else {
+        panic!("{args:?}: want a reason and a usage line: {stderr}");
+    };
+    assert!(
+        usage.starts_with(&format!("usage: {name}")),
+        "{args:?}: {usage}"
+    );
+    (reason.to_owned(), usage.to_owned())
+}
+
 /// The `serve` binary rejects what it does not understand instead of
 /// running with defaults: an unknown flag, such as the retired poller
-/// backend switch, or a value flag without its value exits 2 with usage.
+/// backend switch, a value flag without its value, or a value out of
+/// range exits 2 with usage, in the `--flag=V` form too.
 #[test]
 fn serve_rejects_unknown_flags_and_missing_values() {
     for args in [
         &["--port", "0", "--poller", "epoll"][..],
         &["--port", "0", "--bogus"],
         &["--port", "0", "--workers"],
+        &["--port=0", "--poller=epoll"],
+        &["--port=0", "--workers=four"],
+        &["--port=70000"],
+        &["--port=0", "--trace-ring=8"],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
-            .args(args)
-            .stdin(std::process::Stdio::null())
-            .output()
-            .expect("spawn serve");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        let usage = stderr
-            .lines()
-            .find(|l| l.starts_with("usage: serve [--port N]"))
-            .unwrap_or_else(|| panic!("{args:?}: no usage line in {stderr}"));
+        let (_, usage) = usage_exit(env!("CARGO_BIN_EXE_serve"), args);
+        assert!(usage.starts_with("usage: serve [--port N]"), "{usage}");
         assert!(!usage.contains("poller"), "{usage}");
     }
 }
@@ -190,17 +211,11 @@ fn reproduce_rejects_unknown_flags_and_malformed_values() {
         &["--json", "--profile"],
         &["--paper"],
         &["--json", "--paper"],
+        &["--jobs=0"],
+        &["--json", "--only=fig7"],
+        &["--smoke=1"],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(args)
-            .output()
-            .expect("spawn reproduce");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.lines().any(|l| l.starts_with("usage: reproduce")),
-            "{args:?}: no usage line in {stderr}"
-        );
+        usage_exit(env!("CARGO_BIN_EXE_reproduce"), args);
     }
 }
 
@@ -217,48 +232,44 @@ fn calibrate_rejects_unknown_flags_and_missing_values() {
         &["--write", "--check"],
         &["--check", "--write", "table.json"],
         &["--write", "table.json", "--check"],
+        &["--check", "--write=table.json"],
+        &["--write="],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_calibrate"))
-            .args(args)
-            .output()
-            .expect("spawn calibrate");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.lines().any(|l| l.starts_with("usage: calibrate")),
-            "{args:?}: no usage line in {stderr}"
-        );
-        assert!(
-            !stderr.contains("calibrating"),
-            "{args:?}: probes ran before the flag error: {stderr}"
-        );
+        // The reason comes first: no probe announced itself before it.
+        let (reason, _) = usage_exit(env!("CARGO_BIN_EXE_calibrate"), args);
+        assert!(!reason.contains("calibrating"), "{args:?}: {reason}");
     }
 }
 
 /// `mve-client` is as strict as the other binaries: a mistyped tail flag,
 /// a flag without its value, or words left over after `--replay-smoke DIR`
-/// exit 2 with usage instead of being ignored. Port 1 refuses connections,
-/// so a flag error that came after connecting would exit 1 instead.
+/// exit 2 with usage instead of being ignored, and the reason names the
+/// argument at fault. Port 1 refuses connections, so a flag error that
+/// came after connecting would exit 1 instead.
 #[test]
 fn mve_client_rejects_unknown_flags_and_missing_values() {
-    for args in [
-        &["stats", "--wach", "1"][..],
-        &["metrics", "--chek"],
-        &["trace", "--chrome"],
-        &["shutdown", "--now"],
-        &["--port"],
-        &["--replay-smoke", "DIR", "artefact", "fig10"],
+    for (args, culprit) in [
+        (&["stats", "--wach", "1"][..], "--wach"),
+        (&["metrics", "--chek"], "--chek"),
+        (&["trace", "--chrome"], "--chrome"),
+        (&["shutdown", "--now"], "--now"),
+        (&["--port"], "--port"),
+        (&["--replay-smoke", "DIR", "artefact", "fig10"], "artefact"),
+        (&["--replay-smoke", "--flood"], "--replay-smoke"),
+        (&["stats", "--watch=soon"], "--watch"),
+        (&["--flood=many", "artefact", "fig10"], "--flood"),
+        (&["compile", "x.mvel", "--arrays=8"], "--arrays"),
+        (&["estimate", "artefact", "fig10", "--flood=2"], "--flood"),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mve-client"))
-            .args(["--port", "1"])
-            .args(args)
-            .output()
-            .expect("spawn mve-client");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.lines().any(|l| l.starts_with("usage: mve-client")),
-            "{args:?}: no usage line in {stderr}"
-        );
+        let args = [&["--port", "1"], args].concat();
+        let (reason, _) = usage_exit(env!("CARGO_BIN_EXE_mve-client"), &args);
+        assert!(reason.contains(culprit), "{args:?}: {reason}");
     }
+    // `--flag=V` reads as `--flag V`: past its command line, the client
+    // fails to connect to the refused port and exits 1.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mve-client"))
+        .args(["--port=1", "stats"])
+        .output()
+        .expect("spawn mve-client");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
 }

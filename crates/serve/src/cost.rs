@@ -24,8 +24,8 @@
 //! (`calibrate --check` recalibrates fast-mode and fails if any
 //! coefficient deviates by more than 2x).
 //!
-//! Every formula is monotone in its load parameters (scale, `arrays`,
-//! sweep width, source length) — the property suite in
+//! Every formula is monotone in its load parameters (scale, sweep
+//! width, source length) — the property suite in
 //! `tests/cost_props.rs` pins this, so a bigger request can never
 //! estimate cheaper than a smaller one.
 
@@ -38,10 +38,6 @@ pub const COST_MODEL_JSON: &str = include_str!("../COST_MODEL.json");
 
 /// Schema tag the committed table must carry.
 pub const COST_MODEL_SCHEMA: &str = "mve-cost-model-v1";
-
-/// The engine-geometry default the formulas are calibrated at
-/// (Table IV's 32 SRAM arrays).
-pub const DEFAULT_ARRAYS: usize = 32;
 
 /// The operation class a chargeable request falls into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,12 +87,10 @@ pub struct CostModel {
     /// One functional kernel execution at test scale, µs.
     pub sim_exec_test_us: f64,
     /// One timing walk of a trace for one configuration at the default
-    /// 32-array geometry, µs.
+    /// 32-array geometry, µs. An `arrays` override is charged the same:
+    /// no calibration run measured a walk at 64 arrays slower than one
+    /// at 8.
     pub sweep_per_config_us: f64,
-    /// Marginal per-array fraction on the timing walk (the Figure 12(b)
-    /// scaling direction): a walk at `arrays` costs
-    /// `sweep_per_config_us * (1 + slope * arrays) / (1 + slope * 32)`.
-    pub arrays_slope_per_array: f64,
     /// DSL front-end fixed cost (lex/parse/lower/schedule/allocate), µs.
     pub compile_base_us: f64,
     /// DSL front-end marginal cost per source byte, µs.
@@ -146,7 +140,6 @@ impl CostModel {
             scale_paper_mult: field("scale_paper_mult")?,
             sim_exec_test_us: field("sim_exec_test_us")?,
             sweep_per_config_us: field("sweep_per_config_us")?,
-            arrays_slope_per_array: field("arrays_slope_per_array")?,
             compile_base_us: field("compile_base_us")?,
             compile_per_byte_us: field("compile_per_byte_us")?,
         };
@@ -179,10 +172,6 @@ impl CostModel {
                         "sweep_per_config_us".to_owned(),
                         coeff(self.sweep_per_config_us),
                     ),
-                    (
-                        "arrays_slope_per_array".to_owned(),
-                        coeff(self.arrays_slope_per_array),
-                    ),
                     ("compile_base_us".to_owned(), coeff(self.compile_base_us)),
                     (
                         "compile_per_byte_us".to_owned(),
@@ -201,31 +190,22 @@ impl CostModel {
         }
     }
 
-    /// One timing walk for one configuration at `arrays`, µs. Normalized
-    /// so `arrays == 32` (the calibration geometry) returns exactly
-    /// `sweep_per_config_us`; linear and monotone in `arrays`.
-    fn walk_us(&self, arrays: usize) -> f64 {
-        let norm = 1.0 + self.arrays_slope_per_array * DEFAULT_ARRAYS as f64;
-        self.sweep_per_config_us * (1.0 + self.arrays_slope_per_array * arrays as f64) / norm
-    }
-
     /// Cost of one artefact render.
     pub fn artefact_cost(&self, scale: Scale) -> u64 {
         to_units(self.artefact_test_us * self.scale_mult(scale))
     }
 
     /// Cost of a sweep-of-`width`: one functional kernel execution plus
-    /// `width` timing walks at `arrays`. A plain `sim` request is the
-    /// `width == 1` case; calibrate's `sweep@…` drift row checks the
-    /// general one.
-    pub fn sweep_cost(&self, scale: Scale, arrays: usize, width: usize) -> u64 {
+    /// `width` timing walks. A plain `sim` request is the `width == 1`
+    /// case; calibrate's `sweep@…` drift row checks the general one.
+    pub fn sweep_cost(&self, scale: Scale, width: usize) -> u64 {
         let exec = self.sim_exec_test_us * self.scale_mult(scale);
-        to_units(exec + width as f64 * self.walk_us(arrays))
+        to_units(exec + width as f64 * self.sweep_per_config_us)
     }
 
     /// Cost of one `sim` request (a sweep of width 1).
-    pub fn sim_cost(&self, scale: Scale, arrays: usize) -> u64 {
-        self.sweep_cost(scale, arrays, 1)
+    pub fn sim_cost(&self, scale: Scale) -> u64 {
+        self.sweep_cost(scale, 1)
     }
 
     /// Cost of one `compile` request: the front-end over `source_len`
@@ -233,7 +213,7 @@ impl CostModel {
     /// default geometry (DSL kernels always run there).
     pub fn compile_cost(&self, source_len: usize) -> u64 {
         let front_end = self.compile_base_us + self.compile_per_byte_us * source_len as f64;
-        let execute = self.sim_exec_test_us + self.walk_us(DEFAULT_ARRAYS);
+        let execute = self.sim_exec_test_us + self.sweep_per_config_us;
         to_units(front_end + execute)
     }
 
@@ -244,7 +224,7 @@ impl CostModel {
     /// monotonicity (a profile does everything a compile does and more).
     pub fn profile_cost(&self, source_len: usize) -> u64 {
         let front_end = self.compile_base_us + self.compile_per_byte_us * source_len as f64;
-        let execute = self.sim_exec_test_us + 2.0 * self.walk_us(DEFAULT_ARRAYS);
+        let execute = self.sim_exec_test_us + 2.0 * self.sweep_per_config_us;
         to_units(front_end + execute)
     }
 
@@ -258,9 +238,9 @@ impl CostModel {
                 class: OpClass::Artefact,
                 cost: self.artefact_cost(*scale),
             }),
-            Request::Sim { scale, spec, .. } => Some(Estimate {
+            Request::Sim { scale, .. } => Some(Estimate {
                 class: OpClass::Sim,
-                cost: self.sim_cost(*scale, spec.arrays.unwrap_or(DEFAULT_ARRAYS)),
+                cost: self.sim_cost(*scale),
             }),
             Request::Compile { source, .. } => Some(Estimate {
                 class: OpClass::Compile,
@@ -304,15 +284,9 @@ mod tests {
     fn formulas_are_monotone_at_the_committed_coefficients() {
         let m = CostModel::committed();
         assert!(m.artefact_cost(Scale::Paper) >= m.artefact_cost(Scale::Test));
-        assert!(m.sim_cost(Scale::Paper, 32) >= m.sim_cost(Scale::Test, 32));
-        assert!(m.sim_cost(Scale::Test, 64) >= m.sim_cost(Scale::Test, 8));
-        assert!(m.sweep_cost(Scale::Test, 32, 4) >= m.sweep_cost(Scale::Test, 32, 1));
+        assert!(m.sim_cost(Scale::Paper) >= m.sim_cost(Scale::Test));
+        assert!(m.sweep_cost(Scale::Test, 4) >= m.sweep_cost(Scale::Test, 1));
         assert!(m.compile_cost(4096) >= m.compile_cost(16));
-        // The calibration geometry is the fixed point of the arrays term.
-        assert_eq!(
-            m.sim_cost(Scale::Test, 32),
-            m.sweep_cost(Scale::Test, 32, 1)
-        );
     }
 
     #[test]
@@ -325,7 +299,7 @@ mod tests {
         };
         let est = m.charge(&sim).expect("sim is chargeable");
         assert_eq!(est.class, OpClass::Sim);
-        assert_eq!(est.cost, m.sim_cost(Scale::Test, DEFAULT_ARRAYS));
+        assert_eq!(est.cost, m.sim_cost(Scale::Test));
         assert!(m.charge(&Request::Stats).is_none());
         assert!(m.charge(&Request::Shutdown).is_none());
         assert!(m.charge(&Request::Estimate(Box::new(sim))).is_none());

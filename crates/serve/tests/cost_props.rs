@@ -1,8 +1,8 @@
 //! Property suites over the cost model (deterministic vendored proptest):
 //!
 //! * **Monotonicity** — for every op class, the estimated cost never
-//!   decreases when a load parameter grows (test→paper scale, more
-//!   arrays, wider sweeps, longer sources), at the *committed*
+//!   decreases when a load parameter grows (test→paper scale, wider
+//!   sweeps, longer sources), at the *committed*
 //!   coefficients and at arbitrary valid coefficient tables alike. A
 //!   bigger request estimating cheaper than a smaller one would invert
 //!   admission control's whole premise.
@@ -13,7 +13,7 @@
 //!   request shape.
 
 use mve_kernels::Scale;
-use mve_serve::cost::{CostModel, OpClass, DEFAULT_ARRAYS};
+use mve_serve::cost::{CostModel, OpClass};
 use mve_serve::protocol::{Request, SimSpec, MAX_ARRAYS, MAX_COMPILE_SOURCE_BYTES};
 use proptest::prelude::*;
 
@@ -44,7 +44,6 @@ fn arb_model(seed: u64) -> CostModel {
         scale_paper_mult: 1.0 + coeff(3),
         sim_exec_test_us: coeff(6),
         sweep_per_config_us: coeff(5),
-        arrays_slope_per_array: coeff(1),
         compile_base_us: coeff(4),
         compile_per_byte_us: coeff(1),
     }
@@ -64,29 +63,22 @@ proptest! {
         }
     }
 
-    /// Sim/sweep cost is monotone in scale, arrays, and sweep width.
+    /// Sim/sweep cost is monotone in scale and sweep width.
     #[test]
     fn sweep_cost_is_monotone_in_every_load_parameter(
         seed in 0u64..u64::MAX,
-        arrays_lo in 1usize..=MAX_ARRAYS,
-        arrays_hi in 1usize..=MAX_ARRAYS,
         width_lo in 1usize..=512,
         width_hi in 1usize..=512,
     ) {
-        let (a_lo, a_hi) = (arrays_lo.min(arrays_hi), arrays_lo.max(arrays_hi));
         let (w_lo, w_hi) = (width_lo.min(width_hi), width_lo.max(width_hi));
         for m in models(seed) {
-            prop_assert!(m.sim_cost(Scale::Paper, a_lo) >= m.sim_cost(Scale::Test, a_lo));
+            prop_assert!(m.sim_cost(Scale::Paper) >= m.sim_cost(Scale::Test));
             prop_assert!(
-                m.sweep_cost(Scale::Test, a_hi, w_lo) >= m.sweep_cost(Scale::Test, a_lo, w_lo),
-                "arrays {a_lo}->{a_hi} must not cheapen the walk"
-            );
-            prop_assert!(
-                m.sweep_cost(Scale::Test, a_lo, w_hi) >= m.sweep_cost(Scale::Test, a_lo, w_lo),
+                m.sweep_cost(Scale::Test, w_hi) >= m.sweep_cost(Scale::Test, w_lo),
                 "width {w_lo}->{w_hi} must not cheapen the sweep"
             );
             // A sim request is exactly the width-1 sweep.
-            prop_assert_eq!(m.sim_cost(Scale::Test, a_lo), m.sweep_cost(Scale::Test, a_lo, 1));
+            prop_assert_eq!(m.sim_cost(Scale::Test), m.sweep_cost(Scale::Test, 1));
         }
     }
 
@@ -127,7 +119,8 @@ proptest! {
             prop_assert_eq!(est.cost, m.artefact_cost(scale));
             let est = m.charge(&sim).expect("sim is chargeable");
             prop_assert_eq!(est.class, OpClass::Sim);
-            prop_assert_eq!(est.cost, m.sim_cost(scale, arrays.unwrap_or(DEFAULT_ARRAYS)));
+            // An `arrays` override is priced as the default geometry.
+            prop_assert_eq!(est.cost, m.sim_cost(scale));
             let est = m.charge(&compile).expect("compile is chargeable");
             prop_assert_eq!(est.class, OpClass::Compile);
             prop_assert_eq!(est.cost, m.compile_cost(source_len));
@@ -154,7 +147,6 @@ proptest! {
             (model.scale_paper_mult, parsed.scale_paper_mult),
             (model.sim_exec_test_us, parsed.sim_exec_test_us),
             (model.sweep_per_config_us, parsed.sweep_per_config_us),
-            (model.arrays_slope_per_array, parsed.arrays_slope_per_array),
             (model.compile_base_us, parsed.compile_base_us),
             (model.compile_per_byte_us, parsed.compile_per_byte_us),
         ] {

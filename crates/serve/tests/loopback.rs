@@ -497,7 +497,8 @@ fn estimate_op_prices_without_executing() {
         "estimate must not execute"
     );
 
-    // Sim estimates price the spec'd geometry, also without executing.
+    // Sim estimates price without executing too; an `arrays` override
+    // is charged as the default geometry.
     let sim = mve_serve::Request::Sim {
         kernel: "csum".to_owned(),
         scale: Scale::Test,
@@ -509,7 +510,7 @@ fn estimate_op_prices_without_executing() {
     let est = client.estimate(&sim).expect("sim estimate");
     assert_eq!(
         est.get("cost").and_then(Json::as_u64),
-        Some(model.sim_cost(Scale::Test, 64))
+        Some(model.sim_cost(Scale::Test))
     );
 
     let stats = client.stats().expect("stats");
