@@ -80,15 +80,7 @@ pub fn render(name: &str, scale: Scale) -> Option<String> {
 /// `reproduce --only` and the serve error replies behave the same on
 /// typos) plus the sorted vocabulary.
 pub fn unknown_artefact_message(name: &str) -> String {
-    let mut names = NAMES;
-    names.sort_unstable();
-    let suggestion = mve_kernels::registry::did_you_mean(name, &names)
-        .map(|s| format!(" did you mean `{s}`?"))
-        .unwrap_or_default();
-    format!(
-        "unknown artefact `{name}`;{suggestion} valid artefacts: {}",
-        names.join(", ")
-    )
+    mve_kernels::registry::unknown_name_message("artefact", name, NAMES.to_vec())
 }
 
 /// The full registry, ready to inject into `mve_serve::Server`.

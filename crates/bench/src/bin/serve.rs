@@ -27,7 +27,8 @@
 //! Graceful shutdown on SIGTERM, on stdin EOF (disable with
 //! `--no-stdin-watch` when running detached, e.g. in CI where stdin is
 //! /dev/null), or on a client's `{"op":"shutdown"}` — in-flight requests
-//! finish, the final metrics line is printed, and the process exits 0.
+//! finish, the final `serve-metrics {…}` line (the `stats` reply's JSON)
+//! is printed, and the process exits 0.
 
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +105,7 @@ fn main() {
         });
     }
 
+    // The final `stats` snapshot, as the JSON a `stats` request returns.
     let stats = server.run();
-    println!("{}", mve_serve::server::metrics_line(&stats));
+    println!("serve-metrics {}", stats.encode());
 }

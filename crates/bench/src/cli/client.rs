@@ -12,7 +12,7 @@ pub const USAGE: &str = "usage: mve-client [--port N] (--replay-smoke DIR | [--f
      [--ooo] [--no-mode-switch] [--no-cache-warming] | [--flood N] \
      (compile|profile) FILE.mvel [--scheme S] [--ooo] [--no-mode-switch] \
      [--no-cache-warming] | estimate (artefact|sim|compile|profile) ... | \
-     stats [--watch SECS] [--samples N] | metrics [--check] | \
+     stats [--watch SECS [--samples N]] | metrics [--check] | \
      trace [--chrome OUT.json] | shutdown)";
 
 /// The subcommand.
@@ -89,6 +89,12 @@ pub fn parse(args: &[String]) -> Result<Client, String> {
         }
     };
     a.only(&format!("--port {tail}"), what)?;
+    // Flags that only qualify another: alone they would be ignored.
+    for (flag, needs) in [("--connections", "--duration-ms"), ("--samples", "--watch")] {
+        if a.has(flag) && !a.has(needs) {
+            return Err(format!("{flag} only applies with {needs}"));
+        }
+    }
     let num = |flag| a.int(flag, ANY);
     Ok(Client {
         port: a.int("--port", 0..=65535)?.map_or(7878, |p| p as u16),

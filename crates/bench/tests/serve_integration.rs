@@ -260,6 +260,8 @@ fn mve_client_rejects_unknown_flags_and_missing_values() {
         (&["--flood=many", "artefact", "fig10"], "--flood"),
         (&["compile", "x.mvel", "--arrays=8"], "--arrays"),
         (&["estimate", "artefact", "fig10", "--flood=2"], "--flood"),
+        (&["--connections=4", "artefact", "fig10"], "--connections"),
+        (&["stats", "--samples", "2"], "--samples"),
     ] {
         let args = [&["--port", "1"], args].concat();
         let (reason, _) = usage_exit(env!("CARGO_BIN_EXE_mve-client"), &args);

@@ -1,20 +1,15 @@
 //! Engine profiling.
 //!
 //! [`ProfilingSink`] is a [`TraceSink`] that attributes work to the
-//! Figure 11 opcode classes as the functional engine streams events
-//! through it: simulated-event counts, active-lane totals and touched
-//! cache lines per class (all deterministic for a fixed kernel), plus
-//! event-driven wall-clock attribution — the gap since the previous
-//! event is charged to the class of the arriving one, so host time
-//! spent *producing* an event lands in that event's bucket.
-//!
-//! The deterministic counts feed the committed `reproduce --profile`
-//! report (byte-diffed in CI); the wall figures feed the Chrome
-//! trace-event export (`mve_obs::ChromeTrace`), which is validated but
-//! never committed.
+//! Figure 11 opcode classes, per-opcode counters and source lines as the
+//! functional engine streams events through it: simulated-event counts,
+//! active-lane totals and touched cache lines, all deterministic for a
+//! fixed kernel. They feed the committed `reproduce --profile` report
+//! (byte-diffed in CI) and the DSL's per-line profile. The sink takes no
+//! wall-clock readings; the Chrome trace-event export times whole kernel
+//! runs and simulations instead (`mve_bench::profiling`).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 use crate::isa::OpClass;
 use crate::trace::{Event, TraceSink};
@@ -31,8 +26,6 @@ pub struct ClassProfile {
     pub active_lanes: u64,
     /// Deduplicated cache lines touched (memory events only).
     pub cache_lines: u64,
-    /// Event-driven wall-clock charged to this class.
-    pub wall: Duration,
 }
 
 /// Per-source-line attribution accumulated by [`ProfilingSink`] from
@@ -61,9 +54,8 @@ pub struct ProfilingSink {
     classes: [ClassProfile; 4],
     /// Dynamic scalar instructions (from scalar blocks).
     scalar_instrs: u64,
-    /// Scalar block events and the wall charged to them.
+    /// Scalar block events.
     scalar_blocks: u64,
-    scalar_wall: Duration,
     /// Per-opcode event counts, keyed by mnemonic (deterministic order).
     opcodes: BTreeMap<&'static str, u64>,
     /// Per-source-line attribution; empty when the stream carries no
@@ -71,7 +63,6 @@ pub struct ProfilingSink {
     lines: BTreeMap<u32, LineProfile>,
     /// Bucket the next event is attributed to (0 = `<toplevel>`).
     current_line: u32,
-    last_event: Option<Instant>,
 }
 
 impl ProfilingSink {
@@ -105,19 +96,9 @@ impl ProfilingSink {
         self.scalar_blocks
     }
 
-    /// Wall-clock charged to scalar blocks.
-    pub fn scalar_wall(&self) -> Duration {
-        self.scalar_wall
-    }
-
     /// Total events observed (vector classes + scalar blocks).
     pub fn total_events(&self) -> u64 {
         self.classes.iter().map(|c| c.events).sum::<u64>() + self.scalar_blocks
-    }
-
-    /// Total wall-clock attributed across every bucket.
-    pub fn total_wall(&self) -> Duration {
-        self.classes.iter().map(|c| c.wall).sum::<Duration>() + self.scalar_wall
     }
 
     /// Per-opcode event counts in deterministic (mnemonic) order.
@@ -167,9 +148,7 @@ fn class_idx(class: OpClass) -> usize {
 
 impl TraceSink for ProfilingSink {
     fn on_event(&mut self, event: &Event) {
-        // Markers switch the line bucket without touching `last_event`:
-        // they cost no wall-clock of their own, so the gap they sit in
-        // accrues to the next real event's class, exactly as before.
+        // Markers switch the line bucket and count as no event.
         if let Event::SrcLine { line } = event {
             self.current_line = *line;
             return;
@@ -189,17 +168,10 @@ impl TraceSink for ProfilingSink {
         if let Event::Memory { lines, .. } = event {
             line.cache_lines += lines.len() as u64;
         }
-        let now = Instant::now();
-        let gap = self
-            .last_event
-            .map(|last| now.saturating_duration_since(last))
-            .unwrap_or(Duration::ZERO);
-        self.last_event = Some(now);
         match event {
             Event::Config { opcode } => {
                 let c = &mut self.classes[0];
                 c.events += 1;
-                c.wall += gap;
                 *self.opcodes.entry(opcode.mnemonic()).or_insert(0) += 1;
             }
             Event::Compute {
@@ -210,7 +182,6 @@ impl TraceSink for ProfilingSink {
                 let c = &mut self.classes[class_idx(opcode.class())];
                 c.events += 1;
                 c.active_lanes += u64::from(*active_lanes);
-                c.wall += gap;
                 *self.opcodes.entry(opcode.mnemonic()).or_insert(0) += 1;
             }
             Event::Memory {
@@ -223,13 +194,11 @@ impl TraceSink for ProfilingSink {
                 c.events += 1;
                 c.active_lanes += u64::from(*active_lanes);
                 c.cache_lines += lines.len() as u64;
-                c.wall += gap;
                 *self.opcodes.entry(opcode.mnemonic()).or_insert(0) += 1;
             }
             Event::Scalar { instrs } => {
                 self.scalar_blocks += 1;
                 self.scalar_instrs += instrs;
-                self.scalar_wall += gap;
             }
             Event::SrcLine { .. } => unreachable!("markers return early"),
         }
@@ -275,17 +244,5 @@ mod tests {
         // BTreeMap keys: mnemonic order is deterministic.
         assert_eq!(ops.len(), 3);
         assert!(ops.iter().all(|&(_, n)| n == 1));
-    }
-
-    #[test]
-    fn wall_attribution_covers_every_gap() {
-        let mut p = ProfilingSink::new();
-        for _ in 0..10 {
-            p.on_event(&Event::Scalar { instrs: 1 });
-        }
-        // First event gets a zero gap; the rest charge their inter-event
-        // time, so the total is bounded by the whole loop's wall.
-        assert_eq!(p.scalar_blocks(), 10);
-        assert_eq!(p.total_wall(), p.scalar_wall());
     }
 }

@@ -254,6 +254,20 @@ pub fn did_you_mean<'a>(name: &str, candidates: &[&'a str]) -> Option<&'a str> {
         .map(|(_, c)| c)
 }
 
+/// The help message for a `kind` name (`kernel`, `artefact`) outside
+/// the vocabulary `names`: "unknown kernel `x`;", a [`did_you_mean`]
+/// suggestion when one is close, and the sorted vocabulary.
+pub fn unknown_name_message(kind: &str, name: &str, mut names: Vec<&str>) -> String {
+    names.sort_unstable();
+    let suggestion = did_you_mean(name, &names)
+        .map(|s| format!(" did you mean `{s}`?"))
+        .unwrap_or_default();
+    format!(
+        "unknown {kind} `{name}`;{suggestion} valid {kind}s: {}",
+        names.join(", ")
+    )
+}
+
 /// A kernel name that is not in the Table III suite. Its `Display` output
 /// is the help message the `mve-serve` error reply carries, so the failure
 /// mode of a typo'd kernel is a nearest-name suggestion plus the sorted
@@ -267,11 +281,7 @@ pub struct UnknownKernel {
 impl std::fmt::Display for UnknownKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let names = kernel_names_sorted();
-        write!(f, "unknown kernel `{}`;", self.name)?;
-        if let Some(suggestion) = did_you_mean(&self.name, &names) {
-            write!(f, " did you mean `{suggestion}`?")?;
-        }
-        write!(f, " valid kernels: {}", names.join(", "))
+        f.write_str(&unknown_name_message("kernel", &self.name, names))
     }
 }
 

@@ -28,7 +28,7 @@
 //! * [`poller`] — raw-fd readiness polling over `poll(2)`, declared by
 //!   direct FFI in the workspace's std-only style, plus the self-pipe
 //!   wake mechanism.
-//! * [`timer`] — a hashed timer wheel absorbing the idle reaper, the
+//! * [`timer`] — one deadline-ordered map holding the idle reaper, the
 //!   admission parking deadline, and write-stall detection.
 //! * [`histogram`] — per-op-class service-time and queue-wait recording
 //!   on `mve_obs`'s atomic log2 histogram, and the `stats` reply's

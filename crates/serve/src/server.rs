@@ -11,7 +11,7 @@
 //! reaped by a write-stall timer. Requests parse on the loop; control
 //! plane ops (`stats`, `estimate`, `shutdown`) execute inline, chargeable
 //! ops are priced and admitted *on the loop* — admission-queued requests
-//! park in the loop under a [`crate::timer::TimerWheel`] deadline without
+//! park in the loop under a [`crate::timer::Timers`] deadline without
 //! holding a worker — and only admitted requests travel (with their
 //! admission [`Charge`]) to the worker pool. Workers push completions and
 //! wake the loop through the pipe.
@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mve_core::sim::simulate;
-use mve_kernels::registry::kernel_by_name;
+use mve_kernels::registry::{kernel_by_name, unknown_name_message};
 use mve_kernels::Scale;
 use mve_obs::logev;
 use mve_obs::metrics::{MetricsRegistry, Scalar};
@@ -59,7 +59,7 @@ use crate::protocol::{
     ok_metrics, ok_profile, ok_shutdown, ok_sim, ok_stats, ok_traces, op_name, overloaded_reply,
     parse_request, profile_key, profile_payload, report_to_json, sim_key, Request, SimSpec,
 };
-use crate::timer::{TimerId, TimerWheel};
+use crate::timer::{TimerId, Timers};
 use crate::trace::{PendingTrace, TraceRing};
 
 /// An artefact renderer: scale in, the artefact's exact text out.
@@ -71,36 +71,30 @@ pub type ArtefactFn = Arc<dyn Fn(Scale) -> String + Send + Sync>;
 #[derive(Clone, Default)]
 pub struct ArtefactRegistry {
     entries: Vec<(&'static str, ArtefactFn)>,
-    index: HashMap<&'static str, usize>,
 }
 
 impl ArtefactRegistry {
     /// A registry over `entries`; names must be unique.
     pub fn new(entries: Vec<(&'static str, ArtefactFn)>) -> Self {
-        let index = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| (*name, i))
-            .collect::<HashMap<_, _>>();
-        assert_eq!(index.len(), entries.len(), "duplicate artefact names");
-        Self { entries, index }
+        for (i, (name, _)) in entries.iter().enumerate() {
+            assert!(
+                entries[..i].iter().all(|(seen, _)| seen != name),
+                "duplicate artefact name `{name}`"
+            );
+        }
+        Self { entries }
     }
 
-    /// The renderer registered under `name`.
+    /// The renderer registered under `name` (a linear scan: the registry
+    /// holds the paper's 16 artefacts).
     pub fn get(&self, name: &str) -> Option<&ArtefactFn> {
-        self.index.get(name).map(|&i| &self.entries[i].1)
+        let (_, render) = self.entries.iter().find(|(n, _)| *n == name)?;
+        Some(render)
     }
 
     /// Registered names, in registration order.
     pub fn names(&self) -> Vec<&'static str> {
         self.entries.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Registered names, sorted — the unknown-artefact help vocabulary.
-    pub fn names_sorted(&self) -> Vec<&'static str> {
-        let mut names = self.names();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -114,7 +108,7 @@ pub struct ServeOptions {
     /// LRU bound on completed cache entries.
     pub cache_cap: usize,
     /// A connection that completes no request for this long is closed by
-    /// the event loop's timer wheel, so idle connections cannot pin
+    /// the event loop's idle timer, so idle connections cannot pin
     /// daemon resources indefinitely (the deadline applies only while
     /// *waiting* for a request — an executing or parked request is busy,
     /// not idle).
@@ -413,7 +407,8 @@ impl ServerState {
         reg
     }
 
-    /// Flat counter snapshot — the `stats` reply and the metrics line.
+    /// Flat counter snapshot — the `stats` reply and the `serve` binary's
+    /// final `serve-metrics` line.
     /// Derived from [`ServerState::registry`]: scalars in registry order,
     /// then the nested `latency` object.
     pub fn stats_json(&self) -> Json {
@@ -465,27 +460,6 @@ impl ServerState {
         );
         self.traces.push(record);
     }
-
-    /// One-line human/CI-readable metrics summary of the current state.
-    pub fn metrics_line(&self) -> String {
-        metrics_line(&self.stats_json())
-    }
-}
-
-/// Renders a stats snapshot (from [`ServerState::stats_json`] or a final
-/// [`Server::run`] result) as the one-line `serve-metrics k=v …` summary —
-/// the single formatter behind the line CI greps for and uploads.
-pub fn metrics_line(stats: &Json) -> String {
-    let fields: Vec<String> = match stats {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(k, v)| format!("{k}={}", v.encode()))
-            .collect(),
-        _ => Vec::new(),
-    };
-    format!("serve-metrics {}", fields.join(" "))
-        .trim_end()
-        .to_owned()
 }
 
 /// A handle that can stop a running server from another thread.
@@ -592,7 +566,7 @@ impl Server {
                 cfg,
                 conns: HashMap::new(),
                 parked: HashMap::new(),
-                timers: TimerWheel::new(Instant::now(), TIMER_TICK, TIMER_SLOTS),
+                timers: Timers::default(),
                 outstanding: 0,
                 events: Vec::new(),
                 fired: Vec::new(),
@@ -693,8 +667,6 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
-const TIMER_TICK: Duration = Duration::from_millis(5);
-const TIMER_SLOTS: usize = 256;
 /// After shutdown, stuck flushes are abandoned past this grace window.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
@@ -764,7 +736,7 @@ struct EventLoop<'a> {
     conns: HashMap<u64, Conn>,
     /// ticket.raw() → token for requests parked in the admission queue.
     parked: HashMap<u64, u64>,
-    timers: TimerWheel<(u64, TimerKind)>,
+    timers: Timers<(u64, TimerKind)>,
     /// Jobs dispatched to workers and not yet completed.
     outstanding: usize,
     events: Vec<Event>,
@@ -960,7 +932,9 @@ impl EventLoop<'_> {
                     // sender is either broken or hostile.
                     conn.read_buf.clear();
                     conn.close_after_flush = true;
-                    self.push_reply(token, error_reply("request line exceeds the size limit"));
+                    let id = self.state.next_request_id();
+                    let trace = PendingTrace::new(id, conn.conn_id, Instant::now());
+                    self.reject_line(token, trace, "request line exceeds the size limit");
                     return;
                 }
                 None if conn.eof && !conn.read_buf.is_empty() => {
@@ -996,13 +970,7 @@ impl EventLoop<'_> {
         let mut trace = PendingTrace::new(state.next_request_id(), conn_id, t0);
         let req = match parse_request(line) {
             Ok(req) => req,
-            Err(msg) => {
-                state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                trace.outcome = "error";
-                trace.collapse_remaining(Instant::now());
-                self.push_reply_traced(token, error_reply(&msg), trace);
-                return;
-            }
+            Err(msg) => return self.reject_line(token, trace, &msg),
         };
         trace.op = op_name(&req);
         trace.mark_parsed(Instant::now());
@@ -1068,6 +1036,15 @@ impl EventLoop<'_> {
             }
             chargeable => self.dispatch_chargeable(token, chargeable, t0, trace),
         }
+    }
+
+    /// The error reply to a line that never became a request (unparsable
+    /// or oversized), counted under `errors`.
+    fn reject_line(&mut self, token: u64, mut trace: PendingTrace, msg: &str) {
+        self.state.counters.errors.fetch_add(1, Ordering::SeqCst);
+        trace.outcome = "error";
+        trace.collapse_remaining(Instant::now());
+        self.push_reply_traced(token, error_reply(msg), trace);
     }
 
     fn dispatch_chargeable(
@@ -1210,23 +1187,11 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Queue the reply bytes and flush opportunistically.
-    fn push_reply(&mut self, token: u64, reply: String) {
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.write_buf.extend_from_slice(reply.as_bytes());
-            conn.write_buf.push(b'\n');
-        }
-        self.flush_writes(token);
-        self.rearm_idle(token);
-    }
-
-    /// [`Self::push_reply`], plus the request's trace: the trace finishes
-    /// when the reply bytes fully drain to the socket — immediately if
-    /// this flush empties the write buffer, otherwise from a later
-    /// [`Self::flush_writes`] (or connection teardown).
+    /// Queue the reply bytes with the request's trace and flush
+    /// opportunistically: the trace finishes when the reply bytes fully
+    /// drain to the socket — immediately if this flush empties the write
+    /// buffer, otherwise from a later [`Self::flush_writes`] (or
+    /// connection teardown).
     fn push_reply_traced(&mut self, token: u64, reply: String, trace: PendingTrace) {
         {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -1722,14 +1687,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn serve_artefact(state: &ServerState, name: &str, scale: Scale) -> Served<()> {
     let Some(render) = state.artefacts.get(name) else {
-        let names = state.artefacts.names_sorted();
-        let suggestion = mve_kernels::registry::did_you_mean(name, &names)
-            .map(|s| format!(" did you mean `{s}`?"))
-            .unwrap_or_default();
-        let msg = format!(
-            "unknown artefact `{name}`;{suggestion} valid artefacts: {}",
-            names.join(", ")
-        );
+        let msg = unknown_name_message("artefact", name, state.artefacts.names());
         return Err((msg, 0, 0));
     };
     cached(

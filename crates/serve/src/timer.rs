@@ -1,136 +1,68 @@
-//! A hashed timer wheel for the event-loop I/O core.
+//! Deadlines for the event-loop I/O core.
 //!
 //! The loop owns three kinds of deadlines — idle reaping, admission-queue
-//! parking, and write-stall detection — all coarse (tens of milliseconds
-//! to minutes) and all frequently cancelled before they fire. A hashed
-//! wheel fits exactly: insert and cancel are O(1), expiry scans only the
-//! slots the clock actually crossed, and precision is one tick (5 ms at
-//! the server's configuration), which is far finer than any deadline the
-//! protocol promises. Cancellation is lazy — a cancelled id sits in its
-//! slot until its tick drains by, which is cheaper than searching the
-//! slot and keeps the common arm/cancel-per-request path allocation-free
-//! after warm-up.
+//! parking, and write-stall detection — one to three per connection, most
+//! cancelled before they fire. One ordered map keyed by `(deadline,
+//! sequence)` holds them all, and that key is the [`TimerId`]: cancel
+//! removes it, the next deadline is the first key, and expiry pops keys
+//! from the front. Cancelling a timer that has fired or was cancelled
+//! finds no key, so it is a no-op by construction.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Opaque handle returned by [`TimerWheel::insert`], used to cancel and
-/// to discriminate stale expirations from re-armed timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
+/// Handle returned by [`Timers::insert`]: the deadline plus an insertion
+/// sequence, so ids are unique and order by deadline, then arming order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TimerId(Instant, u64);
 
+/// Armed timers in deadline order; `T` is the payload handed back on
+/// expiry.
 #[derive(Debug)]
-struct Entry<T> {
-    id: u64,
-    /// Absolute tick index at which the entry fires.
-    expires: u64,
-    payload: T,
+pub struct Timers<T> {
+    armed: BTreeMap<TimerId, T>,
+    next_seq: u64,
 }
 
-/// Hashed timer wheel; `T` is the payload handed back on expiry.
-#[derive(Debug)]
-pub struct TimerWheel<T> {
-    tick: Duration,
-    slots: Vec<Vec<Entry<T>>>,
-    start: Instant,
-    /// Last tick index that has been drained.
-    current: u64,
-    /// Entries inserted and neither fired nor cancelled.
-    live: usize,
-    cancelled: HashSet<u64>,
-    next_id: u64,
-}
-
-impl<T: Copy> TimerWheel<T> {
-    /// A wheel with `slots` buckets of `tick` granularity, anchored at
-    /// `now`.
-    pub fn new(now: Instant, tick: Duration, slots: usize) -> TimerWheel<T> {
-        assert!(!tick.is_zero() && slots > 0);
-        TimerWheel {
-            tick,
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            start: now,
-            current: 0,
-            live: 0,
-            cancelled: HashSet::new(),
-            next_id: 0,
+impl<T> Default for Timers<T> {
+    fn default() -> Self {
+        Timers {
+            armed: BTreeMap::new(),
+            next_seq: 0,
         }
     }
+}
 
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.start);
-        (elapsed.as_nanos() / self.tick.as_nanos()) as u64
-    }
-
-    /// Arm a timer to fire `after` from `now`. Never fires earlier than
-    /// one tick from now.
+impl<T> Timers<T> {
+    /// Arm a timer to fire `after` from `now`.
     pub fn insert(&mut self, now: Instant, after: Duration, payload: T) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        // Round the deadline up to a tick boundary and past the already-
-        // drained tick so the entry cannot be skipped.
-        let deadline = self.tick_of(now + after).max(self.current) + 1;
-        let slot = (deadline % self.slots.len() as u64) as usize;
-        self.slots[slot].push(Entry {
-            id,
-            expires: deadline,
-            payload,
-        });
-        self.live += 1;
-        TimerId(id)
+        let id = TimerId(now + after, self.next_seq);
+        self.next_seq += 1;
+        self.armed.insert(id, payload);
+        id
     }
 
     /// Cancel a timer. Cancelling an already-fired or already-cancelled
     /// id is a no-op.
     pub fn cancel(&mut self, id: TimerId) {
-        if self.cancelled.insert(id.0) {
-            self.live = self.live.saturating_sub(1);
-        }
+        self.armed.remove(&id);
     }
 
-    /// Number of armed, uncancelled timers.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Time until the earliest live deadline, or `None` when nothing is
-    /// armed. O(total entries) — fine at event-loop scale (one to three
-    /// timers per connection).
+    /// Time until the earliest deadline, or `None` when nothing is armed.
     pub fn next_deadline(&self, now: Instant) -> Option<Duration> {
-        let mut earliest: Option<u64> = None;
-        for slot in &self.slots {
-            for entry in slot {
-                if self.cancelled.contains(&entry.id) {
-                    continue;
-                }
-                earliest = Some(earliest.map_or(entry.expires, |e| e.min(entry.expires)));
-            }
-        }
-        let expires = earliest?;
-        let deadline = self.start + self.tick * (expires as u32);
+        let TimerId(deadline, _) = self.armed.keys().next()?;
         Some(deadline.saturating_duration_since(now))
     }
 
-    /// Drain every timer whose deadline has passed by `now` into `out`
-    /// as `(id, payload)` pairs, in tick order.
+    /// Drain every timer whose deadline is at or before `now` into `out`
+    /// as `(id, payload)` pairs, in deadline order.
     pub fn poll_expired(&mut self, now: Instant, out: &mut Vec<(TimerId, T)>) {
         out.clear();
-        let target = self.tick_of(now);
-        while self.current < target {
-            self.current += 1;
-            let slot = (self.current % self.slots.len() as u64) as usize;
-            let current = self.current;
-            self.slots[slot].retain(|entry| {
-                if entry.expires > current {
-                    return true;
-                }
-                if self.cancelled.remove(&entry.id) {
-                    return false;
-                }
-                self.live -= 1;
-                out.push((TimerId(entry.id), entry.payload));
-                false
-            });
+        while let Some(entry) = self.armed.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            out.push(entry.remove_entry());
         }
     }
 }
@@ -139,84 +71,88 @@ impl<T: Copy> TimerWheel<T> {
 mod tests {
     use super::*;
 
-    const TICK: Duration = Duration::from_millis(5);
+    const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn timers_fire_after_their_deadline_not_before() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0, TICK, 8);
-        wheel.insert(t0, Duration::from_millis(20), 1u32);
+        let mut timers = Timers::default();
+        timers.insert(t0, 20 * MS, 1u32);
         let mut out = Vec::new();
 
-        wheel.poll_expired(t0 + Duration::from_millis(10), &mut out);
+        timers.poll_expired(t0 + 10 * MS, &mut out);
         assert!(out.is_empty(), "fired early: {out:?}");
 
-        wheel.poll_expired(t0 + Duration::from_millis(40), &mut out);
+        timers.poll_expired(t0 + 40 * MS, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, 1);
-        assert_eq!(wheel.live(), 0);
+        assert_eq!(timers.armed.len(), 0);
     }
 
     #[test]
     fn cancelled_timers_never_fire() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0, TICK, 8);
-        let a = wheel.insert(t0, Duration::from_millis(10), 'a');
-        let _b = wheel.insert(t0, Duration::from_millis(10), 'b');
-        wheel.cancel(a);
-        assert_eq!(wheel.live(), 1);
+        let mut timers = Timers::default();
+        let a = timers.insert(t0, 10 * MS, 'a');
+        let _b = timers.insert(t0, 10 * MS, 'b');
+        timers.cancel(a);
+        assert_eq!(timers.armed.len(), 1);
         let mut out = Vec::new();
-        wheel.poll_expired(t0 + Duration::from_millis(60), &mut out);
+        timers.poll_expired(t0 + 60 * MS, &mut out);
         assert_eq!(out.iter().map(|&(_, p)| p).collect::<Vec<_>>(), ['b']);
         // Double-cancel and cancel-after-fire are no-ops.
-        wheel.cancel(a);
-        assert_eq!(wheel.live(), 0);
+        timers.cancel(a);
+        assert_eq!(timers.armed.len(), 0);
     }
 
+    /// The event loop cancels a connection's timers when it closes the
+    /// connection, including the idle timer whose firing closed it.
     #[test]
-    fn deadlines_beyond_one_rotation_wait_their_round() {
+    fn cancelling_a_fired_timer_leaves_later_timers_armed() {
         let t0 = Instant::now();
-        // 4 slots x 5ms: a 60ms deadline wraps the wheel multiple times.
-        let mut wheel = TimerWheel::new(t0, TICK, 4);
-        wheel.insert(t0, Duration::from_millis(60), 9u8);
+        let mut timers = Timers::default();
+        let first = timers.insert(t0, 100 * MS, 1u32);
+        timers.insert(t0 + 50 * MS, 100 * MS, 2);
         let mut out = Vec::new();
-        wheel.poll_expired(t0 + Duration::from_millis(30), &mut out);
-        assert!(out.is_empty(), "fired a rotation early");
-        wheel.poll_expired(t0 + Duration::from_millis(80), &mut out);
-        assert_eq!(out.len(), 1);
+        timers.poll_expired(t0 + 120 * MS, &mut out);
+        assert_eq!(out, [(first, 1)]);
+        timers.cancel(first);
+        assert_eq!(timers.armed.len(), 1);
+        assert_eq!(timers.next_deadline(t0 + 120 * MS), Some(30 * MS));
+        timers.poll_expired(t0 + 150 * MS, &mut out);
+        assert_eq!(out.iter().map(|&(_, p)| p).collect::<Vec<_>>(), [2]);
+        assert_eq!(timers.armed.len(), 0);
     }
 
     #[test]
     fn next_deadline_tracks_the_earliest_live_timer() {
         let t0 = Instant::now();
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(t0, TICK, 8);
-        assert_eq!(wheel.next_deadline(t0), None);
-        let near = wheel.insert(t0, Duration::from_millis(10), 1);
-        wheel.insert(t0, Duration::from_millis(200), 2);
-        let d = wheel.next_deadline(t0).unwrap();
-        assert!(d <= Duration::from_millis(15), "{d:?}");
-        wheel.cancel(near);
-        let d = wheel.next_deadline(t0).unwrap();
-        assert!(d >= Duration::from_millis(100), "{d:?}");
+        let mut timers: Timers<u32> = Timers::default();
+        assert_eq!(timers.next_deadline(t0), None);
+        let near = timers.insert(t0, 10 * MS, 1);
+        timers.insert(t0, 200 * MS, 2);
+        assert_eq!(timers.next_deadline(t0), Some(10 * MS));
+        timers.cancel(near);
+        assert_eq!(timers.next_deadline(t0), Some(200 * MS));
     }
 
     #[test]
     fn many_interleaved_arms_and_cancels_stay_consistent() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0, TICK, 16);
+        let mut timers = Timers::default();
         let mut ids = Vec::new();
         for i in 0..100u32 {
-            ids.push(wheel.insert(t0, Duration::from_millis(5 + (i as u64 % 7) * 10), i));
+            ids.push(timers.insert(t0, (5 + (i % 7) * 10) * MS, i));
         }
         for id in ids.iter().step_by(2) {
-            wheel.cancel(*id);
+            timers.cancel(*id);
         }
-        assert_eq!(wheel.live(), 50);
+        assert_eq!(timers.armed.len(), 50);
         let mut out = Vec::new();
-        wheel.poll_expired(t0 + Duration::from_millis(500), &mut out);
+        timers.poll_expired(t0 + 500 * MS, &mut out);
         assert_eq!(out.len(), 50);
         assert!(out.iter().all(|&(_, p)| p % 2 == 1));
-        assert_eq!(wheel.live(), 0);
-        assert_eq!(wheel.next_deadline(t0 + Duration::from_millis(500)), None);
+        assert_eq!(timers.armed.len(), 0);
+        assert_eq!(timers.next_deadline(t0 + 500 * MS), None);
     }
 }

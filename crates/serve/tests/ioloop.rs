@@ -277,9 +277,6 @@ fn stats_reply_carries_per_class_latency_histograms() {
         Some(0),
         "inline ops never wait in the job queue"
     );
-    // The serve-metrics line still renders (CI greps its prefix fields).
-    let line = mve_serve::server::metrics_line(&stats);
-    assert!(line.starts_with("serve-metrics requests="), "{line}");
 
     handle.shutdown();
     join.join().expect("server thread");

@@ -280,6 +280,55 @@ fn idle_connections_are_released_at_the_deadline() {
     join.join().expect("server thread");
 }
 
+/// Two idle connections whose deadlines overlap are both reaped, and the
+/// event loop survives them: reaping one must not disarm the other's
+/// timer (the loop cancels the timer that fired as it closes a
+/// connection).
+#[test]
+fn overlapping_idle_deadlines_are_both_reaped() {
+    use std::io::Read;
+    use std::time::Duration;
+    let renders = Arc::new(AtomicU64::new(0));
+    let server = Server::bind(
+        &ServeOptions {
+            port: 0,
+            workers: 1,
+            cache_cap: 16,
+            idle_timeout: Duration::from_millis(100),
+            ..ServeOptions::default()
+        },
+        rigged_registry(renders),
+    )
+    .expect("bind");
+    let port = server.port();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    let first = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    std::thread::sleep(Duration::from_millis(50));
+    let second = std::net::TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    for mut silent in [first, second] {
+        silent
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        assert_eq!(silent.read(&mut [0u8; 8]).expect("reaped cleanly"), 0);
+    }
+
+    // A dead event loop would leave this request unanswered: time out
+    // instead of hanging.
+    let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+    client
+        .set_request_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let text = client.artefact("alpha", Scale::Test).expect("served");
+    assert!(text.starts_with("alpha artefact"));
+
+    handle.shutdown();
+    let stats = join.join().expect("event loop survives both reaps");
+    assert_eq!(stat(&stats, "connections"), 3);
+    assert_eq!(stat(&stats, "open_connections"), 0);
+}
+
 /// The shutdown handle (the SIGTERM/stdin-EOF path) stops a server that
 /// has live idle connections.
 #[test]
@@ -402,7 +451,9 @@ fn oversized_request_lines_are_rejected_while_reading() {
     assert!(text.contains("alpha artefact"));
 
     handle.shutdown();
-    join.join().expect("server thread");
+    let stats = join.join().expect("server thread");
+    // The rejection is an error reply like any other.
+    assert_eq!(stat(&stats, "errors"), 1);
 }
 
 /// A partial request line pending at shutdown is discarded — but no
