@@ -16,8 +16,7 @@ use std::time::{Duration, Instant};
 use mve_core::dtype::{BinOp, CmpOp};
 use mve_core::engine::Engine;
 use mve_core::isa::{Opcode, StrideMode};
-use mve_core::sim::{SimConfig, TimingSim};
-use mve_core::trace::CountingSink;
+use mve_core::sim::SimConfig;
 use mve_insram::Scheme;
 use mve_kernels::Scale;
 use mve_serve::admission::TryAdmit;
@@ -51,36 +50,29 @@ pub struct HotResult {
 
 const LANES: usize = 8192;
 
-/// The canonical engine hot-path workloads at full 8192-lane scale:
-/// strided load, random load, integer binop, compare (Tag write), and a
-/// predicated store — the five operation classes the ISSUE-2 refactor
-/// targets — plus two ISSUE-3 streaming-pipeline workloads: the binop
-/// emitted into a counting sink (`stream_count_…`, isolating the
-/// `TraceSink` dispatch overhead against `binop_add_8192`) and the fused
-/// engine→`TimingSim` pipeline (`stream_timing_…`, execution and timing
-/// in one pass with no materialized trace) — plus the ISSUE-4 service
-/// workload tracking the `mve-serve` hot path `serve_cache_hit` (the
-/// content-addressed lookup a repeat request rides) — plus two ISSUE-5
-/// DSL workloads: `dsl_parse_lower` (the full mve-lang compile pipeline
-/// over the strip-mined saxpy corpus source, the per-unique-source cost of
-/// the serve `compile` op) and `dsl_compiled_binop_8192` (a pre-compiled
-/// element-wise kernel re-executed on its persistent `Executor`, the
-/// execution-bridge overhead against the native `binop_add_8192`) — plus
-/// the ISSUE-6 `dsl_executor_setup` workload (bindings + `Executor::new`
-/// for the same kernel), so the setup cost the steady-state number
-/// excludes is tracked in its own right rather than lost — plus the
-/// ISSUE-7 `serve_admission_roundtrip` workload (one cost-model charge +
-/// budget admit + permit release), the per-request overhead admission
-/// control adds ahead of every chargeable op — plus the ISSUE-9
-/// `log_gate_disabled_add_8192` workload, `binop_add_8192` with structured
-/// logging forced off, proving the per-event log gate (one relaxed atomic
-/// load) costs nothing when logging is disabled — plus the replicated
-/// (`[Zero, Cr]`, `[One, Zero]`) and CR-strided loads, the stride patterns
-/// the engine's row-based memory path serves without a per-lane walk —
-/// plus an f16 add (`binop_f16_8192`, the binary16 conversion cost), a
-/// u8 contiguous load and an i16 add (`load_u8_8192`, `binop_i16_8192`,
-/// the narrow lane storage) and a 256-lane add on the full engine
-/// (`narrow_binop_256_of_8192`, the dirty-bound register zeroing).
+/// The canonical hot-path workloads, in `BENCH_engine.json` order. The
+/// engine probes run on 8192 lanes and clear the trace each iteration:
+///
+/// * `strided_load_8192`, `replicated_load_8192`,
+///   `replicated_row_load_8192`, `cr_strided_load_8192`: 128 × 64 i32
+///   loads with a CR row stride, `[Zero, Cr]`, `[One, Zero]` and `[Cr, Cr]`
+///   modes, the stride patterns of the row-based memory path;
+/// * `random_load_8192`: 32 row pointers × 256 elements, plus the pointer
+///   fetch;
+/// * `binop_add_8192`, `binop_f16_8192`, `binop_i16_8192`, `load_u8_8192`:
+///   an i32 add (execute and record), the binary16 conversions and the
+///   narrow lane storage;
+/// * `narrow_binop_256_of_8192`: a 256-lane add, the dirty-bound zeroing;
+/// * `compare_8192`: a compare writing the Tag latch;
+/// * `serve_cache_hit`: serve's result-cache lookup for all four schemes;
+/// * `dsl_parse_lower`: the mve-lang compile of the saxpy corpus source;
+/// * `dsl_compiled_binop_8192` over `handwritten_binop_seq_8192`: the
+///   executor's overhead on a load-load-add-store kernel;
+/// * `dsl_executor_setup`: bindings plus `Executor::new`;
+/// * `serve_admission_roundtrip`: one cost-model charge, admit and release;
+/// * `log_gate_disabled_add_8192`: `binop_add_8192` with logging off, the
+///   per-event log gate;
+/// * `predicated_store_8192`: a store with half the lanes passing the Tag.
 pub fn engine_hot_benches() -> Vec<HotBench> {
     let mut out = Vec::new();
 
@@ -288,58 +280,6 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // Streaming sink overhead: the same i32 add, but emitted into a
-    // CountingSink instead of the owned Trace. The delta against
-    // binop_add_8192 is the cost of the TraceSink indirection (and the
-    // saving from not materializing events).
-    {
-        let mut e = Engine::default_mobile();
-        e.vsetdimc(1);
-        e.vsetdiml(0, LANES);
-        let x = e.vsetdup_dw(3);
-        let y = e.vsetdup_dw(4);
-        e.clear_trace();
-        let mut sink = Some(CountingSink::new());
-        out.push(HotBench {
-            name: "stream_count_binop_8192",
-            elems: LANES as u64,
-            run: Box::new(move || {
-                let ((), s) = e.with_sink(sink.take().expect("sink"), |e| {
-                    let r = e.binop(Opcode::Add, BinOp::Add, x, y);
-                    e.free(r);
-                });
-                sink = Some(s);
-            }),
-        });
-    }
-
-    // Fused streaming pipeline: the engine feeds an incremental TimingSim
-    // directly, so every iteration executes *and* times the instruction
-    // with O(1) memory — the ISSUE-3 tentpole path.
-    {
-        let mut e = Engine::default_mobile();
-        e.vsetdimc(1);
-        e.vsetdiml(0, LANES);
-        let x = e.vsetdup_dw(3);
-        let y = e.vsetdup_dw(4);
-        e.clear_trace();
-        let cfg = SimConfig::default()
-            .without_cache_warming()
-            .without_mode_switch();
-        let mut sim = Some(TimingSim::new(cfg));
-        out.push(HotBench {
-            name: "stream_timing_binop_8192",
-            elems: LANES as u64,
-            run: Box::new(move || {
-                let ((), s) = e.with_sink(sim.take().expect("sim"), |e| {
-                    let r = e.binop(Opcode::Add, BinOp::Add, x, y);
-                    e.free(r);
-                });
-                sim = Some(s);
-            }),
-        });
-    }
-
     // Service hot path: the content-addressed cache lookup a repeat
     // request rides — canonical SimConfig encoding + FNV digest + the
     // single-flight map hit — for all four scheme configurations per
@@ -372,7 +312,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-5 DSL front-end: the full compile pipeline (lex → parse →
+    // DSL front-end: the full compile pipeline (lex → parse →
     // typed lowering with loop unrolling → list scheduling → spill-aware
     // allocation) over the strip-mined saxpy corpus kernel. Tracks the
     // service's per-unique-source cost — repeat requests ride the cache.
@@ -388,7 +328,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-5 DSL execution bridge: a pre-compiled element-wise kernel
+    // DSL execution bridge: a pre-compiled element-wise kernel
     // re-executed on its persistent Executor (buffers allocated once).
     // The delta against binop_add_8192 is the interpretation overhead of
     // driving the engine from allocated IR instead of native code.
@@ -409,7 +349,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-6 reference for the executor gap: the same 4-instruction
+    // Reference for the executor gap: the same 4-instruction
     // sequence the DSL kernel compiles to (two contiguous loads, an add,
     // a contiguous store), hand-written against the raw engine. The
     // honest executor-overhead ratio is `dsl_compiled_binop_8192` over
@@ -441,7 +381,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-6 DSL executor setup: binding generation plus `Executor::new`
+    // DSL executor setup: binding generation plus `Executor::new`
     // (buffer allocation, input fill, dense value-table planning) for the
     // same element-wise kernel — the one-time cost `dsl_compiled_binop_8192`
     // deliberately excludes, tracked separately so the steady-state number
@@ -491,7 +431,7 @@ pub fn engine_hot_benches() -> Vec<HotBench> {
         });
     }
 
-    // ISSUE-9 log gate: `binop_add_8192` re-run with structured logging
+    // Log gate: `binop_add_8192` re-run with structured logging
     // explicitly off — every engine event still executes its
     // `mve_obs::log::enabled(Debug)` check (one relaxed atomic load), so
     // the delta against `binop_add_8192` is the cost of instrumenting the
@@ -660,5 +600,20 @@ mod tests {
         ));
         assert!(!json.contains("serve_throughput"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    /// The committed `BENCH_engine.json` lists the probes this file
+    /// defines, in order, so a deleted or renamed probe forces the file to
+    /// be regenerated (`MVE_BENCH_FAST=1 reproduce --json`).
+    #[test]
+    fn committed_bench_file_names_every_probe_in_order() {
+        let committed = include_str!("../../../BENCH_engine.json");
+        let names: Vec<&str> = committed
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("{\"name\": \""))
+            .filter_map(|l| l.split('"').next())
+            .collect();
+        let probes: Vec<&str> = engine_hot_benches().iter().map(|b| b.name).collect();
+        assert_eq!(names, probes);
     }
 }

@@ -1,9 +1,9 @@
 //! `reproduce --profile` — per-kernel engine profiles.
 //!
-//! Runs the selected kernel set with a [`ProfilingSink`] attached,
-//! attributing simulated events, active lanes and touched cache lines to
-//! the Figure 11 opcode classes, plus per-opcode dynamic counts and the
-//! timing simulator's cycle totals.
+//! Runs the selected kernel set and replays each trace into a
+//! [`ProfilingSink`], attributing simulated events, active lanes and
+//! touched cache lines to the Figure 11 opcode classes, plus per-opcode
+//! dynamic counts and the timing simulator's cycle totals.
 //!
 //! Two renders come out of one profiling pass:
 //!
@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 
 use mve_core::profile::ProfilingSink;
 use mve_core::sim::{simulate, SimConfig};
-use mve_core::trace::TraceSink;
 use mve_kernels::registry::selected_kernels;
 use mve_kernels::Scale;
 use mve_lang::LineReport;
@@ -60,9 +59,7 @@ pub fn profile_selected(scale: Scale) -> Vec<KernelProfile> {
                 run.checked
             );
             let mut sink = ProfilingSink::new();
-            for event in run.trace.events() {
-                sink.on_event(event);
-            }
+            run.trace.replay_into(&mut sink);
             let t1 = Instant::now();
             let report = simulate(&run.trace, &SimConfig::default());
             let sim_wall = t1.elapsed();

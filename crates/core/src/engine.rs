@@ -11,15 +11,13 @@
 //! [`crate::intrinsics`]; this module provides the untyped core operations
 //! they wrap.
 
-use std::any::Any;
-
 use crate::addrgen::{self, RowPlan, StrideBank};
 use crate::config::{ControlRegs, MAX_MASK_LEN};
 use crate::dtype::{BinOp, CmpOp, DType, Lane};
 use crate::isa::{Opcode, StrideMode};
 use crate::layout::LogicalShape;
 use crate::mem::{MemScalar, Memory};
-use crate::trace::{alu_op_for, Event, Trace, TraceSink};
+use crate::trace::{alu_op_for, Event, Trace};
 use mve_insram::scheme::EngineGeometry;
 use mve_obs::{logev, Level};
 
@@ -503,9 +501,8 @@ pub struct Engine {
     tag: Vec<u64>,
     pred: bool,
     mem: Memory,
-    /// Where emitted events go. Defaults to an owned [`Trace`] (batch
-    /// capture); [`Engine::with_sink`] swaps in any streaming consumer.
-    sink: Box<dyn TraceSink>,
+    /// Every event executed so far, in order.
+    trace: Trace,
     mask: LaneMask,
     /// Reused per-instruction scratch (zero steady-state allocation):
     /// touched-line accumulation and random-access base pointers.
@@ -530,7 +527,7 @@ impl Engine {
             tag: vec![0; lanes.div_ceil(64)],
             pred: false,
             mem,
-            sink: Box::new(Trace::new()),
+            trace: Trace::new(),
             mask: LaneMask::empty(),
             line_scratch: Vec::new(),
             base_scratch: Vec::new(),
@@ -552,15 +549,12 @@ impl Engine {
         &self.crs
     }
 
-    /// Emits one event into the active sink. Returns the event so hot
-    /// paths can reclaim owned buffers (e.g. the touched-line vector) —
-    /// streaming sinks borrow the event, so nothing is cloned unless the
-    /// sink itself stores it (as the owned [`Trace`] does).
+    /// Records one event in the trace.
     ///
     /// With `MVE_LOG=debug` every event also emits a structured log line;
     /// otherwise the hook is a single relaxed atomic load (the `logev!`
     /// gate), which the `log_gate_disabled` perf workload pins.
-    fn emit(&mut self, event: Event) -> Event {
+    fn emit(&mut self, event: Event) {
         if mve_obs::log::enabled(mve_obs::Level::Debug) {
             match &event {
                 Event::Config { opcode } => {
@@ -619,103 +613,31 @@ impl Engine {
                 }
             }
         }
-        self.sink.on_event(&event);
-        event
+        self.trace.push(event);
     }
 
     /// Emits a source-attribution marker: subsequent events were emitted
     /// by code lowered from source line `line` (1-based; 0 resets to the
-    /// `<toplevel>` bucket). A marker is not an instruction — counting
-    /// and timing sinks ignore it — so an executor that never calls this
+    /// `<toplevel>` bucket). A marker is not an instruction (the mix and
+    /// timing models ignore it), so an executor that never calls this
     /// produces the exact event stream it always did.
     pub fn mark_line(&mut self, line: u32) {
         self.emit(Event::SrcLine { line });
     }
 
     /// The dynamic trace recorded so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics while a non-[`Trace`] sink is attached ([`Engine::with_sink`])
-    /// — a streaming engine materializes no trace to inspect.
     pub fn trace(&self) -> &Trace {
-        (self.sink.as_ref() as &dyn Any)
-            .downcast_ref::<Trace>()
-            .expect("engine is streaming into an external sink; no owned trace to inspect")
-    }
-
-    fn owned_trace_mut(&mut self) -> &mut Trace {
-        (self.sink.as_mut() as &mut dyn Any)
-            .downcast_mut::<Trace>()
-            .expect("engine is streaming into an external sink; no owned trace to take/clear")
+        &self.trace
     }
 
     /// Takes the trace, leaving an empty one.
-    ///
-    /// # Panics
-    ///
-    /// Panics while a non-[`Trace`] sink is attached.
     pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(self.owned_trace_mut())
+        std::mem::take(&mut self.trace)
     }
 
     /// Clears the recorded trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics while a non-[`Trace`] sink is attached.
     pub fn clear_trace(&mut self) {
-        self.owned_trace_mut().clear();
-    }
-
-    /// Replaces the event sink, returning the previous one. Prefer the
-    /// scoped [`Engine::with_sink`] unless the sink must outlive a single
-    /// region of code.
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
-        std::mem::replace(&mut self.sink, sink)
-    }
-
-    /// Runs `f` with `sink` receiving every event the engine emits, then
-    /// restores the previous sink and hands `sink` back — the streaming
-    /// alternative to materializing a [`Trace`] and replaying it.
-    ///
-    /// ```
-    /// use mve_core::engine::Engine;
-    /// use mve_core::sim::{SimConfig, TimingSim};
-    ///
-    /// let mut e = Engine::default_mobile();
-    /// e.vsetdimc(1);
-    /// e.vsetdiml(0, 8192);
-    /// // Fuse execution and timing: no Vec<Event> is ever materialized.
-    /// let cfg = SimConfig::default().without_cache_warming();
-    /// let ((), sim) = e.with_sink(TimingSim::new(cfg), |e| {
-    ///     let v = e.vsetdup_dw(3);
-    ///     let r = e.vadd_dw(v, v);
-    ///     e.free(r);
-    ///     e.free(v);
-    /// });
-    /// assert!(sim.finish().total_cycles > 0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` swaps the sink to a different type via
-    /// [`Engine::set_sink`] and does not restore it. Not unwind-safe: if
-    /// `f` panics, the previous sink (usually the engine's owned trace) is
-    /// dropped with the unwind and the temporary sink stays installed —
-    /// don't resume such an engine from `catch_unwind`.
-    pub fn with_sink<S: TraceSink, R>(
-        &mut self,
-        sink: S,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> (R, S) {
-        let prev = std::mem::replace(&mut self.sink, Box::new(sink));
-        let out = f(self);
-        let streamed = std::mem::replace(&mut self.sink, prev);
-        let sink = (streamed as Box<dyn Any>)
-            .downcast::<S>()
-            .expect("sink type changed during with_sink");
-        (out, *sink)
+        self.trace.clear();
     }
 
     // ------------------------------------------------------------------
@@ -1179,19 +1101,17 @@ impl Engine {
         if segments > 1 || plan.stride() < 0 || ptr_base.is_some() {
             addrgen::finish_lines(&mut lines);
         }
-        // The line set is moved into the event (streaming sinks see it
-        // without any copy) and reclaimed as the next instruction's scratch.
-        let event = self.emit(Event::Memory {
+        // The trace keeps an exact-size copy of the line set; the scratch
+        // keeps its capacity for the next instruction.
+        self.emit(Event::Memory {
             opcode,
             dtype,
             active_lanes: stats.0,
             cb_mask: stats.1,
-            lines,
+            lines: lines.clone(),
             write,
         });
-        if let Event::Memory { lines, .. } = event {
-            self.line_scratch = lines;
-        }
+        self.line_scratch = lines;
     }
 
     /// The row primitive for ISA layers that emit their own trace events

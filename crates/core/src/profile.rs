@@ -1,8 +1,8 @@
 //! Engine profiling.
 //!
 //! [`ProfilingSink`] is a [`TraceSink`] that attributes work to the
-//! Figure 11 opcode classes, per-opcode counters and source lines as the
-//! functional engine streams events through it: simulated-event counts,
+//! Figure 11 opcode classes, per-opcode counters and source lines as a
+//! recorded trace is replayed into it: simulated-event counts,
 //! active-lane totals and touched cache lines, all deterministic for a
 //! fixed kernel. They feed the committed `reproduce --profile` report
 //! (byte-diffed in CI) and the DSL's per-line profile. The sink takes no
@@ -20,7 +20,7 @@ pub const CLASS_NAMES: [&str; 4] = ["config", "move", "mem_access", "arithmetic"
 /// Per-class attribution accumulated by [`ProfilingSink`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassProfile {
-    /// Events observed (uncoalesced, as the engine emits them).
+    /// Events observed.
     pub events: u64,
     /// Sum of active SIMD lanes across compute/memory events.
     pub active_lanes: u64,
@@ -35,7 +35,7 @@ pub struct ClassProfile {
 /// invariant exact — per-line sums equal the per-class totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LineProfile {
-    /// Vector events observed (uncoalesced; config + move + mem + arith).
+    /// Vector events observed (config + move + mem + arith).
     pub events: u64,
     /// Dynamic scalar instructions.
     pub scalar_instrs: u64,
@@ -47,8 +47,8 @@ pub struct LineProfile {
     pub cache_lines: u64,
 }
 
-/// A streaming per-opcode-class profiler, attachable to any engine run
-/// via [`crate::engine::Engine::with_sink`].
+/// A per-opcode-class profiler, fed by replaying a recorded trace
+/// ([`crate::trace::Trace::replay_into`]).
 #[derive(Debug, Default)]
 pub struct ProfilingSink {
     classes: [ClassProfile; 4],

@@ -1,79 +1,25 @@
 //! Dynamic instruction traces.
 //!
 //! Every intrinsic executed on the functional [`crate::engine::Engine`]
-//! appends an [`Event`]; the timing simulator ([`crate::sim`]) replays the
-//! event stream against the micro-architecture model. This replaces the
-//! paper's DynamoRIO-based trace capture (see `DESIGN.md`).
+//! appends an [`Event`] to the engine's [`Trace`]. Consumers read a
+//! finished trace by replay ([`Trace::replay_into`] into a [`TraceSink`]):
+//! the timing simulator ([`crate::sim`]) replays it against the
+//! micro-architecture model, twice when it warms the caches first, which
+//! is why the engine records rather than streams. This replaces the
+//! paper's DynamoRIO-based trace capture (see `DESIGN.md`, "Streaming
+//! pipeline").
 
 use crate::dtype::DType;
 use crate::isa::{OpClass, Opcode};
 use mve_insram::AluOp;
 
-/// A consumer of dynamic trace events.
-///
-/// The functional [`crate::engine::Engine`] emits every event it executes
-/// into a sink. The default sink is an owned [`Trace`] (batch capture, as
-/// the paper artifact's DynamoRIO traces), but any consumer can be attached
-/// with [`crate::engine::Engine::with_sink`] — most importantly the
-/// incremental [`crate::sim::TimingSim`], which consumes events online so
-/// trace production and timing simulation fuse into one streaming pass with
-/// memory independent of trace length (see DESIGN.md, "Streaming
-/// pipeline").
-///
-/// Sinks receive events **uncoalesced**: consecutive [`Event::Scalar`]
-/// blocks arrive as emitted ([`Trace::push`] coalesces on ingest, and
-/// [`crate::sim::TimingSim`] coalesces internally, so both observe the same
-/// semantics either way).
-///
-/// `Any + Debug` bounds let the engine hand a sink back to its concrete
-/// type after a streamed run and keep the engine itself debuggable.
-pub trait TraceSink: std::any::Any + std::fmt::Debug {
-    /// Consumes one dynamic event as the engine produces it.
+/// A consumer of dynamic trace events, fed by [`Trace::replay_into`]:
+/// the timing simulator ([`crate::sim::TimingSim`]), its sweep broadcaster
+/// ([`crate::sim::Fanout`]) and the source-line profiler
+/// ([`crate::profile::ProfilingSink`]).
+pub trait TraceSink {
+    /// Consumes one dynamic event.
     fn on_event(&mut self, event: &Event);
-}
-
-/// Batch capture: appending to a [`Trace`] is the default sink.
-impl TraceSink for Trace {
-    fn on_event(&mut self, event: &Event) {
-        self.push(event.clone());
-    }
-}
-
-/// An O(1)-memory sink that maintains the Figure 11 instruction-mix
-/// buckets without storing any events — the streaming replacement for
-/// materializing a [`Trace`] when only [`Trace::instr_mix`] is needed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingSink {
-    events: u64,
-    mix: InstrMix,
-}
-
-impl CountingSink {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raw events observed (uncoalesced).
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// The Figure 11 buckets, identical to the `instr_mix()` of a [`Trace`]
-    /// capturing the same stream.
-    pub fn mix(&self) -> InstrMix {
-        self.mix
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn on_event(&mut self, event: &Event) {
-        if matches!(event, Event::SrcLine { .. }) {
-            return; // attribution marker, not an instruction
-        }
-        self.events += 1;
-        self.mix.count(event);
-    }
 }
 
 /// One dynamic trace event.
@@ -210,9 +156,9 @@ impl Trace {
         &self.events
     }
 
-    /// Streams every recorded event into a sink, in order — the bridge
-    /// from batch capture to the streaming consumers (a captured trace can
-    /// be replayed into a [`crate::sim::TimingSim`] or fanned out to many).
+    /// Feeds every recorded event into a sink, in order (a
+    /// [`crate::sim::TimingSim`], a [`crate::sim::Fanout`] of many, or a
+    /// [`crate::profile::ProfilingSink`]).
     pub fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         for event in &self.events {
             sink.on_event(event);
@@ -233,56 +179,6 @@ impl Trace {
     pub fn clear(&mut self) {
         self.events.clear();
         self.mix = InstrMix::default();
-    }
-
-    /// Renders the trace as an artifact-style assembly listing (one line
-    /// per dynamic instruction, scalar blocks annotated) — the equivalent
-    /// of the paper artifact's `.asm` dumps.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, e) in self.events.iter().enumerate() {
-            match e {
-                Event::Config { opcode } => {
-                    let _ = writeln!(out, "{i:6}  {}", opcode.mnemonic());
-                }
-                Event::Compute {
-                    opcode,
-                    dtype,
-                    active_lanes,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "{i:6}  {:<12} ; lanes={active_lanes}",
-                        opcode.assembly(*dtype)
-                    );
-                }
-                Event::Memory {
-                    opcode,
-                    dtype,
-                    active_lanes,
-                    lines,
-                    write,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "{i:6}  {:<12} ; lanes={active_lanes} lines={} {}",
-                        opcode.assembly(*dtype),
-                        lines.len(),
-                        if *write { "st" } else { "ld" }
-                    );
-                }
-                Event::Scalar { instrs } => {
-                    let _ = writeln!(out, "{i:6}  <scalar x{instrs}>");
-                }
-                Event::SrcLine { line } => {
-                    let _ = writeln!(out, "{i:6}  ; line {line}");
-                }
-            }
-        }
-        out
     }
 
     /// The Figure 11 instruction mix (maintained incrementally; O(1)).
@@ -415,36 +311,5 @@ mod tests {
     #[should_panic(expected = "no ALU class")]
     fn config_has_no_alu_class() {
         alu_op_for(Opcode::SetWidth, DType::I32);
-    }
-
-    #[test]
-    fn dump_lists_every_event() {
-        let mut t = Trace::new();
-        t.push(Event::Config {
-            opcode: Opcode::SetDimCount,
-        });
-        t.push(Event::Compute {
-            opcode: Opcode::Add,
-            alu: AluOp::Add,
-            dtype: DType::F32,
-            active_lanes: 8192,
-            cb_mask: 0xFF,
-        });
-        t.push(Event::Memory {
-            opcode: Opcode::StridedLoad,
-            dtype: DType::U8,
-            active_lanes: 100,
-            cb_mask: 1,
-            lines: vec![1, 2, 3],
-            write: false,
-        });
-        t.push(Event::Scalar { instrs: 42 });
-        let text = t.dump();
-        assert!(text.contains("vsetdimc"));
-        assert!(text.contains("vadd_f"));
-        assert!(text.contains("vsld_b"));
-        assert!(text.contains("lines=3 ld"));
-        assert!(text.contains("<scalar x42>"));
-        assert_eq!(text.lines().count(), 4);
     }
 }

@@ -162,7 +162,7 @@ proptest! {
         prop_assert_eq!(sim.finish(), batch);
     }
 
-    /// Raw (uncoalesced) event streams — what a live engine emits — time
+    /// Raw (uncoalesced) event streams, fed event by event to `on_event`, time
     /// identically to the coalesced trace the batch path captures.
     #[test]
     fn uncoalesced_scalar_stream_matches_coalesced_trace(

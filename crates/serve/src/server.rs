@@ -553,13 +553,9 @@ impl Server {
             wake_rx,
             cfg,
         } = self;
-        let state_ref: &ServerState = &state;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || worker_loop(state_ref));
-            }
+        with_workers(&state, workers, || {
             let mut el = EventLoop {
-                state: state_ref,
+                state: &state,
                 listener: &listener,
                 poller: Poller::new(),
                 wake_rx,
@@ -573,12 +569,30 @@ impl Server {
                 shutdown_at: None,
             };
             el.run();
-            // Normally a no-op; on a fatal poller error it releases the
-            // workers so the scope can join.
-            state_ref.trigger_shutdown();
         });
         state.stats_json()
     }
+}
+
+/// Runs `body` on the calling thread beside `workers` worker threads and
+/// joins them. Shutdown is triggered when `body` ends, whether it returns
+/// (normally a no-op, as the event loop exits on shutdown; on a fatal
+/// poller error it releases the workers) or panics, so the workers always
+/// exit and a panic propagates instead of hanging the join.
+fn with_workers(state: &ServerState, workers: usize, body: impl FnOnce()) {
+    struct ShutdownOnDrop<'a>(&'a ServerState);
+    impl Drop for ShutdownOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.trigger_shutdown();
+        }
+    }
+    std::thread::scope(|s| {
+        let _shutdown = ShutdownOnDrop(state);
+        for _ in 0..workers {
+            s.spawn(move || worker_loop(state));
+        }
+        body();
+    });
 }
 
 fn worker_loop(state: &ServerState) {
@@ -1726,4 +1740,30 @@ fn serve_sim(state: &ServerState, kernel: &str, scale: Scale, spec: &SimSpec) ->
             Ok((report.encode().into_bytes(), ()))
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A panic in the event loop's place still stops the workers, so the
+    /// panic reaches the caller instead of the scope waiting forever.
+    #[test]
+    fn panicking_event_loop_releases_the_workers() {
+        let server = Server::bind(&ServeOptions::default(), ArtefactRegistry::new(Vec::new()))
+            .expect("bind an ephemeral port");
+        let state = Arc::clone(&server.state);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                with_workers(&state, 2, || panic!("event loop failed"));
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("workers were not released within 10 s");
+        assert!(panicked, "the event loop's panic must propagate");
+    }
 }
