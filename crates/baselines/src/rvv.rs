@@ -23,6 +23,7 @@ use mve_core::engine::{Engine, Reg, Row};
 use mve_core::isa::Opcode;
 use mve_core::trace::Event;
 use mve_insram::AluOp;
+use mve_memsim::LineSet;
 
 /// Scalar instructions charged per segment for address arithmetic and loop
 /// control (base update, bounds check, branch; Section VII-B notes "more
@@ -88,7 +89,7 @@ impl<'e> Rvv<'e> {
         opcode: Opcode,
         dtype: DType,
         active_lanes: usize,
-        (lines, cb_mask): (Vec<u64>, u64),
+        (lines, cb_mask): (LineSet, u64),
         write: bool,
     ) {
         self.e.push_raw_event(Event::Memory {
@@ -230,10 +231,10 @@ impl<'e> Rvv<'e> {
         let access = self.e.load_rows(dst, rows);
         let idx_lines = (total as u64 * 4).div_ceil(mve_memsim::LINE_BYTES);
         // The index vector occupies fresh lines near the data.
-        let index_lines = (0..idx_lines)
+        let index_lines: Vec<u64> = (0..idx_lines)
             .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
             .collect();
-        let index_access = (index_lines, access.1);
+        let index_access = (LineSet::from_sorted(&index_lines), access.1);
         self.memory_event(Opcode::StridedLoad, DType::U32, total, index_access, false);
         self.memory_event(Opcode::RandomLoad, dtype, total, access, false);
         dst

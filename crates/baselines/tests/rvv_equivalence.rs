@@ -16,6 +16,7 @@ use mve_core::mem::Memory;
 use mve_core::trace::Event;
 use mve_insram::scheme::EngineGeometry;
 use mve_insram::AluOp;
+use mve_memsim::LineSet;
 use proptest::prelude::*;
 
 // The layer's per-segment scalar charges, mirrored so the oracle's event
@@ -43,7 +44,7 @@ impl Oracle<'_> {
         m
     }
 
-    fn lines_for(addrs: impl Iterator<Item = u64>, bytes: u64) -> Vec<u64> {
+    fn lines_for(addrs: impl Iterator<Item = u64>, bytes: u64) -> LineSet {
         let mut lines: Vec<u64> = addrs
             .flat_map(|a| {
                 let first = a / mve_memsim::LINE_BYTES;
@@ -53,7 +54,7 @@ impl Oracle<'_> {
             .collect();
         lines.sort_unstable();
         lines.dedup();
-        lines
+        LineSet::from_sorted(&lines)
     }
 
     fn load_1d(&mut self, dtype: DType, base: u64, stride_elems: i64) -> Reg {
@@ -225,9 +226,11 @@ impl Oracle<'_> {
             active_lanes: total as u32,
             cb_mask,
             // The index vector occupies fresh lines near the data.
-            lines: (0..idx_lines)
-                .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
-                .collect(),
+            lines: LineSet::from_sorted(
+                &(0..idx_lines)
+                    .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
+                    .collect::<Vec<u64>>(),
+            ),
             write: false,
         });
         // The gather itself.

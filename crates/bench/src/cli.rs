@@ -11,8 +11,8 @@
 //!   `--write --check` lacks a path;
 //! * an optional-value flag (`--jobs[=N]`) takes the next argument only
 //!   when it is not a `--word`;
-//! * a flag may repeat: [`Args::value`] reads the last value and
-//!   [`Args::values`] every one (`reproduce --only`);
+//! * a flag may repeat: `Args::value` reads the last value and
+//!   `Args::values` every one (`reproduce --only`);
 //! * every argument not starting with `--` is a positional word.
 //!
 //! Each binary's submodule turns the [`Args`] into that binary's options,

@@ -8,7 +8,7 @@
 //! | [`tables::table1`]   | Table I — ISA feature comparison |
 //! | [`tables::table2`]   | Table II — MVE instructions + BS latency |
 //! | [`tables::table3`]   | Table III — evaluated libraries |
-//! | [`tables::table4`]   | Table IV — platform configuration |
+//! | [`platform::table4_rows`] | Table IV — platform configuration |
 //! | [`tables::table5`]   | Table V — area overhead |
 //! | [`figures::fig7`]    | Figure 7 — MVE vs Neon time & energy |
 //! | [`figures::fig8`]    | Figure 8 — MVE vs GPU per kernel |

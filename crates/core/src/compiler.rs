@@ -487,7 +487,7 @@ pub fn allocate(ops: &[IrOp], budget: usize) -> Result<Allocation, CompileError>
 
 /// Bottom-up list scheduling that reduces register pressure: independent
 /// operations are reordered so that uses follow their definitions closely
-/// (the paper's "list-hybrid instruction scheduler [60]" that "shorten[s]
+/// (the paper's "list-hybrid instruction scheduler \[60\]" that "shorten\[s\]
 /// register live ranges").
 ///
 /// Dependences are the IR's def-use edges; the scheduler never reorders

@@ -19,6 +19,7 @@ use crate::layout::LogicalShape;
 use crate::mem::{MemScalar, Memory};
 use crate::trace::{alu_op_for, Event, Trace};
 use mve_insram::scheme::EngineGeometry;
+use mve_memsim::LineSet;
 use mve_obs::{logev, Level};
 
 /// A handle to a live in-cache physical register.
@@ -1101,14 +1102,14 @@ impl Engine {
         if segments > 1 || plan.stride() < 0 || ptr_base.is_some() {
             addrgen::finish_lines(&mut lines);
         }
-        // The trace keeps an exact-size copy of the line set; the scratch
+        // The trace keeps the line set as strided segments; the scratch
         // keeps its capacity for the next instruction.
         self.emit(Event::Memory {
             opcode,
             dtype,
             active_lanes: stats.0,
             cb_mask: stats.1,
-            lines: lines.clone(),
+            lines: LineSet::from_sorted(&lines),
             write,
         });
         self.line_scratch = lines;
@@ -1117,16 +1118,15 @@ impl Engine {
     /// The row primitive for ISA layers that emit their own trace events
     /// (the RVV baseline in `mve-baselines`): copies each row into `dst`
     /// with the same block, broadcast and gather kinds as [`Engine::load`].
-    /// Returns the touched cache lines (sorted, deduplicated) and the
-    /// Control Blocks covering the rows' lanes; emits nothing. Lanes outside
-    /// the rows keep their value.
-    pub fn load_rows(&mut self, dst: Reg, rows: impl IntoIterator<Item = Row>) -> (Vec<u64>, u64) {
+    /// Returns the touched cache lines and the Control Blocks covering the
+    /// rows' lanes; emits nothing. Lanes outside the rows keep their value.
+    pub fn load_rows(&mut self, dst: Reg, rows: impl IntoIterator<Item = Row>) -> (LineSet, u64) {
         self.copy_rows(dst, rows, false)
     }
 
     /// The store counterpart of [`Engine::load_rows`]: writes each row of
     /// `src` in order, so a later row overwrites an earlier one.
-    pub fn store_rows(&mut self, src: Reg, rows: impl IntoIterator<Item = Row>) -> (Vec<u64>, u64) {
+    pub fn store_rows(&mut self, src: Reg, rows: impl IntoIterator<Item = Row>) -> (LineSet, u64) {
         self.copy_rows(src, rows, true)
     }
 
@@ -1135,11 +1135,13 @@ impl Engine {
         reg: Reg,
         rows: impl IntoIterator<Item = Row>,
         write: bool,
-    ) -> (Vec<u64>, u64) {
+    ) -> (LineSet, u64) {
         assert!(self.slots[reg.idx].live, "use of freed register {reg:?}");
         let per_cb = self.geom.bitlines_per_cb();
         let mut lanes = self.take_lanes(reg);
-        let (mut lines, mut cb_mask, mut end) = (Vec::new(), 0u64, 0usize);
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        lines.clear();
+        let (mut cb_mask, mut end) = (0u64, 0usize);
         by_width!(reg.dtype.bytes(), T => {
             let lanes = T::of_mut(&mut lanes);
             for r in rows.into_iter().filter(|r| r.len > 0) {
@@ -1156,7 +1158,9 @@ impl Engine {
         });
         self.put_back_upto(reg, lanes, end);
         addrgen::finish_lines(&mut lines);
-        (lines, cb_mask)
+        let set = LineSet::from_sorted(&lines);
+        self.line_scratch = lines;
+        (set, cb_mask)
     }
 
     // ------------------------------------------------------------------
@@ -1791,7 +1795,10 @@ mod issue2_tests {
                 ..
             } => {
                 assert_eq!(*active_lanes, 16);
-                assert_eq!(lines, &vec![out / mve_memsim::LINE_BYTES]);
+                assert_eq!(
+                    lines.iter().collect::<Vec<_>>(),
+                    [out / mve_memsim::LINE_BYTES]
+                );
             }
             other => panic!("unexpected event {other:?}"),
         }

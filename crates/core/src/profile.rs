@@ -230,7 +230,7 @@ mod tests {
             dtype: DType::I32,
             active_lanes: 64,
             cb_mask: 1,
-            lines: vec![0, 64, 128],
+            lines: mve_memsim::LineSet::from_sorted(&[0, 64, 128]),
             write: false,
         });
         p.on_event(&Event::Scalar { instrs: 7 });

@@ -1046,18 +1046,18 @@ mod tests {
     /// on a fresh hierarchy), but no busy channel or bank.
     #[test]
     fn warm_pass_leaves_no_dram_busy_time() {
-        let read = |lines: Vec<u64>| Event::Memory {
+        let read = |lines: &[u64]| Event::Memory {
             opcode: crate::isa::Opcode::StridedLoad,
             dtype: crate::dtype::DType::I32,
             active_lanes: 16,
             cb_mask: 1,
-            lines,
+            lines: mve_memsim::LineSet::from_sorted(lines),
             write: false,
         };
         // More lines than the LLC holds: ~40,000 DRAM fills, which keep
         // the channel busy for ~280K cycles of the warm pass's clock.
-        let warm = read((0..40_000).collect());
-        let timed = read(vec![1 << 30]);
+        let warm = read(&(0..40_000).collect::<Vec<u64>>());
+        let timed = read(&[1 << 30]);
         let cfg = quiet_cfg();
         let cold = {
             let mut sim = TimingSim::new(cfg.clone());
@@ -1267,7 +1267,7 @@ mod streaming_tests {
             dtype: DType::I32,
             active_lanes: 0,
             cb_mask: 0,
-            lines: vec![],
+            lines: mve_memsim::LineSet::new(),
             write: true,
         });
         let r = simulate(&t, &quiet_cfg());
@@ -1340,7 +1340,7 @@ mod streaming_tests {
             dtype: DType::I32,
             active_lanes: 16,
             cb_mask: 1,
-            lines: vec![1],
+            lines: mve_memsim::LineSet::from_sorted(&[1]),
             write: false,
         });
         let r = simulate(&t, &quiet_cfg());

@@ -12,6 +12,7 @@
 use crate::dtype::DType;
 use crate::isa::{OpClass, Opcode};
 use mve_insram::AluOp;
+use mve_memsim::LineSet;
 
 /// A consumer of dynamic trace events, fed by [`Trace::replay_into`]:
 /// the timing simulator ([`crate::sim::TimingSim`]), its sweep broadcaster
@@ -53,9 +54,10 @@ pub enum Event {
         active_lanes: u32,
         /// Bitmask of Control Blocks with at least one active lane.
         cb_mask: u64,
-        /// Deduplicated cache-line addresses touched (including pointer-array
-        /// fetches for random accesses).
-        lines: Vec<u64>,
+        /// The cache lines touched, including pointer-array fetches for
+        /// random accesses. A [`LineSet`] is sorted and duplicate-free by
+        /// construction, and stores the lines as strided segments.
+        lines: LineSet,
         /// Whether this is a store.
         write: bool,
     },
@@ -185,6 +187,21 @@ impl Trace {
     pub fn instr_mix(&self) -> InstrMix {
         self.mix
     }
+
+    /// Heap bytes the trace holds: its event buffer's capacity at
+    /// `size_of::<Event>()` each, plus the out-of-line segments of the
+    /// memory events' line sets.
+    pub fn heap_bytes(&self) -> usize {
+        let lines: usize = self
+            .events
+            .iter()
+            .map(|e| match e {
+                Event::Memory { lines, .. } => lines.heap_bytes(),
+                _ => 0,
+            })
+            .sum();
+        self.events.capacity() * std::mem::size_of::<Event>() + lines
+    }
 }
 
 /// Maps an array-executed opcode and element type to its ALU operation class
@@ -280,7 +297,7 @@ mod tests {
             dtype: DType::I32,
             active_lanes: 100,
             cb_mask: 0xFF,
-            lines: vec![1, 2],
+            lines: LineSet::from_sorted(&[1, 2]),
             write: false,
         });
         t.push(Event::Compute {
@@ -296,6 +313,31 @@ mod tests {
         assert_eq!(mix.mem_access, 1);
         assert_eq!(mix.moves, 1);
         assert_eq!(mix.vector_total(), 4);
+    }
+
+    #[test]
+    fn events_stay_small_and_count_their_heap() {
+        // A trace holds up to hundreds of thousands of events: a memory
+        // event's line set must not grow `Event` past the 40 bytes it took
+        // with a `Vec`.
+        assert!(std::mem::size_of::<Event>() <= 40);
+        let memory = |lines: &[u64]| Event::Memory {
+            opcode: Opcode::StridedLoad,
+            dtype: DType::I32,
+            active_lanes: 1,
+            cb_mask: 1,
+            lines: LineSet::from_sorted(lines),
+            write: false,
+        };
+        let mut t = Trace::new();
+        t.push(memory(&[0, 1, 2, 3]));
+        let events_only = t.events.capacity() * std::mem::size_of::<Event>();
+        assert_eq!(t.heap_bytes(), events_only, "one segment is inline");
+        t.push(memory(&[0, 1, 2, 9, 10]));
+        let two = LineSet::from_sorted(&[0, 1, 2, 9, 10]).heap_bytes();
+        assert!(two > 0);
+        let events_only = t.events.capacity() * std::mem::size_of::<Event>();
+        assert_eq!(t.heap_bytes(), events_only + two);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use mve_core::isa::{Opcode, StrideMode};
 use mve_core::mem::Memory;
 use mve_core::trace::Event;
 use mve_insram::scheme::EngineGeometry;
+use mve_memsim::LineSet;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -212,7 +213,7 @@ fn check(c: &Case) -> Result<(), TestCaseError> {
         dtype: c.dtype,
         active_lanes: enabled.len() as u32,
         cb_mask: cb_mask_of(enabled.iter().map(|&(l, _)| l), c.per_cb),
-        lines: want_lines,
+        lines: LineSet::from_sorted(&want_lines),
         write,
     };
 

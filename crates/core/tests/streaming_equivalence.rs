@@ -20,6 +20,7 @@ use mve_core::isa::Opcode;
 use mve_core::sim::{simulate, simulate_sweep, SimConfig, TimingSim};
 use mve_core::trace::{alu_op_for, Event, Trace};
 use mve_insram::Scheme;
+use mve_memsim::LineSet;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -78,9 +79,10 @@ fn decode(seed: u64) -> Event {
             } else {
                 n_lines
             };
-            // Cheap LCG over the seed for distinct-ish line addresses.
+            // Cheap LCG over the seed for line addresses, sorted and
+            // deduplicated as every producer's line set is.
             let mut x = seed | 1;
-            let lines = (0..n_lines)
+            let mut lines: Vec<u64> = (0..n_lines)
                 .map(|_| {
                     x = x
                         .wrapping_mul(6364136223846793005)
@@ -88,6 +90,8 @@ fn decode(seed: u64) -> Event {
                     x % 4096
                 })
                 .collect();
+            lines.sort_unstable();
+            lines.dedup();
             Event::Memory {
                 opcode: if write {
                     Opcode::StridedStore
@@ -97,7 +101,7 @@ fn decode(seed: u64) -> Event {
                 dtype,
                 active_lanes,
                 cb_mask,
-                lines,
+                lines: LineSet::from_sorted(&lines),
                 write,
             }
         }

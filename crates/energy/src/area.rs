@@ -8,10 +8,10 @@
 //! |-----------------|--------------|------------|
 //! | Controller      | RTL          | 0.0043     |
 //! | MSHR            | CACTI        | 0.0018     |
-//! | TMU             | [31]         | 0.0053     |
-//! | XB              | [35]         | 0.0039     |
-//! | FSM             | [35]         | 0.0123     |
-//! | Peripheral      | [35]         | 0.0063     |
+//! | TMU             | \[31\]       | 0.0053     |
+//! | XB              | \[35\]       | 0.0039     |
+//! | FSM             | \[35\]       | 0.0123     |
+//! | Peripheral      | \[35\]       | 0.0063     |
 //! | Address Decoder | RTL          | 0.0042     |
 //! | **Total**       |              | **0.0382** |
 //!

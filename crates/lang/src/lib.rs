@@ -7,14 +7,14 @@
 //! client-submitted kernels, the ROADMAP's "as many scenarios as you can
 //! imagine":
 //!
-//! * [`lex`]/[`parse`] — a hand-rolled, std-only lexer and
+//! * [`lex`]/[`parse`](mod@parse) — a hand-rolled, std-only lexer and
 //!   recursive-descent parser for the small textual DSL (typed buffer and
 //!   scalar parameters, multi-dimensional shapes, element-wise and
 //!   reduction operators, strided loads/stores, `for` dim blocks that
 //!   unroll into the paper's multi-dimensional strip-mining);
 //! * [`ast`] — the tree, with a canonical [`ast::pretty`] printer whose
 //!   output re-parses to an equal tree (property-tested);
-//! * [`lower`] — typed lowering into the compiler IR: inference-driven
+//! * [`lower`](mod@lower) — typed lowering into the compiler IR: inference-driven
 //!   type checking, compile-time loop unrolling and constant folding,
 //!   static bounds checks against declared buffer lengths, splat
 //!   memoization and dead-code elimination;

@@ -7,6 +7,7 @@ use std::collections::BinaryHeap;
 use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dram::{Dram, DramConfig};
 use crate::line_of;
+use crate::lineset::LineSet;
 
 /// L2 tag lookups per cycle on the vector path: the data half is
 /// multi-banked over its 4 storage ways.
@@ -115,11 +116,11 @@ pub struct Hierarchy {
     /// Completion cycles of a vector batch's outstanding L2 misses, earliest
     /// on top; reused across batches.
     outstanding: BinaryHeap<Reverse<u64>>,
-    /// The lines of the last vector batch the L2 walked.
-    last_lines: Vec<u64>,
+    /// The last vector batch the L2 walked.
+    last_lines: LineSet,
     /// That batch's `write` flag.
     last_write: bool,
-    /// Whether every line of `last_lines` is still resident in the L2
+    /// Whether every line of that batch is still resident in the L2
     /// with its presence bit clear, and no L2 access has come since.
     last_resident: bool,
 }
@@ -140,7 +141,7 @@ impl Hierarchy {
             dram: Dram::new(cfg.dram),
             stats: MemStats::default(),
             outstanding: BinaryHeap::with_capacity(cfg.l2.mshrs),
-            last_lines: Vec::new(),
+            last_lines: LineSet::new(),
             last_write: false,
             last_resident: false,
             cfg,
@@ -244,7 +245,8 @@ impl Hierarchy {
     }
 
     /// A batched vector gather/scatter issued by the MVE controller at time
-    /// `now` over distinct cache `lines` (line addresses).
+    /// `now` over a set of cache `lines` (line addresses), walked in
+    /// ascending order.
     ///
     /// The batch bypasses L1 but honours inclusive-presence-bit coherence:
     /// a hit on a line whose presence bit is set first evicts it from L1.
@@ -257,11 +259,11 @@ impl Hierarchy {
     /// clear is all hits and changes no cache state: re-stamping the same
     /// lines in the same order keeps every set's LRU order, and their dirty
     /// bits are already set. So it only counts its hits.
-    pub fn vector_access(&mut self, lines: &[u64], write: bool, now: u64) -> BatchResult {
+    pub fn vector_access(&mut self, lines: &LineSet, write: bool, now: u64) -> BatchResult {
         if self.last_resident
             && write == self.last_write
             && !lines.is_empty()
-            && lines == self.last_lines.as_slice()
+            && *lines == self.last_lines
         {
             let n = lines.len() as u64;
             self.l2.repeat_hits(n);
@@ -287,18 +289,19 @@ impl Hierarchy {
 
     /// [`Hierarchy::vector_access`] as a walk of every line, which records
     /// the batch for the repeat check. A victim or back-invalidation that
-    /// may remove one of the batch's (sorted) lines rules the repeat out.
-    fn walk_vector_batch(&mut self, lines: &[u64], write: bool, now: u64) -> BatchResult {
+    /// may remove one of the batch's lines rules the repeat out.
+    fn walk_vector_batch(&mut self, lines: &LineSet, write: bool, now: u64) -> BatchResult {
         let mshrs = self.cfg.l2.mshrs;
-        let mut resident = lines.is_sorted();
+        let mut resident = true;
         self.outstanding.clear();
         let mut t = now;
         let mut done_at = now;
         let mut l2_hits = 0;
         let mut dram_lines = 0;
 
-        for (idx, &line) in lines.iter().enumerate() {
-            if (idx as u64).is_multiple_of(TAG_BANKS) {
+        let mut n = 0u64;
+        for line in lines.iter() {
+            if n.is_multiple_of(TAG_BANKS) {
                 t += 1; // banked tag-port throughput
             }
             let out = self.l2.access_bypassing_above(line, write);
@@ -315,7 +318,7 @@ impl Hierarchy {
                 if out.writeback == Some(victim) {
                     self.stats.dram_accesses += 1;
                 }
-                resident = resident && !batch_holds(lines, victim);
+                resident = resident && !lines.contains(victim);
             }
             let completion = if out.hit {
                 self.stats.l2_hits += 1;
@@ -345,7 +348,7 @@ impl Hierarchy {
                     if self.l2.invalidate(victim) || llc_out.writeback == Some(victim) {
                         self.stats.dram_accesses += 1;
                     }
-                    resident = resident && !batch_holds(lines, victim);
+                    resident = resident && !lines.contains(victim);
                 }
                 let completion = if llc_out.hit {
                     self.stats.llc_hits += 1;
@@ -361,32 +364,30 @@ impl Hierarchy {
                 completion
             };
             done_at = done_at.max(completion);
+            n += 1;
         }
 
-        self.count_vector_lines(lines.len() as u64, write);
-        self.last_lines.clear();
-        self.last_lines.extend_from_slice(lines);
+        self.count_vector_lines(n, write);
+        self.last_lines.clone_from(lines);
         self.last_write = write;
         self.last_resident = resident;
         BatchResult {
             done_at,
-            lines: lines.len() as u64,
+            lines: n,
             l2_hits,
             dram_lines,
         }
     }
 }
 
-/// Whether the sorted, nonempty batch `lines` holds `victim`: a range
-/// check first, since most victims fall outside the batch, then a binary
-/// search.
-fn batch_holds(lines: &[u64], victim: u64) -> bool {
-    (lines[0]..=lines[lines.len() - 1]).contains(&victim) && lines.binary_search(&victim).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The set of strictly ascending `lines`.
+    pub(super) fn set(lines: &[u64]) -> LineSet {
+        LineSet::from_sorted(lines)
+    }
 
     #[test]
     fn address_period_is_the_lcm_of_the_set_counts_and_the_dram_stripe() {
@@ -425,8 +426,8 @@ mod tests {
         let mut h = Hierarchy::default();
         let lines: Vec<u64> = (0..32).collect();
         // Warm the L2 through the vector path itself.
-        h.vector_access(&lines, false, 0);
-        let res = h.vector_access(&lines, false, 10_000);
+        h.vector_access(&set(&lines), false, 0);
+        let res = h.vector_access(&set(&lines), false, 10_000);
         assert_eq!(res.l2_hits, 32);
         // 32 tag lookups + hit latency.
         assert!(res.done_at - 10_000 <= 32 + 12 + 4);
@@ -437,7 +438,7 @@ mod tests {
         let mut h = Hierarchy::default();
         // 200 distinct uncached lines: misses must wave through 46 MSHRs.
         let lines: Vec<u64> = (0..200).map(|i| 0x10_0000 + i * 7).collect();
-        let res = h.vector_access(&lines, false, 0);
+        let res = h.vector_access(&set(&lines), false, 0);
         assert_eq!(res.lines, 200);
         assert!(res.dram_lines > 0);
         // With only 46 outstanding misses the batch cannot complete in one
@@ -450,11 +451,11 @@ mod tests {
         let mut h = Hierarchy::default();
         h.core_access(0x2000, true, 0); // now in L1, presence set in L2
         let line = line_of(0x2000);
-        let res = h.vector_access(&[line], false, 100);
+        let res = h.vector_access(&set(&[line]), false, 100);
         assert_eq!(h.stats().coherence_evictions, 1);
         assert!(res.done_at > 100);
         // A second vector access needs no eviction.
-        h.vector_access(&[line], false, 200);
+        h.vector_access(&set(&[line]), false, 200);
         assert_eq!(h.stats().coherence_evictions, 1);
     }
 
@@ -478,6 +479,7 @@ mod tests {
 
 #[cfg(test)]
 mod more_tests {
+    use super::tests::set;
     use super::*;
 
     #[test]
@@ -485,11 +487,11 @@ mod more_tests {
         let mut h = Hierarchy::default();
         // A cold full-line vector store must not touch DRAM (write-validate).
         let lines: Vec<u64> = (0x4000..0x4040).collect();
-        let res = h.vector_access(&lines, true, 0);
+        let res = h.vector_access(&set(&lines), true, 0);
         assert_eq!(res.dram_lines, 0, "store misses must not fetch");
         assert_eq!(h.stats().dram_accesses, 0);
         // The same lines now hit.
-        let res = h.vector_access(&lines, false, 10_000);
+        let res = h.vector_access(&set(&lines), false, 10_000);
         assert_eq!(res.l2_hits as usize, lines.len());
     }
 
@@ -500,7 +502,7 @@ mod more_tests {
         // L2: 1024 sets, so stride by 1024 lines hits one set.
         let set_lines: Vec<u64> = (0..12).map(|i| 7 + i * 1024).collect();
         for &l in &set_lines {
-            h.vector_access(&[l], true, 0);
+            h.vector_access(&set(&[l]), true, 0);
         }
         // More lines than active ways (4 in compute mode: full 8 here):
         // evictions must have produced DRAM writebacks.
@@ -516,23 +518,24 @@ mod more_tests {
         // Six lines mapping to one L2 set (1024 sets): the full cache holds
         // all six, the compute-mode cache only four.
         let set_lines: Vec<u64> = (0..6).map(|i| 3 + i * 1024).collect();
+        let (all, last_four) = (set(&set_lines), set(&set_lines[2..]));
 
         let mut full = Hierarchy::default();
-        full.vector_access(&set_lines, false, 0);
-        full.vector_access(&set_lines, false, 10_000);
+        full.vector_access(&all, false, 0);
+        full.vector_access(&all, false, 10_000);
         assert_eq!(full.stats().l2_hits, 6, "all six fit in 8 ways");
 
         let mut half = Hierarchy::default();
         half.enable_compute_mode();
-        half.vector_access(&set_lines, false, 0);
+        half.vector_access(&all, false, 0);
         let before = half.stats().l2_hits;
         // Re-touch the last four (the LRU survivors): they hit.
-        half.vector_access(&set_lines[2..], false, 10_000);
+        half.vector_access(&last_four, false, 10_000);
         assert_eq!(half.stats().l2_hits - before, 4, "only 4 ways remain");
         // Restoring full mode re-enables all ways for future fills.
         half.disable_compute_mode();
-        half.vector_access(&set_lines, false, 20_000);
-        half.vector_access(&set_lines, false, 30_000);
+        half.vector_access(&all, false, 20_000);
+        half.vector_access(&all, false, 30_000);
         assert!(half.stats().l2_hits >= before + 4 + 6);
     }
 
@@ -659,7 +662,7 @@ mod more_tests {
                     lines.sort_unstable();
                     lines.dedup();
                     assert_eq!(
-                        new.vector_access(&lines, write, now),
+                        new.vector_access(&set(&lines), write, now),
                         two_lookup_vector_access(&mut old, &lines, write, now)
                     );
                 }
@@ -709,7 +712,7 @@ mod more_tests {
                 let mut lines: Vec<u64> = (0..n).map(|_| line(&mut rng)).collect();
                 lines.sort_unstable();
                 lines.dedup();
-                let res = new.vector_access(&lines, false, now);
+                let res = new.vector_access(&set(&lines), false, now);
                 assert_eq!(res, two_lookup_vector_access(&mut old, &lines, false, now));
                 assert_eq!(new.stats(), old.stats());
                 // More misses than MSHRs: the batch ran the full-MSHR path.
@@ -761,7 +764,7 @@ mod more_tests {
             let mut rng = seed;
             let mut fast = Hierarchy::default();
             let mut full = fast.clone();
-            let (mut lines, mut write, mut compute) = (Vec::new(), false, false);
+            let (mut lines, mut write, mut compute) = (LineSet::new(), false, false);
             let (mut now, mut repeats) = (0, 0);
             for op in ops {
                 now += next(&mut rng) % 256;
@@ -790,9 +793,10 @@ mod more_tests {
                     }
                     _ => {
                         let n = 1 + next(&mut rng) % 40;
-                        lines = (0..n).map(|_| pool_line(&mut rng)).collect();
-                        lines.sort_unstable();
-                        lines.dedup();
+                        let mut drawn: Vec<u64> = (0..n).map(|_| pool_line(&mut rng)).collect();
+                        drawn.sort_unstable();
+                        drawn.dedup();
+                        lines = set(&drawn);
                         write = next(&mut rng).is_multiple_of(3);
                     }
                 }
@@ -809,7 +813,7 @@ mod more_tests {
     #[test]
     fn repeat_fast_path_fires_and_yields_to_back_invalidation() {
         let mut h = Hierarchy::default();
-        let batch: Vec<u64> = (0..64).collect();
+        let batch = set(&(0..64).collect::<Vec<u64>>());
         h.vector_access(&batch, false, 0);
         assert!(h.last_resident, "a batch that fits stays resident");
         let mut full = h.clone();
@@ -825,12 +829,12 @@ mod more_tests {
         // back-invalidates the L2 copy: the repeat must walk and miss.
         let mut h = Hierarchy::default();
         let crowd: Vec<u64> = (0..9).map(|k| 7 + 4_096 * k).collect();
-        h.vector_access(&[7], false, 0);
+        h.vector_access(&set(&[7]), false, 0);
         for (i, &line) in crowd[1..8].iter().enumerate() {
-            h.vector_access(&[line], false, 10 * i as u64 + 5);
-            h.vector_access(&[7], false, 10 * i as u64 + 10);
+            h.vector_access(&set(&[line]), false, 10 * i as u64 + 5);
+            h.vector_access(&set(&[7]), false, 10 * i as u64 + 10);
         }
-        let batch = [7, crowd[8]];
+        let batch = set(&[7, crowd[8]]);
         assert_eq!(h.vector_access(&batch, false, 1_000).l2_hits, 1);
         assert!(!h.l2.probe(7), "the LLC victim left the L2 too");
         assert!(

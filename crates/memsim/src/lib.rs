@@ -25,10 +25,12 @@
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;
+pub mod lineset;
 
 pub use cache::{CacheConfig, SetAssocCache};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{BatchResult, Hierarchy, HierarchyConfig, MemStats};
+pub use lineset::LineSet;
 
 /// Cache line size used throughout the model (bytes).
 pub const LINE_BYTES: u64 = 64;

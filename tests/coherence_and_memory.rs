@@ -5,7 +5,7 @@
 use mve_core::engine::Engine;
 use mve_core::isa::StrideMode;
 use mve_core::sim::{simulate, SimConfig};
-use mve_memsim::Hierarchy;
+use mve_memsim::{Hierarchy, LineSet};
 
 #[test]
 fn scalar_writes_are_visible_to_vector_loads() {
@@ -34,7 +34,7 @@ fn presence_bits_trigger_coherence_evictions_in_timing() {
     }
     // ...then the vector engine touches the same region.
     let lines: Vec<u64> = (0..32).map(|i| (0x8000 + i * 64) / 64).collect();
-    h.vector_access(&lines, false, 1_000);
+    h.vector_access(&LineSet::from_sorted(&lines), false, 1_000);
     assert_eq!(h.stats().coherence_evictions, 32);
 }
 
