@@ -418,9 +418,10 @@ pub struct TimingSim {
     energy: EnergyCounters,
     vec_instrs: u64,
     scalar_instrs: u64,
-    /// Scalar blocks are coalesced before retiring (identical to
-    /// [`Trace::push`] coalescing, so raw engine streams and captured
-    /// traces time identically).
+    /// Scalar blocks are coalesced before retiring. [`Trace::push`]
+    /// already merges adjacent blocks, so this only merges blocks that an
+    /// [`Event::SrcLine`] marker splits: a marked trace times the same as
+    /// the unmarked one.
     pending_scalar: u64,
 }
 

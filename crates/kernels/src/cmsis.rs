@@ -4,14 +4,16 @@
 //! fixed-point types: FIR-V (q15/i16, 32 taps), FIR-S (q7/i8, 16 taps),
 //! FIR-L (q31/i32, 128 taps). Low precision is where bit-serial in-cache
 //! computing shines (Figure 12(c)): arithmetic latency is quadratic in the
-//! element width.
+//! element width. The MVE run is the shared FIR body
+//! ([`crate::precision::run_fir_lanes`]) at the variant's type and width.
 
-use crate::common::{check_exact, engine, gen_i16, KernelRun, Scale};
+use crate::common::{engine, gen_i16, KernelRun, Scale};
+use crate::precision;
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
 use mve_baselines::rvv::Rvv;
 use mve_core::dtype::{BinOp, DType};
-use mve_core::isa::{Opcode, StrideMode};
+use mve_core::isa::Opcode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 
 /// The FIR filter family; variant selects precision and tap count.
@@ -80,54 +82,12 @@ impl Fir {
         acc.into_iter().map(|v| u64::from(v) & mask).collect()
     }
 
-    fn run_mve_impl(&self, scale: Scale) -> KernelRun {
-        let dt = self.dtype();
-        let eb = dt.bytes();
-        let n = Self::samples(scale);
-        let taps = self.taps();
-        let x = self.gen_lanes(0x41, n);
-        let h = self.gen_lanes(0x42, taps);
+    /// The samples, the coefficients and the reference output of a run.
+    fn operands(&self, scale: Scale) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let x = self.gen_lanes(0x41, Self::samples(scale));
+        let h = self.gen_lanes(0x42, self.taps());
         let want = self.scalar_ref(&x, &h);
-        let n_out = want.len();
-
-        let mut e = engine();
-        e.vsetwidth(dt.bits().max(8));
-        let xa = e.mem_alloc(n as u64 * eb);
-        let oa = e.mem_alloc(n_out as u64 * eb);
-        for (i, &v) in x.iter().enumerate() {
-            e.mem_mut().write_raw(xa + i as u64 * eb, eb, v);
-        }
-
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n_out {
-            let chunk = lanes.min(n_out - base);
-            e.vsetdiml(0, chunk);
-            e.scalar(6);
-            let mut acc = e.setdup(dt, 0);
-            for (t, &c) in h.iter().enumerate() {
-                e.scalar(4);
-                let xv = e.load(dt, xa + ((base + t) as u64) * eb, &[StrideMode::One]);
-                let cv = e.setdup(dt, c);
-                let p = e.binop(Opcode::Mul, BinOp::Mul, xv, cv);
-                let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
-                for r in [xv, cv, p, acc] {
-                    e.free(r);
-                }
-                acc = acc2;
-            }
-            e.store(acc, oa + (base as u64) * eb, &[StrideMode::One]);
-            e.free(acc);
-            base += chunk;
-        }
-        let got: Vec<u64> = (0..n_out)
-            .map(|i| e.mem().read_raw(oa + i as u64 * eb, eb))
-            .collect();
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        (x, h, want)
     }
 
     fn run_rvv_impl(&self, scale: Scale) -> KernelRun {
@@ -135,20 +95,14 @@ impl Fir {
         // 1-D loads — near parity, as Figure 10 shows.
         let dt = self.dtype();
         let eb = dt.bytes();
-        let n = Self::samples(scale);
-        let taps = self.taps();
-        let x = self.gen_lanes(0x41, n);
-        let h = self.gen_lanes(0x42, taps);
-        let want = self.scalar_ref(&x, &h);
+        let (x, h, want) = self.operands(scale);
         let n_out = want.len();
 
         let mut e = engine();
         e.vsetwidth(dt.bits().max(8));
-        let xa = e.mem_alloc(n as u64 * eb);
+        let xa = e.mem_alloc(x.len() as u64 * eb);
         let oa = e.mem_alloc(n_out as u64 * eb);
-        for (i, &v) in x.iter().enumerate() {
-            e.mem_mut().write_raw(xa + i as u64 * eb, eb, v);
-        }
+        precision::store_packed(&mut e, xa, dt, &x);
 
         let lanes = e.lanes();
         let mut rvv = Rvv::new(&mut e);
@@ -174,11 +128,8 @@ impl Fir {
             rvv.engine().free(acc);
             base += chunk;
         }
-        let got: Vec<u64> = (0..n_out)
-            .map(|i| e.mem().read_raw(oa + i as u64 * eb, eb))
-            .collect();
         KernelRun {
-            checked: check_exact(&got, &want),
+            checked: precision::check_lanes(&e, oa, dt, &want),
             trace: e.take_trace(),
         }
     }
@@ -201,7 +152,9 @@ impl Kernel for Fir {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        self.run_mve_impl(scale)
+        let dt = self.dtype();
+        let (x, h, want) = self.operands(scale);
+        precision::run_fir_lanes(dt, dt.bits().max(8), &x, &h, &want)
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {

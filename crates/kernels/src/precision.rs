@@ -1,21 +1,23 @@
-//! Precision-parametric variants of GEMM, SpMM and FIR for the Figure 12(c)
-//! bit-precision sensitivity study (F32 / I32 / F16 / I16).
+//! The MVE GEMM, SpMM and FIR, each written once and run at any element
+//! type: the registry's fp16 XNNPACK GEMM/SpMM, Figure 9's f32 sweep, CMSIS
+//! FIR-V/S/L (i16/i8/i32) and the Figure 12(c) bit-precision study (F32 /
+//! I32 / F16 / I16).
 //!
-//! Bit-serial arithmetic latency is quadratic in the element width, so these
-//! four variants are the paper's probe into the precision/performance
-//! trade-off. Each variant computes functionally and is checked against a
-//! same-precision scalar reference.
+//! Bit-serial arithmetic latency is quadratic in the element width, so the
+//! four [`Precision`]s are the paper's probe into the precision/performance
+//! trade-off. Every run computes functionally and is checked in place
+//! against a same-precision scalar reference.
 //!
 //! The references run on native lane types (`Native`): one generic loop
 //! per kernel keeps every output's accumulation order and walks the output
 //! dimension innermost, so it vectorizes. The XNNPACK fp16 RVV variants
 //! check against the same references.
 
-use crate::common::{engine, gen_f32, Checked, KernelRun, Scale};
-use crate::xnnpack::SpmmData;
-use mve_core::dtype::{f16_to_f32, f32_to_f16, DType};
-use mve_core::engine::{Engine, Reg};
-use mve_core::isa::StrideMode;
+use crate::common::{engine, gen_f32, tree_halve, Checked, KernelRun, Scale};
+use crate::xnnpack::{Spmm, SpmmData, SpmmSize};
+use mve_core::dtype::{f16_to_f32, f32_to_f16, BinOp, DType};
+use mve_core::engine::Engine;
+use mve_core::isa::{Opcode, StrideMode};
 
 /// The four precisions of Figure 12(c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,11 +59,6 @@ impl Precision {
             Precision::F16 => "F16",
             Precision::I16 => "I16",
         }
-    }
-
-    /// Element bytes.
-    fn bytes(&self) -> u64 {
-        self.dtype().bytes()
     }
 
     /// Packs an f32 sample into this precision's canonical lane value.
@@ -292,48 +289,25 @@ impl<'a> SpmmLanes<'a> {
     }
 }
 
-fn store_packed(e: &mut Engine, base: u64, prec: Precision, vals: &[u64]) {
+/// Writes canonical `dt` lanes to memory at `base`, one element each.
+pub(crate) fn store_packed(e: &mut Engine, base: u64, dt: DType, vals: &[u64]) {
+    let eb = dt.bytes();
     for (i, &v) in vals.iter().enumerate() {
-        e.mem_mut()
-            .write_raw(base + i as u64 * prec.bytes(), prec.bytes(), v);
+        e.mem_mut().write_raw(base + i as u64 * eb, eb, v);
     }
 }
 
-fn typed_load(e: &mut Engine, prec: Precision, base: u64, modes: &[StrideMode]) -> Reg {
-    e.load(prec.dtype(), base, modes)
-}
-
-fn typed_mul(e: &mut Engine, a: Reg, b: Reg) -> Reg {
-    e.binop(
-        mve_core::isa::Opcode::Mul,
-        mve_core::dtype::BinOp::Mul,
-        a,
-        b,
-    )
-}
-
-fn typed_add(e: &mut Engine, a: Reg, b: Reg) -> Reg {
-    e.binop(
-        mve_core::isa::Opcode::Add,
-        mve_core::dtype::BinOp::Add,
-        a,
-        b,
-    )
-}
-
-fn check_lanes(e: &Engine, got_base: u64, prec: Precision, want: &[u64]) -> Checked {
-    let mut mismatches = 0;
-    for (i, &w) in want.iter().enumerate() {
-        let g = e
-            .mem()
-            .read_raw(got_base + i as u64 * prec.bytes(), prec.bytes());
-        if g != w {
-            mismatches += 1;
-        }
-    }
+/// Compares the `dt` lanes at `got_base` with `want`, in place.
+pub(crate) fn check_lanes(e: &Engine, got_base: u64, dt: DType, want: &[u64]) -> Checked {
+    let eb = dt.bytes();
+    let got = |i: usize| e.mem().read_raw(got_base + i as u64 * eb, eb);
     Checked {
         compared: want.len(),
-        mismatches,
+        mismatches: want
+            .iter()
+            .enumerate()
+            .filter(|&(i, &w)| got(i) != w)
+            .count(),
     }
 }
 
@@ -352,53 +326,57 @@ pub(crate) fn gemm_operands(prec: Precision, n: usize, k: usize, m: usize) -> (V
     (pack(0xE1, n * k), pack(0xE2, k * m))
 }
 
-/// GEMM at an arbitrary precision and explicit dimensions (shared by the
-/// XNNPACK fp16 kernel).
+/// The MVE GEMM of the Section IV replication listing at an arbitrary
+/// precision and size (the registry's fp16 kernel, Figure 9's f32 sweep
+/// and Figure 12(c)). Its trace does not depend on the operand values.
 pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun {
     let (input, weight) = gemm_operands(prec, n, k, m);
     let want = gemm_ref(prec, &input, &weight, n, k, m);
 
     let mut e = engine();
     e.vsetwidth(32);
-    let eb = prec.bytes();
+    let dt = prec.dtype();
+    let eb = dt.bytes();
     let ia = e.mem_alloc(n as u64 * k as u64 * eb);
     let wa = e.mem_alloc(k as u64 * m as u64 * eb);
     let oa = e.mem_alloc(n as u64 * m as u64 * eb);
-    store_packed(&mut e, ia, prec, &input);
-    store_packed(&mut e, wa, prec, &weight);
+    store_packed(&mut e, ia, dt, &input);
+    store_packed(&mut e, wa, dt, &weight);
 
     let lanes = e.lanes();
     let rows_per_tile = (lanes / m).max(1);
+    // 2D: M output columns (DIM0), rows-per-tile rows (DIM1).
     e.vsetdimc(2);
     e.vsetdiml(0, m);
-    e.vsetldstr(1, k as i64);
+    e.vsetldstr(1, k as i64); // input row stride for mode 3
     let mut r = 0usize;
     while r < n {
         let rows = rows_per_tile.min(n - r);
         e.vsetdiml(1, rows);
         e.scalar(8);
-        let mut acc = e.setdup(prec.dtype(), prec.pack(0.0));
+        let mut acc = e.setdup(dt, 0);
         for j in 0..k {
             e.scalar(6);
-            let iv = typed_load(
-                &mut e,
-                prec,
+            // Input column, replicated horizontally (DIM0 stride 0).
+            let iv = e.load(
+                dt,
                 ia + ((r * k + j) as u64) * eb,
                 &[StrideMode::Zero, StrideMode::Cr],
             );
-            let wv = typed_load(
-                &mut e,
-                prec,
+            // Weight row, replicated vertically (DIM1 stride 0).
+            let wv = e.load(
+                dt,
                 wa + ((j * m) as u64) * eb,
                 &[StrideMode::One, StrideMode::Zero],
             );
-            let p = typed_mul(&mut e, iv, wv);
-            let acc2 = typed_add(&mut e, acc, p);
+            let p = e.binop(Opcode::Mul, BinOp::Mul, iv, wv);
+            let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
             for rg in [iv, wv, p, acc] {
                 e.free(rg);
             }
             acc = acc2;
         }
+        // Store rows sequentially.
         e.store(
             acc,
             oa + ((r * m) as u64) * eb,
@@ -408,12 +386,12 @@ pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun
         r += rows;
     }
     KernelRun {
-        checked: check_lanes(&e, oa, prec, &want),
+        checked: check_lanes(&e, oa, dt, &want),
         trace: e.take_trace(),
     }
 }
 
-/// FIR at an arbitrary precision.
+/// FIR at an arbitrary precision (Figure 12(c)).
 pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
     let n = match scale {
         Scale::Test => 4 * 1024,
@@ -421,15 +399,22 @@ pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
     };
     let x: Vec<u64> = gen_f32(0xE3, n).iter().map(|&v| prec.pack(v)).collect();
     let h: Vec<u64> = gen_f32(0xE4, taps).iter().map(|&v| prec.pack(v)).collect();
-    let n_out = n - taps + 1;
     let want = fir_ref(prec, &x, &h);
+    run_fir_lanes(prec.dtype(), 32, &x, &h, &want)
+}
 
+/// The MVE FIR `y[i] = Σ_t h[t]·x[i+t]` on canonical `dt` lanes at kernel
+/// width `width`, checked against `want` (CMSIS FIR-V/S/L and Figure
+/// 12(c)): one 1-D chunk of outputs per pass, one broadcast coefficient
+/// per tap.
+pub fn run_fir_lanes(dt: DType, width: u32, x: &[u64], h: &[u64], want: &[u64]) -> KernelRun {
+    let n_out = x.len() + 1 - h.len();
     let mut e = engine();
-    e.vsetwidth(32);
-    let eb = prec.bytes();
-    let xa = e.mem_alloc(n as u64 * eb);
+    e.vsetwidth(width);
+    let eb = dt.bytes();
+    let xa = e.mem_alloc(x.len() as u64 * eb);
     let oa = e.mem_alloc(n_out as u64 * eb);
-    store_packed(&mut e, xa, prec, &x);
+    store_packed(&mut e, xa, dt, x);
 
     let lanes = e.lanes();
     e.vsetdimc(1);
@@ -438,18 +423,13 @@ pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
         let chunk = lanes.min(n_out - base);
         e.vsetdiml(0, chunk);
         e.scalar(6);
-        let mut acc = e.setdup(prec.dtype(), prec.pack(0.0));
+        let mut acc = e.setdup(dt, 0);
         for (t, &c) in h.iter().enumerate() {
             e.scalar(4);
-            let xv = typed_load(
-                &mut e,
-                prec,
-                xa + ((base + t) as u64) * eb,
-                &[StrideMode::One],
-            );
-            let cv = e.setdup(prec.dtype(), c);
-            let p = typed_mul(&mut e, xv, cv);
-            let acc2 = typed_add(&mut e, acc, p);
+            let xv = e.load(dt, xa + ((base + t) as u64) * eb, &[StrideMode::One]);
+            let cv = e.setdup(dt, c);
+            let p = e.binop(Opcode::Mul, BinOp::Mul, xv, cv);
+            let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
             for rg in [xv, cv, p, acc] {
                 e.free(rg);
             }
@@ -460,100 +440,106 @@ pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
         base += chunk;
     }
     KernelRun {
-        checked: check_lanes(&e, oa, prec, &want),
+        checked: check_lanes(&e, oa, dt, want),
         trace: e.take_trace(),
     }
 }
 
-/// SpMM at an arbitrary precision (same structure as the f32 kernel, with
-/// the batch fold in the target precision).
+/// SpMM at an arbitrary precision (the registry's fp16 kernel and Figure
+/// 12(c)).
 pub fn run_spmm(prec: Precision, scale: Scale) -> KernelRun {
-    let s = crate::xnnpack::Spmm::size(scale);
-    run_spmm_sized(prec, s)
+    run_spmm_sized(prec, Spmm::size(scale), 0xE5)
 }
 
-/// SpMM at an arbitrary precision and explicit size.
-pub fn run_spmm_sized(prec: Precision, s: crate::xnnpack::SpmmSize) -> KernelRun {
-    use crate::xnnpack::Spmm;
-    let d = Spmm::gen_data(s, 0xE5);
+/// The MVE SpMM of the Section IV irregular-access listing at an arbitrary
+/// precision and size, on [`Spmm::gen_data`]`(s, seed)`; the sparsity
+/// pattern shapes the trace, so the seed does too. `s.m` must be a power
+/// of two for the in-cache fold.
+///
+/// Per row: the scalar core materialises pointer arrays for the nonzero
+/// values and the matching weight rows; MVE random-loads both — values
+/// replicated across M (stride-0 DIM0), weight rows sequential —
+/// multiplies, accumulates `[M × batch]` partial products across batches
+/// and folds the batch dimension in-cache once per row. The reference
+/// (`SpmmLanes::batched_ref`) follows the same order exactly.
+pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
+    let d = Spmm::gen_data(s, seed);
     let ops = SpmmLanes::pack(prec, &d, s.m);
-    let (values, weight) = (&ops.values, &ops.weight);
 
     let mut e = engine();
     e.vsetwidth(32);
-    let eb = prec.bytes();
-    let va = e.mem_alloc((values.len().max(1) as u64) * eb);
+    let dt = prec.dtype();
+    let eb = dt.bytes();
+    let va = e.mem_alloc((ops.values.len().max(1) as u64) * eb);
     let wa = e.mem_alloc((s.k * s.m) as u64 * eb);
     let oa = e.mem_alloc((s.n * s.m) as u64 * eb);
+    // Padding target: fresh memory reads zero, so padded lanes add nothing.
     let zero_val = e.mem_alloc(eb);
-    store_packed(&mut e, va, prec, values);
-    store_packed(&mut e, wa, prec, weight);
-    e.mem_mut().write_raw(zero_val, eb, prec.pack(0.0));
+    store_packed(&mut e, va, dt, &ops.values);
+    store_packed(&mut e, wa, dt, &ops.weight);
 
-    // The kernel accumulates [M x batch] partial products across batches
-    // and folds the batch dimension once per row; the reference
-    // (`SpmmLanes::batched_ref`) follows the same order exactly.
     let lanes = e.lanes();
-    let max_nnz = (0..s.n)
-        .map(|n| d.row_ptr[n + 1] - d.row_ptr[n])
+    let max_nnz = d
+        .row_ptr
+        .windows(2)
+        .map(|w| w[1] - w[0])
         .max()
         .unwrap_or(1)
         .max(1);
+    // <= lanes/m, power of two, no larger than the densest row needs.
     let batch = ((lanes / s.m).next_power_of_two() / 2)
         .clamp(2, 256)
         .min(max_nnz.next_power_of_two());
-    let dt = prec.dtype();
     let want = ops.batched_ref(prec, batch);
 
     let vptr = e.mem_alloc_typed::<u64>(batch);
     let wptr = e.mem_alloc_typed::<u64>(batch);
     for n in 0..s.n {
         e.scalar(10);
-        // Accumulate [M, batch] products across batch passes.
         e.vsetdimc(2);
         e.vsetdiml(0, s.m);
         e.vsetdiml(1, batch);
-        let mut acc2d = e.setdup(dt, prec.pack(0.0));
+        let mut acc2d = e.setdup(dt, 0);
         let (lo, hi) = (d.row_ptr[n], d.row_ptr[n + 1]);
         let mut j = lo;
         while j < hi {
             let take = batch.min(hi - j);
+            // Scalar core computes the pointer arrays (charged per nnz).
             e.scalar(4 * take as u64);
-            let mut vp = Vec::with_capacity(batch);
-            let mut wp = Vec::with_capacity(batch);
-            for b in 0..batch {
-                if b < take {
-                    vp.push(va + ((j + b) as u64) * eb);
-                    wp.push(wa + (d.col_idx[j + b] * s.m) as u64 * eb);
-                } else {
-                    vp.push(zero_val);
-                    wp.push(wa);
-                }
-            }
+            let (vp, wp): (Vec<u64>, Vec<u64>) = (0..batch)
+                .map(|b| {
+                    if b < take {
+                        let w = wa + (d.col_idx[j + b] * s.m) as u64 * eb;
+                        (va + ((j + b) as u64) * eb, w)
+                    } else {
+                        (zero_val, wa)
+                    }
+                })
+                .unzip();
             e.mem_fill(vptr, &vp);
             e.mem_fill(wptr, &wp);
+            // 2D: [M (dim0), batch (dim1, random bases)].
             let vv = e.rload(dt, vptr, &[StrideMode::Zero]);
             let wv = e.rload(dt, wptr, &[StrideMode::One]);
-            let p = typed_mul(&mut e, vv, wv);
+            let p = e.binop(Opcode::Mul, BinOp::Mul, vv, wv);
             e.free(vv);
             e.free(wv);
-            let acc2 = typed_add(&mut e, acc2d, p);
+            let acc2 = e.binop(Opcode::Add, BinOp::Add, acc2d, p);
             e.free(acc2d);
             e.free(p);
             acc2d = acc2;
             j += take;
         }
-        // One in-cache fold per row.
         e.vsetdimc(1);
         e.vsetdiml(0, s.m * batch);
-        let folded = crate::common::tree_halve(&mut e, acc2d, s.m * batch, s.m);
+        let folded = tree_halve(&mut e, acc2d, s.m * batch, s.m);
         e.vsetdimc(1);
         e.vsetdiml(0, s.m);
         e.store(folded, oa + (n * s.m) as u64 * eb, &[StrideMode::One]);
         e.free(folded);
     }
     KernelRun {
-        checked: check_lanes(&e, oa, prec, &want),
+        checked: check_lanes(&e, oa, dt, &want),
         trace: e.take_trace(),
     }
 }
@@ -800,6 +786,61 @@ mod tests {
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "batched spmm {}", prec.label());
                 let (got, want) = (ops.sequential_ref(prec), spmm_sequential_fold(prec, &ops));
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "sequential spmm {}", prec.label());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The one MVE body of each kernel passes its own check at
+        /// generated shapes, seeds and array counts (2048-8192 lanes, so
+        /// GEMM tiles and FIR chunks split); a run checked against a
+        /// perturbed `want` reports the mismatch.
+        #[test]
+        fn shared_bodies_pass_their_checks(
+            arrays_log in 3u32..=5,
+            n in 1usize..=24,
+            k in 1usize..=8,
+            m in 1usize..=160,
+            m_log in 0u32..=7,
+            density in 0.0f64..1.0,
+            taps in 1usize..=24,
+            extra in 0usize..=4500,
+            seed: u64,
+        ) {
+            let _arrays = crate::common::EngineArraysGuard::new(1 << arrays_log);
+            let s = SpmmSize { n, k: 8 * k, m: 1 << m_log, density };
+            for prec in Precision::ALL {
+                let run = run_gemm_dims(prec, n, k, m);
+                proptest::prop_assert!(run.checked.ok(), "gemm {} {:?}", prec.label(), run.checked);
+                let run = run_spmm_sized(prec, s, seed);
+                proptest::prop_assert!(run.checked.ok(), "spmm {} {:?}", prec.label(), run.checked);
+                let x = raw_lanes(prec, seed, taps + extra, false);
+                let h = raw_lanes(prec, seed.rotate_left(17) ^ 0x9E37, taps, false);
+                let run = run_fir_lanes(prec.dtype(), 32, &x, &h, &fir_ref(prec, &x, &h));
+                proptest::prop_assert!(run.checked.ok(), "fir {} {:?}", prec.label(), run.checked);
+            }
+            use crate::cmsis::Fir;
+            for (f, dt) in [(Fir::S, DType::I8), (Fir::V, DType::I16), (Fir::L, DType::I32)] {
+                let mut bits = seed | 1;
+                let mut lanes = |len| -> Vec<u64> {
+                    (0..len)
+                        .map(|_| {
+                            bits ^= bits << 13;
+                            bits ^= bits >> 7;
+                            bits ^= bits << 17;
+                            dt.truncate(bits)
+                        })
+                        .collect()
+                };
+                let (x, h) = (lanes(taps + extra), lanes(taps));
+                let mut want = f.scalar_ref(&x, &h);
+                let run = run_fir_lanes(dt, dt.bits().max(8), &x, &h, &want);
+                proptest::prop_assert!(run.checked.ok(), "fir {dt} {:?}", run.checked);
+                // Negative control: one wrong lane is one mismatch.
+                let i = seed as usize % want.len();
+                want[i] = dt.truncate(want[i] ^ 1);
+                let run = run_fir_lanes(dt, dt.bits().max(8), &x, &h, &want);
+                proptest::prop_assert_eq!(run.checked.mismatches, 1);
             }
         }
     }

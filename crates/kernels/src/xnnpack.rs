@@ -3,17 +3,17 @@
 //!
 //! The registry kernels run in **fp16** — XNNPACK's FP16 inference mode, the
 //! common configuration on Armv8.2 mobile cores (Table IV lists the FP16
-//! extension). The f32 variants (`run_mve_sized`, `gpu_cost_sized`) remain
-//! for the Figure 9 sweep, which compares against the fp32 CLBlast/clSPARSE
-//! OpenCL libraries, exactly as the paper does.
+//! extension). The Figure 9 sweep runs the same MVE bodies
+//! ([`crate::precision`]) in f32 at arbitrary sizes (`run_mve_sized`) and
+//! prices them against the fp32 CLBlast/clSPARSE OpenCL libraries
+//! (`gpu_cost_sized`), exactly as the paper does.
 
-use crate::common::{check_f32, engine, gen_f32, tree_halve, KernelRun, Scale};
+use crate::common::{engine, gen_f32, KernelRun, Scale};
 use crate::precision::{self, Precision, SpmmLanes};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
 use mve_baselines::rvv::Rvv;
 use mve_core::dtype::DType;
-use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,79 +49,10 @@ impl Gemm {
         }
     }
 
-    /// Scalar reference: output `(n, m)` sums `k` in order, with `k` outer
-    /// and `m` innermost so the loop vectorizes.
-    pub fn scalar_ref(s: GemmSize, input: &[f32], weight: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; s.n * s.m];
-        for (row, inp) in out.chunks_exact_mut(s.m).zip(input.chunks_exact(s.k)) {
-            for (&a, w) in inp.iter().zip(weight.chunks_exact(s.m)) {
-                for (o, &b) in row.iter_mut().zip(w) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Runs the MVE GEMM of the Section IV listing for an arbitrary size;
-    /// shared by the Figure 9 sweep.
+    /// Runs the MVE GEMM of the Section IV listing in f32 for an
+    /// arbitrary size (the Figure 9 sweep).
     pub fn run_mve_sized(s: GemmSize) -> KernelRun {
-        let input = gen_f32(0x21, s.n * s.k);
-        let weight = gen_f32(0x22, s.k * s.m);
-        let want = Self::scalar_ref(s, &input, &weight);
-
-        let mut e = engine();
-        let ia = e.mem_alloc_typed::<f32>(s.n * s.k);
-        let wa = e.mem_alloc_typed::<f32>(s.k * s.m);
-        let oa = e.mem_alloc_typed::<f32>(s.n * s.m);
-        e.mem_fill(ia, &input);
-        e.mem_fill(wa, &weight);
-
-        let lanes = e.lanes();
-        let rows_per_tile = (lanes / s.m).max(1);
-        // 2D: M output columns (DIM0), rows-per-tile rows (DIM1).
-        e.vsetdimc(2);
-        e.vsetdiml(0, s.m);
-        e.vsetldstr(1, s.k as i64); // input row stride for mode 3
-        let mut n = 0usize;
-        while n < s.n {
-            let rows = rows_per_tile.min(s.n - n);
-            e.vsetdiml(1, rows);
-            e.scalar(8);
-            let mut acc = e.vsetdup_f(0.0);
-            for k in 0..s.k {
-                e.scalar(6);
-                // Input column, replicated horizontally (DIM0 stride 0).
-                let iv = e.vsld_f(
-                    ia + ((n * s.k + k) * 4) as u64,
-                    &[StrideMode::Zero, StrideMode::Cr],
-                );
-                // Weight row, replicated vertically (DIM1 stride 0).
-                let wv = e.vsld_f(
-                    wa + ((k * s.m) * 4) as u64,
-                    &[StrideMode::One, StrideMode::Zero],
-                );
-                let p = e.vmul_f(iv, wv);
-                let acc2 = e.vadd_f(acc, p);
-                for r in [iv, wv, p, acc] {
-                    e.free(r);
-                }
-                acc = acc2;
-            }
-            // Store rows sequentially.
-            e.vsst_f(
-                acc,
-                oa + (n * s.m * 4) as u64,
-                &[StrideMode::One, StrideMode::Seq],
-            );
-            e.free(acc);
-            n += rows;
-        }
-        let got = e.mem_read_vec::<f32>(oa, s.n * s.m);
-        KernelRun {
-            checked: check_f32(&got, &want, 1e-4),
-            trace: e.take_trace(),
-        }
+        precision::run_gemm_dims(Precision::F32, s.n, s.k, s.m)
     }
 }
 
@@ -152,12 +83,8 @@ impl Kernel for Gemm {
         let ia = e.mem_alloc((s.n * s.k * 2) as u64);
         let wa = e.mem_alloc((s.k * s.m * 2) as u64);
         let oa = e.mem_alloc((s.n * s.m * 2) as u64);
-        for (i, &v) in input.iter().enumerate() {
-            e.mem_mut().write_raw(ia + (i * 2) as u64, 2, v);
-        }
-        for (i, &v) in weight.iter().enumerate() {
-            e.mem_mut().write_raw(wa + (i * 2) as u64, 2, v);
-        }
+        precision::store_packed(&mut e, ia, dt, &input);
+        precision::store_packed(&mut e, wa, dt, &weight);
 
         let lanes = e.lanes();
         let rows_per_tile = (lanes / s.m).max(1);
@@ -196,11 +123,8 @@ impl Kernel for Gemm {
             rvv.engine().free(acc);
             n += rows;
         }
-        let got: Vec<u64> = (0..s.n * s.m)
-            .map(|i| e.mem().read_raw(oa + (i * 2) as u64, 2))
-            .collect();
         Some(KernelRun {
-            checked: crate::common::check_exact(&got, &want),
+            checked: precision::check_lanes(&e, oa, dt, &want),
             trace: e.take_trace(),
         })
     }
@@ -322,107 +246,9 @@ impl Spmm {
         }
     }
 
-    /// Scalar reference.
-    pub fn scalar_ref(s: SpmmSize, d: &SpmmData) -> Vec<f32> {
-        let mut out = vec![0.0f32; s.n * s.m];
-        for n in 0..s.n {
-            for j in d.row_ptr[n]..d.row_ptr[n + 1] {
-                let (k, v) = (d.col_idx[j], d.values[j]);
-                for m in 0..s.m {
-                    out[n * s.m + m] += v * d.weight[k * s.m + m];
-                }
-            }
-        }
-        out
-    }
-
-    /// MVE SpMM for an arbitrary size (shared with the Figure 9 sweep).
-    ///
-    /// Per row: the scalar core materialises pointer arrays for the nonzero
-    /// values and the matching weight rows (Section IV "Irregular accesses");
-    /// MVE random-loads both — values replicated across M (stride-0 DIM0),
-    /// weight rows sequential — multiplies, and folds the batch dimension
-    /// in-cache.
+    /// MVE SpMM in f32 for an arbitrary size (the Figure 9 sweep).
     pub fn run_mve_sized(s: SpmmSize) -> KernelRun {
-        assert!(s.m.is_power_of_two(), "M must be a power of two");
-        let d = Self::gen_data(s, 0x31);
-        let want = Self::scalar_ref(s, &d);
-
-        let mut e = engine();
-        let va = e.mem_alloc_typed::<f32>(d.values.len().max(1));
-        let wa = e.mem_alloc_typed::<f32>(s.k * s.m);
-        let oa = e.mem_alloc_typed::<f32>(s.n * s.m);
-        let zero_val = e.mem_alloc_typed::<f32>(1); // padding target
-        e.mem_fill(va, &d.values);
-        e.mem_fill(wa, &d.weight);
-        e.mem_fill(zero_val, &[0.0f32]);
-
-        let lanes = e.lanes();
-        let max_nnz = (0..s.n)
-            .map(|n| d.row_ptr[n + 1] - d.row_ptr[n])
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        // <= lanes/m, power of two, no larger than the densest row needs.
-        let batch = ((lanes / s.m).next_power_of_two() / 2)
-            .clamp(2, 256)
-            .min(max_nnz.next_power_of_two());
-        let vptr = e.mem_alloc_typed::<u64>(batch);
-        let wptr = e.mem_alloc_typed::<u64>(batch);
-
-        for n in 0..s.n {
-            e.scalar(10);
-            // Accumulate [M, batch] products across batch passes; fold the
-            // batch dimension in-cache once per row.
-            e.vsetdimc(2);
-            e.vsetdiml(0, s.m);
-            e.vsetdiml(1, batch);
-            let mut acc2d = e.vsetdup_f(0.0);
-            let (lo, hi) = (d.row_ptr[n], d.row_ptr[n + 1]);
-            let mut j = lo;
-            while j < hi {
-                let take = batch.min(hi - j);
-                // Scalar core computes the pointer arrays (charged per nnz).
-                e.scalar(4 * take as u64);
-                let mut vp = Vec::with_capacity(batch);
-                let mut wp = Vec::with_capacity(batch);
-                for b in 0..batch {
-                    if b < take {
-                        vp.push(va + ((j + b) * 4) as u64);
-                        wp.push(wa + (d.col_idx[j + b] * s.m * 4) as u64);
-                    } else {
-                        vp.push(zero_val); // value 0 ⇒ no contribution
-                        wp.push(wa);
-                    }
-                }
-                e.mem_fill(vptr, &vp);
-                e.mem_fill(wptr, &wp);
-
-                // 2D: [M (dim0), batch (dim1, random bases)].
-                let vv = e.vrld_f(vptr, &[StrideMode::Zero]);
-                let wv = e.vrld_f(wptr, &[StrideMode::One]);
-                let p = e.vmul_f(vv, wv);
-                e.free(vv);
-                e.free(wv);
-                let acc2 = e.vadd_f(acc2d, p);
-                e.free(acc2d);
-                e.free(p);
-                acc2d = acc2;
-                j += take;
-            }
-            e.vsetdimc(1);
-            e.vsetdiml(0, s.m * batch);
-            let folded = tree_halve(&mut e, acc2d, s.m * batch, s.m);
-            e.vsetdimc(1);
-            e.vsetdiml(0, s.m);
-            e.vsst_f(folded, oa + (n * s.m * 4) as u64, &[StrideMode::One]);
-            e.free(folded);
-        }
-        let got = e.mem_read_vec::<f32>(oa, s.n * s.m);
-        KernelRun {
-            checked: check_f32(&got, &want, 1e-4),
-            trace: e.take_trace(),
-        }
+        precision::run_spmm_sized(Precision::F32, s, 0x31)
     }
 }
 
@@ -438,7 +264,7 @@ impl Kernel for Spmm {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        precision::run_spmm_sized(Precision::F16, Self::size(scale))
+        precision::run_spmm(Precision::F16, scale)
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
@@ -455,9 +281,7 @@ impl Kernel for Spmm {
         let mut e = engine();
         let wa = e.mem_alloc((s.k * s.m * 2) as u64);
         let oa = e.mem_alloc((s.n * s.m * 2) as u64);
-        for (i, &v) in weight.iter().enumerate() {
-            e.mem_mut().write_raw(wa + (i * 2) as u64, 2, v);
-        }
+        precision::store_packed(&mut e, wa, dt, weight);
 
         let mut rvv = Rvv::new(&mut e);
         rvv.setvl(s.m);
@@ -479,11 +303,8 @@ impl Kernel for Spmm {
             rvv.store_1d(acc, oa + (n * s.m * 2) as u64, 1);
             rvv.engine().free(acc);
         }
-        let got: Vec<u64> = (0..s.n * s.m)
-            .map(|i| e.mem().read_raw(oa + (i * 2) as u64, 2))
-            .collect();
         Some(KernelRun {
-            checked: crate::common::check_exact(&got, &want),
+            checked: precision::check_lanes(&e, oa, dt, &want),
             trace: e.take_trace(),
         })
     }
