@@ -96,8 +96,8 @@ fn calibrate(reps: usize) -> CostModel {
     assert!(run.checked.ok(), "probe kernel functional check");
     let cfg = SimSpec::default().to_config();
     let sweep_per_config_us = median_us(reps, || {
-        let reports = mve_core::sim::simulate_sweep(&run.trace, std::slice::from_ref(&cfg));
-        assert_eq!(reports.len(), 1);
+        let report = mve_core::sim::simulate(&run.trace, &cfg);
+        assert!(report.total_cycles > 0);
     });
 
     // DSL front-end: a short and a long source fit the per-byte slope;

@@ -631,9 +631,12 @@ impl Engine {
         &self.trace
     }
 
-    /// Takes the trace, leaving an empty one.
+    /// Takes the trace, leaving an empty one. The taken trace holds no
+    /// unused event capacity.
     pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.shrink_to_fit();
+        trace
     }
 
     /// Clears the recorded trace.

@@ -1,18 +1,19 @@
 //! Engine profiling.
 //!
-//! [`ProfilingSink`] is a [`TraceSink`] that attributes work to the
-//! Figure 11 opcode classes, per-opcode counters and source lines as a
-//! recorded trace is replayed into it: simulated-event counts,
-//! active-lane totals and touched cache lines, all deterministic for a
-//! fixed kernel. They feed the committed `reproduce --profile` report
-//! (byte-diffed in CI) and the DSL's per-line profile. The sink takes no
-//! wall-clock readings; the Chrome trace-event export times whole kernel
-//! runs and simulations instead (`mve_bench::profiling`).
+//! [`ProfilingSink`] is a fold over a recorded trace's events
+//! ([`crate::trace::Trace::replay_into`]) that attributes work to the
+//! Figure 11 opcode classes, per-opcode counters and source lines:
+//! simulated-event counts, active-lane totals and touched cache lines, all
+//! deterministic for a fixed kernel. They feed the committed
+//! `reproduce --profile` report (byte-diffed in CI) and the DSL's per-line
+//! profile. The sink takes no wall-clock readings; the Chrome trace-event
+//! export times whole kernel runs and simulations instead
+//! (`mve_bench::profiling`).
 
 use std::collections::BTreeMap;
 
 use crate::isa::OpClass;
-use crate::trace::{Event, TraceSink};
+use crate::trace::Event;
 
 /// Profile-report names of the [`OpClass`] buckets, in enum order.
 pub const CLASS_NAMES: [&str; 4] = ["config", "move", "mem_access", "arithmetic"];
@@ -146,8 +147,9 @@ fn class_idx(class: OpClass) -> usize {
     }
 }
 
-impl TraceSink for ProfilingSink {
-    fn on_event(&mut self, event: &Event) {
+impl ProfilingSink {
+    /// Attributes one event (a marker switches the line bucket).
+    pub fn on_event(&mut self, event: &Event) {
         // Markers switch the line bucket and count as no event.
         if let Event::SrcLine { line } = event {
             self.current_line = *line;

@@ -19,20 +19,18 @@
 //! **compute** (≥ 1 CB executing an arithmetic µop) or **idle** — the
 //! decomposition plotted in Figures 7(a), 10, 12 and 13.
 //!
-//! The model is an incremental state machine, [`TimingSim`]: feed it events
-//! one at a time ([`TimingSim::on_event`], or as a [`TraceSink`] through
-//! [`Trace::replay_into`]) and call [`TimingSim::finish`] for the
-//! report. Its working state — per-CB availability, the bounded
-//! Instruction-Q, an online interval union for the compute bucket — is
-//! O(configuration), not O(trace length), so arbitrarily long event streams
-//! simulate in constant memory. [`simulate`] is the batch wrapper
-//! over a captured [`Trace`], and [`Fanout`] broadcasts one event stream
-//! into N concurrent sims so a config sweep walks each trace once (see
-//! DESIGN.md, "Streaming pipeline").
+//! [`simulate_sweep`] is the one driver: it times a captured [`Trace`]
+//! under any number of configurations with one warm pass per distinct
+//! warming hierarchy and one walk of the trace. [`simulate`] is the sweep
+//! of one configuration, and [`simulate_lines`] also charges the cycles to
+//! the source lines the trace's markers name. Each configuration's state
+//! machine keeps per-CB availability, the bounded Instruction-Q and an
+//! online interval union for the compute bucket: O(configuration), not
+//! O(trace length) (see DESIGN.md, "Streaming pipeline").
 
 use std::collections::VecDeque;
 
-use crate::trace::{Event, Trace, TraceSink};
+use crate::trace::{Event, Trace};
 use mve_coresim::CoreConfig;
 use mve_insram::scheme::{EngineGeometry, Scheme};
 use mve_insram::tmu;
@@ -385,29 +383,18 @@ impl IntervalUnion {
     }
 }
 
-/// The incremental timing simulator: feed events, then [`TimingSim::finish`].
-///
-/// A `TimingSim` is a [`TraceSink`]: it consumes a recorded [`Trace`] by
-/// replay ([`Trace::replay_into`]).
-///
-/// ## Cache warming (two passes)
-///
-/// With [`SimConfig::warm_caches`] set (the Swan steady-state methodology),
-/// the sim starts in a **warm phase**: events stream the working set
-/// through the hierarchy at time zero and nothing is timed. Call
-/// [`TimingSim::start_timing`], then replay the same trace again for the
-/// timed pass. With warming disabled the single pass is the timed pass.
+/// The timing state machine of one configuration, advanced one event at a
+/// time by the drivers below ([`simulate_sweep`], [`simulate_lines`]).
+/// Its working state is O(configuration), not O(trace length).
 #[derive(Debug)]
-pub struct TimingSim {
+struct TimingSim {
     cfg: SimConfig,
     hier: Hierarchy,
     lat_model: LatencyModel,
     freq_scale: f64,
     n_cbs: usize,
-    /// Still in the warm phase (see type docs).
-    warming: bool,
     /// Mode-switch charged and `cb_avail` anchored (lazily, at the first
-    /// timed event, so warm-phase flushes land before the clock starts).
+    /// vector event).
     started: bool,
     t_core: u64,
     cb_avail: Vec<u64>,
@@ -426,15 +413,13 @@ pub struct TimingSim {
 }
 
 impl TimingSim {
-    /// A fresh simulator over `cfg`, in the warm phase iff
-    /// `cfg.warm_caches`.
-    pub fn new(cfg: SimConfig) -> Self {
+    /// A fresh simulator over `cfg`, with a fresh (cold) hierarchy.
+    fn new(cfg: SimConfig) -> Self {
         let hier = Hierarchy::new(cfg.hierarchy);
         let n_cbs = cfg.geometry.control_blocks();
         let lat_model = cfg.scheme.latency_model();
         let freq_scale = cfg.scheme.frequency_scale();
         Self {
-            warming: cfg.warm_caches,
             started: false,
             t_core: 0,
             cb_avail: vec![0; n_cbs],
@@ -454,29 +439,6 @@ impl TimingSim {
         }
     }
 
-    /// Whether the sim is still in the warm phase.
-    pub fn is_warming(&self) -> bool {
-        self.warming
-    }
-
-    /// Ends the warm phase: clears the warming statistics so only the timed
-    /// pass is reported, and the DRAM's busy times, since the warm pass ran
-    /// on a clock of its own ([`Hierarchy::end_warm_pass`]). No-op when not
-    /// warming.
-    pub fn start_timing(&mut self) {
-        if self.warming {
-            self.hier.end_warm_pass();
-            self.warming = false;
-        }
-    }
-
-    /// Diagnostic: compute intervals currently buffered. Bounded by the
-    /// Instruction-Q depth plus the CB count — not by stream length — which
-    /// is the O(1)-memory property the streaming pipeline rests on.
-    pub fn resident_intervals(&self) -> usize {
-        self.compute.pending.len()
-    }
-
     /// The current completion frontier: the cycle at which every event
     /// consumed so far has retired (max of the core clock and every CB's
     /// availability). Monotone non-decreasing in events consumed, and
@@ -486,25 +448,13 @@ impl TimingSim {
     /// attribution in [`simulate_lines`] rests on. Scalar instructions
     /// still pending coalescing are *not* included; they enter the
     /// frontier where the block flushes.
-    pub fn frontier(&self) -> u64 {
+    fn frontier(&self) -> u64 {
         self.cb_avail
             .iter()
             .copied()
             .max()
             .unwrap_or(self.t_core)
             .max(self.t_core)
-    }
-
-    /// Consumes one event (warm phase: streams its lines through the
-    /// hierarchy; timed phase: advances the full model).
-    pub fn on_event(&mut self, event: &Event) {
-        if self.warming {
-            if let Event::Memory { lines, write, .. } = event {
-                self.hier.vector_access(lines, *write, 0);
-            }
-            return;
-        }
-        self.timed_event(event);
     }
 
     /// Charges the mode switch and anchors the CB clocks; idempotent.
@@ -541,7 +491,8 @@ impl TimingSim {
         }
     }
 
-    fn timed_event(&mut self, event: &Event) {
+    /// Advances the model by one event.
+    fn on_event(&mut self, event: &Event) {
         // Attribution markers carry no timing at all — returning before
         // `ensure_started`/`flush_scalar` keeps a marked trace's timing
         // bit-identical to the same trace without markers.
@@ -673,19 +624,10 @@ impl TimingSim {
     }
 
     /// Completes the run and produces the report.
-    ///
-    /// A sim abandoned in the warm phase reports an empty timed pass.
-    pub fn finish(mut self) -> SimReport {
-        self.start_timing();
+    fn finish(mut self) -> SimReport {
         self.ensure_started();
         self.flush_scalar();
-        let total_end = self
-            .cb_avail
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(self.t_core)
-            .max(self.t_core);
+        let total_end = self.frontier();
         let compute = self.compute.finish();
         let idle = total_end.saturating_sub(compute + self.data_busy);
         self.energy.scalar_instrs = self.scalar_instrs;
@@ -704,113 +646,42 @@ impl TimingSim {
     }
 }
 
-impl TraceSink for TimingSim {
-    fn on_event(&mut self, event: &Event) {
-        TimingSim::on_event(self, event);
-    }
-}
-
-/// Broadcasts one event stream into N concurrent [`TimingSim`]s — the
-/// sweep harness primitive: a scheme or dispatch sweep executes each kernel
-/// **once** and walks its event stream **once**, instead of once per
-/// configuration.
+/// Warms every sim whose configuration asks for it ([`SimConfig::warm_caches`],
+/// the Swan steady state): the first sim of each distinct hierarchy
+/// configuration walks the trace's memory events through its hierarchy at
+/// time zero, and later sims with the same hierarchy configuration take a
+/// clone of it. Warming depends only on the memory events and the hierarchy
+/// parameters, so the clone equals an independent warm pass.
 ///
-/// Sims that warm their caches over identical hierarchy configurations
-/// share the warm pass: one "leader" per group streams the working set,
-/// and the followers adopt a clone of the warmed hierarchy at
-/// [`Fanout::start_timing`] (cache warming depends only on the memory
-/// events and the hierarchy parameters, so the clone is bit-identical to
-/// an independent warm pass). Sims with warming disabled ignore the warm
-/// phase entirely.
-#[derive(Debug)]
-pub struct Fanout {
-    sims: Vec<TimingSim>,
-    /// Index of the sim whose warmed hierarchy each sim adopts; leaders
-    /// (and non-warming sims) point at themselves.
-    warm_leader: Vec<usize>,
-    warming: bool,
-}
-
-impl Fanout {
-    /// One sim per configuration, in order.
-    pub fn new(cfgs: impl IntoIterator<Item = SimConfig>) -> Self {
-        let sims: Vec<TimingSim> = cfgs.into_iter().map(TimingSim::new).collect();
-        let warm_leader = (0..sims.len())
-            .map(|i| {
-                if !sims[i].warming {
-                    return i;
+/// The warm pass runs on a clock of its own, so it ends with
+/// [`Hierarchy::end_warm_pass`]: its statistics and the DRAM's busy times
+/// are cleared, cache contents and open rows kept.
+fn warm(sims: &mut [TimingSim], trace: &Trace) {
+    for i in 0..sims.len() {
+        if !sims[i].cfg.warm_caches {
+            continue;
+        }
+        let hierarchy = sims[i].cfg.hierarchy;
+        let leader = sims[..i]
+            .iter()
+            .position(|s| s.cfg.warm_caches && s.cfg.hierarchy == hierarchy);
+        match leader {
+            Some(j) => sims[i].hier = sims[j].hier.clone(),
+            None => {
+                let hier = &mut sims[i].hier;
+                for event in trace.events() {
+                    if let Event::Memory { lines, write, .. } = event {
+                        hier.vector_access(lines, *write, 0);
+                    }
                 }
-                (0..i)
-                    .find(|&j| sims[j].warming && sims[j].cfg.hierarchy == sims[i].cfg.hierarchy)
-                    .unwrap_or(i)
-            })
-            .collect();
-        let warming = sims.iter().any(|s| s.warming);
-        Self {
-            sims,
-            warm_leader,
-            warming,
-        }
-    }
-
-    /// Whether any member sim is still warming.
-    pub fn is_warming(&self) -> bool {
-        self.warming
-    }
-
-    /// Member count.
-    pub fn len(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// Whether the fanout has no members.
-    pub fn is_empty(&self) -> bool {
-        self.sims.is_empty()
-    }
-
-    /// Ends the warm phase for every member: followers adopt their
-    /// leader's warmed hierarchy, then all sims switch to timing.
-    pub fn start_timing(&mut self) {
-        if !self.warming {
-            return;
-        }
-        for i in 0..self.sims.len() {
-            let leader = self.warm_leader[i];
-            if leader != i {
-                self.sims[i].hier = self.sims[leader].hier.clone();
-            }
-        }
-        for sim in &mut self.sims {
-            sim.start_timing();
-        }
-        self.warming = false;
-    }
-
-    /// Completes every member, returning reports in configuration order.
-    pub fn finish(self) -> Vec<SimReport> {
-        self.sims.into_iter().map(TimingSim::finish).collect()
-    }
-}
-
-impl TraceSink for Fanout {
-    fn on_event(&mut self, event: &Event) {
-        if self.warming {
-            // Warm pass: only group leaders stream the working set.
-            for i in 0..self.sims.len() {
-                if self.warm_leader[i] == i && self.sims[i].warming {
-                    self.sims[i].on_event(event);
-                }
-            }
-        } else {
-            for sim in &mut self.sims {
-                sim.on_event(event);
+                hier.end_warm_pass();
             }
         }
     }
 }
 
-/// Runs the timing model over a captured trace — the batch wrapper around
-/// [`TimingSim`] (bit-identical to streaming the same events).
+/// Runs the timing model over a captured trace: the sweep of one
+/// configuration.
 ///
 /// ```
 /// use mve_core::engine::Engine;
@@ -831,13 +702,9 @@ impl TraceSink for Fanout {
 /// assert!((idle + compute + data - 1.0).abs() < 1e-9);
 /// ```
 pub fn simulate(trace: &Trace, cfg: &SimConfig) -> SimReport {
-    let mut sim = TimingSim::new(cfg.clone());
-    if sim.is_warming() {
-        trace.replay_into(&mut sim);
-        sim.start_timing();
-    }
-    trace.replay_into(&mut sim);
-    sim.finish()
+    simulate_sweep(trace, std::slice::from_ref(cfg))
+        .pop()
+        .expect("one configuration, one report")
 }
 
 /// Simulates a trace and attributes cycles to source lines using the
@@ -856,10 +723,7 @@ pub fn simulate_lines(
     cfg: &SimConfig,
 ) -> (SimReport, std::collections::BTreeMap<u32, u64>) {
     let mut sim = TimingSim::new(cfg.clone());
-    if sim.is_warming() {
-        trace.replay_into(&mut sim);
-        sim.start_timing();
-    }
+    warm(std::slice::from_mut(&mut sim), trace);
     let mut lines = std::collections::BTreeMap::new();
     let mut cur_line = 0u32;
     let mut last = sim.frontier();
@@ -884,17 +748,19 @@ pub fn simulate_lines(
     (report, lines)
 }
 
-/// Simulates one trace under every configuration with a single warm pass
-/// and a single timed walk of the trace (via [`Fanout`]); returns reports
-/// in configuration order, each bit-identical to `simulate(trace, cfg)`.
+/// Simulates one trace under every configuration: one sim per
+/// configuration, one warm pass per distinct warming hierarchy and a
+/// single timed walk of the trace for all of them. Returns reports in
+/// configuration order.
 pub fn simulate_sweep(trace: &Trace, cfgs: &[SimConfig]) -> Vec<SimReport> {
-    let mut fan = Fanout::new(cfgs.iter().cloned());
-    if fan.is_warming() {
-        trace.replay_into(&mut fan);
-        fan.start_timing();
+    let mut sims: Vec<TimingSim> = cfgs.iter().cloned().map(TimingSim::new).collect();
+    warm(&mut sims, trace);
+    for event in trace.events() {
+        for sim in &mut sims {
+            sim.on_event(event);
+        }
     }
-    trace.replay_into(&mut fan);
-    fan.finish()
+    sims.into_iter().map(TimingSim::finish).collect()
 }
 
 #[cfg(test)]
@@ -1057,30 +923,29 @@ mod tests {
         };
         // More lines than the LLC holds: ~40,000 DRAM fills, which keep
         // the channel busy for ~280K cycles of the warm pass's clock.
-        let warm = read(&(0..40_000).collect::<Vec<u64>>());
+        let warm_read = read(&(0..40_000).collect::<Vec<u64>>());
         let timed = read(&[1 << 30]);
         let cfg = quiet_cfg();
         let cold = {
             let mut sim = TimingSim::new(cfg.clone());
-            sim.start_timing();
             sim.on_event(&timed);
             sim.finish().total_cycles
         };
         let bound = cold + cfg.hierarchy.dram.t_rp;
-        let mut sim = TimingSim::new(cfg.clone());
-        sim.on_event(&warm);
-        sim.start_timing();
-        sim.on_event(&timed);
-        let warmed = sim.finish().total_cycles;
-        assert!(warmed <= bound, "{warmed} cycles, fresh hierarchy {cold}");
-        // A follower of a shared warm pass adopts the leader's hierarchy,
-        // busy times cleared too.
-        let mut fan = Fanout::new([cfg.clone(), cfg.with_ooo_dispatch()]);
-        fan.on_event(&warm);
-        fan.start_timing();
-        fan.on_event(&timed);
-        for report in fan.finish() {
-            assert!(report.total_cycles <= bound, "{report:?}");
+        // The first sim warms its own hierarchy; the second, with the same
+        // hierarchy configuration, takes a clone of it, busy times cleared
+        // too.
+        let mut warm_trace = Trace::new();
+        warm_trace.push(warm_read);
+        let mut sims = [
+            TimingSim::new(cfg.clone()),
+            TimingSim::new(cfg.with_ooo_dispatch()),
+        ];
+        warm(&mut sims, &warm_trace);
+        for mut sim in sims {
+            sim.on_event(&timed);
+            let warmed = sim.finish().total_cycles;
+            assert!(warmed <= bound, "{warmed} cycles, fresh hierarchy {cold}");
         }
     }
 
@@ -1349,38 +1214,11 @@ mod streaming_tests {
         assert_eq!(r.energy.tmu_element_transfers, 16);
     }
 
-    /// Streaming a trace event-by-event into a [`TimingSim`] is
-    /// bit-identical to the batch wrapper, warm or cold.
+    /// A sweep produces, per configuration, exactly what independent
+    /// runs produce — including the shared warm pass (equal hierarchies)
+    /// and a non-warming member.
     #[test]
-    fn streaming_matches_batch_simulate() {
-        let trace = super::tests::small_kernel_trace(12);
-        for cfg in [
-            SimConfig::default(),
-            quiet_cfg(),
-            SimConfig::default().without_cache_warming(),
-            quiet_cfg().with_scheme(Scheme::BitParallel),
-            quiet_cfg().with_ooo_dispatch(),
-        ] {
-            let batch = simulate(&trace, &cfg);
-            let mut sim = TimingSim::new(cfg.clone());
-            if sim.is_warming() {
-                for event in trace.events() {
-                    sim.on_event(event);
-                }
-                sim.start_timing();
-            }
-            for event in trace.events() {
-                sim.on_event(event);
-            }
-            assert_eq!(sim.finish(), batch);
-        }
-    }
-
-    /// The fanout produces, per configuration, exactly what independent
-    /// batch runs produce — including the shared-warm-leader path (equal
-    /// hierarchies) and a non-warming member.
-    #[test]
-    fn fanout_sweep_matches_independent_simulations() {
+    fn sweep_matches_independent_simulations() {
         let trace = super::tests::small_kernel_trace(6);
         let cfgs = vec![
             SimConfig::default(),
@@ -1396,8 +1234,8 @@ mod streaming_tests {
         }
     }
 
-    /// The streaming state stays bounded by the configuration (Instruction-Q
-    /// + CBs), not the stream length — the O(1)-memory property.
+    /// The sim's state stays bounded by the configuration (Instruction-Q
+    /// + CBs), not the trace length — the O(1)-memory property.
     #[test]
     fn resident_state_is_bounded_on_long_streams() {
         let cfg = quiet_cfg().without_cache_warming();
@@ -1416,9 +1254,9 @@ mod streaming_tests {
                 sim.on_event(&Event::Scalar { instrs: 13 });
             }
             assert!(
-                sim.resident_intervals() <= bound,
+                sim.compute.pending.len() <= bound,
                 "unbounded interval buffer at event {i}: {}",
-                sim.resident_intervals()
+                sim.compute.pending.len()
             );
         }
         let r = sim.finish();

@@ -2,26 +2,19 @@
 //!
 //! Every intrinsic executed on the functional [`crate::engine::Engine`]
 //! appends an [`Event`] to the engine's [`Trace`]. Consumers read a
-//! finished trace by replay ([`Trace::replay_into`] into a [`TraceSink`]):
-//! the timing simulator ([`crate::sim`]) replays it against the
-//! micro-architecture model, twice when it warms the caches first, which
-//! is why the engine records rather than streams. This replaces the
-//! paper's DynamoRIO-based trace capture (see `DESIGN.md`, "Streaming
-//! pipeline").
+//! finished trace through [`Trace::events`]: the timing simulator
+//! ([`crate::sim`]) walks it against the micro-architecture model, after a
+//! warm pass over its memory events when it warms the caches first, which
+//! is why the engine records rather than streams; the profiler
+//! ([`crate::profile::ProfilingSink`]) folds it by [`Trace::replay_into`].
+//! This replaces the paper's DynamoRIO-based trace capture (see
+//! `DESIGN.md`, "Streaming pipeline").
 
 use crate::dtype::DType;
 use crate::isa::{OpClass, Opcode};
+use crate::profile::ProfilingSink;
 use mve_insram::AluOp;
 use mve_memsim::LineSet;
-
-/// A consumer of dynamic trace events, fed by [`Trace::replay_into`]:
-/// the timing simulator ([`crate::sim::TimingSim`]), its sweep broadcaster
-/// ([`crate::sim::Fanout`]) and the source-line profiler
-/// ([`crate::profile::ProfilingSink`]).
-pub trait TraceSink {
-    /// Consumes one dynamic event.
-    fn on_event(&mut self, event: &Event);
-}
 
 /// One dynamic trace event.
 #[derive(Debug, Clone)]
@@ -158,10 +151,8 @@ impl Trace {
         &self.events
     }
 
-    /// Feeds every recorded event into a sink, in order (a
-    /// [`crate::sim::TimingSim`], a [`crate::sim::Fanout`] of many, or a
-    /// [`crate::profile::ProfilingSink`]).
-    pub fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+    /// Feeds every recorded event into a profiler, in order.
+    pub fn replay_into(&self, sink: &mut ProfilingSink) {
         for event in &self.events {
             sink.on_event(event);
         }
@@ -175,6 +166,12 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Drops the event buffer's unused capacity: a finished trace is read,
+    /// never grown, so the slack its doubling growth left is waste.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
     }
 
     /// Clears the trace.

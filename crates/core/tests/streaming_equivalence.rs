@@ -1,23 +1,22 @@
-//! Property suite pinning the streaming timing pipeline (ISSUE 3) against
-//! the batch semantics it replaced.
+//! Property suite pinning the timing drivers against each other on
+//! generated traces.
 //!
-//! [`mve_core::sim::TimingSim`] consumes events incrementally (online
-//! interval union, coalesced scalar retirement, lazily-charged mode
-//! switch), and [`mve_core::sim::Fanout`] broadcasts one stream into many
-//! sims with a shared warm pass. These properties prove, over arbitrary
-//! generated event streams and configuration corners, that every report is
-//! **bit-identical** to `simulate`'s — so the streaming rewrite is proven
-//! equivalent, not just spot-checked on the smoke artefacts.
+//! [`simulate_sweep`] times one trace under many
+//! configurations with a shared warm pass per hierarchy; every report must
+//! be **bit-identical** to an independent [`simulate`] run of its
+//! configuration. Source-line markers split scalar blocks that
+//! [`Trace::push`] would merge, and the sim coalesces them again, so a
+//! marked trace must time exactly as the unmarked one under every driver.
 //!
 //! The vendored proptest offers integer ranges and `vec` only, so each
 //! event is generated as one `u64` seed and decoded by bit-slicing — the
 //! decode covers every event class, the fully-masked memory corner
 //! (`active_lanes == 0`, with and without pointer-fetch lines), zero-lane
-//! compute, and scalar blocks that the batch trace coalesces.
+//! compute, and scalar blocks that the trace coalesces.
 
 use mve_core::dtype::DType;
 use mve_core::isa::Opcode;
-use mve_core::sim::{simulate, simulate_sweep, SimConfig, TimingSim};
+use mve_core::sim::{simulate, simulate_lines, simulate_sweep, SimConfig};
 use mve_core::trace::{alu_op_for, Event, Trace};
 use mve_insram::Scheme;
 use mve_memsim::LineSet;
@@ -142,58 +141,26 @@ fn cfg_variant(idx: usize) -> SimConfig {
     }
 }
 
+/// `build_trace`, with a source-line marker after about half the events,
+/// so consecutive scalar blocks reach the trace unmerged.
+fn build_marked_trace(seeds: &[u64]) -> Trace {
+    let mut t = Trace::new();
+    for &s in seeds {
+        t.push(decode(s));
+        if s >> 63 == 1 {
+            t.push(Event::SrcLine {
+                line: (s >> 60 & 7) as u32,
+            });
+        }
+    }
+    t
+}
+
 proptest! {
-    /// Event-by-event streaming into a [`TimingSim`] (two-phase when the
-    /// config warms) reports bit-identically to batch [`simulate`].
+    /// One sweep equals N independent simulations, across shared warm
+    /// passes, mixed warming, and scheme variation.
     #[test]
-    fn streaming_is_bit_identical_to_batch(
-        seeds in vec(0u64..u64::MAX, 0..60),
-        cfg_idx in 0usize..6,
-    ) {
-        let trace = build_trace(&seeds);
-        let cfg = cfg_variant(cfg_idx);
-        let batch = simulate(&trace, &cfg);
-        let mut sim = TimingSim::new(cfg);
-        if sim.is_warming() {
-            for event in trace.events() {
-                sim.on_event(event);
-            }
-            sim.start_timing();
-        }
-        for event in trace.events() {
-            sim.on_event(event);
-        }
-        prop_assert_eq!(sim.finish(), batch);
-    }
-
-    /// Raw (uncoalesced) event streams, fed event by event to `on_event`, time
-    /// identically to the coalesced trace the batch path captures.
-    #[test]
-    fn uncoalesced_scalar_stream_matches_coalesced_trace(
-        seeds in vec(0u64..u64::MAX, 0..60),
-        cfg_idx in 0usize..6,
-    ) {
-        let trace = build_trace(&seeds);
-        let cfg = cfg_variant(cfg_idx);
-        let batch = simulate(&trace, &cfg);
-        let mut sim = TimingSim::new(cfg);
-        let raw: Vec<Event> = seeds.iter().map(|&s| decode(s)).collect();
-        if sim.is_warming() {
-            for event in &raw {
-                sim.on_event(event);
-            }
-            sim.start_timing();
-        }
-        for event in &raw {
-            sim.on_event(event);
-        }
-        prop_assert_eq!(sim.finish(), batch);
-    }
-
-    /// One fanned-out trace walk equals N independent batch simulations,
-    /// across warm-leader sharing, mixed warming, and scheme variation.
-    #[test]
-    fn fanout_sweep_is_bit_identical_per_config(
+    fn sweep_is_bit_identical_per_config(
         seeds in vec(0u64..u64::MAX, 0..40),
         picks in vec(0usize..6, 1..5),
     ) {
@@ -206,19 +173,24 @@ proptest! {
         }
     }
 
-    /// The streaming working set stays bounded by the configuration, not
-    /// the stream: the O(1)-memory claim, checked on generated streams.
+    /// A marked trace reports what the unmarked one does under
+    /// `simulate`, every `simulate_sweep` member and `simulate_lines`, whose
+    /// per-line cycles sum to the total.
     #[test]
-    fn resident_intervals_stay_bounded(
-        seeds in vec(0u64..u64::MAX, 0..120),
+    fn marked_traces_time_like_unmarked_ones(
+        seeds in vec(0u64..u64::MAX, 0..60),
+        picks in vec(0usize..6, 1..4),
     ) {
-        let cfg = SimConfig::default().without_cache_warming();
-        let bound = cfg.queue_entries + cfg.geometry.control_blocks() + 1;
-        let mut sim = TimingSim::new(cfg);
-        for &s in &seeds {
-            sim.on_event(&decode(s));
-            prop_assert!(sim.resident_intervals() <= bound);
+        let (trace, marked) = (build_trace(&seeds), build_marked_trace(&seeds));
+        let cfgs: Vec<SimConfig> = picks.iter().map(|&i| cfg_variant(i)).collect();
+        let swept = simulate_sweep(&marked, &cfgs);
+        for (cfg, got) in cfgs.iter().zip(swept) {
+            let want = simulate(&trace, cfg);
+            prop_assert_eq!(&simulate(&marked, cfg), &want);
+            prop_assert_eq!(&got, &want);
+            let (lined, per_line) = simulate_lines(&marked, cfg);
+            prop_assert_eq!(per_line.values().sum::<u64>(), want.total_cycles);
+            prop_assert_eq!(lined, want);
         }
-        let _ = sim.finish();
     }
 }

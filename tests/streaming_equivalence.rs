@@ -1,28 +1,17 @@
-//! Integration guarantee for the ISSUE-3 streaming pipeline: over the real
-//! artefact workloads (every kernel of the 44-kernel suite, under every
-//! simulator configuration the 16 reproduce artefacts use), the streaming
-//! [`TimingSim`] and the [`Fanout`] sweep report **bit-identically** to the
-//! batch [`simulate`] wrapper. Together with CI's `reproduce --smoke
-//! --jobs` diff against the serial run, this pins the smoke artefacts to
-//! the streaming rewrite.
+//! The timing drivers over the real artefact workloads: a
+//! `simulate_sweep` of every kernel trace of the 44-kernel suite (MVE) and
+//! of the 11 selected RVV traces reports, per configuration,
+//! **bit-identically** to an independent `simulate` of that configuration.
+//! Configurations that warm over one hierarchy share a warm pass inside a
+//! sweep, so these pin the shared pass to the independent one. Together
+//! with CI's `reproduce --smoke --jobs` diff against the serial run, this
+//! pins the smoke artefacts to one timing driver.
 
-use mve_core::sim::{simulate, simulate_sweep, SimConfig, TimingSim};
+use mve_core::sim::{simulate, simulate_sweep, SimConfig};
 use mve_core::trace::Trace;
 use mve_insram::Scheme;
 use mve_kernels::registry::{all_kernels, selected_kernels};
 use mve_kernels::Scale;
-
-/// Streams `trace` through a fresh `TimingSim` (two-phase when warming)
-/// exactly as a sink-driven consumer would.
-fn stream(trace: &Trace, cfg: &SimConfig) -> mve_core::sim::SimReport {
-    let mut sim = TimingSim::new(cfg.clone());
-    if sim.is_warming() {
-        trace.replay_into(&mut sim);
-        sim.start_timing();
-    }
-    trace.replay_into(&mut sim);
-    sim.finish()
-}
 
 /// Every simulator configuration the artefact harness exercises: the
 /// Table IV default (fig 7/8/9/10/11/12a/12c), the four-scheme sweep
@@ -45,19 +34,34 @@ fn artefact_configs() -> Vec<SimConfig> {
     cfgs
 }
 
+/// Asserts that one sweep of `trace` equals a `simulate` per configuration.
+fn assert_sweep_matches_per_config(name: &str, trace: &Trace, cfgs: &[SimConfig]) {
+    let swept = simulate_sweep(trace, cfgs);
+    assert_eq!(swept.len(), cfgs.len());
+    for (cfg, got) in cfgs.iter().zip(&swept) {
+        assert_eq!(
+            *got,
+            simulate(trace, cfg),
+            "{name}: sweep diverged from a lone run (scheme {:?}, arrays {}, ooo {})",
+            cfg.scheme,
+            cfg.geometry.arrays,
+            cfg.ooo_dispatch
+        );
+    }
+}
+
 #[test]
-fn every_kernel_streams_bit_identically_to_batch() {
+fn every_mve_trace_times_alike_with_a_shared_warm_pass() {
+    // Same hierarchy, so the second configuration takes a clone of the
+    // first one's warmed hierarchy.
+    let cfgs = [
+        SimConfig::default(),
+        SimConfig::default().with_scheme(Scheme::BitHybrid),
+    ];
     for k in all_kernels() {
         let run = k.run_mve(Scale::Test);
         assert!(run.checked.ok(), "{}: functional mismatch", k.info().name);
-        let cfg = SimConfig::default();
-        let batch = simulate(&run.trace, &cfg);
-        assert_eq!(
-            stream(&run.trace, &cfg),
-            batch,
-            "{}: streaming diverged from batch",
-            k.info().name
-        );
+        assert_sweep_matches_per_config(k.info().name, &run.trace, &cfgs);
     }
 }
 
@@ -67,37 +71,16 @@ fn artefact_config_sweep_matches_per_config_simulation() {
     for k in selected_kernels() {
         let run = k.run_mve(Scale::Test);
         assert!(run.checked.ok(), "{}", k.info().name);
-        let swept = simulate_sweep(&run.trace, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&swept) {
-            let batch = simulate(&run.trace, cfg);
-            assert_eq!(
-                *got,
-                batch,
-                "{}: fanout diverged from batch (scheme {:?}, arrays {}, ooo {})",
-                k.info().name,
-                cfg.scheme,
-                cfg.geometry.arrays,
-                cfg.ooo_dispatch
-            );
-        }
+        assert_sweep_matches_per_config(k.info().name, &run.trace, &cfgs);
     }
 }
 
 #[test]
-fn rvv_traces_stream_bit_identically_too() {
+fn rvv_artefact_config_sweep_matches_per_config_simulation() {
+    let cfgs = artefact_configs();
     for k in selected_kernels() {
         let run = k.run_rvv(Scale::Test).expect("selected kernels have RVV");
         assert!(run.checked.ok(), "{}", k.info().name);
-        for cfg in [
-            SimConfig::default(),
-            SimConfig::default().with_scheme(Scheme::BitHybrid),
-        ] {
-            assert_eq!(
-                stream(&run.trace, &cfg),
-                simulate(&run.trace, &cfg),
-                "{}: RVV streaming diverged",
-                k.info().name
-            );
-        }
+        assert_sweep_matches_per_config(k.info().name, &run.trace, &cfgs);
     }
 }
