@@ -17,4 +17,3 @@ pub mod rvv;
 
 pub use duality::{DualityConfig, DualityReport};
 pub use gpu::{GpuConfig, GpuKernelCost, GpuResult};
-pub use rvv::Rvv;

@@ -17,6 +17,24 @@
 //! Multi-dimensional patterns therefore expand into per-segment sequences —
 //! mask config, partial 1-D access, pack move, scalar address arithmetic —
 //! which is exactly the dynamic-instruction blow-up Figures 10/11 quantify.
+//!
+//! The layer is a set of functions over `&mut Engine` and keeps no state of
+//! its own: the vector length is the engine's DIM0 length, which [`setvl`]
+//! writes, and kernel bodies call the engine's arithmetic directly (RVV and
+//! MVE share it one-to-one once data is in registers).
+//!
+//! ```
+//! use mve_baselines::rvv;
+//! use mve_core::{DType, Engine};
+//!
+//! let mut e = Engine::default_mobile();
+//! let buf = e.mem_alloc_typed::<i32>(128);
+//! e.mem_fill(buf, &(0..128).collect::<Vec<i32>>());
+//! rvv::setvlmax(&mut e);
+//! rvv::setvl(&mut e, 128);
+//! let v = rvv::load_1d(&mut e, DType::I32, buf, 1);
+//! assert_eq!(e.lane_value(v, 99), 99);
+//! ```
 
 use mve_core::dtype::DType;
 use mve_core::engine::{Engine, Reg, Row};
@@ -35,210 +53,187 @@ const SCALARS_PER_SEGMENT: u64 = 6;
 /// value in the scalar core before loading it, Section III-E).
 const SCALARS_PER_MASK: u64 = 8;
 
-/// The RVV emulation layer. Borrows the engine; every method performs the
-/// functional work *and* emits the RVV-shaped trace events.
-///
-/// ```
-/// use mve_baselines::rvv::Rvv;
-/// use mve_core::{DType, Engine};
-///
-/// let mut e = Engine::default_mobile();
-/// let buf = e.mem_alloc_typed::<i32>(128);
-/// e.mem_fill(buf, &(0..128).collect::<Vec<i32>>());
-/// let mut rvv = Rvv::new(&mut e);
-/// rvv.setvl(128);
-/// let v = rvv.load_1d(DType::I32, buf, 1);
-/// assert_eq!(e.lane_value(v, 99), 99);
-/// ```
-#[derive(Debug)]
-pub struct Rvv<'e> {
-    e: &'e mut Engine,
-    vl: usize,
+/// `vsetvlmax`: configures the engine as a flat 1-D machine and sets the
+/// vector length to all its lanes (a dimension-count and a
+/// dimension-length config event).
+pub fn setvlmax(e: &mut Engine) {
+    let lanes = e.lanes();
+    e.vsetdimc(1);
+    e.vsetdiml(0, lanes);
 }
 
-impl<'e> Rvv<'e> {
-    /// Wraps an engine; configures it as a flat 1-D machine.
-    pub fn new(e: &'e mut Engine) -> Self {
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        e.vsetdiml(0, lanes);
-        Self { e, vl: lanes }
-    }
+/// `vsetvl`: sets the active vector length.
+pub fn setvl(e: &mut Engine, vl: usize) {
+    assert!(vl <= e.lanes(), "vl {vl} exceeds engine lanes");
+    e.vsetdiml(0, vl);
+}
 
-    /// `vsetvl`: sets the active vector length.
-    pub fn setvl(&mut self, vl: usize) {
-        assert!(vl <= self.e.lanes(), "vl {vl} exceeds engine lanes");
-        self.vl = vl;
-        self.e.vsetdiml(0, vl);
-    }
+/// The active vector length: the engine's DIM0 length.
+fn vl(e: &Engine) -> usize {
+    e.crs().dim_len(0)
+}
 
-    /// Current vector length.
-    pub fn vl(&self) -> usize {
-        self.vl
-    }
+/// Emits a Memory event built from a row primitive's `(lines, cb_mask)`.
+fn memory_event(
+    e: &mut Engine,
+    opcode: Opcode,
+    dtype: DType,
+    active_lanes: usize,
+    (lines, cb_mask): (LineSet, u64),
+    write: bool,
+) {
+    e.push_raw_event(Event::Memory {
+        opcode,
+        dtype,
+        active_lanes: active_lanes as u32,
+        cb_mask,
+        lines,
+        write,
+    });
+}
 
-    /// Access to the underlying engine (for arithmetic ops, which RVV and
-    /// MVE share one-to-one once data is in registers).
-    pub fn engine(&mut self) -> &mut Engine {
-        &mut *self.e
-    }
+/// Emits the per-segment pack/unpack move (`vslideup`-style).
+fn move_event(e: &mut Engine, dtype: DType, active_lanes: usize, cb_mask: u64) {
+    e.push_raw_event(Event::Compute {
+        opcode: Opcode::Copy,
+        alu: AluOp::Copy,
+        dtype,
+        active_lanes: active_lanes as u32,
+        cb_mask,
+    });
+}
 
-    /// Emits a Memory event built from a row primitive's `(lines, cb_mask)`.
-    fn memory_event(
-        &mut self,
-        opcode: Opcode,
-        dtype: DType,
-        active_lanes: usize,
-        (lines, cb_mask): (LineSet, u64),
-        write: bool,
-    ) {
-        self.e.push_raw_event(Event::Memory {
-            opcode,
-            dtype,
-            active_lanes: active_lanes as u32,
-            cb_mask,
-            lines,
-            write,
-        });
-    }
+/// Scalar address arithmetic plus the segment-window mask config that
+/// opens every per-segment sequence.
+fn segment_prologue(e: &mut Engine, scalars: u64) {
+    e.scalar(scalars);
+    e.push_raw_event(Event::Config {
+        opcode: Opcode::SetMask,
+    });
+}
 
-    /// Emits the per-segment pack/unpack move (`vslideup`-style).
-    fn move_event(&mut self, dtype: DType, active_lanes: usize, cb_mask: u64) {
-        self.e.push_raw_event(Event::Compute {
-            opcode: Opcode::Copy,
-            alu: AluOp::Copy,
-            dtype,
-            active_lanes: active_lanes as u32,
-            cb_mask,
-        });
-    }
+/// Unit-stride / strided 1-D load of `vl` elements (`vle`/`vlse`).
+pub fn load_1d(e: &mut Engine, dtype: DType, base: u64, stride_elems: i64) -> Reg {
+    let vl = vl(e);
+    let dst = e.alloc(dtype);
+    let access = e.load_rows(dst, [Row::new(0, vl, base, stride_elems)]);
+    memory_event(e, Opcode::StridedLoad, dtype, vl, access, false);
+    dst
+}
 
-    /// Scalar address arithmetic plus the segment-window mask config that
-    /// opens every per-segment sequence.
-    fn segment_prologue(&mut self, scalars: u64) {
-        self.e.scalar(scalars);
-        self.e.push_raw_event(Event::Config {
-            opcode: Opcode::SetMask,
-        });
-    }
+/// Unit-stride / strided 1-D store.
+pub fn store_1d(e: &mut Engine, src: Reg, base: u64, stride_elems: i64) {
+    let vl = vl(e);
+    let access = e.store_rows(src, [Row::new(0, vl, base, stride_elems)]);
+    memory_event(e, Opcode::StridedStore, src.dtype(), vl, access, true);
+}
 
-    /// Unit-stride / strided 1-D load of `vl` elements (`vle`/`vlse`).
-    pub fn load_1d(&mut self, dtype: DType, base: u64, stride_elems: i64) -> Reg {
-        let dst = self.e.alloc(dtype);
-        let row = Row::new(0, self.vl, base, stride_elems);
-        let access = self.e.load_rows(dst, [row]);
-        self.memory_event(Opcode::StridedLoad, dtype, self.vl, access, false);
-        dst
-    }
+/// Emulates a 2-D load (`rows` segments of `cols` elements, row base
+/// advancing by `row_stride_elems`) with RVV 1-D instructions.
+///
+/// Per segment this costs: scalar address arithmetic, a mask
+/// recomputation + config, one masked partial 1-D load (only the
+/// segment's lanes active), and one pack move — the expansion
+/// Section VII-B describes for GEMM on RVV.
+pub fn segmented_load_2d(
+    e: &mut Engine,
+    dtype: DType,
+    base: u64,
+    cols: usize,
+    rows: usize,
+    row_stride_elems: i64,
+) -> Reg {
+    segmented_load_2d_strided(e, dtype, base, cols, 1, rows, row_stride_elems)
+}
 
-    /// Unit-stride / strided 1-D store.
-    pub fn store_1d(&mut self, src: Reg, base: u64, stride_elems: i64) {
-        let row = Row::new(0, self.vl, base, stride_elems);
-        let access = self.e.store_rows(src, [row]);
-        self.memory_event(Opcode::StridedStore, src.dtype(), self.vl, access, true);
+/// [`segmented_load_2d`] with an explicit per-column element stride
+/// (stride 0 broadcasts one value across the segment — RVV needs this
+/// for per-row constants like intra-prediction DC values).
+pub fn segmented_load_2d_strided(
+    e: &mut Engine,
+    dtype: DType,
+    base: u64,
+    cols: usize,
+    col_stride_elems: i64,
+    rows: usize,
+    row_stride_elems: i64,
+) -> Reg {
+    assert!(cols * rows <= vl(e), "segments exceed vector length");
+    let dst = e.alloc(dtype);
+    for r in 0..rows {
+        segment_prologue(e, SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
+        // Partial masked 1-D load: only `cols` lanes active.
+        let row = Row::new(
+            r * cols,
+            cols,
+            element_addr(base, r as i64 * row_stride_elems, dtype),
+            col_stride_elems,
+        );
+        let access = e.load_rows(dst, [row]);
+        let cb_mask = access.1;
+        memory_event(e, Opcode::StridedLoad, dtype, cols, access, false);
+        move_event(e, dtype, cols, cb_mask);
     }
+    dst
+}
 
-    /// Emulates a 2-D load (`rows` segments of `cols` elements, row base
-    /// advancing by `row_stride_elems`) with RVV 1-D instructions.
-    ///
-    /// Per segment this costs: scalar address arithmetic, a mask
-    /// recomputation + config, one masked partial 1-D load (only the
-    /// segment's lanes active), and one pack move — the expansion
-    /// Section VII-B describes for GEMM on RVV.
-    pub fn segmented_load_2d(
-        &mut self,
-        dtype: DType,
-        base: u64,
-        cols: usize,
-        rows: usize,
-        row_stride_elems: i64,
-    ) -> Reg {
-        self.segmented_load_2d_strided(dtype, base, cols, 1, rows, row_stride_elems)
+/// Emulates a 2-D store with per-segment masked 1-D stores.
+pub fn segmented_store_2d(
+    e: &mut Engine,
+    src: Reg,
+    base: u64,
+    cols: usize,
+    rows: usize,
+    row_stride_elems: i64,
+) {
+    assert!(cols * rows <= vl(e), "segments exceed vector length");
+    let dtype = src.dtype();
+    for r in 0..rows {
+        segment_prologue(e, SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
+        let row = Row::new(
+            r * cols,
+            cols,
+            element_addr(base, r as i64 * row_stride_elems, dtype),
+            1,
+        );
+        let access = e.store_rows(src, [row]);
+        // Unpack move (slide the segment down before the partial store).
+        move_event(e, dtype, cols, access.1);
+        memory_event(e, Opcode::StridedStore, dtype, cols, access, true);
     }
+}
 
-    /// [`Rvv::segmented_load_2d`] with an explicit per-column element stride
-    /// (stride 0 broadcasts one value across the segment — RVV needs this
-    /// for per-row constants like intra-prediction DC values).
-    pub fn segmented_load_2d_strided(
-        &mut self,
-        dtype: DType,
-        base: u64,
-        cols: usize,
-        col_stride_elems: i64,
-        rows: usize,
-        row_stride_elems: i64,
-    ) -> Reg {
-        assert!(cols * rows <= self.vl, "segments exceed vector length");
-        let dst = self.e.alloc(dtype);
-        for r in 0..rows {
-            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
-            // Partial masked 1-D load: only `cols` lanes active.
-            let row = Row::new(
-                r * cols,
-                cols,
-                element_addr(base, r as i64 * row_stride_elems, dtype),
-                col_stride_elems,
-            );
-            let access = self.e.load_rows(dst, [row]);
-            let cb_mask = access.1;
-            self.memory_event(Opcode::StridedLoad, dtype, cols, access, false);
-            self.move_event(dtype, cols, cb_mask);
-        }
-        dst
-    }
-
-    /// Emulates a 2-D store with per-segment masked 1-D stores.
-    pub fn segmented_store_2d(
-        &mut self,
-        src: Reg,
-        base: u64,
-        cols: usize,
-        rows: usize,
-        row_stride_elems: i64,
-    ) {
-        assert!(cols * rows <= self.vl, "segments exceed vector length");
-        let dtype = src.dtype();
-        for r in 0..rows {
-            self.segment_prologue(SCALARS_PER_SEGMENT + SCALARS_PER_MASK);
-            let row = Row::new(
-                r * cols,
-                cols,
-                element_addr(base, r as i64 * row_stride_elems, dtype),
-                1,
-            );
-            let access = self.e.store_rows(src, [row]);
-            // Unpack move (slide the segment down before the partial store).
-            self.move_event(dtype, cols, access.1);
-            self.memory_event(Opcode::StridedStore, dtype, cols, access, true);
-        }
-    }
-
-    /// Emulates MVE's stride-0 replication: loads `unique` elements from
-    /// `base` and replicates each across `rep` consecutive lanes.
-    ///
-    /// RVV needs an index-vector gather for this: scalar code computes the
-    /// indices, stores them, a 1-D load brings them into a register, and an
-    /// indexed gather (`vluxei`) fetches the data.
-    pub fn replicated_load(&mut self, dtype: DType, base: u64, unique: usize, rep: usize) -> Reg {
-        let total = unique * rep;
-        assert!(total <= self.vl, "replication exceeds vector length");
-        // Scalar index computation + index-vector store/load round trip.
-        self.e.scalar(4 * total as u64 / 8 + SCALARS_PER_SEGMENT);
-        // The gather itself: one broadcast row per unique element.
-        let dst = self.e.alloc(dtype);
-        let rows =
-            (0..unique).map(|u| Row::new(u * rep, rep, element_addr(base, u as i64, dtype), 0));
-        let access = self.e.load_rows(dst, rows);
-        let idx_lines = (total as u64 * 4).div_ceil(mve_memsim::LINE_BYTES);
-        // The index vector occupies fresh lines near the data.
-        let index_lines: Vec<u64> = (0..idx_lines)
-            .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
-            .collect();
-        let index_access = (LineSet::from_sorted(&index_lines), access.1);
-        self.memory_event(Opcode::StridedLoad, DType::U32, total, index_access, false);
-        self.memory_event(Opcode::RandomLoad, dtype, total, access, false);
-        dst
-    }
+/// Emulates MVE's stride-0 replication: loads `unique` elements from
+/// `base` and replicates each across `rep` consecutive lanes.
+///
+/// RVV needs an index-vector gather for this: scalar code computes the
+/// indices, stores them, a 1-D load brings them into a register, and an
+/// indexed gather (`vluxei`) fetches the data.
+pub fn replicated_load(e: &mut Engine, dtype: DType, base: u64, unique: usize, rep: usize) -> Reg {
+    let total = unique * rep;
+    assert!(total <= vl(e), "replication exceeds vector length");
+    // Scalar index computation + index-vector store/load round trip.
+    e.scalar(4 * total as u64 / 8 + SCALARS_PER_SEGMENT);
+    // The gather itself: one broadcast row per unique element.
+    let dst = e.alloc(dtype);
+    let rows = (0..unique).map(|u| Row::new(u * rep, rep, element_addr(base, u as i64, dtype), 0));
+    let access = e.load_rows(dst, rows);
+    let idx_lines = (total as u64 * 4).div_ceil(mve_memsim::LINE_BYTES);
+    // The index vector occupies fresh lines near the data.
+    let index_lines: Vec<u64> = (0..idx_lines)
+        .map(|i| (base / mve_memsim::LINE_BYTES) + 1024 + i)
+        .collect();
+    let index_access = (LineSet::from_sorted(&index_lines), access.1);
+    memory_event(
+        e,
+        Opcode::StridedLoad,
+        DType::U32,
+        total,
+        index_access,
+        false,
+    );
+    memory_event(e, Opcode::RandomLoad, dtype, total, access, false);
+    dst
 }
 
 /// Byte address of element `index` of a `dtype` array at `base`.
@@ -262,9 +257,9 @@ mod tests {
         let a = e.mem_alloc_typed::<i32>(256);
         let vals: Vec<i32> = (0..256).collect();
         e.mem_fill(a, &vals);
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(256);
-        let r = rvv.load_1d(DType::I32, a, 1);
+        setvlmax(&mut e);
+        setvl(&mut e, 256);
+        let r = load_1d(&mut e, DType::I32, a, 1);
         assert_eq!(e.lane_value(r, 0), 0);
         assert_eq!(e.lane_value(r, 255), 255);
     }
@@ -287,9 +282,9 @@ mod tests {
         let mut re = engine();
         let b = re.mem_alloc_typed::<i32>(rows * 100);
         re.mem_fill(b, &vals);
-        let mut rvv = Rvv::new(&mut re);
-        rvv.setvl(8192);
-        let vr = rvv.segmented_load_2d(DType::I32, b, cols, rows, stride);
+        setvlmax(&mut re);
+        setvl(&mut re, 8192);
+        let vr = segmented_load_2d(&mut re, DType::I32, b, cols, rows, stride);
         let rvv_mix = re.trace().instr_mix();
 
         for lane in 0..cols * rows {
@@ -313,9 +308,9 @@ mod tests {
         let a = e.mem_alloc_typed::<f32>(8);
         let vals: Vec<f32> = (0..8).map(|i| i as f32 + 0.5).collect();
         e.mem_fill(a, &vals);
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(8192);
-        let r = rvv.replicated_load(DType::F32, a, 8, 4);
+        setvlmax(&mut e);
+        setvl(&mut e, 8192);
+        let r = replicated_load(&mut e, DType::F32, a, 8, 4);
         for u in 0..8 {
             for k in 0..4 {
                 assert_eq!(
@@ -333,9 +328,9 @@ mod tests {
         let mut e = engine();
         let a = e.mem_alloc_typed::<i32>(64 * 64);
         e.mem_fill(a, &vec![7i32; 64 * 64]);
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(4096);
-        let _ = rvv.segmented_load_2d(DType::I32, a, 64, 64, 64);
+        setvlmax(&mut e);
+        setvl(&mut e, 4096);
+        let _ = segmented_load_2d(&mut e, DType::I32, a, 64, 64, 64);
         let mix: InstrMix = e.trace().instr_mix();
         assert!(mix.config >= 64);
         assert!(mix.mem_access >= 64);

@@ -1,14 +1,14 @@
 //! Equivalence of the RVV layer's memory operations with their original
 //! lane-by-lane bodies.
 //!
-//! `Rvv`'s six memory ops now run on the engine's row primitive
+//! The `rvv` layer's six memory ops now run on the engine's row primitive
 //! (`Engine::load_rows` / `Engine::store_rows`). The `Oracle` below keeps
 //! the per-lane bodies they replaced, verbatim: explicit address lists,
 //! `read_raw`/`set_lane_raw` loops, `lines_for` and `cb_mask_for_lanes`.
 //! Generated vector lengths, strides (0, ±1, ±k) and segment shapes must
 //! give identical registers, memory and event streams.
 
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::DType;
 use mve_core::engine::{Engine, Reg};
 use mve_core::isa::Opcode;
@@ -407,15 +407,15 @@ fn store_source(e: &mut Engine, vl: usize, seed: u64) -> Reg {
     r
 }
 
-/// Runs `op` through the `Rvv` layer. Returns the register it loaded.
+/// Runs `op` through the `rvv` layer. Returns the register it loaded.
 fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
     let src = store_source(e, vl, seed);
-    let mut rvv = Rvv::new(e);
-    rvv.setvl(vl);
+    rvv::setvlmax(e);
+    rvv::setvl(e, vl);
     let got = match op {
-        Op::Load1d { dtype, off, stride } => Some(rvv.load_1d(dtype, MID + off, stride)),
+        Op::Load1d { dtype, off, stride } => Some(rvv::load_1d(e, dtype, MID + off, stride)),
         Op::Store1d { off, stride } => {
-            rvv.store_1d(src, MID + off, stride);
+            rvv::store_1d(e, src, MID + off, stride);
             None
         }
         Op::Seg2d {
@@ -424,7 +424,14 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             cols,
             rows,
             row_stride,
-        } => Some(rvv.segmented_load_2d(dtype, MID + off, cols, rows, row_stride)),
+        } => Some(rvv::segmented_load_2d(
+            e,
+            dtype,
+            MID + off,
+            cols,
+            rows,
+            row_stride,
+        )),
         Op::SegStrided {
             dtype,
             off,
@@ -432,7 +439,8 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             col_stride,
             rows,
             row_stride,
-        } => Some(rvv.segmented_load_2d_strided(
+        } => Some(rvv::segmented_load_2d_strided(
+            e,
             dtype,
             MID + off,
             cols,
@@ -446,7 +454,7 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             rows,
             row_stride,
         } => {
-            rvv.segmented_store_2d(src, MID + off, cols, rows, row_stride);
+            rvv::segmented_store_2d(e, src, MID + off, cols, rows, row_stride);
             None
         }
         Op::Replicated {
@@ -454,7 +462,7 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
             off,
             unique,
             rep,
-        } => Some(rvv.replicated_load(dtype, MID + off, unique, rep)),
+        } => Some(rvv::replicated_load(e, dtype, MID + off, unique, rep)),
     };
     e.free(src);
     got
@@ -465,7 +473,8 @@ fn run_rvv(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
 fn run_oracle(e: &mut Engine, vl: usize, op: Op, seed: u64) -> Option<Reg> {
     let src = store_source(e, vl, seed);
     // Same CR configuration (and Config events) as the layer.
-    Rvv::new(e).setvl(vl);
+    rvv::setvlmax(e);
+    rvv::setvl(e, vl);
     let mut o = Oracle { e, vl };
     let got = match op {
         Op::Load1d { dtype, off, stride } => Some(o.load_1d(dtype, MID + off, stride)),

@@ -5,13 +5,15 @@
 //! FIR-L (q31/i32, 128 taps). Low precision is where bit-serial in-cache
 //! computing shines (Figure 12(c)): arithmetic latency is quadratic in the
 //! element width. The MVE run is the shared FIR body
-//! ([`crate::precision::run_fir_lanes`]) at the variant's type and width.
+//! ([`crate::precision::run_fir_lanes`]) at the variant's type and width;
+//! the RVV run shares its operands (`Fir::operands`), engine setup and
+//! check (`precision::solve_fir`).
 
-use crate::common::{engine, gen_i16, KernelRun, Scale};
+use crate::common::{chunks, gen_i16, KernelRun, Scale};
 use crate::precision;
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::{BinOp, DType};
 use mve_core::isa::Opcode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
@@ -94,44 +96,29 @@ impl Fir {
         // FIR is 1-D, so the RVV version mirrors the MVE structure with
         // 1-D loads — near parity, as Figure 10 shows.
         let dt = self.dtype();
-        let eb = dt.bytes();
         let (x, h, want) = self.operands(scale);
-        let n_out = want.len();
-
-        let mut e = engine();
-        e.vsetwidth(dt.bits().max(8));
-        let xa = e.mem_alloc(x.len() as u64 * eb);
-        let oa = e.mem_alloc(n_out as u64 * eb);
-        precision::store_packed(&mut e, xa, dt, &x);
-
-        let lanes = e.lanes();
-        let mut rvv = Rvv::new(&mut e);
-        let mut base = 0usize;
-        while base < n_out {
-            let chunk = lanes.min(n_out - base);
-            rvv.setvl(chunk);
-            rvv.engine().scalar(6);
-            let mut acc = rvv.engine().setdup(dt, 0);
-            for (t, &c) in h.iter().enumerate() {
-                rvv.engine().scalar(4);
-                let xv = rvv.load_1d(dt, xa + ((base + t) as u64) * eb, 1);
-                let en = rvv.engine();
-                let cv = en.setdup(dt, c);
-                let p = en.binop(Opcode::Mul, BinOp::Mul, xv, cv);
-                let acc2 = en.binop(Opcode::Add, BinOp::Add, acc, p);
-                for r in [xv, cv, p, acc] {
-                    en.free(r);
+        precision::solve_fir(dt, dt.bits().max(8), &x, &h, &want, |e, [xa, oa]| {
+            let eb = dt.bytes();
+            rvv::setvlmax(e);
+            for (base, chunk) in chunks(want.len(), e.lanes()) {
+                rvv::setvl(e, chunk);
+                e.scalar(6);
+                let mut acc = e.setdup(dt, 0);
+                for (t, &c) in h.iter().enumerate() {
+                    e.scalar(4);
+                    let xv = rvv::load_1d(e, dt, xa + ((base + t) as u64) * eb, 1);
+                    let cv = e.setdup(dt, c);
+                    let p = e.binop(Opcode::Mul, BinOp::Mul, xv, cv);
+                    let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
+                    for r in [xv, cv, p, acc] {
+                        e.free(r);
+                    }
+                    acc = acc2;
                 }
-                acc = acc2;
+                rvv::store_1d(e, acc, oa + (base as u64) * eb, 1);
+                e.free(acc);
             }
-            rvv.store_1d(acc, oa + (base as u64) * eb, 1);
-            rvv.engine().free(acc);
-            base += chunk;
-        }
-        KernelRun {
-            checked: precision::check_lanes(&e, oa, dt, &want),
-            trace: e.take_trace(),
-        }
+        })
     }
 }
 

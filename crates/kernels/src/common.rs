@@ -127,6 +127,14 @@ pub fn gen_f32(seed: u64, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
+/// The `(base, len)` chunks a strip-mined loop over `n` elements takes on an
+/// engine of `lanes` lanes.
+pub fn chunks(n: usize, lanes: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n)
+        .step_by(lanes)
+        .map(move |base| (base, lanes.min(n - base)))
+}
+
 /// Exact element-wise comparison.
 pub fn check_exact<T: PartialEq>(got: &[T], want: &[T]) -> Checked {
     let compared = got.len().min(want.len());
@@ -143,15 +151,16 @@ pub fn check_exact<T: PartialEq>(got: &[T], want: &[T]) -> Checked {
 }
 
 /// Float comparison with relative tolerance (vector reduction order and f16
-/// repacking legitimately reorder rounding).
+/// repacking legitimately reorder rounding). An element matches only when
+/// its difference is within tolerance, so a NaN on either side mismatches.
 pub fn check_f32(got: &[f32], want: &[f32], rel_tol: f32) -> Checked {
     let compared = got.len().min(want.len());
     let mismatches = got[..compared]
         .iter()
         .zip(&want[..compared])
         .filter(|(g, w)| {
-            let scale = w.abs().max(1.0);
-            (*g - *w).abs() > rel_tol * scale
+            let within = (*g - *w).abs() <= rel_tol * w.abs().max(1.0);
+            !within
         })
         .count()
         + got.len().abs_diff(want.len());
@@ -307,6 +316,14 @@ mod tests {
         assert!(c.ok());
         let c = check_f32(&[1.0, 2.5], &[1.0, 2.0], 1e-3);
         assert!(!c.ok());
+    }
+
+    #[test]
+    fn check_f32_counts_a_nan_output_as_a_mismatch() {
+        let c = check_f32(&[f32::NAN, 2.0], &[1.0, 2.0], 1e-3);
+        assert_eq!(c.mismatches, 1);
+        // Control: an in-tolerance output is no mismatch.
+        assert_eq!(check_f32(&[1.0005, 2.0], &[1.0, 2.0], 1e-3).mismatches, 0);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! load/compute/store passes; intra prediction uses the exact Figure 3
 //! replication pattern; DCT/IDCT broadcast transform constants with
 //! stride-0 dimensions.
+//!
+//! Each kernel's MVE and RVV bodies solve one problem: a per-kernel
+//! `solve` generates the blocks and the scalar reference once, runs the
+//! body on a fresh engine and checks its output. SATD and intra share the
+//! engine memory layout too; the DCT/IDCT bodies lay out their own,
+//! because only MVE keeps the transform matrix in memory. The RVV bodies
+//! drive the engine through the stateless `mve_baselines::rvv` functions.
 
 use crate::common::{check_exact, engine, gen_i16, tree_halve, tree_reduce, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::DType;
-use mve_core::engine::Engine;
+use mve_core::engine::{Engine, Reg};
 use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 
@@ -69,67 +76,92 @@ fn satd_block(cur: &[i16], refp: &[i16]) -> i64 {
     d.iter().map(|&c| i64::from(c).abs()).sum()
 }
 
-/// Runs one in-cache FWHT stage along x (`h` = butterfly half-distance) for
-/// `b` blocks in the scratch buffer: a 4-D strided load/compute/store pass.
-fn fwht_stage_x(e: &mut Engine, scratch: u64, h: usize, b: usize) {
+/// Runs one in-cache FWHT stage for `b` blocks in the scratch buffer: a
+/// 4-D strided load/compute/store pass of butterflies between each element
+/// and the one `half` elements on. `shape` lists the length and element
+/// stride of the three in-block dimensions.
+fn fwht_stage(e: &mut Engine, scratch: u64, shape: [(usize, i64); 3], half: usize, b: usize) {
+    let dims = [shape[0], shape[1], shape[2], (b, 64)];
     e.vsetdimc(4);
-    e.vsetdiml(0, h);
-    e.vsetdiml(1, 8 / (2 * h));
-    e.vsetdiml(2, 8);
-    e.vsetdiml(3, b);
-    for (dim, stride) in [(0, 1i64), (1, 2 * h as i64), (2, 8), (3, 64)] {
+    for (dim, &(len, _)) in dims.iter().enumerate() {
+        e.vsetdiml(dim, len);
+    }
+    for (dim, &(_, stride)) in dims.iter().enumerate() {
         e.vsetldstr(dim, stride);
         e.vsetststr(dim, stride);
     }
-    let modes = [
-        StrideMode::Cr,
-        StrideMode::Cr,
-        StrideMode::Cr,
-        StrideMode::Cr,
-    ];
+    let modes = [StrideMode::Cr; 4];
+    let partner = scratch + 2 * half as u64;
     let va = e.vsld_w(scratch, &modes);
-    let vb = e.vsld_w(scratch + 2 * h as u64, &modes);
+    let vb = e.vsld_w(partner, &modes);
     let sum = e.vadd_w(va, vb);
     let diff = e.vsub_w(va, vb);
     e.vsst_w(sum, scratch, &modes);
-    e.vsst_w(diff, scratch + 2 * h as u64, &modes);
+    e.vsst_w(diff, partner, &modes);
     for r in [va, vb, sum, diff] {
         e.free(r);
     }
     e.scalar(4);
 }
 
-/// The FWHT stage along y: same butterflies with row-granular strides.
-fn fwht_stage_y(e: &mut Engine, scratch: u64, h: usize, b: usize) {
-    e.vsetdimc(4);
-    e.vsetdiml(0, 8);
-    e.vsetdiml(1, h);
-    e.vsetdiml(2, 8 / (2 * h));
-    e.vsetdiml(3, b);
-    for (dim, stride) in [(0, 1i64), (1, 8), (2, 16 * h as i64), (3, 64)] {
-        e.vsetldstr(dim, stride);
-        e.vsetststr(dim, stride);
-    }
-    let modes = [
-        StrideMode::Cr,
-        StrideMode::Cr,
-        StrideMode::Cr,
-        StrideMode::Cr,
-    ];
-    let va = e.vsld_w(scratch, &modes);
-    let vb = e.vsld_w(scratch + (8 * h * 2) as u64, &modes);
-    let sum = e.vadd_w(va, vb);
-    let diff = e.vsub_w(va, vb);
-    e.vsst_w(sum, scratch, &modes);
-    e.vsst_w(diff, scratch + (8 * h * 2) as u64, &modes);
-    for r in [va, vb, sum, diff] {
+/// `|v|` of i16 lanes, widened to i32 for the reduction. Frees `v`.
+fn abs_to_i32(e: &mut Engine, v: Reg) -> Reg {
+    let zero = e.vsetdup_w(0);
+    let neg = e.vsub_w(zero, v);
+    let abs = e.vmax_w(v, neg);
+    for r in [v, zero, neg] {
         e.free(r);
     }
-    e.scalar(4);
+    let wide = e.vcvt(abs, DType::I32);
+    e.free(abs);
+    wide
 }
 
 /// Sum of absolute transformed differences over 8×8 blocks.
 pub struct Satd;
+
+impl Satd {
+    /// The problem both bodies solve: writes the current and reference
+    /// blocks to a fresh engine and runs `body(e, [ca, ra, scratch],
+    /// [tiles, bpt])` with their addresses and that of a one-tile scratch
+    /// buffer, for `tiles` tiles of `bpt` blocks. The body returns each
+    /// tile's SATD, which is checked against the reference.
+    fn solve(
+        scale: Scale,
+        body: impl FnOnce(&mut Engine, [u64; 3], [usize; 2]) -> Vec<i64>,
+    ) -> KernelRun {
+        let blocks = total_blocks(scale);
+        let pixels = |seed| -> Vec<i16> {
+            gen_i16(seed, blocks * 64)
+                .iter()
+                .map(|v| v & 0xFF)
+                .collect()
+        };
+        let (cur, refp) = (pixels(0x51), pixels(0x52));
+        let tiles = blocks / BLOCKS_PER_TILE.min(blocks);
+        let bpt = blocks / tiles;
+        let want: Vec<i64> = (0..tiles)
+            .map(|t| {
+                (0..bpt)
+                    .map(|i| {
+                        let o = (t * bpt + i) * 64;
+                        satd_block(&cur[o..o + 64], &refp[o..o + 64])
+                    })
+                    .sum()
+            })
+            .collect();
+
+        let mut e = engine();
+        let bufs = [blocks * 64, blocks * 64, bpt * 64].map(|n| e.mem_alloc_typed::<i16>(n));
+        e.mem_fill(bufs[0], &cur);
+        e.mem_fill(bufs[1], &refp);
+        let got = body(&mut e, bufs, [tiles, bpt]);
+        KernelRun {
+            checked: check_exact(&got, &want),
+            trace: e.take_trace(),
+        }
+    }
+}
 
 impl Kernel for Satd {
     fn info(&self) -> KernelInfo {
@@ -143,202 +175,106 @@ impl Kernel for Satd {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let blocks = total_blocks(scale);
-        let cur: Vec<i16> = gen_i16(0x51, blocks * 64)
-            .iter()
-            .map(|v| v & 0xFF)
-            .collect();
-        let refp: Vec<i16> = gen_i16(0x52, blocks * 64)
-            .iter()
-            .map(|v| v & 0xFF)
-            .collect();
-
-        let tiles = blocks / BLOCKS_PER_TILE.min(blocks);
-        let bpt = blocks / tiles;
-        let want: Vec<i64> = (0..tiles)
-            .map(|t| {
-                (0..bpt)
-                    .map(|i| {
-                        let o = (t * bpt + i) * 64;
-                        satd_block(&cur[o..o + 64], &refp[o..o + 64])
-                    })
-                    .sum()
-            })
-            .collect();
-
-        let mut e = engine();
-        let ca = e.mem_alloc_typed::<i16>(blocks * 64);
-        let ra = e.mem_alloc_typed::<i16>(blocks * 64);
-        let scratch = e.mem_alloc_typed::<i16>(bpt * 64);
-        e.mem_fill(ca, &cur);
-        e.mem_fill(ra, &refp);
-
-        let mut got = Vec::with_capacity(tiles);
-        for t in 0..tiles {
-            let off = (t * bpt * 64 * 2) as u64;
-            e.scalar(10);
-            // Diff pass: 3-D [x, y, block].
-            e.vsetdimc(3);
-            e.vsetdiml(0, 8);
-            e.vsetdiml(1, 8);
-            e.vsetdiml(2, bpt);
-            let m3 = [StrideMode::One, StrideMode::Seq, StrideMode::Seq];
-            let cv = e.vsld_w(ca + off, &m3);
-            let rv = e.vsld_w(ra + off, &m3);
-            let dv = e.vsub_w(cv, rv);
-            e.vsst_w(dv, scratch, &m3);
-            for r in [cv, rv, dv] {
-                e.free(r);
+        Self::solve(scale, |e, [ca, ra, scratch], [tiles, bpt]| {
+            let mut got = Vec::with_capacity(tiles);
+            for t in 0..tiles {
+                let off = (t * bpt * 64 * 2) as u64;
+                e.scalar(10);
+                // Diff pass: 3-D [x, y, block].
+                e.vsetdimc(3);
+                e.vsetdiml(0, 8);
+                e.vsetdiml(1, 8);
+                e.vsetdiml(2, bpt);
+                let m3 = [StrideMode::One, StrideMode::Seq, StrideMode::Seq];
+                let cv = e.vsld_w(ca + off, &m3);
+                let rv = e.vsld_w(ra + off, &m3);
+                let dv = e.vsub_w(cv, rv);
+                e.vsst_w(dv, scratch, &m3);
+                for r in [cv, rv, dv] {
+                    e.free(r);
+                }
+                // 2-D FWHT: three x stages, three y stages.
+                for h in [1, 2, 4] {
+                    let x_shape = [(h, 1), (8 / (2 * h), 2 * h as i64), (8, 8)];
+                    fwht_stage(e, scratch, x_shape, h, bpt);
+                }
+                for h in [1, 2, 4] {
+                    let y_shape = [(8, 1), (h, 8), (8 / (2 * h), 16 * h as i64)];
+                    fwht_stage(e, scratch, y_shape, 8 * h, bpt);
+                }
+                // |coef| and reduction.
+                e.vsetdimc(1);
+                e.vsetdiml(0, bpt * 64);
+                let v = e.vsld_w(scratch, &[StrideMode::One]);
+                let wide = abs_to_i32(e, v);
+                got.push(DType::I32.to_i64(tree_reduce(e, wide, bpt * 64)));
             }
-            // 2-D FWHT: three x stages, three y stages.
-            for h in [1, 2, 4] {
-                fwht_stage_x(&mut e, scratch, h, bpt);
-            }
-            for h in [1, 2, 4] {
-                fwht_stage_y(&mut e, scratch, h, bpt);
-            }
-            // |coef| and reduction.
-            e.vsetdimc(1);
-            e.vsetdiml(0, bpt * 64);
-            let v = e.vsld_w(scratch, &[StrideMode::One]);
-            let zero = e.vsetdup_w(0);
-            let neg = e.vsub_w(zero, v);
-            let abs = e.vmax_w(v, neg);
-            for r in [v, zero, neg] {
-                e.free(r);
-            }
-            let wide = e.vcvt(abs, DType::I32);
-            e.free(abs);
-            let raw = tree_reduce(&mut e, wide, bpt * 64);
-            got.push(DType::I32.to_i64(raw));
-        }
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+            got
+        })
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
-        let blocks = total_blocks(scale);
-        let cur: Vec<i16> = gen_i16(0x51, blocks * 64)
-            .iter()
-            .map(|v| v & 0xFF)
-            .collect();
-        let refp: Vec<i16> = gen_i16(0x52, blocks * 64)
-            .iter()
-            .map(|v| v & 0xFF)
-            .collect();
-        let tiles = blocks / BLOCKS_PER_TILE.min(blocks);
-        let bpt = blocks / tiles;
-        let want: Vec<i64> = (0..tiles)
-            .map(|t| {
-                (0..bpt)
-                    .map(|i| {
-                        let o = (t * bpt + i) * 64;
-                        satd_block(&cur[o..o + 64], &refp[o..o + 64])
-                    })
-                    .sum()
-            })
-            .collect();
-
-        let mut e = engine();
-        let ca = e.mem_alloc_typed::<i16>(blocks * 64);
-        let ra = e.mem_alloc_typed::<i16>(blocks * 64);
-        let scratch = e.mem_alloc_typed::<i16>(bpt * 64);
-        e.mem_fill(ca, &cur);
-        e.mem_fill(ra, &refp);
-
-        let mut got = Vec::with_capacity(tiles);
-        for t in 0..tiles {
-            let off = (t * bpt * 64 * 2) as u64;
-            let mut rvv = Rvv::new(&mut e);
-            rvv.setvl(bpt * 64);
-            rvv.engine().scalar(10);
-            let cv = rvv.load_1d(DType::I16, ca + off, 1);
-            let rv = rvv.load_1d(DType::I16, ra + off, 1);
-            let en = rvv.engine();
-            let dv = en.vsub_w(cv, rv);
-            rvv.store_1d(dv, scratch, 1);
-            let en = rvv.engine();
-            for r in [cv, rv, dv] {
-                en.free(r);
-            }
-            // x stages: per sub-offset j a uniform strided 1-D access.
-            for h in [1usize, 2, 4] {
-                let elems = 32 * bpt / h;
-                rvv.setvl(elems);
-                for j in 0..h {
-                    rvv.engine().scalar(8);
-                    let a = rvv.load_1d(DType::I16, scratch + (j * 2) as u64, 2 * h as i64);
-                    let b = rvv.load_1d(DType::I16, scratch + ((j + h) * 2) as u64, 2 * h as i64);
-                    let en = rvv.engine();
-                    let s = en.vadd_w(a, b);
-                    let d = en.vsub_w(a, b);
-                    rvv.store_1d(s, scratch + (j * 2) as u64, 2 * h as i64);
-                    rvv.store_1d(d, scratch + ((j + h) * 2) as u64, 2 * h as i64);
-                    let en = rvv.engine();
-                    for r in [a, b, s, d] {
-                        en.free(r);
+        Some(Self::solve(scale, |e, [ca, ra, scratch], [tiles, bpt]| {
+            let mut got = Vec::with_capacity(tiles);
+            for t in 0..tiles {
+                let off = (t * bpt * 64 * 2) as u64;
+                rvv::setvlmax(e);
+                rvv::setvl(e, bpt * 64);
+                e.scalar(10);
+                let cv = rvv::load_1d(e, DType::I16, ca + off, 1);
+                let rv = rvv::load_1d(e, DType::I16, ra + off, 1);
+                let dv = e.vsub_w(cv, rv);
+                rvv::store_1d(e, dv, scratch, 1);
+                for r in [cv, rv, dv] {
+                    e.free(r);
+                }
+                // x stages: per sub-offset j a uniform strided 1-D access.
+                for h in [1usize, 2, 4] {
+                    rvv::setvl(e, 32 * bpt / h);
+                    let stride = 2 * h as i64;
+                    for j in 0..h {
+                        let (lo, hi) = (scratch + (j * 2) as u64, scratch + ((j + h) * 2) as u64);
+                        e.scalar(8);
+                        let va = rvv::load_1d(e, DType::I16, lo, stride);
+                        let vb = rvv::load_1d(e, DType::I16, hi, stride);
+                        let s = e.vadd_w(va, vb);
+                        let d = e.vsub_w(va, vb);
+                        rvv::store_1d(e, s, lo, stride);
+                        rvv::store_1d(e, d, hi, stride);
+                        for r in [va, vb, s, d] {
+                            e.free(r);
+                        }
                     }
                 }
-            }
-            // y stages: each sub-offset is an 8-wide segmented pattern.
-            for h in [1usize, 2, 4] {
-                let rows = (8 / (2 * h)) * bpt;
-                rvv.setvl(rows * 8);
-                for j in 0..h {
-                    rvv.engine().scalar(8);
-                    let a = rvv.segmented_load_2d(
-                        DType::I16,
-                        scratch + (j * 8 * 2) as u64,
-                        8,
-                        rows,
-                        16 * h as i64,
-                    );
-                    let b = rvv.segmented_load_2d(
-                        DType::I16,
-                        scratch + ((j + h) * 8 * 2) as u64,
-                        8,
-                        rows,
-                        16 * h as i64,
-                    );
-                    let en = rvv.engine();
-                    let s = en.vadd_w(a, b);
-                    let d = en.vsub_w(a, b);
-                    rvv.segmented_store_2d(s, scratch + (j * 8 * 2) as u64, 8, rows, 16 * h as i64);
-                    rvv.segmented_store_2d(
-                        d,
-                        scratch + ((j + h) * 8 * 2) as u64,
-                        8,
-                        rows,
-                        16 * h as i64,
-                    );
-                    let en = rvv.engine();
-                    for r in [a, b, s, d] {
-                        en.free(r);
+                // y stages: each sub-offset is an 8-wide segmented pattern.
+                for h in [1usize, 2, 4] {
+                    let rows = (8 / (2 * h)) * bpt;
+                    let stride = 16 * h as i64;
+                    rvv::setvl(e, rows * 8);
+                    for j in 0..h {
+                        let lo = scratch + (j * 8 * 2) as u64;
+                        let hi = scratch + ((j + h) * 8 * 2) as u64;
+                        e.scalar(8);
+                        let va = rvv::segmented_load_2d(e, DType::I16, lo, 8, rows, stride);
+                        let vb = rvv::segmented_load_2d(e, DType::I16, hi, 8, rows, stride);
+                        let s = e.vadd_w(va, vb);
+                        let d = e.vsub_w(va, vb);
+                        rvv::segmented_store_2d(e, s, lo, 8, rows, stride);
+                        rvv::segmented_store_2d(e, d, hi, 8, rows, stride);
+                        for r in [va, vb, s, d] {
+                            e.free(r);
+                        }
                     }
                 }
+                rvv::setvl(e, bpt * 64);
+                let v = rvv::load_1d(e, DType::I16, scratch, 1);
+                let wide = abs_to_i32(e, v);
+                e.vsetdimc(1);
+                e.vsetdiml(0, bpt * 64);
+                got.push(DType::I32.to_i64(tree_reduce(e, wide, bpt * 64)));
             }
-            rvv.setvl(bpt * 64);
-            let v = rvv.load_1d(DType::I16, scratch, 1);
-            let en = rvv.engine();
-            let zero = en.vsetdup_w(0);
-            let neg = en.vsub_w(zero, v);
-            let abs = en.vmax_w(v, neg);
-            for r in [v, zero, neg] {
-                en.free(r);
-            }
-            let wide = en.vcvt(abs, DType::I32);
-            en.free(abs);
-            en.vsetdimc(1);
-            en.vsetdiml(0, bpt * 64);
-            let raw = tree_reduce(&mut e, wide, bpt * 64);
-            got.push(DType::I32.to_i64(raw));
-        }
-        Some(KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        })
+            got
+        }))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -391,18 +327,14 @@ impl Intra {
     }
 }
 
-impl Kernel for Intra {
-    fn info(&self) -> KernelInfo {
-        KernelInfo {
-            name: "intra",
-            library: Library::Kvazaar,
-            dims: 3,
-            dtype_bits: 16,
-            selected: true,
-        }
-    }
-
-    fn run_mve(&self, scale: Scale) -> KernelRun {
+impl Intra {
+    /// The problem both bodies solve: writes the reference pixels `refs`
+    /// to a fresh engine at kernel width 16 and runs `body(e, refs, [ra,
+    /// oa, dca], bpt)` with their address `ra`, the addresses of the
+    /// predicted pixels `oa` and of room for the DC values `dca`, and the
+    /// blocks per tile `bpt`. The predicted pixels it stores are checked
+    /// against the reference.
+    fn solve(scale: Scale, body: impl FnOnce(&mut Engine, &[i16], [u64; 3], usize)) -> KernelRun {
         let blocks = total_blocks(scale);
         // 16 reference pixels per block (top 8 + left 8), pixel range.
         let refs: Vec<i16> = gen_i16(0x53, blocks * 16)
@@ -415,141 +347,130 @@ impl Kernel for Intra {
 
         let mut e = engine();
         e.vsetwidth(16);
-        let ra = e.mem_alloc_typed::<i16>(blocks * 16);
-        let oa = e.mem_alloc_typed::<i16>(blocks * 64);
-        let dca = e.mem_alloc_typed::<i16>(blocks.max(256));
-        e.mem_fill(ra, &refs);
-
-        let bpt = BLOCKS_PER_TILE.min(blocks);
-        for t in 0..blocks / bpt {
-            let roff = (t * bpt * 16 * 2) as u64;
-            e.scalar(10);
-            // 1) Per-block DC: load refs block-transposed [B, 16] and fold.
-            e.vsetdimc(2);
-            e.vsetdiml(0, bpt);
-            e.vsetdiml(1, 16);
-            e.vsetldstr(0, 16);
-            e.vsetldstr(1, 1);
-            let rv = e.vsld_w(ra + roff, &[StrideMode::Cr, StrideMode::Cr]);
-            let sums = tree_halve(&mut e, rv, bpt * 16, bpt);
-            e.vsetdimc(1);
-            e.vsetdiml(0, bpt);
-            let eight = e.vsetdup_w(8);
-            let s2 = e.vadd_w(sums, eight);
-            let dc = e.vshir_w(s2, 4);
-            for r in [sums, eight, s2] {
-                e.free(r);
-            }
-            e.vsst_w(dc, dca, &[StrideMode::One]);
-            e.free(dc);
-            // 2) Predict: 3-D [x, y, block] with Figure 3-style replication.
-            e.vsetdimc(3);
-            e.vsetdiml(0, 8);
-            e.vsetdiml(1, 8);
-            e.vsetdiml(2, bpt);
-            e.vsetldstr(2, 16);
-            // Top row replicated down the block (DIM1 stride 0).
-            let top = e.vsld_w(
-                ra + roff,
-                &[StrideMode::One, StrideMode::Zero, StrideMode::Cr],
-            );
-            // DC replicated across the whole block.
-            let dcv = e.vsld_w(dca, &[StrideMode::Zero, StrideMode::Zero, StrideMode::One]);
-            let sum = e.vadd_w(top, dcv);
-            let one = e.vsetdup_w(1);
-            let sum1 = e.vadd_w(sum, one);
-            let pred = e.vshir_w(sum1, 1);
-            e.vsst_w(
-                pred,
-                oa + (t * bpt * 64 * 2) as u64,
-                &[StrideMode::One, StrideMode::Seq, StrideMode::Seq],
-            );
-            for r in [top, dcv, sum, one, sum1, pred] {
-                e.free(r);
-            }
-        }
-        let got = e.mem_read_vec::<i16>(oa, blocks * 64);
+        let bufs = [blocks * 16, blocks * 64, blocks.max(256)].map(|n| e.mem_alloc_typed::<i16>(n));
+        e.mem_fill(bufs[0], &refs);
+        body(&mut e, &refs, bufs, BLOCKS_PER_TILE.min(blocks));
+        let got = e.mem_read_vec::<i16>(bufs[1], blocks * 64);
         KernelRun {
             checked: check_exact(&got, &want),
             trace: e.take_trace(),
         }
     }
+}
 
-    fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
-        let blocks = total_blocks(scale);
-        let refs: Vec<i16> = gen_i16(0x53, blocks * 16)
-            .iter()
-            .map(|v| v & 0xFF)
-            .collect();
-        let want: Vec<i16> = (0..blocks)
-            .flat_map(|b| Self::scalar_block(&refs[b * 16..b * 16 + 16]))
-            .collect();
+impl Kernel for Intra {
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "intra",
+            library: Library::Kvazaar,
+            dims: 3,
+            dtype_bits: 16,
+            selected: true,
+        }
+    }
 
-        let mut e = engine();
-        e.vsetwidth(16);
-        let ra = e.mem_alloc_typed::<i16>(blocks * 16);
-        let oa = e.mem_alloc_typed::<i16>(blocks * 64);
-        let dca = e.mem_alloc_typed::<i16>(blocks);
-        e.mem_fill(ra, &refs);
-        // RVV cannot fold per-block sums in-register: the scalar core
-        // computes the DC values (charged per block).
-        let dcs: Vec<i16> = (0..blocks)
-            .map(|b| {
-                let s: i32 = refs[b * 16..b * 16 + 16]
-                    .iter()
-                    .map(|&r| i32::from(r))
-                    .sum();
-                ((s + 8) >> 4) as i16
-            })
-            .collect();
-        e.mem_fill(dca, &dcs);
-        e.scalar(24 * blocks as u64);
-
-        let bpt = BLOCKS_PER_TILE.min(blocks);
-        for t in 0..blocks / bpt {
-            let roff = (t * bpt * 16 * 2) as u64;
-            let mut rvv = Rvv::new(&mut e);
-            rvv.setvl(bpt * 64);
-            rvv.engine().scalar(10);
-            // Top rows: 8 pixels replicated down 8 rows, per block.
-            let top = rvv.segmented_load_2d_strided(DType::I16, roff + ra, 8, 1, bpt * 8, 0);
-            // Every segment of 8 rows shares a block: fix row stride by
-            // reloading per block row (modelled by the segment count above);
-            // functional values are patched to the true pattern.
-            let en = rvv.engine();
-            for b in 0..bpt {
-                for y in 0..8 {
-                    for x in 0..8 {
-                        let v = refs[(t * bpt + b) * 16 + x];
-                        en.set_lane_raw(top, b * 64 + y * 8 + x, v as u16 as u64);
-                    }
+    fn run_mve(&self, scale: Scale) -> KernelRun {
+        Self::solve(scale, |e, refs, [ra, oa, dca], bpt| {
+            for t in 0..refs.len() / 16 / bpt {
+                let roff = (t * bpt * 16 * 2) as u64;
+                e.scalar(10);
+                // 1) Per-block DC: load refs block-transposed [B, 16] and fold.
+                e.vsetdimc(2);
+                e.vsetdiml(0, bpt);
+                e.vsetdiml(1, 16);
+                e.vsetldstr(0, 16);
+                e.vsetldstr(1, 1);
+                let rv = e.vsld_w(ra + roff, &[StrideMode::Cr, StrideMode::Cr]);
+                let sums = tree_halve(e, rv, bpt * 16, bpt);
+                e.vsetdimc(1);
+                e.vsetdiml(0, bpt);
+                let eight = e.vsetdup_w(8);
+                let s2 = e.vadd_w(sums, eight);
+                let dc = e.vshir_w(s2, 4);
+                for r in [sums, eight, s2] {
+                    e.free(r);
+                }
+                e.vsst_w(dc, dca, &[StrideMode::One]);
+                e.free(dc);
+                // 2) Predict: 3-D [x, y, block] with Figure 3-style replication.
+                e.vsetdimc(3);
+                e.vsetdiml(0, 8);
+                e.vsetdiml(1, 8);
+                e.vsetdiml(2, bpt);
+                e.vsetldstr(2, 16);
+                // Top row replicated down the block (DIM1 stride 0).
+                let top = e.vsld_w(
+                    ra + roff,
+                    &[StrideMode::One, StrideMode::Zero, StrideMode::Cr],
+                );
+                // DC replicated across the whole block.
+                let dcv = e.vsld_w(dca, &[StrideMode::Zero, StrideMode::Zero, StrideMode::One]);
+                let sum = e.vadd_w(top, dcv);
+                let one = e.vsetdup_w(1);
+                let sum1 = e.vadd_w(sum, one);
+                let pred = e.vshir_w(sum1, 1);
+                e.vsst_w(
+                    pred,
+                    oa + (t * bpt * 64 * 2) as u64,
+                    &[StrideMode::One, StrideMode::Seq, StrideMode::Seq],
+                );
+                for r in [top, dcv, sum, one, sum1, pred] {
+                    e.free(r);
                 }
             }
-            // DC broadcast per block: 64-wide stride-0 segments.
-            let dcv = rvv.segmented_load_2d_strided(
-                DType::I16,
-                dca + (t * bpt * 2) as u64,
-                64,
-                0,
-                bpt,
-                1,
-            );
-            let en = rvv.engine();
-            let sum = en.vadd_w(top, dcv);
-            let one = en.vsetdup_w(1);
-            let sum1 = en.vadd_w(sum, one);
-            let pred = en.vshir_w(sum1, 1);
-            rvv.store_1d(pred, oa + (t * bpt * 64 * 2) as u64, 1);
-            let en = rvv.engine();
-            for r in [top, dcv, sum, one, sum1, pred] {
-                en.free(r);
-            }
-        }
-        let got = e.mem_read_vec::<i16>(oa, blocks * 64);
-        Some(KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
         })
+    }
+
+    fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
+        Some(Self::solve(scale, |e, refs, [ra, oa, dca], bpt| {
+            // RVV cannot fold per-block sums in-register: the scalar core
+            // computes the DC values (charged per block).
+            let dcs: Vec<i16> = refs
+                .chunks(16)
+                .map(|r| ((r.iter().map(|&p| i32::from(p)).sum::<i32>() + 8) >> 4) as i16)
+                .collect();
+            e.mem_fill(dca, &dcs);
+            e.scalar(24 * dcs.len() as u64);
+
+            for t in 0..dcs.len() / bpt {
+                let roff = (t * bpt * 16 * 2) as u64;
+                rvv::setvlmax(e);
+                rvv::setvl(e, bpt * 64);
+                e.scalar(10);
+                // Top rows: 8 pixels replicated down 8 rows, per block.
+                let top =
+                    rvv::segmented_load_2d_strided(e, DType::I16, roff + ra, 8, 1, bpt * 8, 0);
+                // Every segment of 8 rows shares a block: fix row stride by
+                // reloading per block row (modelled by the segment count above);
+                // functional values are patched to the true pattern.
+                for blk in 0..bpt {
+                    for y in 0..8 {
+                        for x in 0..8 {
+                            let v = refs[(t * bpt + blk) * 16 + x];
+                            e.set_lane_raw(top, blk * 64 + y * 8 + x, v as u16 as u64);
+                        }
+                    }
+                }
+                // DC broadcast per block: 64-wide stride-0 segments.
+                let dcv = rvv::segmented_load_2d_strided(
+                    e,
+                    DType::I16,
+                    dca + (t * bpt * 2) as u64,
+                    64,
+                    0,
+                    bpt,
+                    1,
+                );
+                let sum = e.vadd_w(top, dcv);
+                let one = e.vsetdup_w(1);
+                let sum1 = e.vadd_w(sum, one);
+                let pred = e.vshir_w(sum1, 1);
+                rvv::store_1d(e, pred, oa + (t * bpt * 64 * 2) as u64, 1);
+                for r in [top, dcv, sum, one, sum1, pred] {
+                    e.free(r);
+                }
+            }
+        }))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -742,16 +663,23 @@ fn transform_mve(
     }
 }
 
-/// Runs a transform kernel end-to-end (shared by DCT and IDCT).
-fn run_transform_mve(scale: Scale, forward: bool) -> KernelRun {
+/// The transform problem both bodies solve (DCT when `forward`, else
+/// IDCT): runs `body(e, input)` on a fresh engine and checks the blocks it
+/// stores at the address it returns against the reference. Each body lays
+/// out its own memory: only MVE keeps the transform matrix in memory.
+fn solve_transform(
+    scale: Scale,
+    forward: bool,
+    body: impl FnOnce(&mut Engine, &[i32]) -> u64,
+) -> KernelRun {
     let blocks = total_blocks(scale);
     let input: Vec<i32> = gen_i16(if forward { 0x54 } else { 0x55 }, blocks * 64)
         .iter()
         .map(|&v| i32::from(v))
         .collect();
-    let want: Vec<i32> = (0..blocks)
-        .flat_map(|b| {
-            let blk = &input[b * 64..b * 64 + 64];
+    let want: Vec<i32> = input
+        .chunks(64)
+        .flat_map(|blk| {
             if forward {
                 dct_scalar(blk)
             } else {
@@ -761,129 +689,114 @@ fn run_transform_mve(scale: Scale, forward: bool) -> KernelRun {
         .collect();
 
     let mut e = engine();
-    let tmtx: Vec<i32> = T8.iter().flatten().copied().collect();
-    let tm = e.mem_alloc_typed::<i32>(64);
-    e.mem_fill(tm, &tmtx);
-    let ia = e.mem_alloc_typed::<i32>(blocks * 64);
-    let oa = e.mem_alloc_typed::<i32>(blocks * 64);
-    e.mem_fill(ia, &input);
-
-    let bpt = BLOCKS_PER_TILE.min(blocks);
-    let tmp = e.mem_alloc_typed::<i32>(bpt * 64);
-    for t in 0..blocks / bpt {
-        let off = (t * bpt * 64 * 4) as u64;
-        e.scalar(8);
-        transform_mve(&mut e, tm, ia + off, tmp, oa + off, bpt, forward);
-    }
-    let got = e.mem_read_vec::<i32>(oa, blocks * 64);
+    let out = body(&mut e, &input);
+    let got = e.mem_read_vec::<i32>(out, blocks * 64);
     KernelRun {
         checked: check_exact(&got, &want),
         trace: e.take_trace(),
     }
 }
 
+/// The MVE transform over every tile.
+fn run_transform_mve(scale: Scale, forward: bool) -> KernelRun {
+    solve_transform(scale, forward, |e, input| {
+        let blocks = input.len() / 64;
+        let tmtx: Vec<i32> = T8.iter().flatten().copied().collect();
+        let tm = e.mem_alloc_typed::<i32>(64);
+        e.mem_fill(tm, &tmtx);
+        let ia = e.mem_alloc_typed::<i32>(blocks * 64);
+        let oa = e.mem_alloc_typed::<i32>(blocks * 64);
+        e.mem_fill(ia, input);
+
+        let bpt = BLOCKS_PER_TILE.min(blocks);
+        let tmp = e.mem_alloc_typed::<i32>(bpt * 64);
+        for t in 0..blocks / bpt {
+            let off = (t * bpt * 64 * 4) as u64;
+            e.scalar(8);
+            transform_mve(e, tm, ia + off, tmp, oa + off, bpt, forward);
+        }
+        oa
+    })
+}
+
 /// RVV transform: scalar constants broadcast per output row, segmented
 /// loads for the block-strided input (the Section VII-B expansion).
 fn run_transform_rvv(scale: Scale, forward: bool) -> KernelRun {
-    let blocks = total_blocks(scale);
-    let input: Vec<i32> = gen_i16(if forward { 0x54 } else { 0x55 }, blocks * 64)
-        .iter()
-        .map(|&v| i32::from(v))
-        .collect();
-    let want: Vec<i32> = (0..blocks)
-        .flat_map(|b| {
-            let blk = &input[b * 64..b * 64 + 64];
-            if forward {
-                dct_scalar(blk)
-            } else {
-                idct_scalar(blk)
-            }
-        })
-        .collect();
+    solve_transform(scale, forward, |e, input| {
+        let blocks = input.len() / 64;
+        let ia = e.mem_alloc_typed::<i32>(blocks * 64);
+        let oa = e.mem_alloc_typed::<i32>(blocks * 64);
+        e.mem_fill(ia, input);
+        let bpt = BLOCKS_PER_TILE.min(blocks);
+        let tmp = e.mem_alloc_typed::<i32>(bpt * 64);
 
-    let mut e = engine();
-    let ia = e.mem_alloc_typed::<i32>(blocks * 64);
-    let oa = e.mem_alloc_typed::<i32>(blocks * 64);
-    e.mem_fill(ia, &input);
-    let bpt = BLOCKS_PER_TILE.min(blocks);
-    let tmp = e.mem_alloc_typed::<i32>(bpt * 64);
-
-    for t in 0..blocks / bpt {
-        let off = (t * bpt * 64 * 4) as u64;
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(8 * bpt);
-        // Row pass, u in two halves of four accumulators (register limit).
-        for half in 0..2usize {
-            let mut accs = Vec::new();
-            for _ in 0..4 {
-                let a = rvv.engine().vsetdup_dw(0);
-                accs.push(a);
-            }
-            for k in 0..8usize {
-                rvv.engine().scalar(6);
-                // X[k][c] for all blocks: 8-wide segments strided by 64.
-                let xk =
-                    rvv.segmented_load_2d(DType::I32, ia + off + (k * 8 * 4) as u64, 8, bpt, 64);
-                for (i, acc) in accs.iter_mut().enumerate() {
+        for t in 0..blocks / bpt {
+            let off = (t * bpt * 64 * 4) as u64;
+            rvv::setvlmax(e);
+            rvv::setvl(e, 8 * bpt);
+            // Row pass, u in two halves of four accumulators (register limit).
+            for half in 0..2usize {
+                let mut accs: Vec<Reg> = (0..4).map(|_| e.vsetdup_dw(0)).collect();
+                for k in 0..8usize {
+                    e.scalar(6);
+                    // X[k][c] for all blocks: 8-wide segments strided by 64.
+                    let xk = rvv::segmented_load_2d(
+                        e,
+                        DType::I32,
+                        ia + off + (k * 8 * 4) as u64,
+                        8,
+                        bpt,
+                        64,
+                    );
+                    for (i, acc) in accs.iter_mut().enumerate() {
+                        let u = half * 4 + i;
+                        let cv = e.vsetdup_dw(if forward { T8[u][k] } else { T8[k][u] });
+                        let p = e.vmul_dw(xk, cv);
+                        let a2 = e.vadd_dw(*acc, p);
+                        for r in [cv, p, *acc] {
+                            e.free(r);
+                        }
+                        *acc = a2;
+                    }
+                    e.free(xk);
+                }
+                for (i, acc) in accs.into_iter().enumerate() {
                     let u = half * 4 + i;
-                    let coef = if forward { T8[u][k] } else { T8[k][u] };
-                    let en = rvv.engine();
-                    let cv = en.vsetdup_dw(coef);
-                    let p = en.vmul_dw(xk, cv);
-                    let a2 = en.vadd_dw(*acc, p);
-                    en.free(cv);
-                    en.free(p);
-                    en.free(*acc);
-                    *acc = a2;
+                    let rnd = e.vsetdup_dw(1 << (DCT_SHIFT1 - 1));
+                    let ar = e.vadd_dw(acc, rnd);
+                    let sh = e.vshir_dw(ar, DCT_SHIFT1);
+                    rvv::segmented_store_2d(e, sh, tmp + (u * 8 * 4) as u64, 8, bpt, 64);
+                    for r in [acc, rnd, ar, sh] {
+                        e.free(r);
+                    }
                 }
-                rvv.engine().free(xk);
             }
-            for (i, acc) in accs.into_iter().enumerate() {
-                let u = half * 4 + i;
-                let en = rvv.engine();
-                let rnd = en.vsetdup_dw(1 << (DCT_SHIFT1 - 1));
-                let ar = en.vadd_dw(acc, rnd);
-                let sh = en.vshir_dw(ar, DCT_SHIFT1);
-                rvv.segmented_store_2d(sh, tmp + (u * 8 * 4) as u64, 8, bpt, 64);
-                let en = rvv.engine();
+            // Column pass: stride-8 1-D accesses (uniform across u and blocks).
+            rvv::setvl(e, 8 * bpt);
+            for v in 0..8usize {
+                e.scalar(6);
+                let mut acc = e.vsetdup_dw(0);
+                for c in 0..8usize {
+                    let ev = rvv::load_1d(e, DType::I32, tmp + (c * 4) as u64, 8);
+                    let cv = e.vsetdup_dw(if forward { T8[v][c] } else { T8[c][v] });
+                    let p = e.vmul_dw(ev, cv);
+                    let a2 = e.vadd_dw(acc, p);
+                    for r in [ev, cv, p, acc] {
+                        e.free(r);
+                    }
+                    acc = a2;
+                }
+                let rnd = e.vsetdup_dw(1 << (DCT_SHIFT2 - 1));
+                let ar = e.vadd_dw(acc, rnd);
+                let sh = e.vshir_dw(ar, DCT_SHIFT2);
+                rvv::store_1d(e, sh, oa + off + (v * 4) as u64, 8);
                 for r in [acc, rnd, ar, sh] {
-                    en.free(r);
+                    e.free(r);
                 }
             }
         }
-        // Column pass: stride-8 1-D accesses (uniform across u and blocks).
-        rvv.setvl(8 * bpt);
-        for v in 0..8usize {
-            rvv.engine().scalar(6);
-            let mut acc = rvv.engine().vsetdup_dw(0);
-            for c in 0..8usize {
-                let ev = rvv.load_1d(DType::I32, tmp + (c * 4) as u64, 8);
-                let coef = if forward { T8[v][c] } else { T8[c][v] };
-                let en = rvv.engine();
-                let cv = en.vsetdup_dw(coef);
-                let p = en.vmul_dw(ev, cv);
-                let a2 = en.vadd_dw(acc, p);
-                for r in [ev, cv, p, acc] {
-                    en.free(r);
-                }
-                acc = a2;
-            }
-            let en = rvv.engine();
-            let rnd = en.vsetdup_dw(1 << (DCT_SHIFT2 - 1));
-            let ar = en.vadd_dw(acc, rnd);
-            let sh = en.vshir_dw(ar, DCT_SHIFT2);
-            rvv.store_1d(sh, oa + off + (v * 4) as u64, 8);
-            let en = rvv.engine();
-            for r in [acc, rnd, ar, sh] {
-                en.free(r);
-            }
-        }
-    }
-    let got = e.mem_read_vec::<i32>(oa, blocks * 64);
-    KernelRun {
-        checked: check_exact(&got, &want),
-        trace: e.take_trace(),
-    }
+        oa
+    })
 }
 
 fn transform_neon(scale: Scale) -> NeonProfile {

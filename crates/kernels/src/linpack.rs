@@ -1,15 +1,23 @@
 //! Linpack — `daxpy` (the paper's LPACK kernel, 1-D, f32).
+//!
+//! The MVE and RVV bodies solve one problem: `Daxpy::solve` generates the
+//! operands and the reference once, writes them to a fresh engine, runs
+//! the body and checks its output.
 
-use crate::common::{check_f32, engine, gen_f32, KernelRun, Scale};
+use crate::common::{check_f32, chunks, engine, gen_f32, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::DType;
+use mve_core::engine::Engine;
 use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 
 /// `y[i] += a * x[i]` over a long vector.
 pub struct Daxpy;
+
+/// The scalar `a` of every run.
+const A: f32 = 2.5;
 
 impl Daxpy {
     fn n(scale: Scale) -> usize {
@@ -22,6 +30,27 @@ impl Daxpy {
     /// Scalar reference.
     pub fn scalar_ref(a: f32, x: &[f32], y: &[f32]) -> Vec<f32> {
         x.iter().zip(y).map(|(xi, yi)| a * xi + yi).collect()
+    }
+
+    /// The problem both bodies solve: writes `x` and `y` to a fresh
+    /// engine, runs `body(e, n, [x, y, out])` with the arrays' addresses,
+    /// and checks the output it stores against the reference.
+    fn solve(scale: Scale, body: impl FnOnce(&mut Engine, usize, [u64; 3])) -> KernelRun {
+        let n = Self::n(scale);
+        let x = gen_f32(0x11, n);
+        let y = gen_f32(0x12, n);
+        let want = Self::scalar_ref(A, &x, &y);
+
+        let mut e = engine();
+        let [xa, ya, oa] = [(); 3].map(|_| e.mem_alloc_typed::<f32>(n));
+        e.mem_fill(xa, &x);
+        e.mem_fill(ya, &y);
+        body(&mut e, n, [xa, ya, oa]);
+        let got = e.mem_read_vec::<f32>(oa, n);
+        KernelRun {
+            checked: check_f32(&got, &want, 1e-6),
+            trace: e.take_trace(),
+        }
     }
 }
 
@@ -37,84 +66,45 @@ impl Kernel for Daxpy {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let n = Self::n(scale);
-        let a = 2.5f32;
-        let x = gen_f32(0x11, n);
-        let y = gen_f32(0x12, n);
-        let want = Self::scalar_ref(a, &x, &y);
-
-        let mut e = engine();
-        let xa = e.mem_alloc_typed::<f32>(n);
-        let ya = e.mem_alloc_typed::<f32>(n);
-        let oa = e.mem_alloc_typed::<f32>(n);
-        e.mem_fill(xa, &x);
-        e.mem_fill(ya, &y);
-
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        e.vsetdiml(0, lanes.min(n));
-        let av = e.vsetdup_f(a);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
-            e.vsetdiml(0, chunk);
-            e.scalar(6); // loop control + address updates
-            let xv = e.vsld_f(xa + base as u64 * 4, &[StrideMode::One]);
-            let yv = e.vsld_f(ya + base as u64 * 4, &[StrideMode::One]);
-            let p = e.vmul_f(xv, av);
-            let s = e.vadd_f(p, yv);
-            e.vsst_f(s, oa + base as u64 * 4, &[StrideMode::One]);
-            for r in [xv, yv, p, s] {
-                e.free(r);
+        Self::solve(scale, |e, n, [xa, ya, oa]| {
+            let lanes = e.lanes();
+            e.vsetdimc(1);
+            e.vsetdiml(0, lanes.min(n));
+            let av = e.vsetdup_f(A);
+            for (base, chunk) in chunks(n, lanes) {
+                let off = base as u64 * 4;
+                e.vsetdiml(0, chunk);
+                e.scalar(6); // loop control + address updates
+                let xv = e.vsld_f(xa + off, &[StrideMode::One]);
+                let yv = e.vsld_f(ya + off, &[StrideMode::One]);
+                let p = e.vmul_f(xv, av);
+                let s = e.vadd_f(p, yv);
+                e.vsst_f(s, oa + off, &[StrideMode::One]);
+                for r in [xv, yv, p, s] {
+                    e.free(r);
+                }
             }
-            base += chunk;
-        }
-        let got = e.mem_read_vec::<f32>(oa, n);
-        KernelRun {
-            checked: check_f32(&got, &want, 1e-6),
-            trace: e.take_trace(),
-        }
+        })
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
-        let n = Self::n(scale);
-        let a = 2.5f32;
-        let x = gen_f32(0x11, n);
-        let y = gen_f32(0x12, n);
-        let want = Self::scalar_ref(a, &x, &y);
-
-        let mut e = engine();
-        let xa = e.mem_alloc_typed::<f32>(n);
-        let ya = e.mem_alloc_typed::<f32>(n);
-        let oa = e.mem_alloc_typed::<f32>(n);
-        e.mem_fill(xa, &x);
-        e.mem_fill(ya, &y);
-
-        let lanes = e.lanes();
-        let mut rvv = Rvv::new(&mut e);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
-            rvv.setvl(chunk);
-            rvv.engine().scalar(6);
-            let xv = rvv.load_1d(DType::F32, xa + base as u64 * 4, 1);
-            let yv = rvv.load_1d(DType::F32, ya + base as u64 * 4, 1);
-            let en = rvv.engine();
-            let av = en.vsetdup_f(a);
-            let p = en.vmul_f(xv, av);
-            let s = en.vadd_f(p, yv);
-            rvv.store_1d(s, oa + base as u64 * 4, 1);
-            let en = rvv.engine();
-            for r in [xv, yv, av, p, s] {
-                en.free(r);
+        Some(Self::solve(scale, |e, n, [xa, ya, oa]| {
+            rvv::setvlmax(e);
+            for (base, chunk) in chunks(n, e.lanes()) {
+                let off = base as u64 * 4;
+                rvv::setvl(e, chunk);
+                e.scalar(6);
+                let xv = rvv::load_1d(e, DType::F32, xa + off, 1);
+                let yv = rvv::load_1d(e, DType::F32, ya + off, 1);
+                let av = e.vsetdup_f(A);
+                let p = e.vmul_f(xv, av);
+                let s = e.vadd_f(p, yv);
+                rvv::store_1d(e, s, oa + off, 1);
+                for r in [xv, yv, av, p, s] {
+                    e.free(r);
+                }
             }
-            base += chunk;
-        }
-        let got = e.mem_read_vec::<f32>(oa, n);
-        Some(KernelRun {
-            checked: check_f32(&got, &want, 1e-6),
-            trace: e.take_trace(),
-        })
+        }))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

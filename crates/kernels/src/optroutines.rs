@@ -1,11 +1,18 @@
 //! Arm Optimized Routines — string/network utilities: memcpy, memset,
 //! strlen, memchr and the Internet checksum (the paper's selected CSUM).
+//!
+//! CSUM's MVE and RVV bodies solve one problem: `Csum::solve` writes the
+//! buffer to a fresh engine, runs the body, which returns the word sum,
+//! folds it on the scalar core and checks the checksum.
 
-use crate::common::{check_exact, engine, gen_u8, tag_to_data, tree_reduce, KernelRun, Scale};
+use crate::common::{
+    check_exact, chunks, engine, gen_u8, tag_to_data, tree_reduce, KernelRun, Scale,
+};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::DType;
+use mve_core::engine::Engine;
 use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 
@@ -266,6 +273,29 @@ impl Csum {
         }
         !(sum as u16)
     }
+
+    /// The problem both bodies solve: writes the buffer to a fresh engine
+    /// and runs `body(e, base, words)`, which returns the sum of the
+    /// buffer's 16-bit words. The ones'-complement folds run on the scalar
+    /// core, and the checksum is checked against the reference.
+    fn solve(scale: Scale, body: impl FnOnce(&mut Engine, u64, usize) -> u64) -> KernelRun {
+        let n = buf_len(scale);
+        let data = gen_u8(0xD4, n);
+        let want = Self::scalar_ref(&data);
+
+        let mut e = engine();
+        let da = e.mem_alloc_typed::<u8>(n);
+        e.mem_fill(da, &data);
+        let mut total = body(&mut e, da, n / 2);
+        while total >> 16 != 0 {
+            total = (total & 0xFFFF) + (total >> 16);
+        }
+        e.scalar(6);
+        KernelRun {
+            checked: check_exact(&[!(total as u16)], &[want]),
+            trace: e.take_trace(),
+        }
+    }
 }
 
 impl Kernel for Csum {
@@ -280,81 +310,40 @@ impl Kernel for Csum {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let n = buf_len(scale);
-        let data = gen_u8(0xD4, n);
-        let want = vec![Self::scalar_ref(&data)];
-
-        let mut e = engine();
-        let da = e.mem_alloc_typed::<u8>(n);
-        e.mem_fill(da, &data);
-
-        let words = n / 2;
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        let mut total: u64 = 0;
-        let mut base = 0usize;
-        while base < words {
-            let chunk = lanes.min(words - base);
-            e.vsetdiml(0, chunk);
-            e.scalar(5);
-            let w16 = e.vsld_uw(da + (base * 2) as u64, &[StrideMode::One]);
-            let w32 = e.vcvt(w16, DType::U32);
-            e.free(w16);
-            let part = tree_reduce(&mut e, w32, chunk);
-            total += part;
-            e.scalar(4);
-            base += chunk;
-        }
-        // Ones'-complement folds on the scalar core.
-        while total >> 16 != 0 {
-            total = (total & 0xFFFF) + (total >> 16);
-        }
-        e.scalar(6);
-        let got = vec![!(total as u16)];
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        Self::solve(scale, |e, da, words| {
+            e.vsetdimc(1);
+            let mut total = 0;
+            for (base, chunk) in chunks(words, e.lanes()) {
+                e.vsetdiml(0, chunk);
+                e.scalar(5);
+                let w16 = e.vsld_uw(da + (base * 2) as u64, &[StrideMode::One]);
+                let w32 = e.vcvt(w16, DType::U32);
+                e.free(w16);
+                total += tree_reduce(e, w32, chunk);
+                e.scalar(4);
+            }
+            total
+        })
     }
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
         // CSUM is 1-D: the RVV version is structurally identical.
-        let n = buf_len(scale);
-        let data = gen_u8(0xD4, n);
-        let want = vec![Self::scalar_ref(&data)];
-
-        let mut e = engine();
-        let da = e.mem_alloc_typed::<u8>(n);
-        e.mem_fill(da, &data);
-        let words = n / 2;
-        let lanes = e.lanes();
-        let mut total: u64 = 0;
-        let mut base = 0usize;
-        while base < words {
-            let chunk = lanes.min(words - base);
-            let mut rvv = Rvv::new(&mut e);
-            rvv.setvl(chunk);
-            rvv.engine().scalar(5);
-            let w16 = rvv.load_1d(DType::U16, da + (base * 2) as u64, 1);
-            let en = rvv.engine();
-            let w32 = en.vcvt(w16, DType::U32);
-            en.free(w16);
-            en.vsetdimc(1);
-            en.vsetdiml(0, chunk);
-            let part = tree_reduce(&mut e, w32, chunk);
-            total += part;
-            e.scalar(4);
-            base += chunk;
-        }
-        while total >> 16 != 0 {
-            total = (total & 0xFFFF) + (total >> 16);
-        }
-        e.scalar(6);
-        let got = vec![!(total as u16)];
-        Some(KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        })
+        Some(Self::solve(scale, |e, da, words| {
+            let mut total = 0;
+            for (base, chunk) in chunks(words, e.lanes()) {
+                rvv::setvlmax(e);
+                rvv::setvl(e, chunk);
+                e.scalar(5);
+                let w16 = rvv::load_1d(e, DType::U16, da + (base * 2) as u64, 1);
+                let w32 = e.vcvt(w16, DType::U32);
+                e.free(w16);
+                e.vsetdimc(1);
+                e.vsetdiml(0, chunk);
+                total += tree_reduce(e, w32, chunk);
+                e.scalar(4);
+            }
+            total
+        }))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -10,11 +10,14 @@
 //!
 //! The references run on native lane types (`Native`): one generic loop
 //! per kernel keeps every output's accumulation order and walks the output
-//! dimension innermost, so it vectorizes. The XNNPACK fp16 RVV variants
-//! check against the same references.
+//! dimension innermost, so it vectorizes. GEMM and SpMM operands are
+//! generated once at their native type and written to engine memory from
+//! there. The XNNPACK fp16 and CMSIS RVV variants solve the same problems:
+//! `solve_gemm` and `solve_fir` set up the engine and check the output for
+//! both bodies, and the RVV SpMM shares `SpmmOperands`.
 
-use crate::common::{engine, gen_f32, tree_halve, Checked, KernelRun, Scale};
-use crate::xnnpack::{Spmm, SpmmData, SpmmSize};
+use crate::common::{chunks, engine, gen_f32, tree_halve, Checked, KernelRun, Scale};
+use crate::xnnpack::{Spmm, SpmmSize};
 use mve_core::dtype::{f16_to_f32, f32_to_f16, BinOp, DType};
 use mve_core::engine::Engine;
 use mve_core::isa::{Opcode, StrideMode};
@@ -75,7 +78,7 @@ impl Precision {
 
 /// One precision's lane arithmetic on native values, bit-identical to the
 /// engine's [`DType::binop`] on canonical lanes.
-trait Native: Copy {
+pub(crate) trait Native: Copy {
     const ZERO: Self;
     fn from_lane(raw: u64) -> Self;
     fn to_lane(self) -> u64;
@@ -134,7 +137,7 @@ impl Native for i16 {
 /// A binary16 value held exactly in an `f32`: each op computes in `f32`
 /// and rounds back to binary16, as the engine's `F16` lanes do.
 #[derive(Clone, Copy)]
-struct F16(f32);
+pub(crate) struct F16(f32);
 
 impl F16 {
     fn round(v: f32) -> Self {
@@ -170,8 +173,12 @@ macro_rules! native {
     };
 }
 
-fn natives<T: Native>(lanes: &[u64]) -> Vec<T> {
-    lanes.iter().map(|&v| T::from_lane(v)).collect()
+/// Samples packed into `prec` and held as its native type `T`.
+fn pack<T: Native>(prec: Precision, samples: Vec<f32>) -> Vec<T> {
+    samples
+        .into_iter()
+        .map(|v| T::from_lane(prec.pack(v)))
+        .collect()
 }
 
 fn to_lanes<T: Native>(vals: &[T]) -> impl Iterator<Item = u64> + '_ {
@@ -188,126 +195,119 @@ fn mac_row<T: Native>(acc: &mut [T], a: T, b: &[T]) {
 
 /// Row-major `n×k · k×m` GEMM reference: output `(r, c)` sums `j = 0..k`
 /// in order.
-pub(crate) fn gemm_ref(
-    prec: Precision,
-    input: &[u64],
-    weight: &[u64],
-    n: usize,
-    k: usize,
-    m: usize,
-) -> Vec<u64> {
-    fn go<T: Native>(input: &[u64], weight: &[u64], n: usize, k: usize, m: usize) -> Vec<u64> {
-        let (input, weight) = (natives::<T>(input), natives::<T>(weight));
-        let mut out = Vec::with_capacity(n * m);
-        let mut acc = vec![T::ZERO; m];
-        for r in 0..n {
-            acc.fill(T::ZERO);
-            for j in 0..k {
-                mac_row(&mut acc, input[r * k + j], &weight[j * m..(j + 1) * m]);
-            }
-            out.extend(to_lanes(&acc));
+fn gemm_ref<T: Native>(input: &[T], weight: &[T], n: usize, k: usize, m: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(n * m);
+    let mut acc = vec![T::ZERO; m];
+    for r in 0..n {
+        acc.fill(T::ZERO);
+        for j in 0..k {
+            mac_row(&mut acc, input[r * k + j], &weight[j * m..(j + 1) * m]);
         }
-        out
+        out.extend(to_lanes(&acc));
     }
-    native!(prec, go(input, weight, n, k, m))
+    out
 }
 
 /// FIR reference: `y[i] = Σ_t h[t]·x[i+t]`, summed over `t` in order.
-fn fir_ref(prec: Precision, x: &[u64], h: &[u64]) -> Vec<u64> {
-    fn go<T: Native>(x: &[u64], h: &[u64]) -> Vec<u64> {
-        let (x, h) = (natives::<T>(x), natives::<T>(h));
-        let n_out = x.len() - h.len() + 1;
-        let mut acc = vec![T::ZERO; n_out];
-        for (t, &c) in h.iter().enumerate() {
-            mac_row(&mut acc, c, &x[t..t + n_out]);
-        }
-        to_lanes(&acc).collect()
+fn fir_ref<T: Native>(x: &[T], h: &[T]) -> Vec<u64> {
+    let n_out = x.len() - h.len() + 1;
+    let mut acc = vec![T::ZERO; n_out];
+    for (t, &c) in h.iter().enumerate() {
+        mac_row(&mut acc, c, &x[t..t + n_out]);
     }
-    native!(prec, go(x, h))
+    to_lanes(&acc).collect()
 }
 
-/// SpMM operands as canonical lanes: a CSR sparse `n×k` matrix and a
-/// dense row-major `k×m` weight.
-pub(crate) struct SpmmLanes<'a> {
-    row_ptr: &'a [usize],
-    col_idx: &'a [usize],
+/// SpMM operands at one precision's native type `T`: a CSR sparse `n×k`
+/// matrix and a dense row-major `k×m` weight.
+pub(crate) struct SpmmOperands<T> {
+    /// CSR row offsets (len n+1).
+    pub(crate) row_ptr: Vec<usize>,
+    /// CSR column indices.
+    pub(crate) col_idx: Vec<usize>,
     /// Nonzero values.
-    pub(crate) values: Vec<u64>,
+    pub(crate) values: Vec<T>,
     /// Dense weight.
-    pub(crate) weight: Vec<u64>,
+    pub(crate) weight: Vec<T>,
     m: usize,
 }
 
-impl<'a> SpmmLanes<'a> {
-    /// `d`'s samples packed into `prec`'s lanes.
-    pub(crate) fn pack(prec: Precision, d: &'a SpmmData, m: usize) -> Self {
-        let pack = |v: &[f32]| v.iter().map(|&x| prec.pack(x)).collect();
+impl<T: Native> SpmmOperands<T> {
+    /// [`Spmm::gen_data`]`(s, seed)`'s samples packed into `prec`.
+    pub(crate) fn generate(prec: Precision, s: SpmmSize, seed: u64) -> Self {
+        let d = Spmm::gen_data(s, seed);
         Self {
-            row_ptr: &d.row_ptr,
-            col_idx: &d.col_idx,
-            values: pack(&d.values),
-            weight: pack(&d.weight),
-            m,
+            row_ptr: d.row_ptr,
+            col_idx: d.col_idx,
+            values: pack(prec, d.values),
+            weight: pack(prec, d.weight),
+            m: s.m,
         }
     }
 
     /// The reference of the batched kernel: the `i`-th nonzero of a row
     /// accumulates into partial-sum row `i mod batch`, and the `batch`
     /// partial rows then fold pairwise (`tree_halve` order).
-    fn batched_ref(&self, prec: Precision, batch: usize) -> Vec<u64> {
-        fn go<T: Native>(s: &SpmmLanes, batch: usize) -> Vec<u64> {
-            let (values, weight) = (natives::<T>(&s.values), natives::<T>(&s.weight));
-            let m = s.m;
-            let mut out = Vec::with_capacity((s.row_ptr.len() - 1) * m);
-            let mut acc = vec![T::ZERO; batch * m];
-            for w in s.row_ptr.windows(2) {
-                acc.fill(T::ZERO);
-                for (i, j) in (w[0]..w[1]).enumerate() {
-                    let b = i % batch;
-                    let row = &weight[s.col_idx[j] * m..(s.col_idx[j] + 1) * m];
-                    mac_row(&mut acc[b * m..(b + 1) * m], values[j], row);
-                }
-                let mut len = batch;
-                while len > 1 {
-                    let (lo, hi) = acc[..len * m].split_at_mut(len / 2 * m);
-                    for (o, &v) in lo.iter_mut().zip(&*hi) {
-                        *o = o.add(v);
-                    }
-                    len /= 2;
-                }
-                out.extend(to_lanes(&acc[..m]));
+    fn batched_ref(&self, batch: usize) -> Vec<u64> {
+        let m = self.m;
+        let mut out = Vec::with_capacity((self.row_ptr.len() - 1) * m);
+        let mut acc = vec![T::ZERO; batch * m];
+        for w in self.row_ptr.windows(2) {
+            acc.fill(T::ZERO);
+            for (i, j) in (w[0]..w[1]).enumerate() {
+                let b = i % batch;
+                let row = &self.weight[self.col_idx[j] * m..(self.col_idx[j] + 1) * m];
+                mac_row(&mut acc[b * m..(b + 1) * m], self.values[j], row);
             }
-            out
+            let mut len = batch;
+            while len > 1 {
+                let (lo, hi) = acc[..len * m].split_at_mut(len / 2 * m);
+                for (o, &v) in lo.iter_mut().zip(&*hi) {
+                    *o = o.add(v);
+                }
+                len /= 2;
+            }
+            out.extend(to_lanes(&acc[..m]));
         }
-        native!(prec, go(self, batch))
+        out
     }
 
     /// The reference of the one-nonzero-at-a-time kernel: output `(r, c)`
     /// sums row `r`'s nonzeros in order, a batch of one.
-    pub(crate) fn sequential_ref(&self, prec: Precision) -> Vec<u64> {
-        self.batched_ref(prec, 1)
+    pub(crate) fn sequential_ref(&self) -> Vec<u64> {
+        self.batched_ref(1)
     }
 }
 
 /// Writes canonical `dt` lanes to memory at `base`, one element each.
-pub(crate) fn store_packed(e: &mut Engine, base: u64, dt: DType, vals: &[u64]) {
+fn store_lanes(e: &mut Engine, base: u64, dt: DType, lanes: impl IntoIterator<Item = u64>) {
     let eb = dt.bytes();
-    for (i, &v) in vals.iter().enumerate() {
+    for (i, v) in lanes.into_iter().enumerate() {
         e.mem_mut().write_raw(base + i as u64 * eb, eb, v);
     }
 }
 
-/// Compares the `dt` lanes at `got_base` with `want`, in place.
-pub(crate) fn check_lanes(e: &Engine, got_base: u64, dt: DType, want: &[u64]) -> Checked {
+/// Writes native values to memory at `base` as canonical `dt` lanes.
+pub(crate) fn store_native<T: Native>(e: &mut Engine, base: u64, dt: DType, vals: &[T]) {
+    store_lanes(e, base, dt, to_lanes(vals));
+}
+
+/// Checks the `dt` lanes at `got_base` against `want`, in place, and
+/// takes the trace: the end of every run of this module's kernels.
+pub(crate) fn finish(mut e: Engine, got_base: u64, dt: DType, want: &[u64]) -> KernelRun {
     let eb = dt.bytes();
     let got = |i: usize| e.mem().read_raw(got_base + i as u64 * eb, eb);
-    Checked {
+    let checked = Checked {
         compared: want.len(),
         mismatches: want
             .iter()
             .enumerate()
             .filter(|&(i, &w)| got(i) != w)
             .count(),
+    };
+    KernelRun {
+        checked,
+        trace: e.take_trace(),
     }
 }
 
@@ -320,129 +320,153 @@ pub fn run_gemm(prec: Precision, scale: Scale) -> KernelRun {
     run_gemm_dims(prec, n, k, m)
 }
 
-/// The GEMM input (`n×k`) and weight (`k×m`) as `prec` lanes.
-pub(crate) fn gemm_operands(prec: Precision, n: usize, k: usize, m: usize) -> (Vec<u64>, Vec<u64>) {
-    let pack = |seed, len| gen_f32(seed, len).iter().map(|&v| prec.pack(v)).collect();
-    (pack(0xE1, n * k), pack(0xE2, k * m))
+/// The GEMM problem both the MVE and the RVV bodies solve: writes the
+/// `n×k` input and the `k×m` weight at `prec` to a fresh engine, runs
+/// `body(e, [input, weight, out])` with their addresses and that of the
+/// `n×m` output, and checks the output it stores against the reference.
+pub(crate) fn solve_gemm(
+    prec: Precision,
+    n: usize,
+    k: usize,
+    m: usize,
+    body: impl FnOnce(&mut Engine, [u64; 3]),
+) -> KernelRun {
+    fn operands<T: Native>(
+        prec: Precision,
+        e: &mut Engine,
+        bufs: [u64; 2],
+        n: usize,
+        k: usize,
+        m: usize,
+    ) -> Vec<u64> {
+        let input = pack::<T>(prec, gen_f32(0xE1, n * k));
+        let weight = pack::<T>(prec, gen_f32(0xE2, k * m));
+        store_native(e, bufs[0], prec.dtype(), &input);
+        store_native(e, bufs[1], prec.dtype(), &weight);
+        gemm_ref(&input, &weight, n, k, m)
+    }
+    let mut e = engine();
+    let dt = prec.dtype();
+    let [ia, wa, oa] = [n * k, k * m, n * m].map(|len| e.mem_alloc(len as u64 * dt.bytes()));
+    let want = native!(prec, operands(prec, &mut e, [ia, wa], n, k, m));
+    body(&mut e, [ia, wa, oa]);
+    finish(e, oa, dt, &want)
 }
 
 /// The MVE GEMM of the Section IV replication listing at an arbitrary
 /// precision and size (the registry's fp16 kernel, Figure 9's f32 sweep
 /// and Figure 12(c)). Its trace does not depend on the operand values.
 pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun {
-    let (input, weight) = gemm_operands(prec, n, k, m);
-    let want = gemm_ref(prec, &input, &weight, n, k, m);
-
-    let mut e = engine();
-    e.vsetwidth(32);
-    let dt = prec.dtype();
-    let eb = dt.bytes();
-    let ia = e.mem_alloc(n as u64 * k as u64 * eb);
-    let wa = e.mem_alloc(k as u64 * m as u64 * eb);
-    let oa = e.mem_alloc(n as u64 * m as u64 * eb);
-    store_packed(&mut e, ia, dt, &input);
-    store_packed(&mut e, wa, dt, &weight);
-
-    let lanes = e.lanes();
-    let rows_per_tile = (lanes / m).max(1);
-    // 2D: M output columns (DIM0), rows-per-tile rows (DIM1).
-    e.vsetdimc(2);
-    e.vsetdiml(0, m);
-    e.vsetldstr(1, k as i64); // input row stride for mode 3
-    let mut r = 0usize;
-    while r < n {
-        let rows = rows_per_tile.min(n - r);
-        e.vsetdiml(1, rows);
-        e.scalar(8);
-        let mut acc = e.setdup(dt, 0);
-        for j in 0..k {
-            e.scalar(6);
-            // Input column, replicated horizontally (DIM0 stride 0).
-            let iv = e.load(
-                dt,
-                ia + ((r * k + j) as u64) * eb,
-                &[StrideMode::Zero, StrideMode::Cr],
-            );
-            // Weight row, replicated vertically (DIM1 stride 0).
-            let wv = e.load(
-                dt,
-                wa + ((j * m) as u64) * eb,
-                &[StrideMode::One, StrideMode::Zero],
-            );
-            let p = e.binop(Opcode::Mul, BinOp::Mul, iv, wv);
-            let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
-            for rg in [iv, wv, p, acc] {
-                e.free(rg);
+    solve_gemm(prec, n, k, m, |e, [ia, wa, oa]| {
+        let (dt, eb) = (prec.dtype(), prec.dtype().bytes());
+        e.vsetwidth(32);
+        let rows_per_tile = (e.lanes() / m).max(1);
+        // 2D: M output columns (DIM0), rows-per-tile rows (DIM1).
+        e.vsetdimc(2);
+        e.vsetdiml(0, m);
+        e.vsetldstr(1, k as i64); // input row stride for mode 3
+        let mut r = 0usize;
+        while r < n {
+            let rows = rows_per_tile.min(n - r);
+            e.vsetdiml(1, rows);
+            e.scalar(8);
+            let mut acc = e.setdup(dt, 0);
+            for j in 0..k {
+                e.scalar(6);
+                // Input column, replicated horizontally (DIM0 stride 0).
+                let iv = e.load(
+                    dt,
+                    ia + ((r * k + j) as u64) * eb,
+                    &[StrideMode::Zero, StrideMode::Cr],
+                );
+                // Weight row, replicated vertically (DIM1 stride 0).
+                let wv = e.load(
+                    dt,
+                    wa + ((j * m) as u64) * eb,
+                    &[StrideMode::One, StrideMode::Zero],
+                );
+                let p = e.binop(Opcode::Mul, BinOp::Mul, iv, wv);
+                let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
+                for rg in [iv, wv, p, acc] {
+                    e.free(rg);
+                }
+                acc = acc2;
             }
-            acc = acc2;
+            // Store rows sequentially.
+            e.store(
+                acc,
+                oa + ((r * m) as u64) * eb,
+                &[StrideMode::One, StrideMode::Seq],
+            );
+            e.free(acc);
+            r += rows;
         }
-        // Store rows sequentially.
-        e.store(
-            acc,
-            oa + ((r * m) as u64) * eb,
-            &[StrideMode::One, StrideMode::Seq],
-        );
-        e.free(acc);
-        r += rows;
-    }
-    KernelRun {
-        checked: check_lanes(&e, oa, dt, &want),
-        trace: e.take_trace(),
-    }
+    })
 }
 
 /// FIR at an arbitrary precision (Figure 12(c)).
 pub fn run_fir(prec: Precision, scale: Scale, taps: usize) -> KernelRun {
+    fn operands<T: Native>(prec: Precision, n: usize, taps: usize) -> [Vec<u64>; 3] {
+        let x = pack::<T>(prec, gen_f32(0xE3, n));
+        let h = pack::<T>(prec, gen_f32(0xE4, taps));
+        let want = fir_ref(&x, &h);
+        [to_lanes(&x).collect(), to_lanes(&h).collect(), want]
+    }
     let n = match scale {
         Scale::Test => 4 * 1024,
         Scale::Paper => 64 * 1024,
     };
-    let x: Vec<u64> = gen_f32(0xE3, n).iter().map(|&v| prec.pack(v)).collect();
-    let h: Vec<u64> = gen_f32(0xE4, taps).iter().map(|&v| prec.pack(v)).collect();
-    let want = fir_ref(prec, &x, &h);
+    let [x, h, want] = native!(prec, operands(prec, n, taps));
     run_fir_lanes(prec.dtype(), 32, &x, &h, &want)
 }
 
-/// The MVE FIR `y[i] = Σ_t h[t]·x[i+t]` on canonical `dt` lanes at kernel
-/// width `width`, checked against `want` (CMSIS FIR-V/S/L and Figure
-/// 12(c)): one 1-D chunk of outputs per pass, one broadcast coefficient
-/// per tap.
-pub fn run_fir_lanes(dt: DType, width: u32, x: &[u64], h: &[u64], want: &[u64]) -> KernelRun {
-    let n_out = x.len() + 1 - h.len();
+/// The FIR problem both the MVE and the RVV bodies solve,
+/// `y[i] = Σ_t h[t]·x[i+t]` on canonical `dt` lanes at kernel width
+/// `width`: writes `x` to a fresh engine, runs `body(e, [x, out])` with its
+/// address and that of the `x.len() + 1 - h.len()` outputs, and checks the
+/// outputs it stores against `want`.
+pub(crate) fn solve_fir(
+    dt: DType,
+    width: u32,
+    x: &[u64],
+    h: &[u64],
+    want: &[u64],
+    body: impl FnOnce(&mut Engine, [u64; 2]),
+) -> KernelRun {
     let mut e = engine();
     e.vsetwidth(width);
-    let eb = dt.bytes();
-    let xa = e.mem_alloc(x.len() as u64 * eb);
-    let oa = e.mem_alloc(n_out as u64 * eb);
-    store_packed(&mut e, xa, dt, x);
+    let [xa, oa] = [x.len(), x.len() + 1 - h.len()].map(|len| e.mem_alloc(len as u64 * dt.bytes()));
+    store_lanes(&mut e, xa, dt, x.iter().copied());
+    body(&mut e, [xa, oa]);
+    finish(e, oa, dt, want)
+}
 
-    let lanes = e.lanes();
-    e.vsetdimc(1);
-    let mut base = 0usize;
-    while base < n_out {
-        let chunk = lanes.min(n_out - base);
-        e.vsetdiml(0, chunk);
-        e.scalar(6);
-        let mut acc = e.setdup(dt, 0);
-        for (t, &c) in h.iter().enumerate() {
-            e.scalar(4);
-            let xv = e.load(dt, xa + ((base + t) as u64) * eb, &[StrideMode::One]);
-            let cv = e.setdup(dt, c);
-            let p = e.binop(Opcode::Mul, BinOp::Mul, xv, cv);
-            let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
-            for rg in [xv, cv, p, acc] {
-                e.free(rg);
+/// The MVE FIR on canonical `dt` lanes at kernel width `width`, checked
+/// against `want` (CMSIS FIR-V/S/L and Figure 12(c)): one 1-D chunk of
+/// outputs per pass, one broadcast coefficient per tap.
+pub fn run_fir_lanes(dt: DType, width: u32, x: &[u64], h: &[u64], want: &[u64]) -> KernelRun {
+    solve_fir(dt, width, x, h, want, |e, [xa, oa]| {
+        let eb = dt.bytes();
+        e.vsetdimc(1);
+        for (base, chunk) in chunks(x.len() + 1 - h.len(), e.lanes()) {
+            e.vsetdiml(0, chunk);
+            e.scalar(6);
+            let mut acc = e.setdup(dt, 0);
+            for (t, &c) in h.iter().enumerate() {
+                e.scalar(4);
+                let xv = e.load(dt, xa + ((base + t) as u64) * eb, &[StrideMode::One]);
+                let cv = e.setdup(dt, c);
+                let p = e.binop(Opcode::Mul, BinOp::Mul, xv, cv);
+                let acc2 = e.binop(Opcode::Add, BinOp::Add, acc, p);
+                for rg in [xv, cv, p, acc] {
+                    e.free(rg);
+                }
+                acc = acc2;
             }
-            acc = acc2;
+            e.store(acc, oa + (base as u64) * eb, &[StrideMode::One]);
+            e.free(acc);
         }
-        e.store(acc, oa + (base as u64) * eb, &[StrideMode::One]);
-        e.free(acc);
-        base += chunk;
-    }
-    KernelRun {
-        checked: check_lanes(&e, oa, dt, want),
-        trace: e.take_trace(),
-    }
+    })
 }
 
 /// SpMM at an arbitrary precision (the registry's fp16 kernel and Figure
@@ -461,10 +485,13 @@ pub fn run_spmm(prec: Precision, scale: Scale) -> KernelRun {
 /// replicated across M (stride-0 DIM0), weight rows sequential —
 /// multiplies, accumulates `[M × batch]` partial products across batches
 /// and folds the batch dimension in-cache once per row. The reference
-/// (`SpmmLanes::batched_ref`) follows the same order exactly.
+/// (`SpmmOperands::batched_ref`) follows the same order exactly.
 pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
-    let d = Spmm::gen_data(s, seed);
-    let ops = SpmmLanes::pack(prec, &d, s.m);
+    native!(prec, spmm_mve(prec, s, seed))
+}
+
+fn spmm_mve<T: Native>(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
+    let ops = SpmmOperands::<T>::generate(prec, s, seed);
 
     let mut e = engine();
     e.vsetwidth(32);
@@ -475,11 +502,11 @@ pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
     let oa = e.mem_alloc((s.n * s.m) as u64 * eb);
     // Padding target: fresh memory reads zero, so padded lanes add nothing.
     let zero_val = e.mem_alloc(eb);
-    store_packed(&mut e, va, dt, &ops.values);
-    store_packed(&mut e, wa, dt, &ops.weight);
+    store_native(&mut e, va, dt, &ops.values);
+    store_native(&mut e, wa, dt, &ops.weight);
 
     let lanes = e.lanes();
-    let max_nnz = d
+    let max_nnz = ops
         .row_ptr
         .windows(2)
         .map(|w| w[1] - w[0])
@@ -490,7 +517,7 @@ pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
     let batch = ((lanes / s.m).next_power_of_two() / 2)
         .clamp(2, 256)
         .min(max_nnz.next_power_of_two());
-    let want = ops.batched_ref(prec, batch);
+    let want = ops.batched_ref(batch);
 
     let vptr = e.mem_alloc_typed::<u64>(batch);
     let wptr = e.mem_alloc_typed::<u64>(batch);
@@ -500,7 +527,7 @@ pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
         e.vsetdiml(0, s.m);
         e.vsetdiml(1, batch);
         let mut acc2d = e.setdup(dt, 0);
-        let (lo, hi) = (d.row_ptr[n], d.row_ptr[n + 1]);
+        let (lo, hi) = (ops.row_ptr[n], ops.row_ptr[n + 1]);
         let mut j = lo;
         while j < hi {
             let take = batch.min(hi - j);
@@ -509,7 +536,7 @@ pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
             let (vp, wp): (Vec<u64>, Vec<u64>) = (0..batch)
                 .map(|b| {
                     if b < take {
-                        let w = wa + (d.col_idx[j + b] * s.m) as u64 * eb;
+                        let w = wa + (ops.col_idx[j + b] * s.m) as u64 * eb;
                         (va + ((j + b) as u64) * eb, w)
                     } else {
                         (zero_val, wa)
@@ -538,10 +565,7 @@ pub fn run_spmm_sized(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
         e.store(folded, oa + (n * s.m) as u64 * eb, &[StrideMode::One]);
         e.free(folded);
     }
-    KernelRun {
-        checked: check_lanes(&e, oa, dt, &want),
-        trace: e.take_trace(),
-    }
+    finish(e, oa, dt, &want)
 }
 
 #[cfg(test)]
@@ -616,7 +640,7 @@ mod tests {
         want
     }
 
-    fn spmm_batched_fold(prec: Precision, s: &SpmmLanes, batch: usize) -> Vec<u64> {
+    fn spmm_batched_fold(prec: Precision, s: &SpmmOperands<u64>, batch: usize) -> Vec<u64> {
         let dt = prec.dtype();
         let (values, weight) = (&s.values, &s.weight);
         let n_rows = s.row_ptr.len() - 1;
@@ -655,7 +679,7 @@ mod tests {
         want
     }
 
-    fn spmm_sequential_fold(prec: Precision, s: &SpmmLanes) -> Vec<u64> {
+    fn spmm_sequential_fold(prec: Precision, s: &SpmmOperands<u64>) -> Vec<u64> {
         let n_rows = s.row_ptr.len() - 1;
         let mut want = vec![prec.pack(0.0); n_rows * s.m];
         for n in 0..n_rows {
@@ -720,6 +744,38 @@ mod tests {
             .collect()
     }
 
+    fn natives<T: Native>(lanes: &[u64]) -> Vec<T> {
+        lanes.iter().map(|&v| T::from_lane(v)).collect()
+    }
+
+    /// The native references on raw lanes, each converted with
+    /// `Native::from_lane`.
+    fn fir_on_lanes<T: Native>(x: &[u64], h: &[u64]) -> Vec<u64> {
+        fir_ref(&natives::<T>(x), &natives::<T>(h))
+    }
+
+    fn gemm_on_lanes<T: Native>(
+        input: &[u64],
+        weight: &[u64],
+        n: usize,
+        k: usize,
+        m: usize,
+    ) -> Vec<u64> {
+        gemm_ref(&natives::<T>(input), &natives::<T>(weight), n, k, m)
+    }
+
+    /// The batched and the sequential SpMM references.
+    fn spmm_on_lanes<T: Native>(s: &SpmmOperands<u64>, batch: usize) -> [Vec<u64>; 2] {
+        let ops = SpmmOperands::<T> {
+            row_ptr: s.row_ptr.clone(),
+            col_idx: s.col_idx.clone(),
+            values: natives(&s.values),
+            weight: natives(&s.weight),
+            m: s.m,
+        };
+        [ops.batched_ref(batch), ops.sequential_ref()]
+    }
+
     /// Lane equality, except that all NaNs of a float precision are one
     /// value: IEEE 754 leaves a NaN result's sign and payload open, and
     /// the compiler may commute float operands.
@@ -765,26 +821,27 @@ mod tests {
                 let specials = seed & 1 == 1;
                 let x = raw_lanes(prec, seed, taps + extra, specials);
                 let h = raw_lanes(prec, seed.rotate_left(17) ^ 0x9E37, taps, specials);
-                let (got, want) = (fir_ref(prec, &x, &h), fir_fold(prec, &x, &h));
+                let (got, want) = (native!(prec, fir_on_lanes(&x, &h)), fir_fold(prec, &x, &h));
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "fir {}", prec.label());
 
                 let input = raw_lanes(prec, seed ^ 0xA1, n * k, specials);
                 let weight = raw_lanes(prec, seed ^ 0xA2, k * m, specials);
-                let got = gemm_ref(prec, &input, &weight, n, k, m);
+                let got = native!(prec, gemm_on_lanes(&input, &weight, n, k, m));
                 let want = gemm_fold(prec, &input, &weight, n, k, m);
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "gemm {}", prec.label());
 
-                let ops = SpmmLanes {
-                    row_ptr: &row_ptr,
-                    col_idx: &col_idx,
+                let ops = SpmmOperands {
+                    row_ptr: row_ptr.clone(),
+                    col_idx: col_idx.clone(),
                     values: raw_lanes(prec, seed ^ 0xA3, col_idx.len(), specials),
                     weight,
                     m,
                 };
                 let batch = 1 << batch_log;
-                let (got, want) = (ops.batched_ref(prec, batch), spmm_batched_fold(prec, &ops, batch));
+                let [batched, sequential] = native!(prec, spmm_on_lanes(&ops, batch));
+                let (got, want) = (batched, spmm_batched_fold(prec, &ops, batch));
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "batched spmm {}", prec.label());
-                let (got, want) = (ops.sequential_ref(prec), spmm_sequential_fold(prec, &ops));
+                let (got, want) = (sequential, spmm_sequential_fold(prec, &ops));
                 proptest::prop_assert!(same_lanes(prec, &got, &want), "sequential spmm {}", prec.label());
             }
         }
@@ -816,7 +873,8 @@ mod tests {
                 proptest::prop_assert!(run.checked.ok(), "spmm {} {:?}", prec.label(), run.checked);
                 let x = raw_lanes(prec, seed, taps + extra, false);
                 let h = raw_lanes(prec, seed.rotate_left(17) ^ 0x9E37, taps, false);
-                let run = run_fir_lanes(prec.dtype(), 32, &x, &h, &fir_ref(prec, &x, &h));
+                let want = native!(prec, fir_on_lanes(&x, &h));
+                let run = run_fir_lanes(prec.dtype(), 32, &x, &h, &want);
                 proptest::prop_assert!(run.checked.ok(), "fir {} {:?}", prec.label(), run.checked);
             }
             use crate::cmsis::Fir;

@@ -7,12 +7,17 @@
 //! ([`crate::precision`]) in f32 at arbitrary sizes (`run_mve_sized`) and
 //! prices them against the fp32 CLBlast/clSPARSE OpenCL libraries
 //! (`gpu_cost_sized`), exactly as the paper does.
+//!
+//! The fp16 RVV bodies here solve the MVE bodies' problems: the GEMM runs
+//! inside the same setup and check (`precision::solve_gemm`), and the
+//! SpMM generates the same native operands (`precision::SpmmOperands`) but
+//! keeps its own memory layout, since MVE's adds value and pointer arrays.
 
 use crate::common::{engine, gen_f32, KernelRun, Scale};
-use crate::precision::{self, Precision, SpmmLanes};
+use crate::precision::{self, Native, Precision, SpmmOperands, F16};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
-use mve_baselines::rvv::Rvv;
+use mve_baselines::rvv;
 use mve_core::dtype::DType;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 use rand::rngs::SmallRng;
@@ -74,59 +79,47 @@ impl Kernel for Gemm {
 
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
         // fp16, matching the MVE variant: same data, same accumulation order.
-        let (prec, dt) = (Precision::F16, DType::F16);
         let s = Self::size(scale);
-        let (input, weight) = precision::gemm_operands(prec, s.n, s.k, s.m);
-        let want = precision::gemm_ref(prec, &input, &weight, s.n, s.k, s.m);
-
-        let mut e = engine();
-        let ia = e.mem_alloc((s.n * s.k * 2) as u64);
-        let wa = e.mem_alloc((s.k * s.m * 2) as u64);
-        let oa = e.mem_alloc((s.n * s.m * 2) as u64);
-        precision::store_packed(&mut e, ia, dt, &input);
-        precision::store_packed(&mut e, wa, dt, &weight);
-
-        let lanes = e.lanes();
-        let rows_per_tile = (lanes / s.m).max(1);
-        let mut rvv = Rvv::new(&mut e);
-        let mut n = 0usize;
-        while n < s.n {
-            let rows = rows_per_tile.min(s.n - n);
-            rvv.setvl(rows * s.m);
-            rvv.engine().scalar(8);
-            let mut acc = rvv.engine().vsetdup_hf(0.0);
-            for k in 0..s.k {
-                rvv.engine().scalar(6);
-                // Input column replication needs an index-vector gather;
-                // the gather cost model covers any pattern, so patch the
-                // strided-column values in afterwards.
-                let iv = rvv.replicated_load(dt, ia + ((n * s.k + k) * 2) as u64, rows, s.m);
-                let en = rvv.engine();
-                for r in 0..rows {
-                    let v = input[(n + r) * s.k + k];
-                    for m in 0..s.m {
-                        en.set_lane_raw(iv, r * s.m + m, v);
+        let (dt, eb) = (DType::F16, DType::F16.bytes());
+        let run = precision::solve_gemm(Precision::F16, s.n, s.k, s.m, |e, [ia, wa, oa]| {
+            let rows_per_tile = (e.lanes() / s.m).max(1);
+            rvv::setvlmax(e);
+            let mut n = 0usize;
+            while n < s.n {
+                let rows = rows_per_tile.min(s.n - n);
+                rvv::setvl(e, rows * s.m);
+                e.scalar(8);
+                let mut acc = e.vsetdup_hf(0.0);
+                for k in 0..s.k {
+                    e.scalar(6);
+                    // Input column replication needs an index-vector gather;
+                    // the gather cost model covers any pattern, so patch the
+                    // strided-column values in afterwards.
+                    let col = ia + ((n * s.k + k) as u64) * eb;
+                    let iv = rvv::replicated_load(e, dt, col, rows, s.m);
+                    for r in 0..rows {
+                        let v = e.mem().read_raw(col + (r * s.k) as u64 * eb, eb);
+                        for m in 0..s.m {
+                            e.set_lane_raw(iv, r * s.m + m, v);
+                        }
                     }
+                    // Weight row tiled per segment (stride-0 segments).
+                    let row = wa + ((k * s.m) as u64) * eb;
+                    let wv = rvv::segmented_load_2d(e, dt, row, s.m, rows, 0);
+                    let p = e.vmul_hf(iv, wv);
+                    let acc2 = e.vadd_hf(acc, p);
+                    for r in [iv, wv, p, acc] {
+                        e.free(r);
+                    }
+                    acc = acc2;
                 }
-                // Weight row tiled per segment (stride-0 segments).
-                let wv = rvv.segmented_load_2d(dt, wa + (k * s.m * 2) as u64, s.m, rows, 0);
-                let en = rvv.engine();
-                let p = en.vmul_hf(iv, wv);
-                let acc2 = en.vadd_hf(acc, p);
-                for r in [iv, wv, p, acc] {
-                    en.free(r);
-                }
-                acc = acc2;
+                // Output rows are contiguous: a single unit-stride store.
+                rvv::store_1d(e, acc, oa + ((n * s.m) as u64) * eb, 1);
+                e.free(acc);
+                n += rows;
             }
-            // Output rows are contiguous: a single unit-stride store.
-            rvv.store_1d(acc, oa + (n * s.m * 2) as u64, 1);
-            rvv.engine().free(acc);
-            n += rows;
-        }
-        Some(KernelRun {
-            checked: precision::check_lanes(&e, oa, dt, &want),
-            trace: e.take_trace(),
-        })
+        });
+        Some(run)
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -270,43 +263,39 @@ impl Kernel for Spmm {
     fn run_rvv(&self, scale: Scale) -> Option<KernelRun> {
         // RVV processes one nonzero at a time with M-lane 1-D operations —
         // the low-DLP path Section VII-A describes for SpMM. fp16, matching
-        // the MVE variant; checked against a sequential-order f16 reference.
+        // the MVE variant's operands; checked against a sequential-order f16
+        // reference. Only the weight is in memory: the nonzero values are
+        // scalar operands.
         let (prec, dt) = (Precision::F16, DType::F16);
         let s = Self::size(scale);
-        let d = Self::gen_data(s, 0xE5);
-        let ops = SpmmLanes::pack(prec, &d, s.m);
-        let (values, weight) = (&ops.values, &ops.weight);
-        let want = ops.sequential_ref(prec);
+        let ops = SpmmOperands::<F16>::generate(prec, s, 0xE5);
+        let want = ops.sequential_ref();
 
         let mut e = engine();
         let wa = e.mem_alloc((s.k * s.m * 2) as u64);
         let oa = e.mem_alloc((s.n * s.m * 2) as u64);
-        precision::store_packed(&mut e, wa, dt, weight);
+        precision::store_native(&mut e, wa, dt, &ops.weight);
 
-        let mut rvv = Rvv::new(&mut e);
-        rvv.setvl(s.m);
+        rvv::setvlmax(&mut e);
+        rvv::setvl(&mut e, s.m);
         for n in 0..s.n {
-            rvv.engine().scalar(10);
-            let mut acc = rvv.engine().vsetdup_hf(0.0);
-            for j in d.row_ptr[n]..d.row_ptr[n + 1] {
-                rvv.engine().scalar(8); // pointer chase + loop
-                let wv = rvv.load_1d(dt, wa + (d.col_idx[j] * s.m * 2) as u64, 1);
-                let en = rvv.engine();
-                let sv = en.setdup(dt, values[j]);
-                let p = en.vmul_hf(wv, sv);
-                let acc2 = en.vadd_hf(acc, p);
+            e.scalar(10);
+            let mut acc = e.vsetdup_hf(0.0);
+            for j in ops.row_ptr[n]..ops.row_ptr[n + 1] {
+                e.scalar(8); // pointer chase + loop
+                let wv = rvv::load_1d(&mut e, dt, wa + (ops.col_idx[j] * s.m * 2) as u64, 1);
+                let sv = e.setdup(dt, ops.values[j].to_lane());
+                let p = e.vmul_hf(wv, sv);
+                let acc2 = e.vadd_hf(acc, p);
                 for r in [wv, sv, p, acc] {
-                    en.free(r);
+                    e.free(r);
                 }
                 acc = acc2;
             }
-            rvv.store_1d(acc, oa + (n * s.m * 2) as u64, 1);
-            rvv.engine().free(acc);
+            rvv::store_1d(&mut e, acc, oa + (n * s.m * 2) as u64, 1);
+            e.free(acc);
         }
-        Some(KernelRun {
-            checked: precision::check_lanes(&e, oa, dt, &want),
-            trace: e.take_trace(),
-        })
+        Some(precision::finish(e, oa, dt, &want))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -45,6 +45,16 @@ fn selected_rvv_variants_match_their_references() {
             k.info().name,
             run.checked
         );
+        // Both bodies of a pair solve one problem: they check the same,
+        // nonzero number of outputs.
+        let mve = k.run_mve(Scale::Test).checked;
+        assert!(
+            mve.compared > 0 && mve.compared == run.checked.compared,
+            "{}: MVE compares {} outputs, RVV {}",
+            k.info().name,
+            mve.compared,
+            run.checked.compared
+        );
     }
 }
 
