@@ -60,5 +60,5 @@ fn every_traffic_line_parses_to_its_listed_meaning() {
         }
         lines += 1;
     }
-    assert_eq!(lines, 71, "every listed line is checked");
+    assert_eq!(lines, 79, "every listed line is checked");
 }

@@ -673,16 +673,6 @@ impl Engine {
         self.mem.read_vec(base, count)
     }
 
-    /// Convenience for the doc examples: fill with `i32`s.
-    pub fn mem_fill_i32(&mut self, base: u64, values: &[i32]) {
-        self.mem.fill(base, values);
-    }
-
-    /// Convenience for the doc examples: read one `i32`.
-    pub fn mem_read_i32(&self, base: u64, idx: usize) -> i32 {
-        self.mem.read(base, idx)
-    }
-
     /// Direct access to the functional memory (e.g. for scalar reference
     /// implementations sharing buffers with the vector kernel).
     pub fn mem(&self) -> &Memory {

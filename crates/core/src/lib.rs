@@ -38,7 +38,7 @@
 //! let mut e = Engine::default_mobile();
 //! // 16 rows x 64 columns of i32 in memory.
 //! let a = e.mem_alloc_typed::<i32>(16 * 64);
-//! e.mem_fill_i32(a, &(0..16 * 64).map(|i| i as i32).collect::<Vec<_>>());
+//! e.mem_fill::<i32>(a, &(0..16 * 64).map(|i| i as i32).collect::<Vec<_>>());
 //!
 //! // Configure a 2D view: 64 columns (dim0), 16 rows (dim1).
 //! e.vsetdimc(2);
@@ -52,7 +52,7 @@
 //!
 //! let o = e.mem_alloc_typed::<i32>(16 * 64);
 //! e.vsst_dw(out, o, &[StrideMode::One, StrideMode::Seq]);
-//! assert_eq!(e.mem_read_i32(o, 3), 6);
+//! assert_eq!(e.mem_read::<i32>(o, 3), 6);
 //! ```
 
 pub mod addrgen;

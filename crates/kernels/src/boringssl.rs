@@ -4,7 +4,7 @@
 //! sets through memory, which is exactly the register-pressure behaviour
 //! Section III-G describes.
 
-use crate::common::{check_exact, engine, gen_u8, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_u8, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
@@ -72,8 +72,13 @@ impl Kernel for Chacha20 {
         let b = nblocks(scale);
         let key: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 0xdead_beef];
         let nonce: [u32; 3] = [0x0102_0304, 0, 42];
-        let want: Vec<u32> = (0..b)
-            .flat_map(|blk| chacha_block(&key, blk as u32, &nonce))
+        // Word-major, as the kernel stores it: word `w` of block `blk` at
+        // `w·B + blk`.
+        let blocks: Vec<[u32; 16]> = (0..b)
+            .map(|blk| chacha_block(&key, blk as u32, &nonce))
+            .collect();
+        let want: Vec<u32> = (0..16)
+            .flat_map(|w| blocks.iter().map(move |blk| blk[w]))
             .collect();
 
         let mut e = engine();
@@ -156,18 +161,7 @@ impl Kernel for Chacha20 {
                 e.free(r);
             }
         }
-        // Compare in block-major order.
-        let got_wordmajor = e.mem_read_vec::<u32>(oa, 16 * b);
-        let mut got = Vec::with_capacity(16 * b);
-        for blk in 0..b {
-            for w in 0..16 {
-                got.push(got_wordmajor[w * b + blk]);
-            }
-        }
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -277,11 +271,7 @@ impl Kernel for Sha256Msched {
             e.vsst_udw(out, word(t), &m);
             e.free(out);
         }
-        let got = e.mem_read_vec::<u32>(wa, 64 * b);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, wa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -329,9 +319,7 @@ impl Kernel for XorCipher {
 
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(5);
             let d = e.vsld_ub(da + base as u64, &[StrideMode::One]);
@@ -341,13 +329,8 @@ impl Kernel for XorCipher {
             for r in [d, k, x] {
                 e.free(r);
             }
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

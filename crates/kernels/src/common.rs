@@ -1,10 +1,21 @@
-//! Shared kernel scaffolding: deterministic data generation, functional
-//! checking, the tree-reduction building block of Section IV, and the
-//! run-result types the harness consumes.
+//! Shared kernel scaffolding: deterministic data generation, the
+//! strip-mining loop and the output check every kernel uses, the
+//! tree-reduction building block of Section IV, and the run-result types
+//! the harness consumes.
+//!
+//! Every tile loop of the suite walks [`chunks`]: it yields each tile's base
+//! and length and emits nothing, so a kernel's config instructions
+//! (`vsetdiml` per tile, strides and dimension counts) stay in its own body.
+//! Every kernel whose output lands in engine memory ends in [`finish`],
+//! which checks that output in place against the scalar reference and takes
+//! the trace; kernels whose result is a scalar the core folds (checksums,
+//! searches, SATD sums) compare it with [`check_exact`] or [`check_f32`]
+//! and end in [`KernelRun::new`].
 
 use mve_core::dtype::DType;
 use mve_core::engine::{Engine, Reg};
 use mve_core::isa::StrideMode;
+use mve_core::mem::{MemScalar, Memory};
 use mve_core::trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +31,7 @@ pub enum Scale {
 }
 
 /// Outcome of checking an implementation against the scalar reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Checked {
     /// Elements compared.
     pub compared: usize,
@@ -35,6 +46,16 @@ impl Checked {
     }
 }
 
+/// The check of several output arrays: their counts add up.
+impl std::iter::Sum for Checked {
+    fn sum<I: Iterator<Item = Checked>>(iter: I) -> Self {
+        iter.fold(Checked::default(), |a, c| Checked {
+            compared: a.compared + c.compared,
+            mismatches: a.mismatches + c.mismatches,
+        })
+    }
+}
+
 /// One kernel execution: the dynamic trace plus the functional check.
 #[derive(Debug)]
 pub struct KernelRun {
@@ -42,6 +63,16 @@ pub struct KernelRun {
     pub trace: Trace,
     /// Functional comparison against the scalar reference.
     pub checked: Checked,
+}
+
+impl KernelRun {
+    /// The end of a kernel run: takes `e`'s trace beside the run's check.
+    pub fn new(mut e: Engine, checked: Checked) -> Self {
+        Self {
+            trace: e.take_trace(),
+            checked,
+        }
+    }
 }
 
 use std::cell::Cell;
@@ -127,12 +158,79 @@ pub fn gen_f32(seed: u64, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// The `(base, len)` chunks a strip-mined loop over `n` elements takes on an
-/// engine of `lanes` lanes.
-pub fn chunks(n: usize, lanes: usize) -> impl Iterator<Item = (usize, usize)> {
+/// The `(base, len)` tiles a strip-mined loop over `n` items takes, `step`
+/// items per tile (lanes, rows or blocks) and a shorter last tile. A loop
+/// that starts at item `lo` offsets the bases of `chunks(n - lo, step)`.
+pub fn chunks(n: usize, step: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..n)
-        .step_by(lanes)
-        .map(move |base| (base, lanes.min(n - base)))
+        .step_by(step)
+        .map(move |base| (base, step.min(n - base)))
+}
+
+/// A scalar reference output that [`check`] matches, element by element,
+/// against the output a kernel left in engine memory.
+pub trait Reference {
+    /// The number of output elements.
+    fn elements(&self) -> usize;
+    /// Whether element `i` of the output array at `out` in `mem` matches.
+    fn matches(&self, mem: &Memory, out: u64, i: usize) -> bool;
+}
+
+/// Exact equality with the `T` elements of the output array.
+impl<T: MemScalar + PartialEq> Reference for [T] {
+    fn elements(&self) -> usize {
+        self.len()
+    }
+    fn matches(&self, mem: &Memory, out: u64, i: usize) -> bool {
+        mem.read::<T>(out, i) == self[i]
+    }
+}
+
+/// `f32` outputs within a relative tolerance of the reference (see
+/// [`check_f32`]).
+pub struct Within<'a>(pub &'a [f32], pub f32);
+
+impl Reference for Within<'_> {
+    fn elements(&self) -> usize {
+        self.0.len()
+    }
+    fn matches(&self, mem: &Memory, out: u64, i: usize) -> bool {
+        within(mem.read::<f32>(out, i), self.0[i], self.1)
+    }
+}
+
+/// Canonical lanes of a data type known only at run time (the precision
+/// study's outputs), compared exactly.
+pub struct Lanes<'a>(pub DType, pub &'a [u64]);
+
+impl Reference for Lanes<'_> {
+    fn elements(&self) -> usize {
+        self.1.len()
+    }
+    fn matches(&self, mem: &Memory, out: u64, i: usize) -> bool {
+        let eb = self.0.bytes();
+        mem.read_raw(out + i as u64 * eb, eb) == self.1[i]
+    }
+}
+
+/// Counts the elements of the output array at `out` that differ from
+/// `want`, reading each from engine memory in place.
+pub fn check(e: &Engine, out: u64, want: &(impl Reference + ?Sized)) -> Checked {
+    let mem = e.mem();
+    let compared = want.elements();
+    Checked {
+        compared,
+        mismatches: (0..compared)
+            .filter(|&i| !want.matches(mem, out, i))
+            .count(),
+    }
+}
+
+/// The end of a kernel run: [`check`]s the output at `out` against `want`
+/// and takes the trace.
+pub fn finish(e: Engine, out: u64, want: &(impl Reference + ?Sized)) -> KernelRun {
+    let checked = check(&e, out, want);
+    KernelRun::new(e, checked)
 }
 
 /// Exact element-wise comparison.
@@ -158,16 +256,17 @@ pub fn check_f32(got: &[f32], want: &[f32], rel_tol: f32) -> Checked {
     let mismatches = got[..compared]
         .iter()
         .zip(&want[..compared])
-        .filter(|(g, w)| {
-            let within = (*g - *w).abs() <= rel_tol * w.abs().max(1.0);
-            !within
-        })
+        .filter(|&(&g, &w)| !within(g, w, rel_tol))
         .count()
         + got.len().abs_diff(want.len());
     Checked {
         compared,
         mismatches,
     }
+}
+
+fn within(got: f32, want: f32, rel_tol: f32) -> bool {
+    (got - want).abs() <= rel_tol * want.abs().max(1.0)
 }
 
 /// The Section IV vertical halving step, generalised: reduces `len` lanes of
@@ -324,6 +423,39 @@ mod tests {
         assert_eq!(c.mismatches, 1);
         // Control: an in-tolerance output is no mismatch.
         assert_eq!(check_f32(&[1.0005, 2.0], &[1.0, 2.0], 1e-3).mismatches, 0);
+    }
+
+    #[test]
+    fn check_reads_each_reference_kind_in_place() {
+        let mut e = engine();
+        let out = e.mem_alloc_typed::<i16>(4);
+        e.mem_fill(out, &[1i16, -2, 3, 4]);
+        assert_eq!(
+            check(&e, out, &[1i16, -2, 3, 4][..]),
+            Checked {
+                compared: 4,
+                mismatches: 0
+            }
+        );
+        assert_eq!(check(&e, out, &[1i16, 2, 3, 5][..]).mismatches, 2);
+        let lanes = [1, DType::I16.from_i64(-2), 3, 4];
+        assert_eq!(check(&e, out, &Lanes(DType::I16, &lanes)).mismatches, 0);
+        assert_eq!(check(&e, out, &Lanes(DType::I16, &[1, 2])).mismatches, 1);
+        let f = e.mem_alloc_typed::<f32>(2);
+        e.mem_fill(f, &[1.0005f32, f32::NAN]);
+        assert_eq!(check(&e, f, &Within(&[1.0, 2.0], 1e-3)).mismatches, 1);
+        // Rows checked one by one add up.
+        let rows = [
+            check(&e, out, &[1i16][..]),
+            check(&e, f, &Within(&[1.0], 0.0)),
+        ];
+        assert_eq!(
+            rows.into_iter().sum::<Checked>(),
+            Checked {
+                compared: 2,
+                mismatches: 1
+            }
+        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! because only MVE keeps the transform matrix in memory. The RVV bodies
 //! drive the engine through the stateless `mve_baselines::rvv` functions.
 
-use crate::common::{check_exact, engine, gen_i16, tree_halve, tree_reduce, KernelRun, Scale};
+use crate::common::{
+    check_exact, engine, finish, gen_i16, tree_halve, tree_reduce, KernelRun, Scale,
+};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
 use mve_baselines::rvv;
@@ -156,10 +158,7 @@ impl Satd {
         e.mem_fill(bufs[0], &cur);
         e.mem_fill(bufs[1], &refp);
         let got = body(&mut e, bufs, [tiles, bpt]);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        KernelRun::new(e, check_exact(&got, &want))
     }
 }
 
@@ -350,11 +349,7 @@ impl Intra {
         let bufs = [blocks * 16, blocks * 64, blocks.max(256)].map(|n| e.mem_alloc_typed::<i16>(n));
         e.mem_fill(bufs[0], &refs);
         body(&mut e, &refs, bufs, BLOCKS_PER_TILE.min(blocks));
-        let got = e.mem_read_vec::<i16>(bufs[1], blocks * 64);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, bufs[1], &want[..])
     }
 }
 
@@ -690,11 +685,7 @@ fn solve_transform(
 
     let mut e = engine();
     let out = body(&mut e, &input);
-    let got = e.mem_read_vec::<i32>(out, blocks * 64);
-    KernelRun {
-        checked: check_exact(&got, &want),
-        trace: e.take_trace(),
-    }
+    finish(e, out, &want[..])
 }
 
 /// The MVE transform over every tile.

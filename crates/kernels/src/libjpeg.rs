@@ -1,7 +1,7 @@
 //! libjpeg — five kernels, including the Figure 4 `h2v2_upsample` random
 //! row-pointer pattern (libjpeg allocates image rows in separate memory).
 
-use crate::common::{check_exact, engine, gen_i16, gen_u8, KernelRun, Scale};
+use crate::common::{check, chunks, engine, finish, gen_i16, gen_u8, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::dtype::DType;
 use mve_core::isa::StrideMode;
@@ -66,9 +66,7 @@ impl Kernel for H2v2Upsample {
 
         let lanes = e.lanes();
         let rows_per_tile = (lanes / (2 * m)).clamp(1, 256);
-        let mut k = 0usize;
-        while k < 2 * r {
-            let chunk = rows_per_tile.min(2 * r - k);
+        for (k, chunk) in chunks(2 * r, rows_per_tile) {
             // 3-D: duplicate pixels (DIM0), M columns (DIM1), rows (DIM2).
             e.vsetdimc(3);
             e.vsetdiml(0, 2);
@@ -85,22 +83,14 @@ impl Kernel for H2v2Upsample {
                 &[StrideMode::One, StrideMode::Seq],
             );
             e.free(v);
-            k += chunk;
         }
-        let mut mismatches = 0;
-        let mut compared = 0;
-        for (i, w) in want.iter().enumerate() {
-            let got = e.mem_read_vec::<u8>(out_ptrs_v[i], 2 * m);
-            compared += w.len();
-            mismatches += got.iter().zip(w).filter(|(g, w)| g != w).count();
-        }
-        KernelRun {
-            checked: crate::common::Checked {
-                compared,
-                mismatches,
-            },
-            trace: e.take_trace(),
-        }
+        // One check per output row: the rows are separate allocations.
+        let checked = out_ptrs_v
+            .iter()
+            .zip(&want)
+            .map(|(&row, w)| check(&e, row, &w[..]))
+            .sum();
+        KernelRun::new(e, checked)
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -162,9 +152,7 @@ impl Kernel for H2v2Downsample {
         e.vsetldstr(0, 2);
         e.vsetldstr(1, 2 * w_in as i64);
         e.vsetststr(1, m_out as i64);
-        let mut y = 0usize;
-        while y < r_out {
-            let rows = rows_per_tile.min(r_out - y);
+        for (y, rows) in chunks(r_out, rows_per_tile) {
             e.vsetdiml(1, rows);
             e.scalar(8);
             let base = ia + (2 * y * w_in) as u64;
@@ -199,13 +187,8 @@ impl Kernel for H2v2Downsample {
             for rg in [s0, s1, s, two, s2, sh, out8] {
                 e.free(rg);
             }
-            y += rows;
         }
-        let got = e.mem_read_vec::<u8>(oa, m_out * r_out);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -279,9 +262,7 @@ impl Kernel for YcbcrToRgb {
 
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(8);
             // The 128 bias constant lives only while centring chroma — the
@@ -355,13 +336,8 @@ impl Kernel for YcbcrToRgb {
             for rg in [y, cb, cr, zero, maxv] {
                 e.free(rg);
             }
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(oa, 3 * n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -426,9 +402,7 @@ impl Kernel for RgbToYcbcr {
         let lanes = e.lanes();
         e.vsetdimc(1);
         e.vsetldstr(0, 3); // interleaved RGB: every 3rd byte
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(8);
             let mut acc = e.vsetdup_dw(32768);
@@ -451,13 +425,8 @@ impl Kernel for RgbToYcbcr {
             e.vsetststr(0, 1);
             e.vsst_ub(y8, oa + base as u64, &[StrideMode::Cr]);
             e.free(y8);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -521,9 +490,7 @@ impl Kernel for Quantize {
         let bpt = (lanes / 64).min(256);
         e.vsetdimc(2);
         e.vsetdiml(0, 64);
-        let mut b = 0usize;
-        while b < blocks {
-            let nb = bpt.min(blocks - b);
+        for (b, nb) in chunks(blocks, bpt) {
             e.vsetdiml(1, nb);
             e.scalar(6);
             let c16 = e.vsld_w(
@@ -551,13 +518,8 @@ impl Kernel for Quantize {
                 &[StrideMode::One, StrideMode::Seq],
             );
             e.free(q16);
-            b += nb;
         }
-        let got = e.mem_read_vec::<i16>(oa, blocks * 64);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -5,7 +5,7 @@
 //! `filter_paeth` across rows with its predictor select built from Tag-latch
 //! predication (Section III-E).
 
-use crate::common::{check_exact, engine, gen_u8, tag_to_data, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_u8, tag_to_data, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::dtype::DType;
 use mve_core::isa::StrideMode;
@@ -55,9 +55,7 @@ impl Kernel for FilterSub {
         e.vsetdimc(1);
         e.vsetldstr(0, w as i64);
         e.vsetststr(0, w as i64);
-        let mut y = 0usize;
-        while y < h {
-            let rows = rows_per_tile.min(h - y);
+        for (y, rows) in chunks(h, rows_per_tile) {
             e.vsetdiml(0, rows);
             e.scalar(6);
             // `left` accumulates in-register across the column march.
@@ -72,13 +70,8 @@ impl Kernel for FilterSub {
                 left = rec;
             }
             e.free(left);
-            y += rows;
         }
-        let got = e.mem_read_vec::<u8>(oa, w * h);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -146,11 +139,7 @@ impl Kernel for FilterUp {
             above = rec;
         }
         e.free(above);
-        let got = e.mem_read_vec::<u8>(oa, w * h);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -238,9 +227,7 @@ impl Kernel for FilterPaeth {
         let wf = stride as i64 - 1;
         e.vsetldstr(0, wf);
         e.vsetststr(0, wf);
-        let mut y0 = 0usize;
-        while y0 < h {
-            let rows = rows_per_tile.min(h - y0);
+        for (y0, rows) in chunks(h, rows_per_tile) {
             e.vsetdiml(0, rows);
             // Start with every wavefront lane off.
             for lane in 0..rows {
@@ -331,13 +318,8 @@ impl Kernel for FilterPaeth {
                 e.free(rec8);
             }
             e.vresetmask();
-            y0 += rows;
         }
-        let got = e.mem_read_vec::<u8>(ra, (h + 1) * stride);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, ra, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

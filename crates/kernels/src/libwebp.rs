@@ -1,8 +1,12 @@
 //! libwebp — seven kernels spanning sharp-YUV refinement, bilinear
 //! upsampling, alpha premultiplication, the two lossless prediction filters,
 //! per-block distortion (SSE) and coefficient quantisation.
+//!
+//! Alpha premultiplication runs Skia's multiply transfer-mode body
+//! (`skia::multiply_bytes`) on its own seeds: both compute
+//! `(a·b + 255) >> 8` per byte at the same sizes.
 
-use crate::common::{check_exact, engine, gen_i16, gen_u8, tree_halve, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_i16, gen_u8, tree_halve, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::dtype::DType;
 use mve_core::isa::StrideMode;
@@ -54,9 +58,7 @@ impl Kernel for SharpUpdate {
 
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(6);
             let r = e.vsld_w(ra + (base * 2) as u64, &[StrideMode::One]);
@@ -78,13 +80,8 @@ impl Kernel for SharpUpdate {
             e.free(cap);
             e.vsst_w(hi, oa + (base * 2) as u64, &[StrideMode::One]);
             e.free(hi);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<i16>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -134,9 +131,7 @@ impl Kernel for UpsampleBilinear {
         let lanes = e.lanes();
         e.vsetdimc(1);
         e.vsetststr(0, 2); // interleaved output positions
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(6);
             let a = e.vsld_ub(sa + base as u64, &[StrideMode::One]);
@@ -160,13 +155,8 @@ impl Kernel for UpsampleBilinear {
             e.free(avg);
             e.vsst_ub(avg8, oa + (2 * base + 1) as u64, &[StrideMode::Cr]);
             e.free(avg8);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(oa, 2 * n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -201,54 +191,7 @@ impl Kernel for AlphaMultiply {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let n = npix(scale);
-        let x = gen_u8(0x85, n);
-        let a = gen_u8(0x86, n);
-        let want: Vec<u8> = (0..n)
-            .map(|i| (((u32::from(x[i]) * u32::from(a[i])) + 255) >> 8) as u8)
-            .collect();
-
-        let mut e = engine();
-        e.vsetwidth(32);
-        let xa = e.mem_alloc_typed::<u8>(n);
-        let aa = e.mem_alloc_typed::<u8>(n);
-        let oa = e.mem_alloc_typed::<u8>(n);
-        e.mem_fill(xa, &x);
-        e.mem_fill(aa, &a);
-
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
-            e.vsetdiml(0, chunk);
-            e.scalar(6);
-            let xv8 = e.vsld_ub(xa + base as u64, &[StrideMode::One]);
-            let xv = e.vcvt(xv8, DType::U32);
-            e.free(xv8);
-            let av8 = e.vsld_ub(aa + base as u64, &[StrideMode::One]);
-            let av = e.vcvt(av8, DType::U32);
-            e.free(av8);
-            let p = e.vmul_udw(xv, av);
-            e.free(xv);
-            e.free(av);
-            let c = e.vsetdup_udw(255);
-            let pc = e.vadd_udw(p, c);
-            e.free(p);
-            e.free(c);
-            let sh = e.vshir_udw(pc, 8);
-            e.free(pc);
-            let o8 = e.vcvt(sh, DType::U8);
-            e.free(sh);
-            e.vsst_ub(o8, oa + base as u64, &[StrideMode::One]);
-            e.free(o8);
-            base += chunk;
-        }
-        let got = e.mem_read_vec::<u8>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        crate::skia::multiply_bytes(npix(scale), [0x85, 0x86])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -321,9 +264,7 @@ impl Kernel for VerticalFilter {
         e.vsetdiml(0, w);
         e.vsetldstr(1, w as i64);
         e.vsetststr(1, w as i64);
-        let mut y = 1usize;
-        while y < h {
-            let rows = rows_per_tile.min(h - y);
+        for (y, rows) in chunks(h - 1, rows_per_tile).map(|(y, rows)| (y + 1, rows)) {
             e.vsetdiml(1, rows);
             e.scalar(6);
             let cur = e.vsld_ub(ia + (y * w) as u64, &[StrideMode::One, StrideMode::Cr]);
@@ -336,13 +277,8 @@ impl Kernel for VerticalFilter {
             for r in [cur, above, d] {
                 e.free(r);
             }
-            y += rows;
         }
-        let got = e.mem_read_vec::<u8>(oa, w * h);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -419,9 +355,7 @@ impl Kernel for GradientFilter {
         e.vsetldstr(1, w as i64);
         e.vsetststr(1, w as i64);
         let m = [StrideMode::One, StrideMode::Cr];
-        let mut y = 1usize;
-        while y < h {
-            let rows = rows_per_tile.min(h - y);
+        for (y, rows) in chunks(h - 1, rows_per_tile).map(|(y, rows)| (y + 1, rows)) {
             e.vsetdiml(1, rows);
             e.scalar(8);
             let base = ia + (y * w + 1) as u64;
@@ -458,13 +392,8 @@ impl Kernel for GradientFilter {
             e.free(d);
             e.vsst_ub(d8, oa + (y * w + 1) as u64, &m);
             e.free(d8);
-            y += rows;
         }
-        let got = e.mem_read_vec::<u8>(oa, w * h);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -523,9 +452,7 @@ impl Kernel for Sse4x4 {
 
         let lanes = e.lanes();
         let bpt = (lanes / 16).min(blocks).max(1);
-        let mut blk = 0usize;
-        while blk < blocks {
-            let nb = bpt.min(blocks - blk);
+        for (blk, nb) in chunks(blocks, bpt) {
             // Block-transposed layout [B, 16]: lane = b + B·p, so the
             // halving fold sums within each block.
             e.vsetdimc(2);
@@ -553,13 +480,8 @@ impl Kernel for Sse4x4 {
             e.vsetdiml(0, nb);
             e.vsst_dw(sums, oa + (blk * 4) as u64, &[StrideMode::One]);
             e.free(sums);
-            blk += nb;
         }
-        let got = e.mem_read_vec::<i32>(oa, blocks);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -620,9 +542,7 @@ impl Kernel for QuantizeCoeffs {
 
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(6);
             let c16 = e.vsld_w(ca + (base * 2) as u64, &[StrideMode::One]);
@@ -651,13 +571,8 @@ impl Kernel for QuantizeCoeffs {
             e.free(q);
             e.vsst_w(q16, oa + (base * 2) as u64, &[StrideMode::One]);
             e.free(q16);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<i16>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -4,7 +4,7 @@
 //! operands and the reference once, writes them to a fresh engine, runs
 //! the body and checks its output.
 
-use crate::common::{check_f32, chunks, engine, gen_f32, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_f32, KernelRun, Scale, Within};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
 use mve_baselines::rvv;
@@ -46,11 +46,7 @@ impl Daxpy {
         e.mem_fill(xa, &x);
         e.mem_fill(ya, &y);
         body(&mut e, n, [xa, ya, oa]);
-        let got = e.mem_read_vec::<f32>(oa, n);
-        KernelRun {
-            checked: check_f32(&got, &want, 1e-6),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &Within(&want, 1e-6))
     }
 }
 

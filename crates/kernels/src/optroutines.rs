@@ -6,7 +6,7 @@
 //! folds it on the scalar core and checks the checksum.
 
 use crate::common::{
-    check_exact, chunks, engine, gen_u8, tag_to_data, tree_reduce, KernelRun, Scale,
+    check_exact, chunks, engine, finish, gen_u8, tag_to_data, tree_reduce, KernelRun, Scale,
 };
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
@@ -47,21 +47,14 @@ impl Kernel for Memcpy {
         e.mem_fill(sa, &src);
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(4);
             let v = e.vsld_ub(sa + base as u64, &[StrideMode::One]);
             e.vsst_ub(v, da + base as u64, &[StrideMode::One]);
             e.free(v);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(da, n);
-        KernelRun {
-            checked: check_exact(&got, &src),
-            trace: e.take_trace(),
-        }
+        finish(e, da, &src[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -101,21 +94,14 @@ impl Kernel for Memset {
         let da = e.mem_alloc_typed::<u8>(n);
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(3);
             let v = e.vsetdup_ub(fill);
             e.vsst_ub(v, da + base as u64, &[StrideMode::One]);
             e.free(v);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(da, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, da, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -134,7 +120,7 @@ impl Kernel for Memset {
 
 /// Shared scan kernel: find the first occurrence of `target` using compare
 /// + Tag materialisation + scalar scan of the flag tile.
-fn scan_for_byte(scale: Scale, data: &[u8], target: u8) -> (KernelRun, usize) {
+fn scan_for_byte(data: &[u8], target: u8) -> KernelRun {
     let n = data.len();
     let mut e = engine();
     e.vsetwidth(8);
@@ -145,9 +131,7 @@ fn scan_for_byte(scale: Scale, data: &[u8], target: u8) -> (KernelRun, usize) {
     let lanes = e.lanes();
     e.vsetdimc(1);
     let mut found = n;
-    let mut base = 0usize;
-    while base < n {
-        let chunk = lanes.min(n - base);
+    for (base, chunk) in chunks(n, lanes) {
         e.vsetdiml(0, chunk);
         e.scalar(5);
         let v = e.vsld_ub(da + base as u64, &[StrideMode::One]);
@@ -171,19 +155,9 @@ fn scan_for_byte(scale: Scale, data: &[u8], target: u8) -> (KernelRun, usize) {
             found = h;
             break;
         }
-        base += chunk;
     }
-    let _ = scale;
-    (
-        KernelRun {
-            checked: check_exact(
-                &[found],
-                &[data.iter().position(|&b| b == target).unwrap_or(n)],
-            ),
-            trace: e.take_trace(),
-        },
-        found,
-    )
+    let want = data.iter().position(|&b| b == target).unwrap_or(n);
+    KernelRun::new(e, check_exact(&[found], &[want]))
 }
 
 /// C string length (find the first NUL).
@@ -204,7 +178,7 @@ impl Kernel for Strlen {
         let n = buf_len(scale);
         let mut s: Vec<u8> = gen_u8(0xD2, n).iter().map(|&b| b | 1).collect();
         s[n * 3 / 4] = 0; // the terminator
-        scan_for_byte(scale, &s, 0).0
+        scan_for_byte(&s, 0)
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -239,7 +213,7 @@ impl Kernel for Memchr {
         let n = buf_len(scale);
         let mut s: Vec<u8> = gen_u8(0xD3, n).iter().map(|&b| b % 250).collect();
         s[n / 2 + 17] = 0xFE;
-        scan_for_byte(scale, &s, 0xFE).0
+        scan_for_byte(&s, 0xFE)
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -291,10 +265,7 @@ impl Csum {
             total = (total & 0xFFFF) + (total >> 16);
         }
         e.scalar(6);
-        KernelRun {
-            checked: check_exact(&[!(total as u16)], &[want]),
-            trace: e.take_trace(),
-        }
+        KernelRun::new(e, check_exact(&[!(total as u16)], &[want]))
     }
 }
 

@@ -16,7 +16,7 @@
 //! `solve_gemm` and `solve_fir` set up the engine and check the output for
 //! both bodies, and the RVV SpMM shares `SpmmOperands`.
 
-use crate::common::{chunks, engine, gen_f32, tree_halve, Checked, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_f32, tree_halve, KernelRun, Lanes, Scale};
 use crate::xnnpack::{Spmm, SpmmSize};
 use mve_core::dtype::{f16_to_f32, f32_to_f16, BinOp, DType};
 use mve_core::engine::Engine;
@@ -292,25 +292,6 @@ pub(crate) fn store_native<T: Native>(e: &mut Engine, base: u64, dt: DType, vals
     store_lanes(e, base, dt, to_lanes(vals));
 }
 
-/// Checks the `dt` lanes at `got_base` against `want`, in place, and
-/// takes the trace: the end of every run of this module's kernels.
-pub(crate) fn finish(mut e: Engine, got_base: u64, dt: DType, want: &[u64]) -> KernelRun {
-    let eb = dt.bytes();
-    let got = |i: usize| e.mem().read_raw(got_base + i as u64 * eb, eb);
-    let checked = Checked {
-        compared: want.len(),
-        mismatches: want
-            .iter()
-            .enumerate()
-            .filter(|&(i, &w)| got(i) != w)
-            .count(),
-    };
-    KernelRun {
-        checked,
-        trace: e.take_trace(),
-    }
-}
-
 /// GEMM at an arbitrary precision (Figure 12(c) sizes: 64×64×64).
 pub fn run_gemm(prec: Precision, scale: Scale) -> KernelRun {
     let (n, k, m) = match scale {
@@ -350,7 +331,7 @@ pub(crate) fn solve_gemm(
     let [ia, wa, oa] = [n * k, k * m, n * m].map(|len| e.mem_alloc(len as u64 * dt.bytes()));
     let want = native!(prec, operands(prec, &mut e, [ia, wa], n, k, m));
     body(&mut e, [ia, wa, oa]);
-    finish(e, oa, dt, &want)
+    finish(e, oa, &Lanes(dt, &want))
 }
 
 /// The MVE GEMM of the Section IV replication listing at an arbitrary
@@ -365,9 +346,7 @@ pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun
         e.vsetdimc(2);
         e.vsetdiml(0, m);
         e.vsetldstr(1, k as i64); // input row stride for mode 3
-        let mut r = 0usize;
-        while r < n {
-            let rows = rows_per_tile.min(n - r);
+        for (r, rows) in chunks(n, rows_per_tile) {
             e.vsetdiml(1, rows);
             e.scalar(8);
             let mut acc = e.setdup(dt, 0);
@@ -399,7 +378,6 @@ pub fn run_gemm_dims(prec: Precision, n: usize, k: usize, m: usize) -> KernelRun
                 &[StrideMode::One, StrideMode::Seq],
             );
             e.free(acc);
-            r += rows;
         }
     })
 }
@@ -438,7 +416,7 @@ pub(crate) fn solve_fir(
     let [xa, oa] = [x.len(), x.len() + 1 - h.len()].map(|len| e.mem_alloc(len as u64 * dt.bytes()));
     store_lanes(&mut e, xa, dt, x.iter().copied());
     body(&mut e, [xa, oa]);
-    finish(e, oa, dt, want)
+    finish(e, oa, &Lanes(dt, want))
 }
 
 /// The MVE FIR on canonical `dt` lanes at kernel width `width`, checked
@@ -528,9 +506,7 @@ fn spmm_mve<T: Native>(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
         e.vsetdiml(1, batch);
         let mut acc2d = e.setdup(dt, 0);
         let (lo, hi) = (ops.row_ptr[n], ops.row_ptr[n + 1]);
-        let mut j = lo;
-        while j < hi {
-            let take = batch.min(hi - j);
+        for (j, take) in chunks(hi - lo, batch).map(|(j, take)| (lo + j, take)) {
             // Scalar core computes the pointer arrays (charged per nnz).
             e.scalar(4 * take as u64);
             let (vp, wp): (Vec<u64>, Vec<u64>) = (0..batch)
@@ -555,7 +531,6 @@ fn spmm_mve<T: Native>(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
             e.free(acc2d);
             e.free(p);
             acc2d = acc2;
-            j += take;
         }
         e.vsetdimc(1);
         e.vsetdiml(0, s.m * batch);
@@ -565,7 +540,7 @@ fn spmm_mve<T: Native>(prec: Precision, s: SpmmSize, seed: u64) -> KernelRun {
         e.store(folded, oa + (n * s.m) as u64 * eb, &[StrideMode::One]);
         e.free(folded);
     }
-    finish(e, oa, dt, &want)
+    finish(e, oa, &Lanes(dt, &want))
 }
 
 #[cfg(test)]
@@ -649,9 +624,7 @@ mod tests {
             let (lo, hi) = (s.row_ptr[n], s.row_ptr[n + 1]);
             // acc2d[b][m] accumulates products across batch passes.
             let mut acc2d = vec![vec![prec.pack(0.0); s.m]; batch];
-            let mut j = lo;
-            while j < hi {
-                let take = batch.min(hi - j);
+            for (j, take) in chunks(hi - lo, batch).map(|(j, take)| (lo + j, take)) {
                 for b in 0..take {
                     for m in 0..s.m {
                         let p = dt.binop(
@@ -662,7 +635,6 @@ mod tests {
                         acc2d[b][m] = dt.binop(BinOp::Add, acc2d[b][m], p);
                     }
                 }
-                j += take;
             }
             // Pairwise fold of the batch dimension (tree_halve order).
             let mut len = batch;

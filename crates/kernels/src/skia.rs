@@ -1,8 +1,12 @@
 //! Skia — 2-D graphics kernels: source-over blending with per-pixel alpha
 //! replication, 32-bit fills, horizontal convolution and the multiply
 //! transfer mode.
+//!
+//! The multiply transfer mode computes what libwebp's alpha
+//! premultiplication does, `(a·b + 255) >> 8` per byte, at the same sizes,
+//! so both kernels run one body, `multiply_bytes`, on their own seeds.
 
-use crate::common::{check_exact, engine, gen_u8, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_u8, KernelRun, Scale};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::dtype::DType;
 use mve_core::isa::StrideMode;
@@ -58,9 +62,7 @@ impl Kernel for BlitRow {
         e.vsetdiml(0, 4);
         e.vsetldstr(1, 4);
         e.vsetststr(1, 4);
-        let mut p = 0usize;
-        while p < px {
-            let np = px_per_tile.min(px - p);
+        for (p, np) in chunks(px, px_per_tile) {
             e.vsetdiml(1, np);
             e.scalar(8);
             let m = [StrideMode::One, StrideMode::Cr];
@@ -90,13 +92,8 @@ impl Kernel for BlitRow {
             e.free(o);
             e.vsst_ub(o8, oa + (4 * p) as u64, &m);
             e.free(o8);
-            p += np;
         }
-        let got = e.mem_read_vec::<u8>(oa, 4 * px);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -141,21 +138,14 @@ impl Kernel for Memset32 {
         let oa = e.mem_alloc_typed::<u32>(n);
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(4);
             let v = e.vsetdup_udw(colour);
             e.vsst_udw(v, oa + (base * 4) as u64, &[StrideMode::One]);
             e.free(v);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u32>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -205,9 +195,7 @@ impl Kernel for ConvolveHoriz {
 
         let lanes = e.lanes();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             e.vsetdiml(0, chunk);
             e.scalar(6);
             let mut acc = e.vsetdup_dw(2048);
@@ -238,13 +226,8 @@ impl Kernel for ConvolveHoriz {
             e.free(hi);
             e.vsst_ub(o8, oa + base as u64, &[StrideMode::One]);
             e.free(o8);
-            base += chunk;
         }
-        let got = e.mem_read_vec::<u8>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &want[..])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -265,6 +248,50 @@ impl Kernel for ConvolveHoriz {
     }
 }
 
+/// `out = (a·b + 255) >> 8` per byte over `n` bytes of the inputs seeded
+/// `seeds`: the one body of Skia's multiply transfer mode and libwebp's
+/// alpha premultiplication. Each tile widens both bytes to 32 bits for the
+/// product and narrows the shifted result back.
+pub(crate) fn multiply_bytes(n: usize, seeds: [u64; 2]) -> KernelRun {
+    let [a, b] = seeds.map(|seed| gen_u8(seed, n));
+    let want: Vec<u8> = (0..n)
+        .map(|i| (((u32::from(a[i]) * u32::from(b[i])) + 255) >> 8) as u8)
+        .collect();
+
+    let mut e = engine();
+    e.vsetwidth(32);
+    let [aa, ba, oa] = [(); 3].map(|_| e.mem_alloc_typed::<u8>(n));
+    e.mem_fill(aa, &a);
+    e.mem_fill(ba, &b);
+
+    let lanes = e.lanes();
+    e.vsetdimc(1);
+    for (base, chunk) in chunks(n, lanes) {
+        e.vsetdiml(0, chunk);
+        e.scalar(6);
+        let a8 = e.vsld_ub(aa + base as u64, &[StrideMode::One]);
+        let av = e.vcvt(a8, DType::U32);
+        e.free(a8);
+        let b8 = e.vsld_ub(ba + base as u64, &[StrideMode::One]);
+        let bv = e.vcvt(b8, DType::U32);
+        e.free(b8);
+        let p = e.vmul_udw(av, bv);
+        e.free(av);
+        e.free(bv);
+        let c = e.vsetdup_udw(255);
+        let pc = e.vadd_udw(p, c);
+        e.free(p);
+        e.free(c);
+        let sh = e.vshir_udw(pc, 8);
+        e.free(pc);
+        let o8 = e.vcvt(sh, DType::U8);
+        e.free(sh);
+        e.vsst_ub(o8, oa + base as u64, &[StrideMode::One]);
+        e.free(o8);
+    }
+    finish(e, oa, &want[..])
+}
+
 /// Multiply transfer mode: `out = (s · d + 255) >> 8` per byte.
 pub struct XfermodeMultiply;
 
@@ -280,54 +307,7 @@ impl Kernel for XfermodeMultiply {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let n = 4 * npix(scale);
-        let s = gen_u8(0x94, n);
-        let d = gen_u8(0x95, n);
-        let want: Vec<u8> = (0..n)
-            .map(|i| (((u32::from(s[i]) * u32::from(d[i])) + 255) >> 8) as u8)
-            .collect();
-
-        let mut e = engine();
-        e.vsetwidth(32);
-        let sa = e.mem_alloc_typed::<u8>(n);
-        let da = e.mem_alloc_typed::<u8>(n);
-        let oa = e.mem_alloc_typed::<u8>(n);
-        e.mem_fill(sa, &s);
-        e.mem_fill(da, &d);
-
-        let lanes = e.lanes();
-        e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
-            e.vsetdiml(0, chunk);
-            e.scalar(6);
-            let s8 = e.vsld_ub(sa + base as u64, &[StrideMode::One]);
-            let sv = e.vcvt(s8, DType::U32);
-            e.free(s8);
-            let d8 = e.vsld_ub(da + base as u64, &[StrideMode::One]);
-            let dv = e.vcvt(d8, DType::U32);
-            e.free(d8);
-            let p = e.vmul_udw(sv, dv);
-            e.free(sv);
-            e.free(dv);
-            let c = e.vsetdup_udw(255);
-            let pc = e.vadd_udw(p, c);
-            e.free(p);
-            e.free(c);
-            let sh = e.vshir_udw(pc, 8);
-            e.free(pc);
-            let o8 = e.vcvt(sh, DType::U8);
-            e.free(sh);
-            e.vsst_ub(o8, oa + base as u64, &[StrideMode::One]);
-            e.free(o8);
-            base += chunk;
-        }
-        let got = e.mem_read_vec::<u8>(oa, n);
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        multiply_bytes(4 * npix(scale), [0x94, 0x95])
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -3,16 +3,19 @@
 //! "limited 1-D parallelism" motivating example of the paper's introduction:
 //! MVE batches `chunk × channel` into one 2-D/3-D shape.
 
-use crate::common::{check_f32, engine, gen_f32, tree_reduce, KernelRun, Scale};
+use crate::common::{
+    check_f32, chunks, engine, finish, gen_f32, tree_reduce, KernelRun, Scale, Within,
+};
 use crate::registry::{Kernel, KernelInfo, Library};
-
+use mve_core::engine::{Engine, Reg};
 use mve_core::isa::StrideMode;
 use mve_coresim::neon::{NeonOpClass, NeonProfile};
 
 /// WebAudio render quantum.
 const FRAMES: usize = 128;
 
-fn chunks(scale: Scale) -> usize {
+/// Render quanta per channel.
+fn quanta(scale: Scale) -> usize {
     match scale {
         Scale::Test => 32,
         Scale::Paper => 1024,
@@ -21,7 +24,7 @@ fn chunks(scale: Scale) -> usize {
 const CHANNELS: usize = 4;
 
 fn total(scale: Scale) -> usize {
-    FRAMES * CHANNELS * chunks(scale)
+    FRAMES * CHANNELS * quanta(scale)
 }
 
 /// Generic element-wise audio op runner shared by vsmul/vadd/vclip.
@@ -29,11 +32,7 @@ fn run_elementwise(
     scale: Scale,
     seed: u64,
     want_fn: impl Fn(f32, f32) -> f32,
-    op: impl Fn(
-        &mut mve_core::engine::Engine,
-        mve_core::engine::Reg,
-        mve_core::engine::Reg,
-    ) -> mve_core::engine::Reg,
+    op: impl Fn(&mut Engine, Reg, Reg) -> Reg,
 ) -> KernelRun {
     let n = total(scale);
     let x = gen_f32(seed, n);
@@ -55,10 +54,7 @@ fn run_elementwise(
     e.vsetdiml(0, FRAMES);
     e.vsetdiml(1, CHANNELS);
     let m = [StrideMode::One, StrideMode::Seq, StrideMode::Seq];
-    let mut c = 0usize;
-    let nchunks = chunks(scale);
-    while c < nchunks {
-        let nc = chunks_per_tile.min(nchunks - c);
+    for (c, nc) in chunks(quanta(scale), chunks_per_tile) {
         e.vsetdiml(2, nc);
         e.scalar(6);
         let off = (c * FRAMES * CHANNELS * 4) as u64;
@@ -69,13 +65,8 @@ fn run_elementwise(
         for rg in [xv, yv, r] {
             e.free(rg);
         }
-        c += nc;
     }
-    let got = e.mem_read_vec::<f32>(oa, n);
-    KernelRun {
-        checked: check_f32(&got, &want, 1e-6),
-        trace: e.take_trace(),
-    }
+    finish(e, oa, &Within(&want, 1e-6))
 }
 
 fn audio_profile(scale: Scale, ops_per_elem: u64, loads_per_elem_x4: u64) -> NeonProfile {
@@ -213,9 +204,7 @@ impl Kernel for SumAudio {
         let mut sums = Vec::new();
         let mut want = Vec::new();
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             assert!(chunk.is_power_of_two(), "audio tiles are powers of two");
             e.vsetdiml(0, chunk);
             e.scalar(6);
@@ -232,12 +221,8 @@ impl Kernel for SumAudio {
                 vals.truncate(half);
             }
             want.push(vals[0]);
-            base += chunk;
         }
-        KernelRun {
-            checked: check_f32(&sums, &want, 1e-3),
-            trace: e.take_trace(),
-        }
+        KernelRun::new(e, check_f32(&sums, &want, 1e-3))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -271,8 +256,7 @@ impl Kernel for Interleave {
     }
 
     fn run_mve(&self, scale: Scale) -> KernelRun {
-        let nchunks = chunks(scale);
-        let frames = FRAMES * nchunks;
+        let frames = FRAMES * quanta(scale);
         let n = frames * CHANNELS;
         let planar = gen_f32(0xA5, n); // planar[c * frames + f]
         let mut want = vec![0.0f32; n];
@@ -295,9 +279,7 @@ impl Kernel for Interleave {
         e.vsetldstr(1, 1);
         e.vsetststr(0, 1);
         e.vsetststr(1, CHANNELS as i64);
-        let mut f = 0usize;
-        while f < frames {
-            let nf = frames_per_tile.min(frames - f);
+        for (f, nf) in chunks(frames, frames_per_tile) {
             e.vsetdiml(1, nf);
             e.scalar(6);
             // Load: lane [c][f] = planar[c·F + f]; store: out[f·C + c].
@@ -308,13 +290,8 @@ impl Kernel for Interleave {
                 &[StrideMode::Cr, StrideMode::Cr],
             );
             e.free(v);
-            f += nf;
         }
-        let got = e.mem_read_vec::<f32>(oa, n);
-        KernelRun {
-            checked: check_f32(&got, &want, 0.0),
-            trace: e.take_trace(),
-        }
+        finish(e, oa, &Within(&want, 0.0))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

@@ -13,7 +13,7 @@
 //! SpMM generates the same native operands (`precision::SpmmOperands`) but
 //! keeps its own memory layout, since MVE's adds value and pointer arrays.
 
-use crate::common::{engine, gen_f32, KernelRun, Scale};
+use crate::common::{chunks, engine, finish, gen_f32, KernelRun, Lanes, Scale};
 use crate::precision::{self, Native, Precision, SpmmOperands, F16};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_baselines::gpu::GpuKernelCost;
@@ -84,9 +84,7 @@ impl Kernel for Gemm {
         let run = precision::solve_gemm(Precision::F16, s.n, s.k, s.m, |e, [ia, wa, oa]| {
             let rows_per_tile = (e.lanes() / s.m).max(1);
             rvv::setvlmax(e);
-            let mut n = 0usize;
-            while n < s.n {
-                let rows = rows_per_tile.min(s.n - n);
+            for (n, rows) in chunks(s.n, rows_per_tile) {
                 rvv::setvl(e, rows * s.m);
                 e.scalar(8);
                 let mut acc = e.vsetdup_hf(0.0);
@@ -116,7 +114,6 @@ impl Kernel for Gemm {
                 // Output rows are contiguous: a single unit-stride store.
                 rvv::store_1d(e, acc, oa + ((n * s.m) as u64) * eb, 1);
                 e.free(acc);
-                n += rows;
             }
         });
         Some(run)
@@ -295,7 +292,7 @@ impl Kernel for Spmm {
             rvv::store_1d(&mut e, acc, oa + (n * s.m * 2) as u64, 1);
             e.free(acc);
         }
-        Some(precision::finish(e, oa, dt, &want))
+        Some(finish(e, oa, &Lanes(dt, &want)))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

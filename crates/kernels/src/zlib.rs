@@ -1,7 +1,9 @@
 //! zlib — `adler32` (weighted reduction) and `compare258` (longest-match
 //! scan over multiple candidates via random-base loads + predication).
 
-use crate::common::{check_exact, engine, gen_u8, tag_to_data, tree_halve, KernelRun, Scale};
+use crate::common::{
+    check_exact, chunks, engine, gen_u8, tag_to_data, tree_halve, KernelRun, Scale,
+};
 use crate::registry::{Kernel, KernelInfo, Library};
 use mve_core::dtype::DType;
 use mve_core::isa::StrideMode;
@@ -68,9 +70,7 @@ impl Kernel for Adler32 {
         let mut s1: u64 = 1;
         let mut s2: u64 = 0;
         e.vsetdimc(1);
-        let mut base = 0usize;
-        while base < n {
-            let chunk = lanes.min(n - base);
+        for (base, chunk) in chunks(n, lanes) {
             assert!(chunk.is_power_of_two(), "chunk the tail on the CPU");
             e.vsetdiml(0, chunk);
             e.scalar(10);
@@ -101,13 +101,9 @@ impl Kernel for Adler32 {
             s2 = (s2 + (chunk as u64 % ADLER_MOD) * (s1 % ADLER_MOD) + wsum) % ADLER_MOD;
             s1 = (s1 + dsum) % ADLER_MOD;
             e.scalar(12);
-            base += chunk;
         }
         let got = vec![((s2 << 16) | s1) as u32];
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        KernelRun::new(e, check_exact(&got, &want))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {
@@ -216,10 +212,7 @@ impl Kernel for Compare258 {
                 len
             })
             .collect();
-        KernelRun {
-            checked: check_exact(&got, &want),
-            trace: e.take_trace(),
-        }
+        KernelRun::new(e, check_exact(&got, &want))
     }
 
     fn neon_profile(&self, scale: Scale) -> NeonProfile {

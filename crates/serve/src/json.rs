@@ -152,24 +152,13 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal. UTF-8 passes through raw (valid
+/// Writes `s` as a JSON string literal through the workspace's one
+/// escaper, [`mve_obs::log::escape_json`]. UTF-8 passes through raw (valid
 /// JSON), so artefact text round-trips byte-identically; only `"`, `\` and
 /// control characters are escaped.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    mve_obs::log::escape_json(s, out);
     out.push('"');
 }
 
